@@ -18,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import check_dim
 from .lca import GroupElement, QuotientGroup
-from .zmodlin import kernel_mod, module_quotient
+from .linops import operator_matrix
+from .zmodlin import cohomology_of
 
 Simplex = tuple[int, ...]
 
@@ -55,15 +55,9 @@ class Nerve:
             k: tuple(sorted(v)) for k, v in by_dim.items() if v
         }
         self.dimension = max(self._simplices)
-        self._index = {
-            k: {s: i for i, s in enumerate(v)} for k, v in self._simplices.items()
-        }
 
     def simplices(self, k: int) -> tuple[Simplex, ...]:
         return self._simplices.get(k, ())
-
-    def index(self, s: Simplex) -> int:
-        return self._index[len(s) - 1][s]
 
     @property
     def vertices(self) -> tuple[Simplex, ...]:
@@ -260,33 +254,20 @@ def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
 def delta_matrix(nerve: Nerve, module: GModule, g: TwistCocycle, k: int) -> np.ndarray:
     """Matrix of delta_g from degree k to k+1 on flattened coordinates."""
     sz = module.size
-    n_src = len(nerve.simplices(k)) * sz
-    n_dst = len(nerve.simplices(k + 1)) * sz
-    check_dim(max(n_src, n_dst))
-    A = np.zeros((n_dst, n_src), dtype=np.int64)
-    for col in range(n_src):
-        e = np.zeros(n_src, dtype=np.int64)
-        e[col] = 1
-        c = TwistedCochain.from_flat(nerve, module, k, e)
-        A[:, col] = delta_g(c, g).flatten()
-    return A % module.m
+    return operator_matrix(
+        lambda e: delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
+        len(nerve.simplices(k)) * sz, len(nerve.simplices(k + 1)) * sz)
 
 
 def cohomology(nerve: Nerve, module: GModule, g: TwistCocycle, k: int):
     """Invariant factors and representative cocycles of H^k(nerve, module, g)."""
     if k < 0:
         raise ValueError("degree must be >= 0")
-    m = module.m
-    n_k = len(nerve.simplices(k)) * module.size
-    if n_k == 0:
+    if not nerve.simplices(k):
         return [], []
     A = delta_matrix(nerve, module, g, k)
-    gens = kernel_mod(A, m)
-    if k == 0:
-        rels = np.zeros((n_k, 0), dtype=np.int64)
-    else:
-        rels = delta_matrix(nerve, module, g, k - 1)
-    factors, reps = module_quotient(gens, rels, m)
+    B = delta_matrix(nerve, module, g, k - 1) if k > 0 else None
+    factors, reps = cohomology_of(A, B, module.m)
     rep_cochains = [
         TwistedCochain.from_flat(nerve, module, k, reps[:, i])
         for i in range(reps.shape[1])

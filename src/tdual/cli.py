@@ -13,9 +13,7 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
-from threading import RLock
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,14 +121,12 @@ class Workspace:
         self.tau_s = tols.get("snap", triples.TAU_S) * tolerance_scale
         self.tau_u = tols.get("operator", triples.TAU_U) * tolerance_scale
         self.tau_pipe = tols.get("pipeline", 1e-8) * tolerance_scale
-        self._lock = RLock()
         self._cache: dict = {}
 
     def _get(self, key: str, builder: Callable):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = builder()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = builder()
+        return self._cache[key]
 
     def fixture(self) -> triples.TripleLocalData:
         def build():
@@ -455,8 +451,7 @@ CHECK_DESCRIPTIONS = {
 }
 
 
-def run_checks(ws: Workspace, command: str, only: Optional[str] = None,
-               jobs: int = 1) -> list[dict]:
+def run_checks(ws: Workspace, command: str, only: Optional[str] = None) -> list[dict]:
     fns = COMMANDS[command]
 
     def guarded(f: Callable) -> list[dict]:
@@ -470,13 +465,8 @@ def run_checks(ws: Workspace, command: str, only: Optional[str] = None,
             return [_result(f"{group}.invalid_triple", 1.0, 0.0, error=str(exc))]
 
     results: list[dict] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(guarded, fns):
-                results.extend(chunk)
-    else:
-        for f in fns:
-            results.extend(guarded(f))
+    for f in fns:
+        results.extend(guarded(f))
     if only is not None:
         results = [r for r in results if r["name"] == only]
         if not results:
@@ -533,8 +523,7 @@ def cmd_run(args) -> int:
     try:
         ws = Workspace(scenario, seed=args.seed, tolerance_scale=args.tolerance_scale)
         start = time.perf_counter()
-        results = run_checks(ws, scenario["command"], only=args.check,
-                             jobs=args.jobs)
+        results = run_checks(ws, scenario["command"], only=args.check)
         elapsed = time.perf_counter() - start
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -601,8 +590,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
     p_run.add_argument("--tolerance-scale", type=float, default=1.0)
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="run independent check groups concurrently")
     p_run.add_argument("--format", choices=("json", "text"), default="json")
     p_run.add_argument("--check", default=None,
                        help="run only the check with this exact name")

@@ -18,8 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InvalidTripleError
 from .lca import GroupElement, QZ
-from .linops import adjoint, unit_phase
+from .linops import adjoint, operator_matrix, unit_phase
 from .triples import DualityContext, TripleLocalData
 
 
@@ -31,8 +32,6 @@ class HaarWeights:
     w_quot: Fraction
     w_N: Fraction
     w_dual: Fraction
-    w_dual_quot: Fraction
-    w_nperp: Fraction
 
     @staticmethod
     def for_context(ctx: DualityContext) -> "HaarWeights":
@@ -43,8 +42,6 @@ class HaarWeights:
             w_quot=Fraction(1, q),
             w_N=Fraction(1),
             w_dual=Fraction(1, n),
-            w_dual_quot=Fraction(1, n),
-            w_nperp=Fraction(1),
         )
 
 
@@ -98,31 +95,6 @@ class CrossedContext:
         return self.dft() @ np.diag(diag) @ self.dft_inv()
 
 
-class DualSection:
-    """A matrix-valued function on the dual quotient (the transform's target)."""
-
-    def __init__(self, values: dict):
-        self._values = dict(values)
-
-    def __getitem__(self, zhat) -> np.ndarray:
-        return self._values[zhat]
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def keys(self):
-        return self._values.keys()
-
-    def values(self):
-        return self._values.values()
-
-    def items(self):
-        return self._values.items()
-
-    def sup_norm(self) -> float:
-        return max(float(np.linalg.norm(M, 2)) for M in self._values.values())
-
-
 class ConvolutionElement:
     """A matrix-valued function on G x G/N, stored as (|G|, q, d, d)."""
 
@@ -166,10 +138,6 @@ class ConvolutionElement:
         return float(np.max(np.abs(self.values)))
 
 
-def _mu_at(mu: dict, g: GroupElement, z: GroupElement) -> np.ndarray:
-    return mu[(g, z)]
-
-
 def convolve(f1: ConvolutionElement, f2: ConvolutionElement, mu: dict) -> ConvolutionElement:
     cc = f1.cc
     ctx, q = cc.ctx, cc.ctx.quotient
@@ -180,7 +148,7 @@ def convolve(f1: ConvolutionElement, f2: ConvolutionElement, mu: dict) -> Convol
         for iz, z in enumerate(cc.reps):
             acc = np.zeros((cc.d, cc.d), complex)
             for ih, h in enumerate(cc.elems):
-                U = _mu_at(mu, h, z)
+                U = mu[(h, z)]
                 zh = q.add(z, q.rep(h))
                 acc += f1.values[ih, iz] @ (
                     adjoint(U) @ f2.values[cc.gi[G.sub(g, h)], cc.zi[zh]] @ U
@@ -196,7 +164,7 @@ def involute(f: ConvolutionElement, mu: dict) -> ConvolutionElement:
     out = np.zeros_like(f.values)
     for ig, g in enumerate(cc.elems):
         for iz, z in enumerate(cc.reps):
-            U = _mu_at(mu, g, z)
+            U = mu[(g, z)]
             zg = q.add(z, q.rep(g))
             out[ig, iz] = adjoint(U) @ adjoint(f.values[cc.gi[G.neg(g)], cc.zi[zg]]) @ U
     return ConvolutionElement(cc, out)
@@ -216,7 +184,7 @@ def represent(f: ConvolutionElement, mu: dict) -> np.ndarray:
     out = np.zeros((dim, dim), complex)
     for ig, g in enumerate(cc.elems):
         for iz, z in enumerate(cc.reps):
-            Um = _mu_at(mu, G.neg(g), z)
+            Um = mu[(G.neg(g), z)]
             zshift = cc.zi[q.sub_(z, q.rep(g))]
             for ih, h in enumerate(cc.elems):
                 blk = wG * adjoint(Um) @ f.values[ih, zshift] @ Um
@@ -231,8 +199,23 @@ def operator_norm(f: ConvolutionElement, mu: dict) -> float:
     return float(np.linalg.norm(represent(f, mu), 2))
 
 
-def _twisted_kernel(cc: CrossedContext, fm: np.ndarray, chi: GroupElement) -> np.ndarray:
-    """K(chi)[a, c] = int f(g,z) mu(g,z)^-1 <chi + c, g> <c - a, z> d(g, z)."""
+def _mu_twisted(f: ConvolutionElement, mu: dict) -> np.ndarray:
+    """The table fm(g, z) = f(g, z) mu(g, z)^-1 that the transform integrates."""
+    cc = f.cc
+    fm = np.zeros_like(f.values)
+    for ig, g in enumerate(cc.elems):
+        for iz, z in enumerate(cc.reps):
+            fm[ig, iz] = f.values[ig, iz] @ adjoint(mu[(g, z)])
+    return fm
+
+
+def conjugated_kernel(cc: CrossedContext, fm: np.ndarray,
+                      chi: GroupElement) -> np.ndarray:
+    """(Lambda(chi) x 1) K(chi) (Lambda(chi)^-1 x 1) at a character lift chi.
+
+    K(chi)[a, c] = int fm(g, z) <chi + c, g> <c - a, z> d(g, z), with a, c
+    running over N-perp and fm = _mu_twisted(f, mu).
+    """
     ctx = cc.ctx
     Gd = ctx.Gd
     w = float(cc.weights.w_G * cc.weights.w_quot)
@@ -249,36 +232,27 @@ def _twisted_kernel(cc: CrossedContext, fm: np.ndarray, chi: GroupElement) -> np
                     ph = ph_g * unit_phase(cc.quot_pair(diff, z))
                     acc += ph * fm[ig, iz]
             K[ia * d:(ia + 1) * d, ic * d:(ic + 1) * d] = w * acc
-    return K
-
-
-def conjugated_kernel(cc: CrossedContext, f: ConvolutionElement, mu: dict,
-                      chi: GroupElement) -> np.ndarray:
-    """Lambda(chi)-conjugated kernel at an arbitrary character lift chi."""
-    fm = np.zeros_like(f.values)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
-            fm[ig, iz] = f.values[ig, iz] @ adjoint(_mu_at(mu, g, z))
-    L = np.kron(cc.lam(chi), np.eye(cc.d))
-    return L @ _twisted_kernel(cc, fm, chi) @ adjoint(L)
+    L = np.kron(cc.lam(chi), np.eye(d))
+    return L @ K @ adjoint(L)
 
 
 def t_periodicity_residual(f: ConvolutionElement, mu: dict) -> float:
     """Deviation of the conjugated kernel under N-perp shifts of the lift."""
     cc = f.cc
     ctx = cc.ctx
+    fm = _mu_twisted(f, mu)
     res = 0.0
     betas = [b for b in cc.nperp if b != ctx.Gd.zero()] or [ctx.Gd.zero()]
     for zhat in ctx.dual_quotient.reps():
         chi = ctx.sigma_hat(zhat)
-        base = conjugated_kernel(cc, f, mu, chi)
-        moved = conjugated_kernel(cc, f, mu, ctx.Gd.add(chi, betas[0]))
+        base = conjugated_kernel(cc, fm, chi)
+        moved = conjugated_kernel(cc, fm, ctx.Gd.add(chi, betas[0]))
         res = max(res, float(np.max(np.abs(base - moved))))
     return res
 
 
 def t_transform(f: ConvolutionElement, mu: dict,
-                check_tol: float = 1e-6) -> DualSection:
+                check_tol: float = 1e-6) -> dict:
     """The dual section z^ -> Lambda-conjugated Fourier kernel, one matrix per z^.
 
     output:  T(z^) = (Lambda(chi) x 1) K(chi) (Lambda(chi)^-1 x 1) at the
@@ -288,44 +262,33 @@ def t_transform(f: ConvolutionElement, mu: dict,
     """
     cc = f.cc
     ctx = cc.ctx
-    fm = np.zeros_like(f.values)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
-            fm[ig, iz] = f.values[ig, iz] @ adjoint(_mu_at(mu, g, z))
+    fm = _mu_twisted(f, mu)
     out = {}
     scale = max(1.0, f.norm_inf())
     betas = [b for b in cc.nperp if b != ctx.Gd.zero()]
     for zhat in ctx.dual_quotient.reps():
         chi = ctx.sigma_hat(zhat)
-        L = np.kron(cc.lam(chi), np.eye(cc.d))
-        K = L @ _twisted_kernel(cc, fm, chi) @ adjoint(L)
+        K = conjugated_kernel(cc, fm, chi)
         if betas and check_tol is not None:
-            chi2 = ctx.Gd.add(chi, betas[0])
-            L2 = np.kron(cc.lam(chi2), np.eye(cc.d))
-            K2 = L2 @ _twisted_kernel(cc, fm, chi2) @ adjoint(L2)
+            K2 = conjugated_kernel(cc, fm, ctx.Gd.add(chi, betas[0]))
             if float(np.max(np.abs(K - K2))) > check_tol * scale:
-                from .errors import InvalidTripleError
                 raise InvalidTripleError(
                     "transform output depends on the character lift")
         out[zhat] = K
-    return DualSection(out)
+    return out
 
 
 def t_linearized(cc: CrossedContext, mu: dict) -> np.ndarray:
     """The transform as one big matrix on flattened coordinates (for rank checks)."""
-    src = cc.n * cc.q * cc.d * cc.d
-    nper = len(cc.ctx.dual_quotient.reps())
-    dst = nper * (cc.q * cc.d) ** 2
-    A = np.zeros((dst, src), complex)
-    for col in range(src):
-        vals = np.zeros(src, complex)
-        vals[col] = 1.0
+    zhats = cc.ctx.dual_quotient.reps()
+
+    def apply(vals: np.ndarray) -> np.ndarray:
         f = ConvolutionElement(cc, vals.reshape(cc.n, cc.q, cc.d, cc.d))
         T = t_transform(f, mu, check_tol=None)
-        A[:, col] = np.concatenate([
-            T[zhat].reshape(-1) for zhat in cc.ctx.dual_quotient.reps()
-        ])
-    return A
+        return np.concatenate([T[zhat].reshape(-1) for zhat in zhats])
+
+    return operator_matrix(apply, cc.n * cc.q * cc.d * cc.d,
+                           len(zhats) * (cc.q * cc.d) ** 2, complex)
 
 
 def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
@@ -389,8 +352,8 @@ def mu_is_cocycle(cc: CrossedContext, mu: dict) -> float:
     for g in cc.elems:
         for h in cc.elems:
             for z in cc.reps:
-                lhs = _mu_at(mu, G.add(g, h), z)
-                rhs = _mu_at(mu, g, q.add(z, q.rep(h))) @ _mu_at(mu, h, z)
+                lhs = mu[(G.add(g, h), z)]
+                rhs = mu[(g, q.add(z, q.rep(h)))] @ mu[(h, z)]
                 res = max(res, float(np.max(np.abs(lhs - rhs))))
     return res
 

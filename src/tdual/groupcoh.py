@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .cech import GModule, Nerve, TwistCocycle, TwistedCochain, delta_g
-from .errors import check_dim
-from .lca import FiniteLcaGroup, GroupElement, QuotientGroup
-from .zmodlin import kernel_mod, module_quotient
+from .lca import FiniteLcaGroup, QuotientGroup
+from .linops import operator_matrix
+from .zmodlin import cohomology_of, solve_mod
 
 MAX_ARITY = 4          # dense tables G^l -> M exist up to this arity
 MAX_TOTAL_ARITY = 3    # total-complex blocks keep l <= 3
@@ -31,8 +31,8 @@ class GroupCochainSpace:
     """Tables G^l -> Fun(G/N, Z/m), flattened to (Z/m)^(|G|^l * q).
 
     With quotient None the coefficients are plain Z/m with trivial action.
-    The same object doubles as a Cech coefficient module (GModule protocol):
-    translations act on the G/N slot only.
+    fiber is the coefficient module of one table entry; translations act
+    on the G/N slot only.
     """
 
     def __init__(self, G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
@@ -46,52 +46,22 @@ class GroupCochainSpace:
         self.n = G.order
         self.q = quotient.order if quotient is not None else 1
         self.size = self.n ** arity * self.q
+        self.fiber = (GModule.trivial(self.m) if quotient is None
+                      else GModule.functions_on_quotient(self.m, quotient))
         self._gmodule: Optional[GModule] = None
-
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.size, dtype=np.int64)
 
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.arity + (self.q,)
 
-    # GModule protocol: quotient translations act on the last (z) slot
-    def act(self, x: GroupElement) -> np.ndarray:
-        return self.as_gmodule().act(x)
-
     def as_gmodule(self) -> GModule:
+        """The whole table as a Cech coefficient module: fiber.act per entry."""
         if self._gmodule is None:
-            if self.quotient is None:
-                self._gmodule = GModule(
-                    self.m, range(self.size),
-                    lambda x: np.arange(self.size, dtype=np.int64),
-                )
-            else:
-                base = GModule.functions_on_quotient(self.m, self.quotient)
-                size, q, n, arity = self.size, self.q, self.n, self.arity
-
-                def perm_of(x: GroupElement) -> np.ndarray:
-                    p = base.act(x)
-                    blocks = size // q
-                    return (np.repeat(np.arange(blocks, dtype=np.int64) * q, q)
-                            + np.tile(p, blocks))
-
-                self._gmodule = GModule(self.m, range(size), perm_of)
+            blocks = self.size // self.q
+            offsets = np.repeat(np.arange(blocks, dtype=np.int64) * self.q, self.q)
+            self._gmodule = GModule(
+                self.m, range(self.size),
+                lambda x: offsets + np.tile(self.fiber.act(x), blocks))
         return self._gmodule
-
-    def zidx(self, z: GroupElement) -> int:
-        if self.quotient is None:
-            return 0
-        return self.quotient.index(z)
-
-    def shift_z_perm(self, g: GroupElement) -> np.ndarray:
-        """Permutation of the z slot by translation with g (an element of G)."""
-        if self.quotient is None:
-            return np.arange(1, dtype=np.int64)
-        quot = self.quotient
-        reps = quot.reps()
-        idx = {r: i for i, r in enumerate(reps)}
-        gr = quot.rep(g)
-        return np.array([idx[quot.add(z, gr)] for z in reps], dtype=np.int64)
 
 
 @dataclass
@@ -107,10 +77,6 @@ class GroupCochain:
             raise ValueError(
                 f"table shape {self.values.shape} != expected {self.space.shape()}"
             )
-
-    @staticmethod
-    def zero(space: GroupCochainSpace) -> "GroupCochain":
-        return GroupCochain(space, np.zeros(space.shape(), dtype=np.int64))
 
     def flatten(self) -> np.ndarray:
         return self.values.reshape(-1)
@@ -144,11 +110,7 @@ def d_group(f: GroupCochain) -> GroupCochain:
         for i in range(1, l + 1):
             merged = tup[:i - 1] + (int(add[tup[i - 1], tup[i]]),) + tup[i + 1:]
             acc = (acc + (-1) ** i * f.values[merged]) % m
-        if sp.quotient is not None:
-            shifted = f.values[tup[1:]][sp.shift_z_perm(elems[tup[0]])]
-        else:
-            shifted = f.values[tup[1:]]
-        acc = (acc + shifted) % m
+        acc = (acc + f.values[tup[1:]][sp.fiber.act(elems[tup[0]])]) % m
         out[tup] = acc
     return GroupCochain(out_sp, out)
 
@@ -156,14 +118,9 @@ def d_group(f: GroupCochain) -> GroupCochain:
 def d_group_matrix(space: GroupCochainSpace) -> np.ndarray:
     """Matrix of d_group from arity l to l+1 on flattened coordinates."""
     out_sp = GroupCochainSpace(space.G, space.quotient, space.m, space.arity + 1)
-    check_dim(max(space.size, out_sp.size))
-    A = np.zeros((out_sp.size, space.size), dtype=np.int64)
-    for col in range(space.size):
-        e = np.zeros(space.size, dtype=np.int64)
-        e[col] = 1
-        c = GroupCochain(space, e.reshape(space.shape()))
-        A[:, col] = d_group(c).flatten()
-    return A % space.m
+    return operator_matrix(
+        lambda e: d_group(GroupCochain(space, e.reshape(space.shape()))).flatten(),
+        space.size, out_sp.size)
 
 
 def group_cohomology(G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
@@ -173,13 +130,8 @@ def group_cohomology(G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
         raise ValueError("degree must be >= 0")
     sp = GroupCochainSpace(G, quotient, m, k)
     A = d_group_matrix(sp)
-    gens = kernel_mod(A, m)
-    if k == 0:
-        rels = np.zeros((sp.size, 0), dtype=np.int64)
-    else:
-        below = GroupCochainSpace(G, quotient, m, k - 1)
-        rels = d_group_matrix(below)
-    factors, reps = module_quotient(gens, rels, m)
+    B = d_group_matrix(GroupCochainSpace(G, quotient, m, k - 1)) if k > 0 else None
+    factors, reps = cohomology_of(A, B, m)
     rep_cochains = [GroupCochain(sp, reps[:, i].reshape(sp.shape()))
                     for i in range(reps.shape[1])]
     return factors, rep_cochains
@@ -281,16 +233,11 @@ def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
 def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
                  m: int, g: TwistCocycle, p: int) -> np.ndarray:
     """Matrix of the total differential from degree p to p+1."""
-    n_src = total_dimension(nerve, G, quotient, m, p)
-    n_dst = total_dimension(nerve, G, quotient, m, p + 1)
-    check_dim(max(n_src, n_dst))
-    A = np.zeros((n_dst, n_src), dtype=np.int64)
-    for col in range(n_src):
-        e = np.zeros(n_src, dtype=np.int64)
-        e[col] = 1
-        t = TotalCochain.from_flat(nerve, G, quotient, m, p, e)
-        A[:, col] = total_differential(t, g).flatten()
-    return A % m
+    return operator_matrix(
+        lambda e: total_differential(
+            TotalCochain.from_flat(nerve, G, quotient, m, p, e), g).flatten(),
+        total_dimension(nerve, G, quotient, m, p),
+        total_dimension(nerve, G, quotient, m, p + 1))
 
 
 def total_cohomology(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
@@ -298,16 +245,11 @@ def total_cohomology(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
     """Invariant factors and representatives of the total cohomology at p."""
     if p < 0:
         raise ValueError("degree must be >= 0")
-    n_p = total_dimension(nerve, G, quotient, m, p)
-    if n_p == 0:
+    if total_dimension(nerve, G, quotient, m, p) == 0:
         return [], []
     A = total_matrix(nerve, G, quotient, m, g, p)
-    gens = kernel_mod(A, m)
-    if p == 0:
-        rels = np.zeros((n_p, 0), dtype=np.int64)
-    else:
-        rels = total_matrix(nerve, G, quotient, m, g, p - 1)
-    factors, reps = module_quotient(gens, rels, m)
+    B = total_matrix(nerve, G, quotient, m, g, p - 1) if p > 0 else None
+    factors, reps = cohomology_of(A, B, m)
     rep_cochains = [
         TotalCochain.from_flat(nerve, G, quotient, m, p, reps[:, i])
         for i in range(reps.shape[1])
@@ -321,13 +263,13 @@ def solve_total_coboundary(nerve: Nerve, G: FiniteLcaGroup,
     """A degree-(p-1) cochain with d_tot(x) = target, or None.
 
     This is the certificate solver: target is exhibited as a coboundary,
-    so two cocycles differing by target are cohomologous.
+    so two cocycles differing by target are cohomologous.  At p = 0 the
+    only coboundary is zero, witnessed by the empty degree -1 cochain.
     """
     p = target.degree
     if p == 0:
-        return None if not target.is_zero() else None
+        return TotalCochain(nerve, G, quotient, m, -1) if target.is_zero() else None
     A = total_matrix(nerve, G, quotient, m, g, p - 1)
-    from .zmodlin import solve_mod
     x = solve_mod(A, target.flatten(), m)
     if x is None:
         return None

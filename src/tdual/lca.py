@@ -38,10 +38,6 @@ class QZ:
             return QZ(0, 1)
         return QZ(num // g, den // g)
 
-    @staticmethod
-    def from_fraction(x: Fraction) -> "QZ":
-        return QZ.of(x.numerator, x.denominator)
-
     def __add__(self, other: "QZ") -> "QZ":
         return QZ.of(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -65,9 +61,6 @@ class QZ:
         if m % self.den != 0:
             raise ValueError(f"{self} has no denominator dividing {m}")
         return (self.num * (m // self.den)) % m
-
-    def to_complex(self) -> complex:
-        return np.exp(2j * np.pi * self.num / self.den)
 
     def __repr__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -133,9 +126,6 @@ class FiniteLcaGroup:
 
     def index(self, a: GroupElement) -> int:
         return self._index[a]
-
-    def same_shape(self, other: "FiniteLcaGroup") -> bool:
-        return self.factors == other.factors
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteLcaGroup) and self.factors == other.factors

@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidTripleError
+from .errors import InvalidTripleError, check_dim
 from .lca import QZ
 
 
@@ -16,6 +16,18 @@ def unit_phase(x: QZ) -> complex:
 
 def adjoint(U: np.ndarray) -> np.ndarray:
     return U.conj().T
+
+
+def operator_matrix(apply: Callable[[np.ndarray], np.ndarray], n_src: int,
+                    n_dst: int, dtype=np.int64) -> np.ndarray:
+    """Matrix of a linear map on flat coordinates: column j is apply(e_j)."""
+    check_dim(max(n_src, n_dst))
+    A = np.zeros((n_dst, n_src), dtype=dtype)
+    for j in range(n_src):
+        e = np.zeros(n_src, dtype=dtype)
+        e[j] = 1
+        A[:, j] = apply(e)
+    return A
 
 
 def perm_matrix(size: int, image: Callable[[int], int]) -> np.ndarray:
@@ -62,11 +74,3 @@ def snap_phase(s: complex, m: int, tol: float) -> int:
             f"phase {s} does not snap to an order-{m} root of unity (err {err:.3e})"
         )
     return k
-
-
-def unitarity_defect(U: np.ndarray) -> float:
-    return float(np.max(np.abs(adjoint(U) @ U - np.eye(U.shape[0]))))
-
-
-def operator_distance(A: np.ndarray, B: np.ndarray) -> float:
-    return float(np.linalg.norm(A - B, 2))

@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cech import Nerve, TwistCocycle
-from .crossed import ConvolutionElement, CrossedContext, DualSection
-from .groupcoh import GroupCochain, TotalCochain
+from .crossed import ConvolutionElement, CrossedContext
+from .groupcoh import TotalCochain
 from .lca import FiniteLcaGroup, GroupElement, Subgroup
 from .triples import DualityContext, TotalTwoCocycle, TripleLocalData
 
@@ -141,17 +141,6 @@ def _frac(k: int, m: int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def group_cochain_to_json(c: GroupCochain) -> dict:
-    """Nested arrays of fraction strings, innermost axis the fiber slot."""
-    m = c.space.m
-    return {
-        "factors": list(c.space.G.factors),
-        "modulus": m,
-        "arity": c.space.arity,
-        "values": np.vectorize(lambda k: _frac(k, m))(c.values).tolist(),
-    }
-
-
 def total_cochain_to_json(t: TotalCochain) -> dict:
     """Certificate chains: per bidegree, per simplex, fraction strings."""
     m = t.m
@@ -162,7 +151,3 @@ def total_cochain_to_json(t: TotalCochain) -> dict:
             entries[",".join(map(str, s))] = [_frac(int(x), m) for x in v]
         out["blocks"][f"{k},{l}"] = entries
     return out
-
-
-def dual_section_to_json(T: DualSection) -> dict:
-    return {_elem_key(zhat): matrix_to_json(M) for zhat, M in T.items()}

@@ -263,3 +263,16 @@ def module_quotient(
             reps.append(new_gens[:, i])
     reps_arr = np.stack(reps, axis=1) if reps else np.zeros((n, 0), dtype=np.int64)
     return factors, reps_arr
+
+
+def cohomology_of(
+    d_k: np.ndarray, d_prev: Optional[np.ndarray], m: int
+) -> tuple[list[int], np.ndarray]:
+    """Invariant factors and representatives of ker(d_k) / im(d_prev) over Z/m.
+
+    d_prev is None at degree 0, where the image is zero.  Representatives
+    are columns in the source coordinates of d_k.
+    """
+    if d_prev is None:
+        d_prev = np.zeros((d_k.shape[1], 0), dtype=np.int64)
+    return module_quotient(kernel_mod(d_k, m), d_prev, m)

@@ -20,6 +20,7 @@ from tdual.crossed import (
     verify_gluing,
     verify_point_theorem,
 )
+from tdual.errors import ResourceCapError
 from tdual.lca import FiniteLcaGroup, Subgroup
 from tdual.linops import adjoint
 from tdual.triples import (
@@ -174,6 +175,12 @@ class TestTransform:
         src = cc.n * cc.q * d * d
         sv = np.linalg.svd(A, compute_uv=False)
         assert int(np.sum(sv > 1e-9 * sv[0])) == src
+
+    def test_linearized_transform_respects_dim_cap(self, z4ctx, z4mu, monkeypatch):
+        cc = CrossedContext(z4ctx, 2)
+        monkeypatch.setenv("TDUAL_MAX_DIM", str(cc.n * cc.q * cc.d ** 2 - 1))
+        with pytest.raises(ResourceCapError):
+            t_linearized(cc, z4mu)
 
     def test_lift_independence_is_automatic(self, z4ctx):
         # conjugating the kernel by Lambda cancels the index shift under

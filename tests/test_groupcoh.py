@@ -193,3 +193,17 @@ def test_solve_total_coboundary_roundtrip():
     sol = solve_total_coboundary(nerve, G, q, 4, g, target)
     assert sol is not None
     assert (total_differential(sol, g) - target).is_zero()
+
+
+def test_solve_total_coboundary_degree_zero():
+    # the only degree-0 coboundary is zero, witnessed by the empty degree -1 cochain
+    G, N, q = make_ctx([4], [[2]])
+    nerve = Nerve.circle()
+    g = TwistCocycle.trivial(nerve, q)
+    zero = TotalCochain(nerve, G, q, 4, 0)
+    sol = solve_total_coboundary(nerve, G, q, 4, g, zero)
+    assert sol is not None and sol.degree == -1
+    assert (total_differential(sol, g) - zero).is_zero()
+    nonzero = rand_total(nerve, G, q, 4, 0, np.random.default_rng(3))
+    assert not nonzero.is_zero()
+    assert solve_total_coboundary(nerve, G, q, 4, g, nonzero) is None

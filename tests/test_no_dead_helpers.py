@@ -1,0 +1,48 @@
+"""Every function and method in the package is named somewhere outside its def.
+
+Names are collected from the ASTs of src/, tests/ and perfbench/: plain
+names, attribute names and imported names.  A helper that no code or test
+reaches is reported by module and name.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tdual"
+
+
+def _defined(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}"
+
+
+def _named() -> set:
+    names = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_no_unused_functions_or_methods():
+    named = _named()
+    unused = [
+        f"{path.stem}.{qual}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qual in _defined(ast.parse(path.read_text(encoding="utf-8")))
+        if qual.rsplit(".", 1)[-1] not in named
+    ]
+    assert not unused, f"functions named nowhere but their def: {unused}"
