@@ -106,9 +106,6 @@ class GModule:
             self._cache[key] = self._perm_of(x)
         return self._cache[key]
 
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.size, dtype=np.int64)
-
     @staticmethod
     def trivial(m: int) -> "GModule":
         return GModule(m, [()], lambda x: np.zeros(1, dtype=np.int64))
@@ -177,7 +174,11 @@ class TwistCocycle:
 
 @dataclass
 class TwistedCochain:
-    """Degree-k cochain: one module element per sorted k-simplex."""
+    """Degree-k cochain: one module element per sorted k-simplex.
+
+    Each value has shape (module.size,) or (module.size, *batch): trailing
+    axes hold a batch of cochains that every operation acts on alike.
+    """
 
     nerve: Nerve
     module: GModule
@@ -186,10 +187,13 @@ class TwistedCochain:
 
     def __post_init__(self):
         m = self.module.m
+        given = next(iter(self.values.values()), None)
+        zero_shape = (self.module.size,) + np.shape(given)[1:]
         full = {}
         for s in self.nerve.simplices(self.degree):
             v = self.values.get(s)
-            full[s] = self.module.zero() if v is None else np.asarray(v, dtype=np.int64) % m
+            full[s] = (np.zeros(zero_shape, dtype=np.int64) if v is None
+                       else np.asarray(v, dtype=np.int64) % m)
         self.values = full
 
     def copy(self) -> "TwistedCochain":
@@ -216,6 +220,7 @@ class TwistedCochain:
         )
 
     def flatten(self) -> np.ndarray:
+        """Values stacked simplex by simplex along the first axis."""
         parts = [self.values[s] for s in self.nerve.simplices(self.degree)]
         if not parts:
             return np.zeros(0, dtype=np.int64)
@@ -224,6 +229,7 @@ class TwistedCochain:
     @staticmethod
     def from_flat(nerve: Nerve, module: GModule, degree: int,
                   flat: np.ndarray) -> "TwistedCochain":
+        """Inverse of flatten; axes of flat after the first are batch axes."""
         sz = module.size
         vals = {}
         for i, s in enumerate(nerve.simplices(degree)):
@@ -232,12 +238,15 @@ class TwistedCochain:
 
 
 def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
-    """Twisted Cech differential; returns a cochain of degree k+1."""
+    """Twisted Cech differential; returns a cochain of degree k+1.
+
+    Trailing axes of the values are batch axes and pass through unchanged.
+    """
     nerve, module, k = c.nerve, c.module, c.degree
     m = module.m
-    out = TwistedCochain(nerve, module, k + 1)
+    out = {}
     for s in nerve.simplices(k + 1):
-        acc = module.zero()
+        acc = 0
         # plain alternating sum over faces
         for j in range(len(s)):
             face = s[:j] + s[j + 1:]
@@ -247,8 +256,8 @@ def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
         x = g.value(s[-2], s[-1])
         shifted = c.values[lead][module.act(x)]
         acc = (acc + (-1) ** k * (c.values[lead] - shifted)) % m
-        out.values[s] = acc
-    return out
+        out[s] = acc
+    return TwistedCochain(nerve, module, k + 1, out)
 
 
 def delta_matrix(nerve: Nerve, module: GModule, g: TwistCocycle, k: int) -> np.ndarray:

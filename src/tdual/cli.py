@@ -89,6 +89,14 @@ def load_scenario(path: str) -> dict:
             raise ScenarioError(
                 f"modulus must be a multiple of the group exponent {exponent}",
                 "$.modulus")
+        # Z/m matrix products sum up to max_matrix_dim() terms below (m-1)^2
+        # in int64; a larger modulus would overflow them silently
+        cap = max_matrix_dim()
+        if (data["modulus"] - 1) ** 2 * cap >= 2 ** 63:
+            raise ScenarioError(
+                f"modulus too large for exact int64 algebra at matrix cap {cap}: "
+                f"need (modulus-1)^2 * {cap} < 2^63",
+                "$.modulus")
     return data
 
 

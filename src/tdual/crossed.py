@@ -282,10 +282,14 @@ def t_linearized(cc: CrossedContext, mu: dict) -> np.ndarray:
     """The transform as one big matrix on flattened coordinates (for rank checks)."""
     zhats = cc.ctx.dual_quotient.reps()
 
-    def apply(vals: np.ndarray) -> np.ndarray:
-        f = ConvolutionElement(cc, vals.reshape(cc.n, cc.q, cc.d, cc.d))
-        T = t_transform(f, mu, check_tol=None)
-        return np.concatenate([T[zhat].reshape(-1) for zhat in zhats])
+    def apply(batch: np.ndarray) -> np.ndarray:
+        # the transform itself is not batched: one call per column
+        cols = []
+        for vals in batch.T:
+            f = ConvolutionElement(cc, vals.reshape(cc.n, cc.q, cc.d, cc.d))
+            T = t_transform(f, mu, check_tol=None)
+            cols.append(np.concatenate([T[zhat].reshape(-1) for zhat in zhats]))
+        return np.stack(cols, axis=1)
 
     return operator_matrix(apply, cc.n * cc.q * cc.d * cc.d,
                            len(zhats) * (cc.q * cc.d) ** 2, complex)

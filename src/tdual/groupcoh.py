@@ -66,20 +66,32 @@ class GroupCochainSpace:
 
 @dataclass
 class GroupCochain:
-    """Arity-l cochain as a dense table, values flattened per z slot."""
+    """Arity-l cochain as a dense table, values flattened per z slot.
+
+    Axes of values after the table's own are batch axes: a batch of
+    cochains that every operation acts on alike.
+    """
 
     space: GroupCochainSpace
-    values: np.ndarray  # shape (n,)*arity + (q,)
+    values: np.ndarray  # shape (n,)*arity + (q,), then any batch axes
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.int64) % self.space.m
-        if self.values.shape != self.space.shape():
+        shape = self.space.shape()
+        if self.values.shape[:len(shape)] != shape:
             raise ValueError(
-                f"table shape {self.values.shape} != expected {self.space.shape()}"
+                f"table shape {self.values.shape} != expected {shape}"
             )
 
     def flatten(self) -> np.ndarray:
-        return self.values.reshape(-1)
+        """Table entries along the first axis, batch axes kept."""
+        return self.values.reshape((-1,) + self.values.shape[self.space.arity + 1:])
+
+    @staticmethod
+    def from_flat(space: GroupCochainSpace, flat: np.ndarray) -> "GroupCochain":
+        """Inverse of flatten; axes of flat after the first are batch axes."""
+        flat = np.asarray(flat)
+        return GroupCochain(space, flat.reshape(space.shape() + flat.shape[1:]))
 
     def is_zero(self) -> bool:
         return not self.values.any()
@@ -92,18 +104,17 @@ class GroupCochain:
 
 
 def d_group(f: GroupCochain) -> GroupCochain:
-    """Group-cohomology differential, arity l -> l+1."""
+    """Group-cohomology differential, arity l -> l+1.
+
+    Axes of f.values after the table's are batch axes and pass through.
+    """
     sp = f.space
     G, m, l = sp.G, sp.m, sp.arity
     out_sp = GroupCochainSpace(G, sp.quotient, m, l + 1)
     elems = G.elements()
     n = len(elems)
-    idx = {e: i for i, e in enumerate(elems)}
-    add = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = idx[G.add(a, b)]
-    out = np.zeros(out_sp.shape(), dtype=np.int64)
+    add = G.add_table()
+    out = np.zeros(out_sp.shape() + f.values.shape[l + 1:], dtype=np.int64)
     sign_last = (-1) ** (l + 1)
     for tup in itertools.product(range(n), repeat=l + 1):
         acc = (sign_last * f.values[tup[:-1]]) % m
@@ -119,7 +130,7 @@ def d_group_matrix(space: GroupCochainSpace) -> np.ndarray:
     """Matrix of d_group from arity l to l+1 on flattened coordinates."""
     out_sp = GroupCochainSpace(space.G, space.quotient, space.m, space.arity + 1)
     return operator_matrix(
-        lambda e: d_group(GroupCochain(space, e.reshape(space.shape()))).flatten(),
+        lambda e: d_group(GroupCochain.from_flat(space, e)).flatten(),
         space.size, out_sp.size)
 
 
@@ -132,7 +143,7 @@ def group_cohomology(G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
     A = d_group_matrix(sp)
     B = d_group_matrix(GroupCochainSpace(G, quotient, m, k - 1)) if k > 0 else None
     factors, reps = cohomology_of(A, B, m)
-    rep_cochains = [GroupCochain(sp, reps[:, i].reshape(sp.shape()))
+    rep_cochains = [GroupCochain.from_flat(sp, reps[:, i])
                     for i in range(reps.shape[1])]
     return factors, rep_cochains
 
@@ -143,6 +154,8 @@ class TotalCochain:
 
     Block (k, l) is a twisted Cech k-cochain valued in arity-l group
     cochains, stored as a TwistedCochain over the matching tensor module.
+    Block values may carry trailing batch axes; blocks left out are filled
+    with single (unbatched) zero cochains.
     """
 
     nerve: Nerve
@@ -175,7 +188,9 @@ class TotalCochain:
         return all(c.is_zero() for c in self.blocks.values())
 
     def flatten(self) -> np.ndarray:
-        parts = [self.blocks[kl].flatten() for kl in self.bidegrees()]
+        """Blocks stacked along the first axis; blocks without simplices add nothing."""
+        parts = [self.blocks[kl].flatten() for kl in self.bidegrees()
+                 if self.nerve.simplices(kl[0])]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def __sub__(self, other: "TotalCochain") -> "TotalCochain":
@@ -186,11 +201,12 @@ class TotalCochain:
 
     @staticmethod
     def from_flat(nerve, G, quotient, m, degree, flat: np.ndarray) -> "TotalCochain":
+        """Inverse of flatten; axes of flat after the first are batch axes."""
         t = TotalCochain(nerve, G, quotient, m, degree)
         off = 0
         for kl in t.bidegrees():
             blk = t.blocks[kl]
-            n = len(nerve.simplices(kl[0])) * t.space(kl[1]).size
+            n = len(nerve.simplices(kl[0])) * blk.module.size
             t.blocks[kl] = TwistedCochain.from_flat(
                 nerve, blk.module, kl[0], flat[off:off + n]
             )
@@ -210,24 +226,28 @@ def total_dimension(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
 
 
 def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
-    """d_tot = delta_g - (-1)^p d*, collected by bidegree in degree p+1."""
+    """d_tot = delta_g - (-1)^p d*, collected by bidegree in degree p+1.
+
+    Axes of the block values after the first are batch axes and pass through.
+    """
     p = t.degree
-    out = TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1)
     sign = -((-1) ** p)
+    out: dict = {}
+
+    def collect(kl, c: TwistedCochain) -> None:
+        out[kl] = out[kl] + c if kl in out else c
+
     for (k, l), blk in t.blocks.items():
         # Cech direction
-        up = delta_g(blk, g)
-        if (k + 1, l) in out.blocks:
-            out.blocks[(k + 1, l)] = out.blocks[(k + 1, l)] + up
+        collect((k + 1, l), delta_g(blk, g))
         # group direction, simplex-wise
-        if l + 1 <= MAX_TOTAL_ARITY and (k, l + 1) in out.blocks:
+        if l + 1 <= MAX_TOTAL_ARITY:
             sp = t.space(l)
-            target = out.blocks[(k, l + 1)]
-            for s, v in blk.values.items():
-                c = GroupCochain(sp, v.reshape(sp.shape()))
-                dv = (sign * d_group(c).flatten()) % t.m
-                target.values[s] = (target.values[s] + dv) % t.m
-    return out
+            vals = {s: sign * d_group(GroupCochain.from_flat(sp, v)).flatten()
+                    for s, v in blk.values.items()}
+            collect((k, l + 1),
+                    TwistedCochain(t.nerve, t.space(l + 1).as_gmodule(), k, vals))
+    return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out)
 
 
 def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,

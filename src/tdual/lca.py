@@ -100,6 +100,7 @@ class FiniteLcaGroup:
             GroupElement(c) for c in itertools.product(*(range(f) for f in factors))
         )
         self._index = {e: i for i, e in enumerate(self._elements)}
+        self._add_table: Optional[np.ndarray] = None
 
     def element(self, coords: Iterable[int]) -> GroupElement:
         coords = tuple(int(c) % f for c, f in zip(tuple(coords), self.factors))
@@ -126,6 +127,15 @@ class FiniteLcaGroup:
 
     def index(self, a: GroupElement) -> int:
         return self._index[a]
+
+    def add_table(self) -> np.ndarray:
+        """T[i, j] = index(e_i + e_j) over elements(); built once per group."""
+        if self._add_table is None:
+            elems = self._elements
+            self._add_table = np.array(
+                [[self._index[self.add(a, b)] for b in elems] for a in elems],
+                dtype=np.int64)
+        return self._add_table
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteLcaGroup) and self.factors == other.factors

@@ -20,13 +20,19 @@ def adjoint(U: np.ndarray) -> np.ndarray:
 
 def operator_matrix(apply: Callable[[np.ndarray], np.ndarray], n_src: int,
                     n_dst: int, dtype=np.int64) -> np.ndarray:
-    """Matrix of a linear map on flat coordinates: column j is apply(e_j)."""
+    """Matrix of a linear map on flat coordinates, from one batched call.
+
+    apply takes flat coordinates of shape (n_src, B), a batch of B vectors
+    along the trailing axis, and returns their images, shape (n_dst, B).  It
+    is called once, on the (n_src, n_src) identity, so column j of the
+    result is the image of e_j; a matrix with no entries needs no call.
+    """
     check_dim(max(n_src, n_dst))
-    A = np.zeros((n_dst, n_src), dtype=dtype)
-    for j in range(n_src):
-        e = np.zeros(n_src, dtype=dtype)
-        e[j] = 1
-        A[:, j] = apply(e)
+    if n_src == 0 or n_dst == 0:
+        return np.zeros((n_dst, n_src), dtype=dtype)
+    A = np.asarray(apply(np.eye(n_src, dtype=dtype)), dtype=dtype)
+    if A.shape != (n_dst, n_src):
+        raise ValueError(f"operator image has shape {A.shape}, want {(n_dst, n_src)}")
     return A
 
 

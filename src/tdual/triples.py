@@ -369,17 +369,18 @@ def extract_total_cocycle(t: TripleLocalData) -> TotalTwoCocycle:
 # dualisability and normalisation
 
 def is_dualisable(c: TotalTwoCocycle) -> Optional[dict]:
-    """Solve d(nu_i) = omega_i per vertex over Z/m; None when unsolvable."""
+    """Solve d(nu_i) = omega_i per vertex over Z/m; None when unsolvable.
+
+    All vertices are solved together: one column of right-hand sides each.
+    """
     ctx = c.ctx
     sp1 = GroupCochainSpace(ctx.G, ctx.quotient, ctx.m, 1)
     A = d_group_matrix(sp1)
-    nu = {}
-    for i, om in c.omega.items():
-        x = solve_mod(A, om.reshape(-1), ctx.m)
-        if x is None:
-            return None
-        nu[i] = x.reshape(sp1.shape())
-    return nu
+    B = np.stack([om.reshape(-1) for om in c.omega.values()], axis=1)
+    X = solve_mod(A, B, ctx.m)
+    if X is None:
+        return None
+    return {i: X[:, j].reshape(sp1.shape()) for j, i in enumerate(c.omega)}
 
 
 def normalize(t: TripleLocalData, nu: dict) -> TripleLocalData:

@@ -182,38 +182,31 @@ def smith_form(A: np.ndarray, m: int) -> SmithForm:
     return SmithForm(d=D, u=w.U, v=w.V, uinv=w.Uinv, vinv=w.Vinv, m=m)
 
 
-def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """One solution x of A x = b mod m, or None if the system is unsolvable."""
-    A = np.asarray(A, dtype=np.int64) % m
-    b = np.asarray(b, dtype=np.int64) % m
-    rows, cols = A.shape
-    if b.shape != (rows,):
-        raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    if rows == 0 or m == 1:
-        return np.zeros(cols, dtype=np.int64)
-    sf = smith_form(A, m)
-    c = (sf.u @ b) % m
-    y = np.zeros(cols, dtype=np.int64)
+def _solve(sf: SmithForm, B: np.ndarray) -> Optional[np.ndarray]:
+    """Solutions X of A X = B mod m from A's Smith form, or None.
+
+    B is (rows, k) and reduced mod m; the result is (cols, k), one solution
+    per column, and None as soon as one column has no solution.
+    """
+    m = sf.m
+    rows, cols = sf.d.shape
+    C = (sf.u @ B) % m
+    Y = np.zeros((cols, B.shape[1]), dtype=np.int64)
     k = min(rows, cols)
     for i in range(rows):
         di = int(sf.d[i, i]) if i < k else 0
         g = gcd(di, m)
-        if int(c[i]) % g != 0:
+        if np.any(C[i] % g):
             return None
         if i < k and di % m != 0:
-            y[i] = (int(c[i]) // g * inv_mod(di // g, m // g)) % (m // g)
-    return (sf.v @ y) % m
+            Y[i] = (C[i] // g * inv_mod(di // g, m // g)) % (m // g)
+    return (sf.v @ Y) % m
 
 
-def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
-    """Generators (columns) of {x : A x = 0 mod m} as a subgroup of (Z/m)^cols."""
-    A = np.asarray(A, dtype=np.int64) % m
-    rows, cols = A.shape
-    if rows == 0 or m == 1:
-        return np.eye(cols, dtype=np.int64)
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    sf = smith_form(A, m)
+def _kernel(sf: SmithForm) -> np.ndarray:
+    """Generators (columns) of the kernel of A mod m from A's Smith form."""
+    m = sf.m
+    rows, cols = sf.d.shape
     k = min(rows, cols)
     gens = []
     for j in range(cols):
@@ -226,6 +219,34 @@ def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
     return np.stack(gens, axis=1)
 
 
+def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
+    """One solution x of A x = b mod m, or None if the system is unsolvable.
+
+    b is one right-hand side (rows,) or k of them as columns (rows, k); the
+    result has the matching shape (cols,) or (cols, k), and is None if any
+    column is unsolvable.  A is factored once for all columns.
+    """
+    A = np.asarray(A, dtype=np.int64) % m
+    b = np.asarray(b, dtype=np.int64) % m
+    if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
+        raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
+    X = _solve(smith_form(A, m), b if b.ndim == 2 else b[:, None])
+    if X is None:
+        return None
+    return X if b.ndim == 2 else X[:, 0]
+
+
+def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
+    """Generators (columns) of {x : A x = 0 mod m} as a subgroup of (Z/m)^cols."""
+    A = np.asarray(A, dtype=np.int64) % m
+    rows, cols = A.shape
+    if rows == 0 or m == 1:
+        return np.eye(cols, dtype=np.int64)
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    return _kernel(smith_form(A, m))
+
+
 def module_quotient(
     gens: np.ndarray, rels: np.ndarray, m: int
 ) -> tuple[list[int], np.ndarray]:
@@ -234,21 +255,17 @@ def module_quotient(
     gens is n x t, rels is n x s with every relation column lying in the span
     of gens mod m.  Returns (factors, reps): the nontrivial invariant factors
     in ascending divisibility order and matching representative columns.
+    gens is factored once: its Smith form gives both the coordinates of the
+    relations and the syzygies among the generators.
     """
     n, t = gens.shape
     if t == 0:
         return [], np.zeros((n, 0), dtype=np.int64)
-    coord_cols = []
-    for j in range(rels.shape[1]):
-        x = solve_mod(gens, rels[:, j], m)
-        if x is None:
-            raise ValueError("relation outside the span of the generators")
-        coord_cols.append(x)
-    syz = kernel_mod(gens, m)
-    blocks = [syz]
-    if coord_cols:
-        blocks.insert(0, np.stack(coord_cols, axis=1))
-    R = np.concatenate(blocks, axis=1) if blocks else np.zeros((t, 0), dtype=np.int64)
+    sf = smith_form(gens, m)
+    coords = _solve(sf, np.asarray(rels, dtype=np.int64) % m)
+    if coords is None:
+        raise ValueError("relation outside the span of the generators")
+    R = np.concatenate([coords, _kernel(sf)], axis=1)
     if R.shape[1] == 0:
         R = np.zeros((t, 1), dtype=np.int64)
     sf = smith_form(R, m)

@@ -14,6 +14,7 @@ from tdual.cech import (
     r_conjugate_twist,
     r_sharp,
 )
+from tdual.groupcoh import GroupCochainSpace
 from tdual.lca import FiniteLcaGroup, QuotientGroup, Subgroup
 
 
@@ -258,3 +259,30 @@ class TestRSharp:
         for k in (0, 1):
             assert cohomology(self.nerve, self.M, self.g, k)[0] == \
                 cohomology(self.nerve, self.M, gp, k)[0]
+
+
+def unit_vector_matrix(apply, n_src):
+    """Reference assembly: the single-cochain operator on each e_j alone."""
+    return np.stack([apply(e) for e in np.eye(n_src, dtype=np.int64)], axis=1)
+
+
+@pytest.mark.parametrize("case", ["twisted_circle", "sphere_table_module"])
+def test_delta_matrix_matches_unit_vector_loop(case):
+    if case == "twisted_circle":
+        G, N, q = make_ctx([6], [[3]])
+        nerve = Nerve.circle()
+        module = GModule.functions_on_quotient(6, q)
+        g = TwistCocycle(nerve, q, {(0, 1): q.reps()[1], (0, 2): q.reps()[2],
+                                    (1, 2): q.zero()})
+    else:
+        G, N, q = make_ctx([4], [[2]])
+        nerve = Nerve.sphere()
+        module = GroupCochainSpace(G, q, 4, 1).as_gmodule()
+        g = TwistCocycle.coboundary(nerve, q, {0: q.reps()[1], 1: q.zero(),
+                                               2: q.reps()[1], 3: q.zero()})
+    for k in range(nerve.dimension + 1):
+        ref = unit_vector_matrix(
+            lambda e: delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
+            len(nerve.simplices(k)) * module.size)
+        A = delta_matrix(nerve, module, g, k)
+        assert A.shape == ref.shape and np.array_equal(A, ref), k

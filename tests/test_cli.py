@@ -64,6 +64,23 @@ class TestValidation:
             load_scenario(write_scenario(tmp_path, bad))
         assert "$.modulus" in str(ei.value)
 
+    def test_modulus_overflowing_int64_refused(self, tmp_path, capsys):
+        # (m-1)^2 * 512 >= 2^63: Z/m products would overflow int64 silently
+        bad = dict(Z6, modulus=6000000000)
+        assert main(["run", write_scenario(tmp_path, bad)]) == 2
+        assert "$.modulus" in capsys.readouterr().err
+
+    def test_modulus_bound_edge(self, tmp_path):
+        z2 = dict(Z6, groups={"factors": [2], "N": [[1]]})
+        assert load_scenario(write_scenario(tmp_path, dict(z2, modulus=2 ** 27)))
+        with pytest.raises(ScenarioError) as ei:
+            load_scenario(write_scenario(tmp_path, dict(z2, modulus=2 ** 27 + 2)))
+        assert "$.modulus" in str(ei.value)
+
+    def test_small_modulus_still_loads(self, tmp_path):
+        sc = load_scenario(write_scenario(tmp_path, dict(Z6, modulus=12)))
+        assert sc["modulus"] == 12
+
     def test_twist_cocycle_law_validated(self, tmp_path):
         bad = {
             "groups": {"factors": [6], "N": [[3]]},

@@ -176,6 +176,19 @@ class TestTransform:
         sv = np.linalg.svd(A, compute_uv=False)
         assert int(np.sum(sv > 1e-9 * sv[0])) == src
 
+    def test_linearized_matches_unit_vector_loop(self, z4ctx, z4mu):
+        cc = CrossedContext(z4ctx, 2)
+        zhats = z4ctx.dual_quotient.reps()
+
+        def transform(vals):
+            f = ConvolutionElement(cc, vals.reshape(cc.n, cc.q, cc.d, cc.d))
+            T = t_transform(f, z4mu, check_tol=None)
+            return np.concatenate([T[zhat].reshape(-1) for zhat in zhats])
+
+        src = cc.n * cc.q * cc.d * cc.d
+        ref = np.stack([transform(e) for e in np.eye(src, dtype=complex)], axis=1)
+        assert np.array_equal(t_linearized(cc, z4mu), ref)
+
     def test_linearized_transform_respects_dim_cap(self, z4ctx, z4mu, monkeypatch):
         cc = CrossedContext(z4ctx, 2)
         monkeypatch.setenv("TDUAL_MAX_DIM", str(cc.n * cc.q * cc.d ** 2 - 1))

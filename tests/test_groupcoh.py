@@ -10,10 +10,13 @@ from tdual.groupcoh import (
     GroupCochainSpace,
     TotalCochain,
     d_group,
+    d_group_matrix,
     group_cohomology,
     solve_total_coboundary,
     total_cohomology,
     total_differential,
+    total_dimension,
+    total_matrix,
 )
 from tdual.lca import FiniteLcaGroup, QuotientGroup, Subgroup
 
@@ -207,3 +210,52 @@ def test_solve_total_coboundary_degree_zero():
     nonzero = rand_total(nerve, G, q, 4, 0, np.random.default_rng(3))
     assert not nonzero.is_zero()
     assert solve_total_coboundary(nerve, G, q, 4, g, nonzero) is None
+
+
+def unit_vector_matrix(apply, n_src):
+    """Reference assembly: the single-cochain operator on each e_j alone."""
+    return np.stack([apply(e) for e in np.eye(n_src, dtype=np.int64)], axis=1)
+
+
+@pytest.mark.parametrize("quot", [None, "proper"])
+@pytest.mark.parametrize("arity", [0, 1, 2])
+def test_d_group_matrix_matches_unit_vector_loop(quot, arity):
+    G, N, q = make_ctx([2, 2], [[1, 1]])
+    sp = GroupCochainSpace(G, q if quot == "proper" else None, 4, arity)
+    ref = unit_vector_matrix(
+        lambda e: d_group(GroupCochain(sp, e.reshape(sp.shape()))).flatten(), sp.size)
+    assert np.array_equal(d_group_matrix(sp), ref)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_total_matrix_matches_unit_vector_loop(p):
+    G, N, q = make_ctx([4], [[2]])
+    nerve = Nerve.circle()
+    g = TwistCocycle(nerve, q, {(0, 1): q.reps()[1], (0, 2): q.zero(), (1, 2): q.zero()})
+    ref = unit_vector_matrix(
+        lambda e: total_differential(
+            TotalCochain.from_flat(nerve, G, q, 4, p, e), g).flatten(),
+        total_dimension(nerve, G, q, 4, p))
+    assert np.array_equal(total_matrix(nerve, G, q, 4, g, p), ref)
+
+
+def test_batched_total_differential_matches_columns():
+    G, N, q = make_ctx([2, 2], [[1, 1]])
+    nerve = Nerve.sphere()
+    g = TwistCocycle.trivial(nerve, q)
+    rng = np.random.default_rng(4)
+    flat = rng.integers(0, 2, size=(total_dimension(nerve, G, q, 2, 1), 3))
+    batch = total_differential(TotalCochain.from_flat(nerve, G, q, 2, 1, flat), g)
+    for j in range(3):
+        one = total_differential(TotalCochain.from_flat(nerve, G, q, 2, 1, flat[:, j]), g)
+        assert np.array_equal(batch.flatten()[:, j], one.flatten())
+
+
+def test_group_cochain_checks_leading_axes():
+    G, N, q = make_ctx([4], [[2]])
+    sp = GroupCochainSpace(G, q, 8, 1)          # table shape (4, 2)
+    for bad in [(4, 3), (2, 4), (8,), (4,)]:
+        with pytest.raises(ValueError):
+            GroupCochain(sp, np.zeros(bad, dtype=np.int64))
+    f = GroupCochain(sp, np.ones((4, 2, 5), dtype=np.int64))   # a batch of five
+    assert f.flatten().shape == (8, 5)

@@ -38,6 +38,17 @@ class TestQZ:
             qz(1, 4).to_index(6)
 
 
+@pytest.mark.parametrize("factors", [[], [4], [2, 6]])
+def test_add_table_matches_add(factors):
+    G = FiniteLcaGroup(factors)
+    T = G.add_table()
+    assert T.shape == (G.order, G.order)
+    for i, a in enumerate(G.elements()):
+        for j, b in enumerate(G.elements()):
+            assert G.elements()[T[i, j]] == G.add(a, b)
+    assert G.add_table() is T   # built once per group
+
+
 def test_pairing_examples():
     G = FiniteLcaGroup([4])
     assert pairing(G, G.element([1]), G.element([1])) == qz(1, 4)

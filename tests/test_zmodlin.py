@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdual import zmodlin
 from tdual.zmodlin import (
+    cohomology_of,
     inv_mod,
     kernel_mod,
     module_quotient,
@@ -117,3 +119,53 @@ def test_module_quotient_orders_match_enumeration():
             for x in factors:
                 order *= x
             assert order == len(gspan) // len(rspan)
+
+
+def test_multi_column_solve_equals_column_solves():
+    rng = np.random.default_rng(7)
+    for m in (6, 8, 12):
+        A = rng.integers(0, m, size=(6, 5)).astype(np.int64)
+        B = (A @ rng.integers(0, m, size=(5, 4))) % m
+        X = solve_mod(A, B, m)
+        cols = [solve_mod(A, B[:, j], m) for j in range(4)]
+        assert X.shape == (5, 4)
+        assert np.array_equal(X, np.stack(cols, axis=1))
+        assert np.array_equal((A @ X) % m, B)
+
+
+def test_multi_column_solve_fails_on_one_bad_column():
+    A = np.array([[2, 0], [0, 4]], dtype=np.int64)
+    B = np.array([[2, 4, 0], [4, 0, 2]], dtype=np.int64)   # column 2: 4y = 2 mod 8
+    assert solve_mod(A, B[:, :2], 8) is not None
+    assert solve_mod(A, B[:, 2], 8) is None
+    assert solve_mod(A, B, 8) is None
+
+
+def test_multi_column_solve_with_no_columns():
+    A = np.array([[1, 2, 3], [0, 2, 4]], dtype=np.int64)
+    X = solve_mod(A, np.zeros((2, 0), dtype=np.int64), 6)
+    assert X.shape == (3, 0)
+    with pytest.raises(ValueError):
+        solve_mod(A, np.zeros((3, 1), dtype=np.int64), 6)
+
+
+def test_cohomology_of_factors_each_matrix_once(monkeypatch):
+    # one Smith form for ker(d_k), one for the generators (coordinates of
+    # all relations and the syzygies), one for the relation matrix
+    rng = np.random.default_rng(11)
+    m = 12
+    d_k = rng.integers(0, m, size=(6, 9)).astype(np.int64)
+    K = kernel_mod(d_k, m)
+    d_prev = (K @ rng.integers(0, m, size=(K.shape[1], 12))) % m
+    expected = module_quotient(K, d_prev, m)
+    calls = []
+    real = zmodlin.smith_form
+
+    def counted(A, mod):
+        calls.append(np.shape(A))
+        return real(A, mod)
+
+    monkeypatch.setattr(zmodlin, "smith_form", counted)
+    factors, reps = cohomology_of(d_k, d_prev, m)
+    assert len(calls) <= 3, calls
+    assert factors == expected[0] and np.array_equal(reps, expected[1])
