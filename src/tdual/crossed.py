@@ -19,9 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidTripleError
-from .lca import GroupElement, QZ
-from .linops import adjoint, operator_matrix, unit_phase
+from .lca import GroupElement
+from .linops import adjoint, operator_matrix
 from .triples import DualityContext, TripleLocalData
+
+HOLONOMY_TOL = 1e-9   # Gram eigenvalue above which a loop's defect counts
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,21 @@ class HaarWeights:
 
 
 class CrossedContext:
-    """Index bookkeeping for one (G, N, d) crossed-product instance."""
+    """Index tables for one (G, N, d) crossed-product instance, built once.
+
+    Positions are those of elems = G.elements() (characters share them, the
+    dual being identified coordinate-wise), reps = quotient.reps() and
+    nperp = N-perp elements; gi, zi and bi invert the three lists.
+
+      add[g, h], neg[g], sub[g, h]  positions of g + h, -g and g - h
+      coset[g]                      position of g + N among reps
+      shift[g, z]                   position of z + gN (coset addition)
+      lift[z]                       position of sigma(z)
+      perp[b]                       position of the b-th N-perp element
+      phases[chi, g]                exp(2 pi i <chi, g>), from G.pairing_table()
+
+    mu_table turns a mu dict into an (n, q, d, d) array on the same positions.
+    """
 
     def __init__(self, ctx: DualityContext, d: int):
         self.ctx = ctx
@@ -60,49 +76,42 @@ class CrossedContext:
         self.gi = {g: i for i, g in enumerate(self.elems)}
         self.zi = {z: i for i, z in enumerate(self.reps)}
         self.bi = {b: i for i, b in enumerate(self.nperp)}
-        self._dft = None
-        self._dft_inv = None
+        self.add = ctx.G.add_table()
+        self.neg, self.sub, self.coset = ctx.neg, ctx.sub, ctx.coset
+        self.shift, self.lift, self.phases = ctx.shift, ctx.lift, ctx.phases
+        # N-perp is the zero coset of the dual quotient
+        self.perp = np.flatnonzero(ctx.coset_hat == ctx.coset_hat[0])
 
-    # pairing of a dual-quotient character (given by an N-perp element)
-    # with a point of G/N, via the section lift; exact
-    def quot_pair(self, beta: GroupElement, z: GroupElement) -> QZ:
-        return self.ctx.pair(beta, self.ctx.sigma(z))
+    def mu_table(self, mu: dict) -> np.ndarray:
+        """The table mu(g, z) as an (n, q, d, d) array."""
+        return np.array([[mu[(g, z)] for z in self.reps] for g in self.elems],
+                        dtype=complex)
 
     def dft(self) -> np.ndarray:
         """Fourier transform L^2(G/N) -> L^2(dual of G/N), rows over N-perp."""
-        if self._dft is None:
-            w = float(self.weights.w_quot)
-            F = np.zeros((self.q, self.q), dtype=complex)
-            for ib, b in enumerate(self.nperp):
-                for iz, z in enumerate(self.reps):
-                    F[ib, iz] = w * unit_phase(self.quot_pair(b, z))
-            self._dft = F
-            self._dft_inv = np.zeros((self.q, self.q), dtype=complex)
-            for iz, z in enumerate(self.reps):
-                for ib, b in enumerate(self.nperp):
-                    self._dft_inv[iz, ib] = unit_phase(-self.quot_pair(b, z))
-        return self._dft
+        return float(self.weights.w_quot) * self.phases[np.ix_(self.perp, self.lift)]
 
     def dft_inv(self) -> np.ndarray:
-        self.dft()
-        return self._dft_inv
+        return adjoint(self.phases[np.ix_(self.perp, self.lift)])
 
     def lam(self, chi: GroupElement) -> np.ndarray:
         """Lambda(chi) = DFT . <chi, -sigma(_)> . DFT^-1, unitary on L^2(G/N^)."""
-        diag = np.array([
-            unit_phase(-self.ctx.pair(chi, self.ctx.sigma(z))) for z in self.reps
-        ])
-        return self.dft() @ np.diag(diag) @ self.dft_inv()
+        diag = self.phases[self.ctx.Gd.index(chi), self.lift].conj()
+        return (self.dft() * diag) @ self.dft_inv()
 
 
 class ConvolutionElement:
-    """A matrix-valued function on G x G/N, stored as (|G|, q, d, d)."""
+    """A matrix-valued function on G x G/N, stored as (|G|, q, d, d).
+
+    Leading axes before those four, if any, hold a batch of elements; only
+    t_transform reads a batch (t_linearized maps the identity through it).
+    """
 
     def __init__(self, cc: CrossedContext, values: np.ndarray):
         self.cc = cc
         values = np.asarray(values, dtype=complex)
         expected = (cc.n, cc.q, cc.d, cc.d)
-        if values.shape != expected:
+        if values.shape[-4:] != expected:
             raise ValueError(f"value table has shape {values.shape}, want {expected}")
         self.values = values
 
@@ -114,10 +123,7 @@ class ConvolutionElement:
     def unit(cc: CrossedContext) -> "ConvolutionElement":
         """Point mass at g = 0 with matrix I / w_G: the convolution unit."""
         vals = np.zeros((cc.n, cc.q, cc.d, cc.d), complex)
-        scale = 1.0 / float(cc.weights.w_G)
-        i0 = cc.gi[cc.ctx.G.zero()]
-        for iz in range(cc.q):
-            vals[i0, iz] = scale * np.eye(cc.d)
+        vals[cc.gi[cc.ctx.G.zero()]] = (1.0 / float(cc.weights.w_G)) * np.eye(cc.d)
         return ConvolutionElement(cc, vals)
 
     @staticmethod
@@ -140,34 +146,17 @@ class ConvolutionElement:
 
 def convolve(f1: ConvolutionElement, f2: ConvolutionElement, mu: dict) -> ConvolutionElement:
     cc = f1.cc
-    ctx, q = cc.ctx, cc.ctx.quotient
-    G = ctx.G
-    wG = float(cc.weights.w_G)
-    out = np.zeros_like(f1.values)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
-            acc = np.zeros((cc.d, cc.d), complex)
-            for ih, h in enumerate(cc.elems):
-                U = mu[(h, z)]
-                zh = q.add(z, q.rep(h))
-                acc += f1.values[ih, iz] @ (
-                    adjoint(U) @ f2.values[cc.gi[G.sub(g, h)], cc.zi[zh]] @ U
-                )
-            out[ig, iz] = wG * acc
-    return ConvolutionElement(cc, out)
+    M = cc.mu_table(mu)
+    left = f1.values @ adjoint(M)                                   # at (h, z)
+    right = f2.values[cc.sub[:, :, None], cc.shift[None]] @ M       # f2(g-h, z+hN) mu(h, z)
+    return ConvolutionElement(cc, float(cc.weights.w_G) * (left @ right).sum(axis=1))
 
 
 def involute(f: ConvolutionElement, mu: dict) -> ConvolutionElement:
     cc = f.cc
-    ctx, q = cc.ctx, cc.ctx.quotient
-    G = ctx.G
-    out = np.zeros_like(f.values)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
-            U = mu[(g, z)]
-            zg = q.add(z, q.rep(g))
-            out[ig, iz] = adjoint(U) @ adjoint(f.values[cc.gi[G.neg(g)], cc.zi[zg]]) @ U
-    return ConvolutionElement(cc, out)
+    M = cc.mu_table(mu)
+    back = f.values[cc.neg[:, None], cc.shift]                      # f(-g, z+gN)
+    return ConvolutionElement(cc, adjoint(M) @ adjoint(back) @ M)
 
 
 def represent(f: ConvolutionElement, mu: dict) -> np.ndarray:
@@ -176,23 +165,13 @@ def represent(f: ConvolutionElement, mu: dict) -> np.ndarray:
     (f x F)(g, z) = int_G mu(-g,z)^-1( f(h, z - gN) ) F(g-h, z) dh.
     """
     cc = f.cc
-    ctx, q = cc.ctx, cc.ctx.quotient
-    G = ctx.G
-    wG = float(cc.weights.w_G)
-    n, nq, d = cc.n, cc.q, cc.d
-    dim = n * nq * d
-    out = np.zeros((dim, dim), complex)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
-            Um = mu[(G.neg(g), z)]
-            zshift = cc.zi[q.sub_(z, q.rep(g))]
-            for ih, h in enumerate(cc.elems):
-                blk = wG * adjoint(Um) @ f.values[ih, zshift] @ Um
-                igp = cc.gi[G.sub(g, h)]
-                r0 = (ig * nq + iz) * d
-                c0 = (igp * nq + iz) * d
-                out[r0:r0 + d, c0:c0 + d] += blk
-    return out
+    Um = cc.mu_table(mu)[cc.neg]                                    # mu(-g, z)
+    # block (g, z) -> (p, z) at p = g - h: f(g - p, z - gN) conjugated by Um
+    F = f.values[cc.sub[:, :, None], cc.shift[cc.neg][:, None, :]]
+    blocks = adjoint(Um)[:, None] @ F @ Um[:, None]                 # at (g, p, z)
+    out = float(cc.weights.w_G) * np.einsum("gpzij,zy->gzipyj", blocks, np.eye(cc.q))
+    dim = cc.n * cc.q * cc.d
+    return out.reshape(dim, dim)
 
 
 def operator_norm(f: ConvolutionElement, mu: dict) -> float:
@@ -201,12 +180,7 @@ def operator_norm(f: ConvolutionElement, mu: dict) -> float:
 
 def _mu_twisted(f: ConvolutionElement, mu: dict) -> np.ndarray:
     """The table fm(g, z) = f(g, z) mu(g, z)^-1 that the transform integrates."""
-    cc = f.cc
-    fm = np.zeros_like(f.values)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
-            fm[ig, iz] = f.values[ig, iz] @ adjoint(mu[(g, z)])
-    return fm
+    return f.values @ adjoint(f.cc.mu_table(mu))
 
 
 def conjugated_kernel(cc: CrossedContext, fm: np.ndarray,
@@ -214,26 +188,19 @@ def conjugated_kernel(cc: CrossedContext, fm: np.ndarray,
     """(Lambda(chi) x 1) K(chi) (Lambda(chi)^-1 x 1) at a character lift chi.
 
     K(chi)[a, c] = int fm(g, z) <chi + c, g> <c - a, z> d(g, z), with a, c
-    running over N-perp and fm = _mu_twisted(f, mu).
+    running over N-perp and fm = _mu_twisted(f, mu).  Axes of fm before the
+    last four are a batch: each element goes through the same matrix
+    products as it would alone.
     """
-    ctx = cc.ctx
-    Gd = ctx.Gd
+    q, d = cc.q, cc.d
+    batch = fm.shape[:-4]
     w = float(cc.weights.w_G * cc.weights.w_quot)
-    d = cc.d
-    K = np.zeros((cc.q * d, cc.q * d), complex)
-    for ia, alpha in enumerate(cc.nperp):
-        for ic, gamma in enumerate(cc.nperp):
-            chi_c = Gd.add(chi, gamma)
-            diff = Gd.sub(gamma, alpha)
-            acc = np.zeros((d, d), complex)
-            for ig, g in enumerate(cc.elems):
-                ph_g = unit_phase(ctx.pair(chi_c, g))
-                for iz, z in enumerate(cc.reps):
-                    ph = ph_g * unit_phase(cc.quot_pair(diff, z))
-                    acc += ph * fm[ig, iz]
-            K[ia * d:(ia + 1) * d, ic * d:(ic + 1) * d] = w * acc
+    char = w * cc.phases[cc.add[cc.ctx.Gd.index(chi), cc.perp]]               # (c, g)
+    quot = cc.phases[cc.sub[np.ix_(cc.perp, cc.perp)][..., None], cc.lift]   # (c, a, z)
+    K = quot @ (char @ fm.reshape(*batch, cc.n, q * d * d)).reshape(*batch, q, q, d * d)
+    K = np.moveaxis(K.reshape(*batch, q, q, d, d), -4, -2)                  # (a, i, c, j)
     L = np.kron(cc.lam(chi), np.eye(d))
-    return L @ K @ adjoint(L)
+    return L @ K.reshape(*batch, q * d, q * d) @ adjoint(L)
 
 
 def t_periodicity_residual(f: ConvolutionElement, mu: dict) -> float:
@@ -283,13 +250,11 @@ def t_linearized(cc: CrossedContext, mu: dict) -> np.ndarray:
     zhats = cc.ctx.dual_quotient.reps()
 
     def apply(batch: np.ndarray) -> np.ndarray:
-        # the transform itself is not batched: one call per column
-        cols = []
-        for vals in batch.T:
-            f = ConvolutionElement(cc, vals.reshape(cc.n, cc.q, cc.d, cc.d))
-            T = t_transform(f, mu, check_tol=None)
-            cols.append(np.concatenate([T[zhat].reshape(-1) for zhat in zhats]))
-        return np.stack(cols, axis=1)
+        # one transform of all columns at once, the batch moved to the front
+        cols = batch.shape[1]
+        T = t_transform(ConvolutionElement(cc, batch.T.reshape(cols, cc.n, cc.q, cc.d, cc.d)),
+                        mu, check_tol=None)
+        return np.concatenate([T[zhat].reshape(cols, -1) for zhat in zhats], axis=1).T
 
     return operator_matrix(apply, cc.n * cc.q * cc.d * cc.d,
                            len(zhats) * (cc.q * cc.d) ** 2, complex)
@@ -299,36 +264,22 @@ def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
     """Gate test for the weights: inversion on G and on G/N must be exact."""
     rng = np.random.default_rng(seed)
     w = HaarWeights.for_context(ctx)
-    res = 0.0
+    cc = CrossedContext(ctx, 1)
     # on G against the full dual
     f = rng.normal(size=ctx.G.order) + 1j * rng.normal(size=ctx.G.order)
-    elems = ctx.G.elements()
-    duals = ctx.Gd.elements()
-    fhat = np.array([
-        float(w.w_G) * sum(unit_phase(ctx.pair(chi, g)) * f[i]
-                           for i, g in enumerate(elems))
-        for chi in duals
-    ])
-    back = np.array([
-        float(w.w_dual) * sum(unit_phase(-ctx.pair(chi, g)) * fhat[j]
-                              for j, chi in enumerate(duals))
-        for g in elems
-    ])
-    res = max(res, float(np.max(np.abs(back - f))))
+    fhat = float(w.w_G) * (cc.phases @ f)
+    back = float(w.w_dual) * (adjoint(cc.phases) @ fhat)
+    res = float(np.max(np.abs(back - f)))
     # Weil: sum over G = quotient-sum of N-sums
     total = float(w.w_G) * f.sum()
-    weil = float(w.w_quot) * sum(
-        float(w.w_N) * sum(
-            f[ctx.G.index(ctx.G.add(ctx.sigma(z), nn))] for nn in ctx.N.elements()
-        )
-        for z in ctx.quotient.reps()
-    )
+    n_pos = np.flatnonzero(cc.coset == cc.coset[0])
+    weil = float(w.w_quot) * float(w.w_N) * f[cc.add[np.ix_(cc.lift, n_pos)]].sum()
     res = max(res, abs(total - weil))
     # on G/N against N-perp
-    cc = CrossedContext(ctx, 1)
     F = cc.dft()
     Fi = cc.dft_inv()
     res = max(res, float(np.max(np.abs(Fi @ F - np.eye(cc.q)))))
+    duals = ctx.Gd.elements()
     res = max(res, float(np.max(np.abs(adjoint(cc.lam(duals[1 % len(duals)]))
                                        @ cc.lam(duals[1 % len(duals)]) - np.eye(cc.q)))))
     return res
@@ -336,30 +287,20 @@ def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
 
 def s_reindex_matrix(ctx: DualityContext) -> np.ndarray:
     """The reshuffle L^2(N) x L^2(G/N) -> L^2(G), (Sf)(g) = f(g - sigma(gN), gN)."""
-    G, q = ctx.G, ctx.quotient
-    nn = ctx.N.elements()
-    reps = q.reps()
-    ni = {x: i for i, x in enumerate(nn)}
-    S = np.zeros((G.order, len(nn) * len(reps)), complex)
-    for ig, g in enumerate(G.elements()):
-        z = q.rep(g)
-        n_part = G.sub(g, ctx.sigma(z))
-        S[ig, ni[n_part] * len(reps) + reps.index(z)] = 1.0
+    n, q = ctx.G.order, ctx.quotient.order
+    n_pos = np.flatnonzero(ctx.coset == ctx.coset[0])      # N, in N.elements() order
+    n_part = ctx.sub[np.arange(n), ctx.lift[ctx.coset]]
+    S = np.zeros((n, len(n_pos) * q), complex)
+    S[np.arange(n), np.searchsorted(n_pos, n_part) * q + ctx.coset] = 1.0
     return S
 
 
 def mu_is_cocycle(cc: CrossedContext, mu: dict) -> float:
     """Residual of the exact cocycle law mu(g+h, z) = mu(g, z+hN) mu(h, z)."""
-    ctx, q = cc.ctx, cc.ctx.quotient
-    G = ctx.G
-    res = 0.0
-    for g in cc.elems:
-        for h in cc.elems:
-            for z in cc.reps:
-                lhs = mu[(G.add(g, h), z)]
-                rhs = mu[(g, q.add(z, q.rep(h)))] @ mu[(h, z)]
-                res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+    M = cc.mu_table(mu)
+    lhs = M[cc.add[:, :, None], np.arange(cc.q)]                    # at (g, h, z)
+    rhs = M[:, cc.shift] @ M
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def trivial_mu(cc: CrossedContext) -> dict:
@@ -395,9 +336,9 @@ def verify_point_theorem(ctx: DualityContext, d: int, mu: dict,
         rhs = max(float(np.linalg.norm(T1[zhat], 2)) for zhat in dq.reps())
         normres = max(normres, abs(lhs - rhs))
         # equivariance under the dual action
-        chi = ctx.Gd.elements()[int(rng.integers(0, ctx.Gd.order))]
-        phases = np.array([unit_phase(ctx.pair(chi, g)) for g in cc.elems])
-        fchi = ConvolutionElement(cc, f1.values * phases[:, None, None, None])
+        k = int(rng.integers(0, ctx.Gd.order))
+        chi = ctx.Gd.elements()[k]
+        fchi = ConvolutionElement(cc, f1.values * cc.phases[k][:, None, None, None])
         Tchi = t_transform(fchi, mu)
         L = np.kron(cc.lam(chi), np.eye(d))
         for zhat in dq.reps():
@@ -420,20 +361,34 @@ def verify_point_theorem(ctx: DualityContext, d: int, mu: dict,
     return rep
 
 
+def _transport(cc: CrossedContext, t: TripleLocalData, e: tuple, f: np.ndarray,
+               forward: bool = True) -> np.ndarray:
+    """f_a -> f_b along e = (a, b), f_b(g, z) = zeta_ab(z)^-1 f_a(g, g_ab + z) zeta_ab(z),
+    or back from f_b to f_a.  The coset axis of f is its third from last, so
+    f may be a value table or a stack of fibre tables."""
+    Z = np.array([t.zeta[e][z] for z in cc.reps])
+    s = cc.shift[cc.ctx.G.index(t.g.edge_values[e])]               # g_ab + z
+    if forward:
+        return adjoint(Z) @ np.take(f, s, axis=-3) @ Z
+    return np.take(Z @ f @ adjoint(Z), np.argsort(s), axis=-3)
+
+
 def section_family(t: TripleLocalData, cc: CrossedContext,
                    rng: np.random.Generator) -> dict:
     """A random compatible family {f_i}: f_b(g,z) = zeta_ab(z)^-1(f_a(g, g_ab+z)).
 
-    Built by spreading a random element at vertex 0 through a spanning
-    tree; scalar Cech defects cancel in the conjugation, so the family is
-    consistent on every edge.
+    A random element at vertex 0 is spread through a spanning tree.  An edge
+    off the tree closes a loop and holds only when the root value is fixed
+    by the loop's monodromy, so the root value is first projected onto the
+    null space of the defect map f_0 -> (f_b - T_ab f_a) over those edges.
+    The monodromy acts on G/N and the fibre with g a spectator, so the map
+    is built on one (q, d, d) slice.  Without holonomy it is zero (all
+    eigenvalues of its Gram matrix under HOLONOMY_TOL) and f_0 is kept as is.
     """
-    ctx, q = t.ctx, t.ctx.quotient
-    G = ctx.G
     nerve = t.nerve
-    fam = {nerve.vertices[0][0]: ConvolutionElement.random(cc, rng)}
-    todo = [nerve.vertices[0][0]]
-    seen = {nerve.vertices[0][0]}
+    root = nerve.vertices[0][0]
+    tree = []                      # (edge, known vertex, new vertex), in discovery order
+    seen, todo = {root}, [root]
     while todo:
         v = todo.pop()
         for e in nerve.edges:
@@ -441,26 +396,31 @@ def section_family(t: TripleLocalData, cc: CrossedContext,
             other = b if a == v else (a if b == v else None)
             if other is None or other in seen:
                 continue
-            gab = t.g.edge_values[e]
-            vals = np.zeros_like(fam[v].values)
-            if a == v:
-                # know f_a, want f_b(g, z) = zeta(z)^-1 f_a(g, g_ab+z) zeta(z)
-                for ig, g in enumerate(cc.elems):
-                    for iz, z in enumerate(cc.reps):
-                        Z = t.zeta[e][z]
-                        vals[ig, iz] = adjoint(Z) \
-                            @ fam[v].values[ig, cc.zi[q.add(gab, z)]] @ Z
-            else:
-                # know f_b, want f_a(g, z') with z' = g_ab + z
-                for ig, g in enumerate(cc.elems):
-                    for iz, zp in enumerate(cc.reps):
-                        z = q.sub_(zp, gab)
-                        Z = t.zeta[e][z]
-                        vals[ig, iz] = Z @ fam[v].values[ig, cc.zi[z]] @ adjoint(Z)
-            fam[other] = ConvolutionElement(cc, vals)
+            tree.append((e, v, other))
             seen.add(other)
             todo.append(other)
-    return fam
+    in_tree = {e for e, _, _ in tree}
+    loops = [e for e in nerve.edges if e not in in_tree]
+
+    def spread(f0: np.ndarray) -> dict:
+        fam = {root: f0}
+        for e, v, other in tree:
+            fam[other] = _transport(cc, t, e, fam[v], forward=(v == e[0]))
+        return fam
+
+    f0 = ConvolutionElement.random(cc, rng).values
+    if loops:
+        dim = cc.q * cc.d * cc.d
+        basis = spread(np.eye(dim, dtype=complex).reshape(dim, cc.q, cc.d, cc.d))
+        gram = np.zeros((dim, dim), complex)
+        for e in loops:
+            D = (_transport(cc, t, e, basis[e[0]]) - basis[e[1]]).reshape(dim, dim)
+            gram += D.conj() @ D.T
+        vals, vecs = np.linalg.eigh(gram)
+        R = vecs[:, vals > HOLONOMY_TOL]            # spans the defect's row space
+        flat = f0.reshape(cc.n, dim)
+        f0 = (flat - (flat @ R.conj()) @ R.T).reshape(f0.shape)
+    return {v: ConvolutionElement(cc, f) for v, f in spread(f0).items()}
 
 
 def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
@@ -471,32 +431,29 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
     W = (DFT x 1) zeta^_ab(z^) (DFT^-1 x 1).
     """
     ctx = t.ctx
-    q, dq = ctx.quotient, ctx.dual_quotient
+    dq = ctx.dual_quotient
+    zhats = dq.reps()
     cc = CrossedContext(ctx, t.fiber_dim)
     rng = np.random.default_rng(seed)
     kron_dft = np.kron(cc.dft(), np.eye(cc.d))
     kron_dft_inv = np.kron(cc.dft_inv(), np.eye(cc.d))
+    # per edge: W stacked over z^, and the z^ order of g^_ab + z^
+    glue = {e: (kron_dft @ np.array([t_hat.zeta[e][zh] for zh in zhats]) @ kron_dft_inv,
+                [dq.add(t_hat.g.edge_values[e], zh) for zh in zhats])
+            for e in t.nerve.edges}
     res_family = 0.0
     res_glue = 0.0
     for _ in range(trials):
         fam = section_family(t, cc, rng)
         # family relation on every edge (also the non-tree ones)
         for e in t.nerve.edges:
-            a, b = e
-            gab = t.g.edge_values[e]
-            for ig, g in enumerate(cc.elems):
-                for iz, z in enumerate(cc.reps):
-                    Z = t.zeta[e][z]
-                    want = adjoint(Z) @ fam[a].values[ig, cc.zi[q.add(gab, z)]] @ Z
-                    res_family = max(res_family, float(np.max(np.abs(
-                        fam[b].values[ig, iz] - want))))
+            want = _transport(cc, t, e, fam[e[0]].values)
+            res_family = max(res_family, float(np.max(np.abs(fam[e[1]].values - want))))
         T = {i: t_transform(fam[i], t.mu[i]) for i in fam}
-        for e in t.nerve.edges:
+        for e, (W, moved) in glue.items():
             a, b = e
-            ghat_ab = t_hat.g.edge_values[e]
-            for zhat in dq.reps():
-                W = kron_dft @ t_hat.zeta[e][zhat] @ kron_dft_inv
-                want = adjoint(W) @ T[a][dq.add(ghat_ab, zhat)] @ W
-                res_glue = max(res_glue, float(np.max(np.abs(T[b][zhat] - want))))
+            want = adjoint(W) @ np.array([T[a][zh] for zh in moved]) @ W
+            got = np.array([T[b][zh] for zh in zhats])
+            res_glue = max(res_glue, float(np.max(np.abs(got - want))))
     return {"section_family": res_family, "section_transition": res_glue,
             "edges": len(t.nerve.edges)}

@@ -202,16 +202,17 @@ class TotalCochain:
     @staticmethod
     def from_flat(nerve, G, quotient, m, degree, flat: np.ndarray) -> "TotalCochain":
         """Inverse of flatten; axes of flat after the first are batch axes."""
-        t = TotalCochain(nerve, G, quotient, m, degree)
+        blocks = {}
         off = 0
-        for kl in t.bidegrees():
-            blk = t.blocks[kl]
-            n = len(nerve.simplices(kl[0])) * blk.module.size
-            t.blocks[kl] = TwistedCochain.from_flat(
-                nerve, blk.module, kl[0], flat[off:off + n]
-            )
+        for k in range(degree, -1, -1):          # bidegrees() order
+            l = degree - k
+            if l > MAX_TOTAL_ARITY:
+                continue
+            module = GroupCochainSpace(G, quotient, m, l).as_gmodule()
+            n = len(nerve.simplices(k)) * module.size
+            blocks[(k, l)] = TwistedCochain.from_flat(nerve, module, k, flat[off:off + n])
             off += n
-        return t
+        return TotalCochain(nerve, G, quotient, m, degree, blocks)
 
 
 def total_dimension(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,

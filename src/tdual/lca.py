@@ -101,6 +101,7 @@ class FiniteLcaGroup:
         )
         self._index = {e: i for i, e in enumerate(self._elements)}
         self._add_table: Optional[np.ndarray] = None
+        self._pairing_table: Optional[np.ndarray] = None
 
     def element(self, coords: Iterable[int]) -> GroupElement:
         coords = tuple(int(c) % f for c, f in zip(tuple(coords), self.factors))
@@ -136,6 +137,19 @@ class FiniteLcaGroup:
                 [[self._index[self.add(a, b)] for b in elems] for a in elems],
                 dtype=np.int64)
         return self._add_table
+
+    def pairing_table(self) -> np.ndarray:
+        """P[i, j] = exponent * <e_i, e_j> mod exponent over elements(); built once.
+
+        The dual is identified with the group coordinate-wise, so rows index
+        characters; <chi, g> = P / exponent exactly.
+        """
+        if self._pairing_table is None:
+            coords = np.array([e.coords for e in self._elements],
+                              dtype=np.int64).reshape(self.order, len(self.factors))
+            weights = np.array([self.exponent // f for f in self.factors], dtype=np.int64)
+            self._pairing_table = (coords * weights) @ coords.T % self.exponent
+        return self._pairing_table
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteLcaGroup) and self.factors == other.factors

@@ -15,7 +15,8 @@ def unit_phase(x: QZ) -> complex:
 
 
 def adjoint(U: np.ndarray) -> np.ndarray:
-    return U.conj().T
+    """Conjugate transpose of the last two axes; leading axes are a stack."""
+    return np.swapaxes(U.conj(), -1, -2)
 
 
 def operator_matrix(apply: Callable[[np.ndarray], np.ndarray], n_src: int,

@@ -16,6 +16,7 @@ identities are checked in complex double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -89,8 +90,55 @@ class DualityContext:
     def pair(self, chi: GroupElement, g: GroupElement) -> QZ:
         return pairing(self.G, chi, g)
 
-    def phase(self, chi: GroupElement, g: GroupElement) -> complex:
-        return unit_phase(self.pair(chi, g))
+    # Integer index tables, built on first use.  Positions are those of
+    # G.elements(), quotient.reps() and dual_quotient.reps(); characters
+    # share G's positions and tables, the dual being identified coordinate-wise.
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """phases[chi, g] = exp(2 pi i <chi, g>), read off G.pairing_table()."""
+        return np.exp(2j * np.pi * self.G.pairing_table() / self.G.exponent)
+
+    @cached_property
+    def neg(self) -> np.ndarray:
+        """neg[g] = position of -g (zero sits at position 0)."""
+        return np.argmax(self.G.add_table() == 0, axis=1)
+
+    @cached_property
+    def sub(self) -> np.ndarray:
+        """sub[g, h] = position of g - h."""
+        return self.G.add_table()[:, self.neg]
+
+    @cached_property
+    def coset(self) -> np.ndarray:
+        """coset[g] = position of g + N among quotient.reps()."""
+        return np.array([self.quotient.index(g) for g in self.G.elements()])
+
+    @cached_property
+    def coset_hat(self) -> np.ndarray:
+        """coset_hat[chi] = position of chi + N-perp among dual_quotient.reps()."""
+        return np.array([self.dual_quotient.index(c) for c in self.Gd.elements()])
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """shift[g, z] = position of z + gN (coset addition)."""
+        return self.coset[self.G.add_table()[:, self.lift]]
+
+    @cached_property
+    def shift_hat(self) -> np.ndarray:
+        """shift_hat[chi, z^] = position of z^ + chi N-perp."""
+        return self.coset_hat[self.G.add_table()[:, self.lift_hat]]
+
+    @cached_property
+    def lift(self) -> np.ndarray:
+        """lift[z] = position of sigma(z)."""
+        return np.array([self.G.index(self.sigma(z)) for z in self.quotient.reps()])
+
+    @cached_property
+    def lift_hat(self) -> np.ndarray:
+        """lift_hat[z^] = position of sigma_hat(z^)."""
+        return np.array([self.Gd.index(self.sigma_hat(z))
+                         for z in self.dual_quotient.reps()])
 
     def qz_phase(self, k: int) -> complex:
         return unit_phase(QZ.of(k, self.m))
@@ -459,49 +507,31 @@ def dual_transitions(t: TripleLocalData, c: TotalTwoCocycle,
     reps = q.reps()
     nq = len(reps)
     d = t.fiber_dim
-    sigma, sigma_hat = ctx.sigma, ctx.sigma_hat
     idx = {z: i for i, z in enumerate(reps)}
     eye_d = np.eye(d, dtype=complex)
     out = {}
     for e in t.nerve.edges:
         gab = t.g.edge_values[e]
-        ghat_ab = ghat.edge_values[e]
         P = perm_matrix(nq, lambda j: idx[q.sub_(reps[j], gab)])
         B = block_diag([t.zeta[e][q.neg(x)] for x in reps])
-        d2 = np.array([
-            unit_phase(QZ.of(int(c.phi[e][G.index(G.neg(sigma(x))), idx[q.zero()]]), m))
-            for x in reps
-        ])
+        # phi_ab(-sigma(x), 0) as m-th roots; column 0 is the zero coset
+        d2 = np.exp(2j * np.pi * c.phi[e][ctx.neg[ctx.lift], 0] / m)
         right = np.kron(P, eye_d) @ B @ np.kron(np.diag(d2.conj()), eye_d)
-        tab = {}
-        for zhat in ctx.dual_quotient.reps():
-            arg = ctx.dual_quotient.add(ghat_ab, zhat)
-            d1 = np.array([
-                unit_phase(ctx.pair(sigma_hat(arg),
-                                    G.sub(sigma(q.add(x, gab)), sigma(x))))
-                for x in reps
-            ])
-            tab[zhat] = np.kron(np.diag(d1), eye_d) @ right
-        out[e] = tab
+        # d1[z^, x] = <sigma^(g^_ab + z^), sigma(x + g_ab) - sigma(x)>
+        arg = ctx.lift_hat[ctx.shift_hat[ctx.Gd.index(ghat.edge_values[e])]]
+        step = ctx.sub[ctx.lift[ctx.shift[G.index(gab)]], ctx.lift]
+        d1 = np.repeat(ctx.phases[arg[:, None], step], d, axis=1)
+        out[e] = {zhat: d1[k][:, None] * right
+                  for k, zhat in enumerate(ctx.dual_quotient.reps())}
     return out
 
 
 def dual_decker(ctx: DualityContext, legs: tuple[int, ...]) -> dict:
     """mu^(chi, z^) = diag_x <chi, -sigma(x)> tensor identity; vertex independent."""
-    q = ctx.quotient
-    reps = q.reps()
-    d = 1
-    for l in legs:
-        d *= l
-    eye_d = np.eye(d, dtype=complex)
-    sigma = ctx.sigma
-    tab = {}
-    for chi in ctx.Gd.elements():
-        diag = np.array([unit_phase(-ctx.pair(chi, sigma(x))) for x in reps])
-        M = np.kron(np.diag(diag), eye_d)
-        for zhat in ctx.dual_quotient.reps():
-            tab[(chi, zhat)] = M
-    return tab
+    diags = np.repeat(ctx.phases[:, ctx.lift].conj(), int(np.prod(legs)), axis=1)
+    mats = diags[:, :, None] * np.eye(diags.shape[1])
+    return {(chi, zhat): mats[i] for i, chi in enumerate(ctx.Gd.elements())
+            for zhat in ctx.dual_quotient.reps()}
 
 
 def dual_phi_closed_form(ctx: DualityContext, gab: GroupElement,
@@ -588,16 +618,12 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
                         res_phi_form = max(res_phi_form, 1.0)
     # periodicity of mu^ in chi by N-perp: defect is the diagonal <nperp, -sigma(_)>
     res_periodic = 0.0
-    reps = ctx.quotient.reps()
-    d = t.fiber_dim
-    eye_d = np.eye(d, dtype=complex)
     i0 = t.nerve.vertices[0][0]
-    for chi in ctx.Gd.elements():
-        for nperp in ctx.Nperp.elements():
+    for nperp in ctx.Nperp.elements():
+        want = np.diag(np.repeat(ctx.phases[ctx.Gd.index(nperp), ctx.lift].conj(),
+                                 t.fiber_dim))
+        for chi in ctx.Gd.elements():
             chi2 = ctx.Gd.add(chi, nperp)
-            want = np.kron(
-                np.diag(np.array([unit_phase(-ctx.pair(nperp, ctx.sigma(x)))
-                                  for x in reps])), eye_d)
             for zhat in dq.reps():
                 got = t_hat.mu[i0][(chi2, zhat)] @ adjoint(t_hat.mu[i0][(chi, zhat)])
                 res_periodic = max(res_periodic, float(np.max(np.abs(got - want))))
@@ -653,24 +679,17 @@ def kappa_phase(ctx: DualityContext, z: GroupElement, zhat: GroupElement,
                 sigma_hat: Optional[Section] = None) -> np.ndarray:
     """Diagonal of <sigma^(z^), sigma(x - z) - sigma(x)> over x in G/N."""
     q = ctx.quotient
-    sg = sigma if sigma is not None else ctx.sigma
+    sg = ctx.lift if sigma is None else np.array([ctx.G.index(sigma(x)) for x in q.reps()])
     sh = sigma_hat if sigma_hat is not None else ctx.sigma_hat
-    lift = sh(zhat)
-    return np.array([
-        unit_phase(ctx.pair(lift, ctx.G.sub(sg(q.sub_(x, z)), sg(x))))
-        for x in q.reps()
-    ])
+    x_minus_z = ctx.shift[ctx.neg[ctx.lift[q.index(z)]]]
+    return ctx.phases[ctx.Gd.index(sh(zhat)), ctx.sub[sg[x_minus_z], sg]]
 
 
 def kappa_hat_phase(ctx: DualityContext, z: GroupElement, zhat: GroupElement) -> np.ndarray:
     """Diagonal of <sigma^(y - z^) - sigma^(y), sigma(z)> over y in G^/N-perp."""
-    dq = ctx.dual_quotient
-    sh, sg = ctx.sigma_hat, ctx.sigma
-    lift_z = sg(z)
-    return np.array([
-        unit_phase(ctx.pair(ctx.Gd.sub(sh(dq.sub_(y, zhat)), sh(y)), lift_z))
-        for y in dq.reps()
-    ])
+    lh = ctx.lift_hat
+    y_minus_zhat = ctx.shift_hat[ctx.neg[lh[ctx.dual_quotient.index(zhat)]]]
+    return ctx.phases[ctx.sub[lh[y_minus_zhat], lh], ctx.lift[ctx.quotient.index(z)]]
 
 
 def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
@@ -704,10 +723,7 @@ def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
     nq, nd = len(q.reps()), len(dq.reps())
     qidx = {x: i for i, x in enumerate(q.reps())}
     didx = {y: i for i, y in enumerate(dq.reps())}
-    mvals = np.zeros((nq, nd), dtype=complex)
-    for x, ix in qidx.items():
-        for y, iy in didx.items():
-            mvals[ix, iy] = unit_phase(ctx.pair(sigma_hat(y), sigma(x)))
+    mvals = ctx.phases[np.ix_(ctx.lift_hat, ctx.lift)].T
     M = np.diag(mvals.reshape(-1))           # multiplication by <s^(y), s(x)>
     res_b = 0.0
     for z in q.reps():
@@ -790,28 +806,22 @@ def build_kappa_top(t: TripleLocalData, t_hat: TripleLocalData) -> tuple[dict, d
         a, b = e
         gab = t.g.edge_values[e]
         ghat_ab = t_hat.g.edge_values[e]
-        alphas = {}
-        for z in reps:
-            for zhat in dq.reps():
+        alphas = np.zeros((nq, len(dq.reps())), dtype=complex)
+        for iz, z in enumerate(reps):
+            for izh, zhat in enumerate(dq.reps()):
                 lhs = kappa[a][(q.add(gab, z), dq.add(ghat_ab, zhat))] \
                     @ t_hat.zeta[e][zhat] @ adjoint(kappa[b][(z, zhat)])
                 target = np.kron(eye_q, t.zeta[e][z])
                 M = lhs @ adjoint(target)
                 res_glue = max(res_glue, scalar_deviation(M))
                 s = complex(np.trace(M)) / M.shape[0]
-                alphas[(z, zhat)] = 1.0 / s          # alpha = inverse defect
-        # alpha factorisation: fit the z^-independent part at z^ = 0
-        zhat0 = dq.zero()
-        for z in reps:
-            beta0 = unit_phase(ctx.pair(
-                ctx.Gd.sub(ctx.sigma_hat(dq.add(ghat_ab, zhat0)), ctx.sigma_hat(zhat0)),
-                sigma(z)))
-            const = alphas[(z, zhat0)] / beta0
-            for zhat in dq.reps():
-                beta = unit_phase(ctx.pair(
-                    ctx.Gd.sub(ctx.sigma_hat(dq.add(ghat_ab, zhat)), ctx.sigma_hat(zhat)),
-                    sigma(z)))
-                res_alpha = max(res_alpha, abs(alphas[(z, zhat)] - beta * const))
+                alphas[iz, izh] = 1.0 / s          # alpha = inverse defect
+        # alpha factorisation against beta(z, z^) = <s^(g^_ab + z^) - s^(z^), sigma(z)>,
+        # with the z^-independent part fitted at z^ = 0 (column 0)
+        moved = ctx.lift_hat[ctx.shift_hat[ctx.Gd.index(ghat_ab)]]
+        beta = ctx.phases[ctx.sub[moved, ctx.lift_hat]][:, ctx.lift].T
+        const = alphas[:, :1] / beta[:, :1]
+        res_alpha = max(res_alpha, float(np.max(np.abs(alphas - beta * const))))
     return kappa, {"kappa_top_gluing": res_glue, "alpha_factorisation": res_alpha}
 
 

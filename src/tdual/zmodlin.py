@@ -41,14 +41,13 @@ class SmithForm:
     """U @ A @ V = D mod m, with U, V invertible mod m and D diagonal.
 
     The diagonal divides along the chain gcd(d[0], m) | gcd(d[1], m) | ...
-    uinv and vinv are the mod-m inverses of u and v.
+    uinv is the mod-m inverse of u.
     """
 
     d: np.ndarray
     u: np.ndarray
     v: np.ndarray
     uinv: np.ndarray
-    vinv: np.ndarray
     m: int
 
     @property
@@ -58,7 +57,7 @@ class SmithForm:
 
 
 class _Worker:
-    """Mutable state for the Smith reduction; tracks all four transforms."""
+    """Mutable state for the Smith reduction; tracks U, U^-1 and V."""
 
     def __init__(self, A: np.ndarray, m: int):
         self.m = m
@@ -67,7 +66,6 @@ class _Worker:
         self.U = np.eye(rows, dtype=np.int64)
         self.Uinv = np.eye(rows, dtype=np.int64)
         self.V = np.eye(cols, dtype=np.int64)
-        self.Vinv = np.eye(cols, dtype=np.int64)
 
     def swap_rows(self, i, j):
         if i == j:
@@ -81,7 +79,6 @@ class _Worker:
             return
         self.D[:, [i, j]] = self.D[:, [j, i]]
         self.V[:, [i, j]] = self.V[:, [j, i]]
-        self.Vinv[[i, j], :] = self.Vinv[[j, i], :]
 
     def add_row(self, i, j, q):
         # row_i += q * row_j
@@ -95,7 +92,6 @@ class _Worker:
         m = self.m
         self.D[:, j] = (self.D[:, j] + q * self.D[:, i]) % m
         self.V[:, j] = (self.V[:, j] + q * self.V[:, i]) % m
-        self.Vinv[i, :] = (self.Vinv[i, :] - q * self.Vinv[j, :]) % m
 
     def row_block(self, i, j, a, b, c, d):
         # [row_i; row_j] <- [[a,b],[c,d]] @ [row_i; row_j], det(block) == 1
@@ -115,8 +111,6 @@ class _Worker:
         self.D[:, i], self.D[:, j] = (a * ci + b * cj) % m, (c * ci + d * cj) % m
         ci, cj = self.V[:, i].copy(), self.V[:, j].copy()
         self.V[:, i], self.V[:, j] = (a * ci + b * cj) % m, (c * ci + d * cj) % m
-        ri, rj = self.Vinv[i, :].copy(), self.Vinv[j, :].copy()
-        self.Vinv[i, :], self.Vinv[j, :] = (d * ri - c * rj) % m, (-b * ri + a * rj) % m
 
 
 def smith_form(A: np.ndarray, m: int) -> SmithForm:
@@ -179,7 +173,7 @@ def smith_form(A: np.ndarray, m: int) -> SmithForm:
             w.add_row(k, i, 1)
             clear_pivot(k)
 
-    return SmithForm(d=D, u=w.U, v=w.V, uinv=w.Uinv, vinv=w.Vinv, m=m)
+    return SmithForm(d=D, u=w.U, v=w.V, uinv=w.Uinv, m=m)
 
 
 def _solve(sf: SmithForm, B: np.ndarray) -> Optional[np.ndarray]:

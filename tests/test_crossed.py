@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from tdual.cech import Nerve
+from tdual.cech import Nerve, TwistCocycle
 from tdual.crossed import (
     ConvolutionElement,
     CrossedContext,
     HaarWeights,
+    _mu_twisted,
+    conjugated_kernel,
     convolve,
     fourier_roundtrip_residual,
     involute,
@@ -13,6 +15,7 @@ from tdual.crossed import (
     operator_norm,
     represent,
     s_reindex_matrix,
+    section_family,
     t_linearized,
     t_periodicity_residual,
     t_transform,
@@ -22,7 +25,7 @@ from tdual.crossed import (
 )
 from tdual.errors import ResourceCapError
 from tdual.lca import FiniteLcaGroup, Subgroup
-from tdual.linops import adjoint
+from tdual.linops import adjoint, unit_phase
 from tdual.triples import (
     DualityContext,
     build_random_triple,
@@ -287,6 +290,23 @@ class TestGluing:
         rep = verify_gluing(t, th, trials=2, seed=3)
         assert rep["section_transition"] < 1e-10
 
+    def test_twisted_circle_uses_holonomy_compatible_sections(self):
+        # one edge labelled 1: the loop's monodromy moves G/N, so a family
+        # spread from an arbitrary root value breaks on the closing edge
+        ctx = ctx_for([6], [[3]])
+        nerve = Nerve.circle()
+        q = ctx.quotient
+        labels = {e: q.zero() for e in nerve.edges}
+        labels[(0, 1)] = q.rep(ctx.G.element([1]))
+        twist = TwistCocycle(nerve, q, labels)
+        t = make_dualisable(build_random_triple(nerve, ctx, d=1, seed=3, twist=twist))
+        th = dualize(t, extract_total_cocycle(t))
+        rep = verify_gluing(t, th, trials=4, seed=5)
+        assert rep["section_family"] < 1e-9
+        assert rep["section_transition"] < 1e-8
+        fam = section_family(t, CrossedContext(ctx, 1), np.random.default_rng(0))
+        assert min(f.norm_inf() for f in fam.values()) > 1e-3
+
     def test_single_vertex_reduces_to_point(self):
         ctx = ctx_for([4], [[2]])
         t = make_dualisable(build_random_triple(Nerve.point(), ctx, d=2, seed=9))
@@ -329,3 +349,131 @@ def test_element_serialization_roundtrip(z4ctx):
     blob = json.dumps(element_to_json(f))
     f2 = element_from_json(json.loads(blob))
     assert (f - f2).norm_inf() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the table-based operations against per-element loops on the exact pairing
+
+def _ref_dft(cc):
+    ctx, w = cc.ctx, float(cc.weights.w_quot)
+    F = np.array([[w * unit_phase(ctx.pair(b, ctx.sigma(z))) for z in cc.reps]
+                  for b in cc.nperp])
+    Fi = np.array([[unit_phase(-ctx.pair(b, ctx.sigma(z))) for b in cc.nperp]
+                   for z in cc.reps])
+    return F, Fi
+
+
+def _ref_lam(cc, chi):
+    F, Fi = _ref_dft(cc)
+    ctx = cc.ctx
+    return F @ np.diag([unit_phase(-ctx.pair(chi, ctx.sigma(z))) for z in cc.reps]) @ Fi
+
+
+def _ref_convolve(f1, f2, mu):
+    cc = f1.cc
+    G, q = cc.ctx.G, cc.ctx.quotient
+    out = np.zeros_like(f1.values)
+    for ig, g in enumerate(cc.elems):
+        for iz, z in enumerate(cc.reps):
+            for ih, h in enumerate(cc.elems):
+                U = mu[(h, z)]
+                out[ig, iz] += f1.values[ih, iz] @ adjoint(U) @ f2.values[
+                    cc.gi[G.sub(g, h)], cc.zi[q.add(z, q.rep(h))]] @ U
+    return float(cc.weights.w_G) * out
+
+
+def _ref_involute(f, mu):
+    cc = f.cc
+    G, q = cc.ctx.G, cc.ctx.quotient
+    out = np.zeros_like(f.values)
+    for ig, g in enumerate(cc.elems):
+        for iz, z in enumerate(cc.reps):
+            U = mu[(g, z)]
+            back = f.values[cc.gi[G.neg(g)], cc.zi[q.add(z, q.rep(g))]]
+            out[ig, iz] = adjoint(U) @ adjoint(back) @ U
+    return out
+
+
+def _ref_represent(f, mu):
+    cc = f.cc
+    G, q = cc.ctx.G, cc.ctx.quotient
+    n, nq, d = cc.n, cc.q, cc.d
+    out = np.zeros((n * nq * d, n * nq * d), complex)
+    for ig, g in enumerate(cc.elems):
+        for iz, z in enumerate(cc.reps):
+            Um = mu[(G.neg(g), z)]
+            zs = cc.zi[q.sub_(z, q.rep(g))]
+            for ih, h in enumerate(cc.elems):
+                r0 = (ig * nq + iz) * d
+                c0 = (cc.gi[G.sub(g, h)] * nq + iz) * d
+                out[r0:r0 + d, c0:c0 + d] += float(cc.weights.w_G) \
+                    * adjoint(Um) @ f.values[ih, zs] @ Um
+    return out
+
+
+def _ref_kernel(cc, f, mu, chi):
+    ctx, Gd, d = cc.ctx, cc.ctx.Gd, cc.d
+    w = float(cc.weights.w_G * cc.weights.w_quot)
+    K = np.zeros((cc.q * d, cc.q * d), complex)
+    for ia, a in enumerate(cc.nperp):
+        for ic, c in enumerate(cc.nperp):
+            for ig, g in enumerate(cc.elems):
+                for iz, z in enumerate(cc.reps):
+                    ph = unit_phase(ctx.pair(Gd.add(chi, c), g)
+                                    + ctx.pair(Gd.sub(c, a), ctx.sigma(z)))
+                    K[ia * d:(ia + 1) * d, ic * d:(ic + 1) * d] += \
+                        w * ph * f.values[ig, iz] @ adjoint(mu[(g, z)])
+    L = np.kron(_ref_lam(cc, chi), np.eye(d))
+    return L @ K @ adjoint(L)
+
+
+def _ref_mu_cocycle(cc, mu):
+    G, q = cc.ctx.G, cc.ctx.quotient
+    return max(float(np.max(np.abs(mu[(G.add(g, h), z)]
+                                   - mu[(g, q.add(z, q.rep(h)))] @ mu[(h, z)])))
+               for g in cc.elems for h in cc.elems for z in cc.reps)
+
+
+@pytest.fixture(scope="module", params=[([4], [[2]]), ([2, 4], [[1, 2]])],
+                ids=["z4", "z2xz4"])
+def table_case(request):
+    ctx = ctx_for(*request.param)
+    t = make_dualisable(build_random_triple(Nerve.circle(), ctx, d=2, seed=5))
+    return CrossedContext(ctx, 2), t.mu[0]
+
+
+def test_dft_and_lam_match_pairing_loops(table_case):
+    cc, _ = table_case
+    F, Fi = _ref_dft(cc)
+    assert np.max(np.abs(cc.dft() - F)) < 1e-12
+    assert np.max(np.abs(cc.dft_inv() - Fi)) < 1e-12
+    for chi in cc.ctx.Gd.elements():
+        assert np.max(np.abs(cc.lam(chi) - _ref_lam(cc, chi))) < 1e-12
+
+
+def test_algebra_matches_pairing_loops(table_case):
+    cc, mu = table_case
+    rng = np.random.default_rng(11)
+    f1, f2 = (ConvolutionElement.random(cc, rng) for _ in range(2))
+    assert np.max(np.abs(convolve(f1, f2, mu).values - _ref_convolve(f1, f2, mu))) < 1e-12
+    assert np.max(np.abs(involute(f1, mu).values - _ref_involute(f1, mu))) < 1e-12
+    assert np.max(np.abs(represent(f1, mu) - _ref_represent(f1, mu))) < 1e-12
+    assert abs(mu_is_cocycle(cc, mu) - _ref_mu_cocycle(cc, mu)) < 1e-12
+    bad = dict(mu)
+    key = (cc.elems[1], cc.reps[0])
+    bad[key] = 1j * mu[key]
+    assert abs(mu_is_cocycle(cc, bad) - _ref_mu_cocycle(cc, bad)) < 1e-12
+
+
+def test_conjugated_kernel_matches_pairing_loops(table_case):
+    cc, mu = table_case
+    rng = np.random.default_rng(12)
+    f1, f2 = (ConvolutionElement.random(cc, rng) for _ in range(2))
+    fm1, fm2 = _mu_twisted(f1, mu), _mu_twisted(f2, mu)
+    for chi in cc.ctx.Gd.elements():
+        K = conjugated_kernel(cc, fm1, chi)
+        assert np.max(np.abs(K - _ref_kernel(cc, f1, mu, chi))) < 1e-12
+        # a leading batch runs each element through the same products
+        batch = conjugated_kernel(cc, np.stack([fm1, fm2]), chi)
+        assert np.array_equal(batch[0], K)
+        assert np.array_equal(batch[1], conjugated_kernel(cc, fm2, chi))

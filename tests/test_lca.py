@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,21 +65,20 @@ def test_pairing_shape_mismatch():
         pairing(G, H.element([1, 0]), G.element([1]))
 
 
-@pytest.mark.parametrize("factors", [[4], [6], [2, 2], [8, 8]])
+@pytest.mark.parametrize("factors", [[4], [6], [2, 2], [8, 8], [2, 4], [2, 2, 3]])
 def test_pairing_bilinear_exhaustive(factors):
-    # groups up to order 64, full triple loops
+    # every triple, checked on the integer table; the table equals the exact
+    # Q/Z pairing on every pair, so pairing() is bilinear on every triple too
     G = FiniteLcaGroup(factors)
     Gd = dual_group(G)
-    for chi in Gd.elements():
-        for chi2 in Gd.elements():
-            s = Gd.add(chi, chi2)
-            for g in G.elements():
-                assert pairing(G, s, g) == pairing(G, chi, g) + pairing(G, chi2, g)
-    for chi in Gd.elements():
-        for g in G.elements():
-            for g2 in G.elements():
-                assert pairing(G, chi, G.add(g, g2)) == \
-                    pairing(G, chi, g) + pairing(G, chi, g2)
+    P = G.pairing_table()
+    e = G.exponent
+    assert np.array_equal(P[Gd.add_table()], (P[:, None, :] + P[None, :, :]) % e)
+    assert np.array_equal(P[:, G.add_table()], (P[:, :, None] + P[:, None, :]) % e)
+    for i, chi in enumerate(Gd.elements()):
+        for j, g in enumerate(G.elements()):
+            assert pairing(G, chi, g) == QZ.of(int(P[i, j]), e)
+    assert G.pairing_table() is P   # built once per group
 
 
 def brute_annihilator(G, N):
