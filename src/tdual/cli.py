@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -127,6 +128,15 @@ class Workspace:
             raise ScenarioError(str(exc), "$.twist") from exc
         tols = scenario.get("tolerances", {})
         self.tau_s = tols.get("snap", triples.TAU_S) * tolerance_scale
+        # adjacent m-th roots of unity are 2 sin(pi/m) apart: a snap window
+        # that wide can hold two of them and certifies no phase
+        half_chord = math.sin(math.pi / self.ctx.m)
+        if self.tau_s >= half_chord:
+            raise ScenarioError(
+                f"snap tolerance {self.tau_s:g} (after --tolerance-scale) must be "
+                f"below sin(pi/m) = {half_chord:.3g}, half the chord between "
+                f"adjacent roots of unity of order m = {self.ctx.m}",
+                "$.tolerances.snap")
         self.tau_u = tols.get("operator", triples.TAU_U) * tolerance_scale
         self.tau_pipe = tols.get("pipeline", 1e-8) * tolerance_scale
         self._cache: dict = {}

@@ -431,12 +431,17 @@ def is_dualisable(c: TotalTwoCocycle) -> Optional[dict]:
     return {i: X[:, j].reshape(sp1.shape()) for j, i in enumerate(c.omega)}
 
 
-def normalize(t: TripleLocalData, nu: dict) -> TripleLocalData:
-    """Replace mu_i by mu_i * nu_i^-1 so that the extracted omega vanishes."""
+def normalize(t: TripleLocalData, nu: dict,
+              c: Optional[TotalTwoCocycle] = None) -> TripleLocalData:
+    """Replace mu_i by mu_i * nu_i^-1 so that the extracted omega vanishes.
+
+    c is t's total cocycle if the caller has already extracted it.
+    """
     ctx = t.ctx
     G, q, m = ctx.G, ctx.quotient, ctx.m
     sp1 = GroupCochainSpace(G, q, m, 1)
-    c = extract_total_cocycle(t)
+    if c is None:
+        c = extract_total_cocycle(t)
     for i, om in c.omega.items():
         dnu = d_group(GroupCochain(sp1, nu[i]))
         if not np.array_equal(dnu.values % m, om % m):
@@ -459,7 +464,7 @@ def make_dualisable(t: TripleLocalData) -> TripleLocalData:
     nu = is_dualisable(c)
     if nu is None:
         raise InvalidTripleError("triple is not dualisable: omega is not a boundary")
-    return normalize(t, nu)
+    return normalize(t, nu, c)
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,14 @@ class SmithForm:
     """U @ A @ V = D mod m, with U, V invertible mod m and D diagonal.
 
     The diagonal divides along the chain gcd(d[0], m) | gcd(d[1], m) | ...
-    uinv is the mod-m inverse of u.
+    uinv is the mod-m inverse of u.  u, uinv and v hold the transforms asked
+    for and are None when smith_form was told not to track them.
     """
 
     d: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    uinv: np.ndarray
+    u: Optional[np.ndarray]
+    v: Optional[np.ndarray]
+    uinv: Optional[np.ndarray]
     m: int
 
     @property
@@ -56,124 +57,137 @@ class SmithForm:
         return [int(self.d[i, i]) for i in range(k)]
 
 
-class _Worker:
-    """Mutable state for the Smith reduction; tracks U, U^-1 and V."""
+class _Side:
+    """Row operations on D with the transform T they build and its inverse.
 
-    def __init__(self, A: np.ndarray, m: int):
-        self.m = m
-        self.D = np.asarray(A, dtype=np.int64) % m
-        rows, cols = self.D.shape
-        self.U = np.eye(rows, dtype=np.int64)
-        self.Uinv = np.eye(rows, dtype=np.int64)
-        self.V = np.eye(cols, dtype=np.int64)
+    Column operations are the row operations of the transposes: the column
+    side holds D.T and V.T as views, with no inverse.  Only the trailing
+    block D[k:, k:] is updated at step k: rows and columns before k hold
+    just their pivot, and every operation of step k leaves them unchanged.
+    """
 
-    def swap_rows(self, i, j):
+    def __init__(self, D, T, Tinv, m):
+        self.D, self.T, self.Tinv, self.m = D, T, Tinv, m
+
+    def swap(self, i, j):
         if i == j:
             return
-        self.D[[i, j], :] = self.D[[j, i], :]
-        self.U[[i, j], :] = self.U[[j, i], :]
-        self.Uinv[:, [i, j]] = self.Uinv[:, [j, i]]
+        self.D[[i, j]] = self.D[[j, i]]
+        if self.T is not None:
+            self.T[[i, j]] = self.T[[j, i]]
+        if self.Tinv is not None:
+            self.Tinv[:, [i, j]] = self.Tinv[:, [j, i]]
 
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        self.D[:, [i, j]] = self.D[:, [j, i]]
-        self.V[:, [i, j]] = self.V[:, [j, i]]
+    def add(self, k, dst, src, q):
+        # rows dst += q * row src, as one rank-1 update; q lies in (-m, m)
+        m, D, T, Tinv = self.m, self.D, self.T, self.Tinv
+        q = np.asarray(q, dtype=np.int64)
+        D[dst, k:] = (D[dst, k:] + q[:, None] * D[src, k:]) % m
+        if T is not None:
+            T[dst] = (T[dst] + q[:, None] * T[src]) % m
+        if Tinv is not None:
+            # sums len(dst) < rows products below (m-1)^2, which the
+            # loader's bound (m-1)^2 * cap < 2^63 keeps inside int64
+            Tinv[:, src] = (Tinv[:, src] - Tinv[:, dst] @ q) % m
 
-    def add_row(self, i, j, q):
-        # row_i += q * row_j
-        m = self.m
-        self.D[i, :] = (self.D[i, :] + q * self.D[j, :]) % m
-        self.U[i, :] = (self.U[i, :] + q * self.U[j, :]) % m
-        self.Uinv[:, j] = (self.Uinv[:, j] - q * self.Uinv[:, i]) % m
+    def block(self, k, i, x, y, c, d):
+        # [row_k; row_i] <- [[x, y], [c, d]] @ [row_k; row_i], det == 1
+        m, D, T, Tinv = self.m, self.D, self.T, self.Tinv
+        B = np.array([[x, y], [c, d]], dtype=np.int64)
+        D[[k, i], k:] = (B @ D[[k, i], k:]) % m
+        if T is not None:
+            T[[k, i]] = (B @ T[[k, i]]) % m
+        if Tinv is not None:
+            Binv = np.array([[d, -y], [-c, x]], dtype=np.int64)
+            Tinv[:, [k, i]] = (Tinv[:, [k, i]] @ Binv) % m
 
-    def add_col(self, j, i, q):
-        # col_j += q * col_i
-        m = self.m
-        self.D[:, j] = (self.D[:, j] + q * self.D[:, i]) % m
-        self.V[:, j] = (self.V[:, j] + q * self.V[:, i]) % m
+    def clear(self, k):
+        """Clear D[k+1:, k] against the pivot D[k, k], in row order.
 
-    def row_block(self, i, j, a, b, c, d):
-        # [row_i; row_j] <- [[a,b],[c,d]] @ [row_i; row_j], det(block) == 1
-        m = self.m
-        ri, rj = self.D[i, :].copy(), self.D[j, :].copy()
-        self.D[i, :], self.D[j, :] = (a * ri + b * rj) % m, (c * ri + d * rj) % m
-        ri, rj = self.U[i, :].copy(), self.U[j, :].copy()
-        self.U[i, :], self.U[j, :] = (a * ri + b * rj) % m, (c * ri + d * rj) % m
-        ci, cj = self.Uinv[:, i].copy(), self.Uinv[:, j].copy()
-        self.Uinv[:, i], self.Uinv[:, j] = (d * ci - c * cj) % m, (-b * ci + a * cj) % m
-
-    def col_block(self, i, j, a, b, c, d):
-        # [col_i, col_j] <- [col_i, col_j] @ [[a,c],[b,d]] with det == 1:
-        # col_i <- a*col_i + b*col_j, col_j <- c*col_i + d*col_j
-        m = self.m
-        ci, cj = self.D[:, i].copy(), self.D[:, j].copy()
-        self.D[:, i], self.D[:, j] = (a * ci + b * cj) % m, (c * ci + d * cj) % m
-        ci, cj = self.V[:, i].copy(), self.V[:, j].copy()
-        self.V[:, i], self.V[:, j] = (a * ci + b * cj) % m, (c * ci + d * cj) % m
+        Each maximal run of entries the pivot divides is one rank-1 update;
+        an entry it does not divide takes an xgcd 2x2 block, after which
+        the scan resumes with the new pivot.
+        """
+        D = self.D
+        rows = np.flatnonzero(D[k + 1:, k]) + k + 1
+        b = D[rows, k]
+        pos = 0
+        while pos < rows.size:
+            a = int(D[k, k])   # nonzero: the pivot, or the gcd a block left
+            bad = np.flatnonzero(b[pos:] % a)
+            end = pos + int(bad[0]) if bad.size else rows.size
+            if end > pos:
+                self.add(k, rows[pos:end], k, -(b[pos:end] // a))
+            if end < rows.size:
+                bb = int(b[end])
+                g, x, y = xgcd(a, bb)
+                self.block(k, int(rows[end]), x, y, -(bb // g), a // g)
+            pos = end + 1
 
 
-def smith_form(A: np.ndarray, m: int) -> SmithForm:
-    """Smith normal form of A over Z/m with full transformation data."""
-    w = _Worker(A, m)
-    D = w.D
+def _pivot(S: np.ndarray, m: int) -> Optional[tuple[int, int]]:
+    """Position of the first entry of S, in row-major order, of least gcd with m.
+
+    None if S is zero.  Windows of leading rows, doubling in height, are
+    searched first: a unit found in one is the answer, as no later row
+    comes before it.
+    """
+    h = 1
+    while True:
+        ri, ci = np.nonzero(S[:h])
+        if ri.size:
+            g = np.gcd(S[ri, ci], m)
+            best = int(np.argmin(g))
+            if g[best] == 1 or h >= S.shape[0]:
+                return int(ri[best]), int(ci[best])
+        elif h >= S.shape[0]:
+            return None
+        h *= 2
+
+
+def smith_form(A: np.ndarray, m: int, *, u: bool = True, uinv: bool = True,
+               v: bool = True) -> SmithForm:
+    """Smith normal form of A over Z/m with the transforms asked for.
+
+    Pivots and elementary operations do not depend on which transforms are
+    tracked, so every tracked transform is the same whatever else is asked.
+    """
+    D = np.asarray(A, dtype=np.int64) % m
     rows, cols = D.shape
+    U = np.eye(rows, dtype=np.int64) if u else None
+    Uinv = np.eye(rows, dtype=np.int64) if uinv else None
+    V = np.eye(cols, dtype=np.int64) if v else None
+    row = _Side(D, U, Uinv, m)
+    col = _Side(D.T, None if V is None else V.T, None, m)
 
     def clear_pivot(k: int) -> None:
-        # make D[k,k] the only nonzero entry in its row and column
+        # make D[k,k] the only nonzero entry in its row and column; col.clear
+        # leaves row k clear, but a column block may refill column k
         while True:
-            for i in range(k + 1, rows):
-                b = int(D[i, k])
-                if b == 0:
-                    continue
-                a = int(D[k, k])
-                if a != 0 and b % a == 0:
-                    w.add_row(i, k, -(b // a))
-                else:
-                    g, x, y = xgcd(a, b)
-                    w.row_block(k, i, x, y, -(b // g), a // g)
-            for j in range(k + 1, cols):
-                b = int(D[k, j])
-                if b == 0:
-                    continue
-                a = int(D[k, k])
-                if a != 0 and b % a == 0:
-                    w.add_col(j, k, -(b // a))
-                else:
-                    g, x, y = xgcd(a, b)
-                    w.col_block(k, j, x, y, -(b // g), a // g)
-            if not np.any(D[k + 1:, k]) and not np.any(D[k, k + 1:]):
+            row.clear(k)
+            col.clear(k)
+            if not np.any(D[k + 1:, k]):
                 return
 
     for k in range(min(rows, cols)):
-        sub = D[k:, k:]
-        nz = np.argwhere(sub != 0)
-        if nz.size == 0:
+        best = _pivot(D[k:, k:], m)
+        if best is None:
             break
-        best, best_g = None, m + 1
-        for (di, dj) in nz:
-            g = gcd(int(sub[di, dj]), m)
-            if g < best_g:
-                best_g, best = g, (int(di) + k, int(dj) + k)
-                if g == 1:
-                    break
-        w.swap_rows(k, best[0])
-        w.swap_cols(k, best[1])
+        row.swap(k, best[0] + k)
+        col.swap(k, best[1] + k)
         clear_pivot(k)
         # divisibility: gcd(D[k,k], m) must divide all remaining entries
         while True:
             gk = gcd(int(D[k, k]), m)
-            rest = D[k + 1:, k + 1:]
-            if not rest.size:
+            if gk == 1:
                 break
-            bad = np.argwhere(rest % gk != 0)
-            if bad.size == 0:
+            bad = np.flatnonzero((D[k + 1:, k + 1:] % gk).any(axis=1))
+            if not bad.size:
                 break
-            i = int(bad[0][0]) + k + 1
-            w.add_row(k, i, 1)
+            row.add(k, [k], int(bad[0]) + k + 1, [1])
             clear_pivot(k)
 
-    return SmithForm(d=D, u=w.U, v=w.V, uinv=w.Uinv, m=m)
+    return SmithForm(d=D, u=U, v=V, uinv=Uinv, m=m)
 
 
 def _solve(sf: SmithForm, B: np.ndarray) -> Optional[np.ndarray]:
@@ -224,7 +238,7 @@ def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
     b = np.asarray(b, dtype=np.int64) % m
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    X = _solve(smith_form(A, m), b if b.ndim == 2 else b[:, None])
+    X = _solve(smith_form(A, m, uinv=False), b if b.ndim == 2 else b[:, None])
     if X is None:
         return None
     return X if b.ndim == 2 else X[:, 0]
@@ -238,7 +252,7 @@ def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
         return np.eye(cols, dtype=np.int64)
     if cols == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    return _kernel(smith_form(A, m))
+    return _kernel(smith_form(A, m, u=False, uinv=False))
 
 
 def module_quotient(
@@ -255,14 +269,14 @@ def module_quotient(
     n, t = gens.shape
     if t == 0:
         return [], np.zeros((n, 0), dtype=np.int64)
-    sf = smith_form(gens, m)
+    sf = smith_form(gens, m, uinv=False)
     coords = _solve(sf, np.asarray(rels, dtype=np.int64) % m)
     if coords is None:
         raise ValueError("relation outside the span of the generators")
     R = np.concatenate([coords, _kernel(sf)], axis=1)
     if R.shape[1] == 0:
         R = np.zeros((t, 1), dtype=np.int64)
-    sf = smith_form(R, m)
+    sf = smith_form(R, m, u=False, v=False)
     k = min(R.shape)
     new_gens = (gens @ sf.uinv) % m
     factors, reps = [], []

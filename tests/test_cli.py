@@ -70,6 +70,13 @@ class TestValidation:
         assert main(["run", write_scenario(tmp_path, bad)]) == 2
         assert "$.modulus" in capsys.readouterr().err
 
+    def test_snap_tolerance_wider_than_root_spacing_refused(self, tmp_path, capsys):
+        # sin(pi/m) = 5.2e-8 at m = 6e7: the default snap window of 1e-6
+        # holds about 19 roots of unity, so a snap would certify nothing
+        bad = dict(Z6, modulus=60000000)
+        assert main(["run", write_scenario(tmp_path, bad)]) == 2
+        assert "$.tolerances.snap" in capsys.readouterr().err
+
     def test_modulus_bound_edge(self, tmp_path):
         z2 = dict(Z6, groups={"factors": [2], "N": [[1]]})
         assert load_scenario(write_scenario(tmp_path, dict(z2, modulus=2 ** 27)))

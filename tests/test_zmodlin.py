@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
@@ -161,11 +162,154 @@ def test_cohomology_of_factors_each_matrix_once(monkeypatch):
     calls = []
     real = zmodlin.smith_form
 
-    def counted(A, mod):
-        calls.append(np.shape(A))
-        return real(A, mod)
+    def counted(A, mod, **kw):
+        calls.append((np.shape(A), kw))
+        return real(A, mod, **kw)
 
     monkeypatch.setattr(zmodlin, "smith_form", counted)
     factors, reps = cohomology_of(d_k, d_prev, m)
     assert len(calls) <= 3, calls
+    # the kernel reads only V, so its Smith form tracks no U
+    assert calls[0][0] == d_k.shape and calls[0][1].get("u") is False
     assert factors == expected[0] and np.array_equal(reps, expected[1])
+
+
+def reference_smith(A, m):
+    """The Smith reduction one entry at a time, as (D, U, V, U^-1).
+
+    Each nonzero entry below (right of) the pivot is cleared by its own
+    elementary operation, on full rows (columns) of D and of every
+    transform; smith_form must perform the same operations in batches.
+    """
+    D = np.asarray(A, dtype=np.int64) % m
+    rows, cols = D.shape
+    U, Uinv = np.eye(rows, dtype=np.int64), np.eye(rows, dtype=np.int64)
+    V = np.eye(cols, dtype=np.int64)
+
+    def add_row(i, j, q):
+        D[i] = (D[i] + q * D[j]) % m
+        U[i] = (U[i] + q * U[j]) % m
+        Uinv[:, j] = (Uinv[:, j] - q * Uinv[:, i]) % m
+
+    def add_col(j, i, q):
+        D[:, j] = (D[:, j] + q * D[:, i]) % m
+        V[:, j] = (V[:, j] + q * V[:, i]) % m
+
+    def row_block(i, j, a, b, c, d):
+        for M in (D, U):
+            ri, rj = M[i].copy(), M[j].copy()
+            M[i], M[j] = (a * ri + b * rj) % m, (c * ri + d * rj) % m
+        ci, cj = Uinv[:, i].copy(), Uinv[:, j].copy()
+        Uinv[:, i], Uinv[:, j] = (d * ci - c * cj) % m, (-b * ci + a * cj) % m
+
+    def col_block(i, j, a, b, c, d):
+        for M in (D, V):
+            ci, cj = M[:, i].copy(), M[:, j].copy()
+            M[:, i], M[:, j] = (a * ci + b * cj) % m, (c * ci + d * cj) % m
+
+    def clear_pivot(k):
+        while True:
+            for i in range(k + 1, rows):
+                b, a = int(D[i, k]), int(D[k, k])
+                if b == 0:
+                    continue
+                if a != 0 and b % a == 0:
+                    add_row(i, k, -(b // a))
+                else:
+                    g, x, y = xgcd(a, b)
+                    row_block(k, i, x, y, -(b // g), a // g)
+            for j in range(k + 1, cols):
+                b, a = int(D[k, j]), int(D[k, k])
+                if b == 0:
+                    continue
+                if a != 0 and b % a == 0:
+                    add_col(j, k, -(b // a))
+                else:
+                    g, x, y = xgcd(a, b)
+                    col_block(k, j, x, y, -(b // g), a // g)
+            if not np.any(D[k + 1:, k]) and not np.any(D[k, k + 1:]):
+                return
+
+    for k in range(min(rows, cols)):
+        nz = np.argwhere(D[k:, k:] != 0)
+        if nz.size == 0:
+            break
+        best, best_g = None, m + 1
+        for di, dj in nz:
+            g = gcd(int(D[di + k, dj + k]), m)
+            if g < best_g:
+                best_g, best = g, (int(di) + k, int(dj) + k)
+        D[[k, best[0]]] = D[[best[0], k]]
+        U[[k, best[0]]] = U[[best[0], k]]
+        Uinv[:, [k, best[0]]] = Uinv[:, [best[0], k]]
+        D[:, [k, best[1]]] = D[:, [best[1], k]]
+        V[:, [k, best[1]]] = V[:, [best[1], k]]
+        clear_pivot(k)
+        while True:
+            gk = gcd(int(D[k, k]), m)
+            bad = np.argwhere(D[k + 1:, k + 1:] % gk != 0)
+            if bad.size == 0:
+                break
+            add_row(k, int(bad[0][0]) + k + 1, 1)
+            clear_pivot(k)
+    return D, U, V, Uinv
+
+
+KINDS = ["dense", "sparse", "row-heavy", "column-heavy"]
+
+
+def random_matrix(rng, kind):
+    m = int(rng.integers(2, 65))
+    rows, cols = int(rng.integers(1, 41)), int(rng.integers(1, 41))
+    if kind == "row-heavy":
+        rows, cols = max(rows, cols), min(rows, cols)
+    elif kind == "column-heavy":
+        rows, cols = min(rows, cols), max(rows, cols)
+    A = rng.integers(0, m, size=(rows, cols))
+    if kind == "sparse":
+        A *= rng.random((rows, cols)) < 0.02
+    return A, m
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_smith_form_matches_reference_bit_for_bit(kind):
+    rng = np.random.default_rng(KINDS.index(kind))
+    moduli = set()
+    for _ in range(12):
+        A, m = random_matrix(rng, kind)
+        moduli.add(m)
+        ref = dict(zip(("d", "u", "v", "uinv"), reference_smith(A, m)))
+        for u, uinv, v in itertools.product((True, False), repeat=3):
+            sf = smith_form(A, m, u=u, uinv=uinv, v=v)
+            assert np.array_equal(sf.d, ref["d"])
+            for name, tracked in (("u", u), ("uinv", uinv), ("v", v)):
+                if tracked:
+                    assert np.array_equal(getattr(sf, name), ref[name]), (A, m, name)
+                else:
+                    assert getattr(sf, name) is None
+    assert any(all(m % p for p in range(2, m)) for m in moduli)   # a prime
+    assert any(any(m % p == 0 for p in range(2, m)) for m in moduli)   # a composite
+
+
+def exact_product(X, Y):
+    """X @ Y in Python integers, one nonzero entry of X at a time."""
+    out = np.zeros((X.shape[0], Y.shape[1]), dtype=object)
+    Y = Y.astype(object)
+    for i, k in zip(*np.nonzero(X)):
+        out[i] += int(X[i, k]) * Y[k]
+    return out
+
+
+@pytest.mark.parametrize("m", [2 ** 27, 2 ** 27 - 1])
+def test_smith_form_exact_at_the_largest_loadable_modulus(m):
+    # 2^27 is the largest modulus the loader accepts at cap 512; 2^27 - 1 is
+    # not a power of two, so an int64 wrap-around would show in the residues
+    rng = np.random.default_rng(27)
+    A = m - rng.integers(1, 2 ** 10, size=(512, 4))
+    # a chain of pivots 3^16, 3^15, ..., 1: sixteen xgcd blocks in one column
+    A[0, 0] = 3 ** 16
+    A[1:17, 0] = [2 * 3 ** e for e in range(15, -1, -1)]
+    sf = smith_form(A, m)
+    assert not ((exact_product(exact_product(sf.u, A), sf.v) - sf.d) % m).any()
+    assert not ((exact_product(sf.u, sf.uinv) - np.eye(512, dtype=np.int64)) % m).any()
+    assert sf.diag == [1, 1, 1, 1]
