@@ -39,6 +39,7 @@ from .triples import (
     dual_transitions,
     dualize,
     extract_total_cocycle,
+    involution_report,
     is_dualisable,
     make_dualisable,
     normalize,

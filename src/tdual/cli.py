@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cech, crossed, groupcoh, triples
-from .errors import ResourceCapError, max_matrix_dim
+from .errors import ResourceCapError, check_dim, max_matrix_dim
 from .lca import FiniteLcaGroup, Subgroup
 
 
@@ -102,7 +102,11 @@ def load_scenario(path: str) -> dict:
 
 
 class Workspace:
-    """Derived objects for one scenario, built lazily and shared by checks."""
+    """Derived objects for one scenario, built lazily and shared by checks.
+
+    Each pipeline stage is built once, from the stages before it:
+    fixture -> fixture_cocycle -> normalized -> cocycle -> dual -> dual_cocycle.
+    """
 
     def __init__(self, scenario: dict, seed: Optional[int] = None,
                  tolerance_scale: float = 1.0):
@@ -154,8 +158,13 @@ class Workspace:
             return t
         return self._get("fixture", build)
 
+    def fixture_cocycle(self) -> triples.TotalTwoCocycle:
+        return self._get("fixture_cocycle",
+                         lambda: triples.extract_total_cocycle(self.fixture()))
+
     def normalized(self) -> triples.TripleLocalData:
-        return self._get("normalized", lambda: triples.make_dualisable(self.fixture()))
+        return self._get("normalized", lambda: triples.make_dualisable(
+            self.fixture(), self.fixture_cocycle()))
 
     def cocycle(self) -> triples.TotalTwoCocycle:
         return self._get("cocycle",
@@ -320,10 +329,9 @@ def check_dualize(ws: Workspace) -> list[dict]:
     t = ws.fixture()
     v = triples.validate_triple(t)
     out.append(_result("dualize.fixture_laws", max(v.values()), ws.tau_u, detail=v))
-    c0 = triples.extract_total_cocycle(t)
-    nu = triples.is_dualisable(c0)
-    out.append(_exact("dualize.omega_is_boundary", nu is not None))
+    # normalising raises InvalidTripleError unless omega is a boundary
     tn = ws.normalized()
+    out.append(_exact("dualize.omega_is_boundary", True))
     cn = ws.cocycle()
     out.append(_exact("dualize.normalized_omega_zero", cn.omega_is_zero()))
     th = ws.dual()
@@ -354,7 +362,8 @@ def check_dualize(ws: Workspace) -> list[dict]:
 
 def check_involution(ws: Workspace) -> list[dict]:
     from .serialize import total_cochain_to_json
-    rep = triples.verify_involution(ws.fixture())
+    rep = triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual(),
+                                    ws.dual_cocycle())
     cert_json = (total_cochain_to_json(rep["certificate"])
                  if "certificate" in rep else None)
     out = [
@@ -422,10 +431,7 @@ COMMANDS = {
     "crossed-point": (check_crossed_point,),
     "crossed-glue": (check_crossed_glue,),
 }
-COMMANDS["all"] = tuple(dict.fromkeys(
-    fn for cmd in ("cohomology", "total-cohomology", "dualize", "involution",
-                   "poincare", "crossed-point", "crossed-glue")
-    for fn in COMMANDS[cmd]))
+COMMANDS["all"] = tuple(fn for fns in COMMANDS.values() for fn in fns)
 
 CHECK_DESCRIPTIONS = {
     "cohomology": [
@@ -469,8 +475,23 @@ CHECK_DESCRIPTIONS = {
 }
 
 
+def certifies(command: str) -> bool:
+    """Whether the command runs a check that solves for a class certificate."""
+    return any(f.__name__ in ("check_dualize", "check_involution")
+               for f in COMMANDS[command])
+
+
+def certificate_dim(ws: Workspace) -> int:
+    """Larger side of the degree-1 -> 2 total matrix the class certificates solve against."""
+    return max(groupcoh.total_dimension(ws.nerve, ws.ctx.G, ws.ctx.quotient, ws.ctx.m, p)
+               for p in (1, 2))
+
+
 def run_checks(ws: Workspace, command: str, only: Optional[str] = None) -> list[dict]:
     fns = COMMANDS[command]
+    if certifies(command):
+        # refuse an over-cap certificate before any check does work
+        check_dim(certificate_dim(ws))
 
     def guarded(f: Callable) -> list[dict]:
         # a law violation inside a check is a falsifying instance: FAIL,
@@ -587,6 +608,11 @@ def cmd_explain(args) -> int:
     print(f"crossed-product representation dimension: {d['crossed_rep_dim']}")
     print(f"matrix dimension cap: {d['matrix_dim_cap']} (env TDUAL_MAX_DIM)")
     cmd = scenario["command"]
+    n, cap = certificate_dim(ws), d["matrix_dim_cap"]
+    print(f"certificate matrix dimension {n} (cap {cap})")
+    if n > cap and certifies(cmd):
+        print("warning: the class certificates exceed the cap; run would exit 3 "
+              "before any check")
     cmds = [cmd] if cmd != "all" else list(CHECK_DESCRIPTIONS)
     for c in cmds:
         print(f"checks [{c}]:")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidTripleError
 from .lca import GroupElement
 from .linops import adjoint, operator_matrix
-from .triples import DualityContext, TripleLocalData
+from .triples import DualityContext, TripleLocalData, mu_table
 
 HOLONOMY_TOL = 1e-9   # Gram eigenvalue above which a loop's defect counts
 
@@ -61,7 +61,8 @@ class CrossedContext:
       perp[b]                       position of the b-th N-perp element
       phases[chi, g]                exp(2 pi i <chi, g>), from G.pairing_table()
 
-    mu_table turns a mu dict into an (n, q, d, d) array on the same positions.
+    triples.mu_table turns a mu dict into an (n, q, d, d) array on the same
+    positions.
     """
 
     def __init__(self, ctx: DualityContext, d: int):
@@ -81,11 +82,6 @@ class CrossedContext:
         self.shift, self.lift, self.phases = ctx.shift, ctx.lift, ctx.phases
         # N-perp is the zero coset of the dual quotient
         self.perp = np.flatnonzero(ctx.coset_hat == ctx.coset_hat[0])
-
-    def mu_table(self, mu: dict) -> np.ndarray:
-        """The table mu(g, z) as an (n, q, d, d) array."""
-        return np.array([[mu[(g, z)] for z in self.reps] for g in self.elems],
-                        dtype=complex)
 
     def dft(self) -> np.ndarray:
         """Fourier transform L^2(G/N) -> L^2(dual of G/N), rows over N-perp."""
@@ -146,7 +142,7 @@ class ConvolutionElement:
 
 def convolve(f1: ConvolutionElement, f2: ConvolutionElement, mu: dict) -> ConvolutionElement:
     cc = f1.cc
-    M = cc.mu_table(mu)
+    M = mu_table(cc.ctx, mu)
     left = f1.values @ adjoint(M)                                   # at (h, z)
     right = f2.values[cc.sub[:, :, None], cc.shift[None]] @ M       # f2(g-h, z+hN) mu(h, z)
     return ConvolutionElement(cc, float(cc.weights.w_G) * (left @ right).sum(axis=1))
@@ -154,7 +150,7 @@ def convolve(f1: ConvolutionElement, f2: ConvolutionElement, mu: dict) -> Convol
 
 def involute(f: ConvolutionElement, mu: dict) -> ConvolutionElement:
     cc = f.cc
-    M = cc.mu_table(mu)
+    M = mu_table(cc.ctx, mu)
     back = f.values[cc.neg[:, None], cc.shift]                      # f(-g, z+gN)
     return ConvolutionElement(cc, adjoint(M) @ adjoint(back) @ M)
 
@@ -165,7 +161,7 @@ def represent(f: ConvolutionElement, mu: dict) -> np.ndarray:
     (f x F)(g, z) = int_G mu(-g,z)^-1( f(h, z - gN) ) F(g-h, z) dh.
     """
     cc = f.cc
-    Um = cc.mu_table(mu)[cc.neg]                                    # mu(-g, z)
+    Um = mu_table(cc.ctx, mu)[cc.neg]                               # mu(-g, z)
     # block (g, z) -> (p, z) at p = g - h: f(g - p, z - gN) conjugated by Um
     F = f.values[cc.sub[:, :, None], cc.shift[cc.neg][:, None, :]]
     blocks = adjoint(Um)[:, None] @ F @ Um[:, None]                 # at (g, p, z)
@@ -180,7 +176,7 @@ def operator_norm(f: ConvolutionElement, mu: dict) -> float:
 
 def _mu_twisted(f: ConvolutionElement, mu: dict) -> np.ndarray:
     """The table fm(g, z) = f(g, z) mu(g, z)^-1 that the transform integrates."""
-    return f.values @ adjoint(f.cc.mu_table(mu))
+    return f.values @ adjoint(mu_table(f.cc.ctx, mu))
 
 
 def conjugated_kernel(cc: CrossedContext, fm: np.ndarray,
@@ -297,7 +293,7 @@ def s_reindex_matrix(ctx: DualityContext) -> np.ndarray:
 
 def mu_is_cocycle(cc: CrossedContext, mu: dict) -> float:
     """Residual of the exact cocycle law mu(g+h, z) = mu(g, z+hN) mu(h, z)."""
-    M = cc.mu_table(mu)
+    M = mu_table(cc.ctx, mu)
     lhs = M[cc.add[:, :, None], np.arange(cc.q)]                    # at (g, h, z)
     rhs = M[:, cc.shift] @ M
     return float(np.max(np.abs(lhs - rhs)))

@@ -64,10 +64,20 @@ def scalar_part(A: np.ndarray, tol: float) -> complex:
     return s
 
 
+def scalar_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, max |A - s I|) with s = tr(A) / dim, over the last two axes.
+
+    Leading axes are a stack.  s is formed as scalar_part forms it (Python's
+    complex / int divides each part), so both agree to the last bit.
+    """
+    dim = A.shape[-1]
+    tr = np.trace(A, axis1=-2, axis2=-1)
+    s = tr.real / dim + 1j * (tr.imag / dim)
+    return s, np.max(np.abs(A - s[..., None, None] * np.eye(dim)), axis=(-2, -1))
+
+
 def scalar_deviation(A: np.ndarray) -> float:
-    dim = A.shape[0]
-    s = complex(np.trace(A)) / dim
-    return float(np.max(np.abs(A - s * np.eye(dim))))
+    return float(np.max(scalar_stack(A)[1]))
 
 
 def snap_phase(s: complex, m: int, tol: float) -> int:

@@ -1,8 +1,11 @@
 import json
 import os
+import time
 
+import numpy as np
 import pytest
 
+from tdual import triples
 from tdual.cli import ScenarioError, Workspace, load_scenario, main
 
 Z6 = {
@@ -13,6 +16,15 @@ Z6 = {
     "command": "poincare",
 }
 
+
+# Z8/<4> on a circle at d = 2: its degree-1 -> 2 total matrix is 864 wide
+Z8_OVERCAP = {
+    "groups": {"factors": [8], "N": [[4]]},
+    "nerve": {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]},
+    "fiber_dim": 2,
+    "command": "all",
+}
+OVERCAP_MESSAGE = "matrix dimension 864 exceeds cap 512 (TDUAL_MAX_DIM)"
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "z6_circle_report.json")
 
@@ -131,6 +143,28 @@ class TestExitCodes:
         p.write_text("{}")
         assert main(["explain", str(p)]) == 2
 
+    def test_overcap_certificate_refused_before_any_check(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        sc = write_scenario(tmp_path, Z8_OVERCAP)
+        load_scenario(sc)       # imports the schema validator outside the clock
+        out = str(tmp_path / "r.json")
+        start = time.perf_counter()
+        rc = main(["run", sc, "-o", out])
+        elapsed = time.perf_counter() - start
+        assert rc == 3
+        assert OVERCAP_MESSAGE in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert elapsed < 0.1
+
+    def test_overcap_certificate_spares_total_cohomology(self, tmp_path, monkeypatch):
+        # total-cohomology solves no certificate and catches its own caps
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        sc = write_scenario(tmp_path, dict(Z8_OVERCAP, command="total-cohomology"))
+        out = str(tmp_path / "r.json")
+        assert main(["run", sc, "-o", out]) == 0
+        assert json.load(open(out))["all_passed"] is True
+
 
 class TestReports:
     def test_deterministic_reports(self, tmp_path):
@@ -219,3 +253,42 @@ class TestExplain:
         d = rep["derived"]
         assert f"order {d['annihilator_order']}" in explain_out
         assert str(d["crossed_rep_dim"]) in explain_out
+
+    def test_explain_shows_certificate_dimension(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        # circle: 3 |G|^2 |G/N| + 3 |G| |G/N| at degree 2; Z6/<3> gives 378
+        assert main(["explain", write_scenario(tmp_path, dict(Z6, command="all"))]) == 0
+        out = capsys.readouterr().out
+        assert "certificate matrix dimension 378 (cap 512)" in out
+        assert "exit 3" not in out
+        assert main(["explain", write_scenario(tmp_path, Z8_OVERCAP)]) == 0
+        out = capsys.readouterr().out
+        assert "certificate matrix dimension 864 (cap 512)" in out
+        assert "run would exit 3" in out
+
+
+class TestStages:
+    def test_run_extracts_each_triple_once(self, monkeypatch, tmp_path):
+        calls = {"extract_total_cocycle": 0, "dualize": 0}
+        for name in calls:
+            fn = getattr(triples, name)
+
+            def counted(*args, _fn=fn, _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(triples, name, counted)
+        assert main(["run", "z6_circle", "-o", str(tmp_path / "r.json")]) == 0
+        # fixture, normalised, dual, double dual and the exterior relift
+        assert calls == {"extract_total_cocycle": 5, "dualize": 2}
+
+    def test_verify_involution_matches_workspace_report(self):
+        ws = Workspace(load_scenario("z6_circle"))
+        want = triples.verify_involution(ws.fixture())
+        got = triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual(),
+                                        ws.dual_cocycle())
+        assert got.keys() == want.keys()
+        for key in want:
+            if key == "certificate":
+                assert np.array_equal(got[key].flatten(), want[key].flatten())
+            else:
+                assert got[key] == want[key], key

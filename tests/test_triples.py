@@ -398,3 +398,130 @@ def test_serialization_roundtrip(z6fix):
         assert np.array_equal(c1.phi[e], c2.phi[e])
     cj = cocycle_to_json(c1)
     assert cj["modulus"] == z6fix.ctx.m
+
+
+# ---------------------------------------------------------------------------
+# batched extraction against the per-matrix loop it replaced
+
+def reference_extract(t):
+    """(psi, phi, omega) by one scalar_part + snap_phase per matrix, in loop order."""
+    from tdual.linops import adjoint, scalar_part, snap_phase
+    ctx = t.ctx
+    G, q, m = ctx.G, ctx.quotient, ctx.m
+    reps, elems = q.reps(), G.elements()
+    n, nq = len(elems), len(reps)
+
+    def snap(Mat):
+        return snap_phase(scalar_part(Mat, t.tau_s), m, t.tau_s)
+
+    psi = {}
+    for s in t.nerve.simplices(2):
+        a, b, c = s
+        gbc = t.g.edge_values[(b, c)]
+        row = np.zeros(nq, dtype=np.int64)
+        for iz, z in enumerate(reps):
+            Mat = adjoint(t.zeta[(a, c)][z]) @ t.zeta[(a, b)][q.add(gbc, z)] \
+                @ t.zeta[(b, c)][z]
+            row[iz] = snap(Mat)
+        psi[s] = row
+    phi = {}
+    for e in t.nerve.edges:
+        a, b = e
+        gab = t.g.edge_values[e]
+        tab = np.zeros((n, nq), dtype=np.int64)
+        for ig, gg in enumerate(elems):
+            ggN = q.rep(gg)
+            for iz, z in enumerate(reps):
+                Mat = t.mu[b][(gg, z)] @ adjoint(t.zeta[e][z]) \
+                    @ adjoint(t.mu[a][(gg, q.add(gab, z))]) @ t.zeta[e][q.add(z, ggN)]
+                tab[ig, iz] = snap(Mat)
+        phi[e] = tab
+    omega = {}
+    for v in t.nerve.vertices:
+        i = v[0]
+        tab = np.zeros((n, n, nq), dtype=np.int64)
+        for ig, gg in enumerate(elems):
+            ggN = q.rep(gg)
+            for ih, hh in enumerate(elems):
+                for iz, z in enumerate(reps):
+                    Mat = t.mu[i][(gg, z)] @ adjoint(t.mu[i][(G.add(gg, hh), z)]) \
+                        @ t.mu[i][(hh, q.add(z, ggN))]
+                    tab[ig, ih, iz] = snap(Mat)
+        omega[i] = tab
+    return psi, phi, omega
+
+
+def _circle_twist(ctx, label):
+    q = ctx.quotient
+    nerve = Nerve.circle()
+    vals = {e: q.zero() for e in nerve.edges}
+    vals[(0, 1)] = q.rep(ctx.G.element(label))
+    return TwistCocycle(nerve, q, vals)
+
+
+# (factors, generators of N, nerve, twist label on edge (0, 1) or None)
+EXTRACTION_CASES = {
+    "z6_twisted_circle": ([6], [[3]], "circle", [1]),
+    "z4_sphere": ([4], [[2]], "sphere", None),
+    "z2xz2_circle": ([2, 2], [[1, 1]], "circle", None),
+    "z2xz4_point": ([2, 4], [[1, 2]], "point", None),
+}
+
+
+def _extraction_fixture(case, d):
+    factors, gens, nerve_name, label = EXTRACTION_CASES[case]
+    ctx = ctx_for(factors, gens)
+    twist = _circle_twist(ctx, label) if label is not None else None
+    return build_random_triple(getattr(Nerve, nerve_name)(), ctx, d=d, seed=17,
+                               twist=twist)
+
+
+def _assert_same_extraction(t):
+    c = extract_total_cocycle(t)
+    psi, phi, omega = reference_extract(t)
+    for got, want in ((c.psi, psi), (c.phi, phi), (c.omega, omega)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype
+            assert np.array_equal(got[key], want[key]), key
+    return c
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(EXTRACTION_CASES))
+def test_batched_extraction_matches_reference(case, d):
+    t = _extraction_fixture(case, d)
+    c = _assert_same_extraction(t)
+    tn = make_dualisable(t, c)
+    cn = _assert_same_extraction(tn)
+    th = dualize(tn, cn)
+    ch = _assert_same_extraction(th)
+    _assert_same_extraction(dualize(th, ch))
+
+
+def _reference_error(t):
+    with pytest.raises(InvalidTripleError) as ref:
+        reference_extract(t)
+    return str(ref.value)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", sorted(EXTRACTION_CASES))
+def test_batched_extraction_fails_like_reference(case, d):
+    t = _extraction_fixture(case, d)
+    i = t.nerve.vertices[-1][0]
+    keys = list(t.mu[i])
+    m = t.ctx.m
+
+    non_scalar = dict(t.mu[i])
+    non_scalar[keys[-1]] = np.diag(np.exp(2j * np.pi * np.arange(d) / (d + 1)))
+    off_root = dict(t.mu[i])
+    off_root[keys[len(keys) // 2]] = off_root[keys[len(keys) // 2]] \
+        * np.exp(1j * np.pi / m ** 2)
+    for mu_i, kind in ((non_scalar, "not scalar"), (off_root, "does not snap")):
+        bad = t.copy_with_mu({**t.mu, i: mu_i})
+        want = _reference_error(bad)
+        assert kind in want
+        with pytest.raises(InvalidTripleError) as got:
+            extract_total_cocycle(bad)
+        assert str(got.value) == want
