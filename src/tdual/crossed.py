@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidTripleError
 from .lca import GroupElement
 from .linops import adjoint, operator_matrix
-from .triples import DualityContext, TripleLocalData, mu_table
+from .triples import DualityContext, TripleLocalData
 
 HOLONOMY_TOL = 1e-9   # Gram eigenvalue above which a loop's defect counts
 
@@ -61,8 +61,8 @@ class CrossedContext:
       perp[b]                       position of the b-th N-perp element
       phases[chi, g]                exp(2 pi i <chi, g>), from G.pairing_table()
 
-    triples.mu_table turns a mu dict into an (n, q, d, d) array on the same
-    positions.
+    A mu table is an (n, q, d, d) array on the same positions, as a vertex's
+    entry of TripleLocalData.mu.
     """
 
     def __init__(self, ctx: DualityContext, d: int):
@@ -140,28 +140,27 @@ class ConvolutionElement:
         return float(np.max(np.abs(self.values)))
 
 
-def convolve(f1: ConvolutionElement, f2: ConvolutionElement, mu: dict) -> ConvolutionElement:
+def convolve(f1: ConvolutionElement, f2: ConvolutionElement,
+             mu: np.ndarray) -> ConvolutionElement:
     cc = f1.cc
-    M = mu_table(cc.ctx, mu)
-    left = f1.values @ adjoint(M)                                   # at (h, z)
-    right = f2.values[cc.sub[:, :, None], cc.shift[None]] @ M       # f2(g-h, z+hN) mu(h, z)
+    left = f1.values @ adjoint(mu)                                  # at (h, z)
+    right = f2.values[cc.sub[:, :, None], cc.shift[None]] @ mu      # f2(g-h, z+hN) mu(h, z)
     return ConvolutionElement(cc, float(cc.weights.w_G) * (left @ right).sum(axis=1))
 
 
-def involute(f: ConvolutionElement, mu: dict) -> ConvolutionElement:
+def involute(f: ConvolutionElement, mu: np.ndarray) -> ConvolutionElement:
     cc = f.cc
-    M = mu_table(cc.ctx, mu)
     back = f.values[cc.neg[:, None], cc.shift]                      # f(-g, z+gN)
-    return ConvolutionElement(cc, adjoint(M) @ adjoint(back) @ M)
+    return ConvolutionElement(cc, adjoint(mu) @ adjoint(back) @ mu)
 
 
-def represent(f: ConvolutionElement, mu: dict) -> np.ndarray:
+def represent(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
     """The matrix of f x _ on L^2(G x G/N) tensor C^d.
 
     (f x F)(g, z) = int_G mu(-g,z)^-1( f(h, z - gN) ) F(g-h, z) dh.
     """
     cc = f.cc
-    Um = mu_table(cc.ctx, mu)[cc.neg]                               # mu(-g, z)
+    Um = mu[cc.neg]                                                 # mu(-g, z)
     # block (g, z) -> (p, z) at p = g - h: f(g - p, z - gN) conjugated by Um
     F = f.values[cc.sub[:, :, None], cc.shift[cc.neg][:, None, :]]
     blocks = adjoint(Um)[:, None] @ F @ Um[:, None]                 # at (g, p, z)
@@ -170,13 +169,13 @@ def represent(f: ConvolutionElement, mu: dict) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def operator_norm(f: ConvolutionElement, mu: dict) -> float:
+def operator_norm(f: ConvolutionElement, mu: np.ndarray) -> float:
     return float(np.linalg.norm(represent(f, mu), 2))
 
 
-def _mu_twisted(f: ConvolutionElement, mu: dict) -> np.ndarray:
+def _mu_twisted(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
     """The table fm(g, z) = f(g, z) mu(g, z)^-1 that the transform integrates."""
-    return f.values @ adjoint(mu_table(f.cc.ctx, mu))
+    return f.values @ adjoint(mu)
 
 
 def conjugated_kernel(cc: CrossedContext, fm: np.ndarray,
@@ -199,7 +198,7 @@ def conjugated_kernel(cc: CrossedContext, fm: np.ndarray,
     return L @ K.reshape(*batch, q * d, q * d) @ adjoint(L)
 
 
-def t_periodicity_residual(f: ConvolutionElement, mu: dict) -> float:
+def t_periodicity_residual(f: ConvolutionElement, mu: np.ndarray) -> float:
     """Deviation of the conjugated kernel under N-perp shifts of the lift."""
     cc = f.cc
     ctx = cc.ctx
@@ -214,7 +213,7 @@ def t_periodicity_residual(f: ConvolutionElement, mu: dict) -> float:
     return res
 
 
-def t_transform(f: ConvolutionElement, mu: dict,
+def t_transform(f: ConvolutionElement, mu: np.ndarray,
                 check_tol: float = 1e-6) -> dict:
     """The dual section z^ -> Lambda-conjugated Fourier kernel, one matrix per z^.
 
@@ -241,7 +240,7 @@ def t_transform(f: ConvolutionElement, mu: dict,
     return out
 
 
-def t_linearized(cc: CrossedContext, mu: dict) -> np.ndarray:
+def t_linearized(cc: CrossedContext, mu: np.ndarray) -> np.ndarray:
     """The transform as one big matrix on flattened coordinates (for rank checks)."""
     zhats = cc.ctx.dual_quotient.reps()
 
@@ -291,20 +290,18 @@ def s_reindex_matrix(ctx: DualityContext) -> np.ndarray:
     return S
 
 
-def mu_is_cocycle(cc: CrossedContext, mu: dict) -> float:
+def mu_is_cocycle(cc: CrossedContext, mu: np.ndarray) -> float:
     """Residual of the exact cocycle law mu(g+h, z) = mu(g, z+hN) mu(h, z)."""
-    M = mu_table(cc.ctx, mu)
-    lhs = M[cc.add[:, :, None], np.arange(cc.q)]                    # at (g, h, z)
-    rhs = M[:, cc.shift] @ M
+    lhs = mu[cc.add[:, :, None], np.arange(cc.q)]                   # at (g, h, z)
+    rhs = mu[:, cc.shift] @ mu
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def trivial_mu(cc: CrossedContext) -> dict:
-    eye = np.eye(cc.d, dtype=complex)
-    return {(g, z): eye for g in cc.elems for z in cc.reps}
+def trivial_mu(cc: CrossedContext) -> np.ndarray:
+    return np.tile(np.eye(cc.d, dtype=complex), (cc.n, cc.q, 1, 1))
 
 
-def verify_point_theorem(ctx: DualityContext, d: int, mu: dict,
+def verify_point_theorem(ctx: DualityContext, d: int, mu: np.ndarray,
                          trials: int = 4, seed: int = 0) -> dict:
     """Residuals for the crossed-product isomorphism over a single chart.
 
@@ -362,7 +359,7 @@ def _transport(cc: CrossedContext, t: TripleLocalData, e: tuple, f: np.ndarray,
     """f_a -> f_b along e = (a, b), f_b(g, z) = zeta_ab(z)^-1 f_a(g, g_ab + z) zeta_ab(z),
     or back from f_b to f_a.  The coset axis of f is its third from last, so
     f may be a value table or a stack of fibre tables."""
-    Z = np.array([t.zeta[e][z] for z in cc.reps])
+    Z = t.zeta[e]
     s = cc.shift[cc.ctx.G.index(t.g.edge_values[e])]               # g_ab + z
     if forward:
         return adjoint(Z) @ np.take(f, s, axis=-3) @ Z
@@ -427,15 +424,13 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
     W = (DFT x 1) zeta^_ab(z^) (DFT^-1 x 1).
     """
     ctx = t.ctx
-    dq = ctx.dual_quotient
-    zhats = dq.reps()
     cc = CrossedContext(ctx, t.fiber_dim)
     rng = np.random.default_rng(seed)
     kron_dft = np.kron(cc.dft(), np.eye(cc.d))
     kron_dft_inv = np.kron(cc.dft_inv(), np.eye(cc.d))
-    # per edge: W stacked over z^, and the z^ order of g^_ab + z^
-    glue = {e: (kron_dft @ np.array([t_hat.zeta[e][zh] for zh in zhats]) @ kron_dft_inv,
-                [dq.add(t_hat.g.edge_values[e], zh) for zh in zhats])
+    # per edge: W stacked over z^, and the positions of g^_ab + z^
+    glue = {e: (kron_dft @ t_hat.zeta[e] @ kron_dft_inv,
+                ctx.shift_hat[ctx.Gd.index(t_hat.g.edge_values[e])])
             for e in t.nerve.edges}
     res_family = 0.0
     res_glue = 0.0
@@ -445,11 +440,10 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
         for e in t.nerve.edges:
             want = _transport(cc, t, e, fam[e[0]].values)
             res_family = max(res_family, float(np.max(np.abs(fam[e[1]].values - want))))
-        T = {i: t_transform(fam[i], t.mu[i]) for i in fam}
-        for e, (W, moved) in glue.items():
-            a, b = e
-            want = adjoint(W) @ np.array([T[a][zh] for zh in moved]) @ W
-            got = np.array([T[b][zh] for zh in zhats])
-            res_glue = max(res_glue, float(np.max(np.abs(got - want))))
+        # t_transform's keys run over the dual quotient's reps, in order
+        T = {i: np.array(list(t_transform(fam[i], t.mu[i]).values())) for i in fam}
+        for (a, b), (W, moved) in glue.items():
+            want = adjoint(W) @ T[a][moved] @ W
+            res_glue = max(res_glue, float(np.max(np.abs(T[b] - want))))
     return {"section_family": res_family, "section_transition": res_glue,
             "edges": len(t.nerve.edges)}

@@ -49,6 +49,7 @@ def context_from_json(data: dict) -> DualityContext:
 def triple_to_json(t: TripleLocalData) -> dict:
     nerve_simplices = [list(s) for k in range(t.nerve.dimension + 1)
                        for s in t.nerve.simplices(k)]
+    elems, reps = t.ctx.G.elements(), t.ctx.quotient.reps()
     return {
         "context": context_to_json(t.ctx),
         "nerve": {"vertices": t.nerve.vertex_count, "simplices": nerve_simplices},
@@ -57,40 +58,63 @@ def triple_to_json(t: TripleLocalData) -> dict:
                   for e, v in t.g.edge_values.items()},
         "zeta": {
             f"{e[0]},{e[1]}": {_elem_key(z): matrix_to_json(U)
-                               for z, U in tab.items()}
-            for e, tab in t.zeta.items()
+                               for z, U in zip(reps, Z)}
+            for e, Z in t.zeta.items()
         },
         "mu": {
-            str(i): {f"{_elem_key(g)}|{_elem_key(z)}": matrix_to_json(U)
-                     for (g, z), U in tab.items()}
-            for i, tab in t.mu.items()
+            str(i): {f"{_elem_key(g)}|{_elem_key(z)}": matrix_to_json(M[ig, iz])
+                     for ig, g in enumerate(elems) for iz, z in enumerate(reps)}
+            for i, M in t.mu.items()
         },
     }
 
 
+def _table(entries: dict, shape: tuple, position, dim: int, where: str) -> np.ndarray:
+    """An array of dim x dim matrices that fills every position of shape exactly once."""
+    out = np.zeros(shape + (dim, dim), complex)
+    seen = np.zeros(shape, dtype=bool)
+    for key, rows in entries.items():
+        p = position(key)
+        M = matrix_from_json(rows)
+        if M.shape != (dim, dim):
+            raise ValueError(f"{where}: entry {key!r} is {M.shape}, want ({dim}, {dim})")
+        if seen[p]:
+            raise ValueError(f"{where}: entry {key!r} repeats a position")
+        seen[p] = True
+        out[p] = M
+    if not seen.all():
+        raise ValueError(f"{where}: {int((~seen).sum())} of {seen.size} entries missing")
+    return out
+
+
 def triple_from_json(data: dict) -> TripleLocalData:
+    """The triple a triple_to_json dict describes; a zeta or mu table that does
+    not cover every position exactly once with legs-dim matrices is refused."""
     ctx = context_from_json(data["context"])
     nerve = Nerve(data["nerve"]["vertices"], data["nerve"]["simplices"])
     G, q = ctx.G, ctx.quotient
+    legs = tuple(data["legs"])
+    dim = int(np.prod(legs))
     twist_vals = {}
     for key, coords in data["twist"].items():
         a, b = (int(x) for x in key.split(","))
         twist_vals[(a, b)] = q.rep(G.element(coords))
     g = TwistCocycle(nerve, q, twist_vals)
+
+    def coset(key: str) -> int:
+        return q.index(_elem_from_key(G, key))
+
+    def cell(key: str) -> tuple[int, int]:
+        gk, zk = key.split("|")
+        return G.index(_elem_from_key(G, gk)), coset(zk)
+
     zeta = {}
     for key, tab in data["zeta"].items():
         a, b = (int(x) for x in key.split(","))
-        zeta[(a, b)] = {q.rep(_elem_from_key(G, zk)): matrix_from_json(M)
-                        for zk, M in tab.items()}
-    mu = {}
-    for ik, tab in data["mu"].items():
-        entries = {}
-        for key, M in tab.items():
-            gk, zk = key.split("|")
-            entries[(_elem_from_key(G, gk), q.rep(_elem_from_key(G, zk)))] = \
-                matrix_from_json(M)
-        mu[int(ik)] = entries
-    return TripleLocalData(nerve, ctx, tuple(data["legs"]), g, zeta, mu)
+        zeta[(a, b)] = _table(tab, (q.order,), coset, dim, f"zeta on edge {key}")
+    mu = {int(ik): _table(tab, (G.order, q.order), cell, dim, f"mu at vertex {ik}")
+          for ik, tab in data["mu"].items()}
+    return TripleLocalData(nerve, ctx, legs, g, zeta, mu)
 
 
 def cocycle_to_json(c: TotalTwoCocycle) -> dict:

@@ -141,8 +141,12 @@ class DualityContext:
         return np.array([self.Gd.index(self.sigma_hat(z))
                          for z in self.dual_quotient.reps()])
 
-    def qz_phase(self, k: int) -> complex:
-        return unit_phase(QZ.of(k, self.m))
+    def qz_phases(self, k) -> np.ndarray:
+        """exp(2 pi i k/m) for each entry of the integer array k, formed entry by
+        entry as unit_phase forms k/m (a vectorised exp differs in the last bit)."""
+        k = np.asarray(k)
+        return np.array([unit_phase(QZ.of(int(x), self.m)) for x in k.flat],
+                        dtype=complex).reshape(k.shape)
 
     def dual(self) -> "DualityContext":
         if self._dual is None:
@@ -171,10 +175,12 @@ class DualityContext:
 class TripleLocalData:
     """Per-chart data (g, zeta, mu) of a dynamical triple on a nerve.
 
-    zeta maps each sorted edge to {z-rep -> U(dim)}; mu maps each vertex
-    to {(g, z-rep) -> U(dim)}.  legs records the tensor factorisation of
-    the fiber (duals prepend an L^2(G/N)-leg).  gauge keeps the chart
-    unitaries of generated fixtures, used to build exterior perturbations.
+    zeta maps each sorted edge to a (q, dim, dim) array of unitaries and mu
+    maps each vertex to an (n, q, dim, dim) array, on the positions of
+    ctx.G.elements() and ctx.quotient.reps(); position 0 is the zero element.
+    legs records the tensor factorisation of the fiber (duals prepend an
+    L^2(G/N)-leg).  gauge keeps the (q, dim, dim) chart unitaries of generated
+    fixtures per vertex, used to build exterior perturbations.
     """
 
     nerve: Nerve
@@ -230,15 +236,12 @@ class TotalTwoCocycle:
 
 def trivial_triple(nerve: Nerve, ctx: DualityContext, d: int = 1) -> TripleLocalData:
     """The fully trivial triple: zero twist, identity zeta and mu."""
-    q = ctx.quotient
+    n, nq = ctx.shift.shape
     eye = np.eye(d, dtype=complex)
-    g = TwistCocycle.trivial(nerve, q)
-    zeta = {e: {z: eye.copy() for z in q.reps()} for e in nerve.edges}
-    mu = {
-        v[0]: {(gg, z): eye.copy() for gg in ctx.G.elements() for z in q.reps()}
-        for v in nerve.vertices
-    }
-    gauge = {v[0]: {z: eye.copy() for z in q.reps()} for v in nerve.vertices}
+    g = TwistCocycle.trivial(nerve, ctx.quotient)
+    zeta = {e: np.tile(eye, (nq, 1, 1)) for e in nerve.edges}
+    mu = {v[0]: np.tile(eye, (n, nq, 1, 1)) for v in nerve.vertices}
+    gauge = {v[0]: np.tile(eye, (nq, 1, 1)) for v in nerve.vertices}
     return TripleLocalData(nerve, ctx, (d,), g, zeta, mu, gauge=gauge)
 
 
@@ -258,11 +261,12 @@ def build_random_triple(nerve: Nerve, ctx: DualityContext, d: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     G, q, m = ctx.G, ctx.quotient, ctx.m
-    n_elems = G.elements()
+    n, nq = ctx.shift.shape
+    shift, lift = ctx.shift, ctx.lift
     reps = q.reps()
 
     # twist: supplied class representative plus a random coboundary
-    r_vals = {v[0]: reps[int(rng.integers(0, len(reps)))] for v in nerve.vertices}
+    r_vals = {v[0]: reps[int(rng.integers(0, nq))] for v in nerve.vertices}
     cob = TwistCocycle.coboundary(nerve, q, r_vals)
     vals = {}
     for e in nerve.edges:
@@ -271,75 +275,40 @@ def build_random_triple(nerve: Nerve, ctx: DualityContext, d: int, seed: int,
     g = TwistCocycle(nerve, q, vals)
 
     # chart gauges and the exactly multiplicative model cocycle
-    gauge = {v[0]: {z: _random_unitary(rng, d) for z in reps} for v in nerve.vertices}
+    gauge = {v[0]: np.array([_random_unitary(rng, d) for _ in range(nq)])
+             for v in nerve.vertices}
 
-    def rand_char() -> GroupElement:
-        return G.element(tuple(int(rng.integers(0, f)) for f in G.factors))
+    def rand_char() -> int:
+        return G.index(G.element(tuple(int(rng.integers(0, f)) for f in G.factors)))
 
     chars = [rand_char() for _ in range(d)]
     chi0 = rand_char()
     beta0 = rand_char()
-    sigma = ctx.sigma
+    # <chi, g> as k/m, and the section defect n(g, z) = g + sigma(z) - sigma(z + gN) in N
+    pair = G.pairing_table() * (m // G.exponent)
+    defect = ctx.sub[G.add_table()[:, lift], lift[shift]]
+    diags = ctx.qz_phases(pair[chars].T)
+    scalar = ctx.qz_phases(pair[chi0][:, None] + pair[beta0][defect])
+    model = scalar[:, :, None, None] * np.array([np.diag(row) for row in diags])[:, None]
 
-    def model(gg: GroupElement, z: GroupElement) -> np.ndarray:
-        # diag of characters times the exact scalar cocycle built from the
-        # section defect n(g, z) = g + sigma(z) - sigma(z + gN) in N
-        diag = np.array([unit_phase(ctx.pair(c, gg)) for c in chars], dtype=complex)
-        defect = G.sub(G.add(gg, sigma(z)), sigma(q.add(z, q.rep(gg))))
-        s = unit_phase(ctx.pair(chi0, gg) + ctx.pair(beta0, defect))
-        return s * np.diag(diag)
-
-    # scalar perturbations: nu on vertices (g, z), s on edges (z)
-    nu = {
-        v[0]: {(gg, z): int(rng.integers(0, m)) if gg != G.zero() else 0
-               for gg in n_elems for z in reps}
-        for v in nerve.vertices
-    }
-    s_edge = {e: {z: int(rng.integers(0, m)) for z in reps} for e in nerve.edges}
-
+    # scalar perturbations: nu on vertices (g, z), zero at g = 0; s on edges (z)
     mu = {}
-    for v in nerve.vertices:
-        i = v[0]
-        w = gauge[i]
-        tab = {}
-        for gg in n_elems:
-            for z in reps:
-                zg = q.add(z, q.rep(gg))
-                tab[(gg, z)] = (ctx.qz_phase(nu[i][(gg, z)])
-                                * adjoint(w[zg]) @ model(gg, z) @ w[z])
-        mu[i] = tab
+    for i, w in gauge.items():
+        nu = [[int(rng.integers(0, m)) if gg else 0 for _ in range(nq)] for gg in range(n)]
+        mu[i] = ctx.qz_phases(nu)[:, :, None, None] * adjoint(w[shift]) @ model @ w
     zeta = {}
-    for e in nerve.edges:
-        a, b = e
-        gab = g.edge_values[e]
-        tab = {}
-        for z in reps:
-            tab[z] = (ctx.qz_phase(s_edge[e][z])
-                      * adjoint(gauge[a][q.add(gab, z)]) @ gauge[b][z])
-        zeta[e] = tab
+    for (a, b) in nerve.edges:
+        s_edge = ctx.qz_phases([int(rng.integers(0, m)) for _ in range(nq)])
+        moved = shift[G.index(g.edge_values[(a, b)])]
+        zeta[(a, b)] = s_edge[:, None, None] * adjoint(gauge[a][moved]) @ gauge[b]
     return TripleLocalData(nerve, ctx, (d,), g, zeta, mu, gauge=gauge)
-
-
-def mu_table(ctx: DualityContext, mu: dict) -> np.ndarray:
-    """A vertex's mu(g, z) as an (n, q, d, d) array, on the positions of
-    G.elements() and quotient.reps()."""
-    reps = ctx.quotient.reps()
-    return np.array([[mu[(gg, z)] for z in reps] for gg in ctx.G.elements()],
-                    dtype=complex)
-
-
-def _tables(t: TripleLocalData) -> tuple[dict, dict]:
-    """zeta as (q, d, d) per edge and mu_table per vertex."""
-    reps = t.ctx.quotient.reps()
-    Z = {e: np.stack([tab[z] for z in reps]) for e, tab in t.zeta.items()}
-    return Z, {i: mu_table(t.ctx, tab) for i, tab in t.mu.items()}
 
 
 def validate_triple(t: TripleLocalData) -> dict:
     """Largest residuals of the structural laws (unitarity, both cocycle laws)."""
     ctx = t.ctx
     shift, add = ctx.shift, ctx.G.add_table()
-    Z, Mu = _tables(t)
+    Z, Mu = t.zeta, t.mu
     eye = np.eye(t.fiber_dim)
     uni = max(float(np.max(np.abs(adjoint(U) @ U - eye)))
               for U in (*Z.values(), *Mu.values()))
@@ -381,7 +350,7 @@ def extract_total_cocycle(t: TripleLocalData) -> TotalTwoCocycle:
     ctx = t.ctx
     G, m = ctx.G, ctx.m
     shift, add = ctx.shift, G.add_table()
-    Z, Mu = _tables(t)
+    Z, Mu = t.zeta, t.mu
 
     def snap(mats: np.ndarray) -> np.ndarray:
         return _snap_stack(mats, m, t.tau_s)
@@ -445,13 +414,7 @@ def normalize(t: TripleLocalData, nu: dict,
         dnu = d_group(GroupCochain(sp1, nu[i]))
         if not np.array_equal(dnu.values % m, om % m):
             raise InvalidTripleError(f"nu does not solve d(nu) = omega at vertex {i}")
-    mu = {}
-    for i, tab in t.mu.items():
-        new = {}
-        for (gg, z), U in tab.items():
-            k = int(nu[i][G.index(gg), q.index(z)])
-            new[(gg, z)] = U * ctx.qz_phase(-k)
-        mu[i] = new
+    mu = {i: M * ctx.qz_phases(-nu[i])[:, :, None, None] for i, M in t.mu.items()}
     return t.copy_with_mu(mu)
 
 
@@ -512,48 +475,42 @@ def dual_transitions(t: TripleLocalData, c: TotalTwoCocycle,
                    . blockdiag_x zeta_ab(-x) . diag_x phi_ab(-sigma(x), 0)^-1
     """
     ctx = t.ctx
-    G, q, m = ctx.G, ctx.quotient, ctx.m
-    reps = q.reps()
-    nq = len(reps)
-    d = t.fiber_dim
-    idx = {z: i for i, z in enumerate(reps)}
+    nq, d = ctx.quotient.order, t.fiber_dim
     eye_d = np.eye(d, dtype=complex)
+    neg_x = ctx.coset[ctx.neg[ctx.lift]]
     out = {}
     for e in t.nerve.edges:
-        gab = t.g.edge_values[e]
-        P = perm_matrix(nq, lambda j: idx[q.sub_(reps[j], gab)])
-        B = block_diag([t.zeta[e][q.neg(x)] for x in reps])
+        ig = ctx.G.index(t.g.edge_values[e])
+        P = perm_matrix(nq, ctx.shift[ctx.neg[ig]].__getitem__)     # x -> x - g_ab
+        B = block_diag(t.zeta[e][neg_x])
         # phi_ab(-sigma(x), 0) as m-th roots; column 0 is the zero coset
-        d2 = np.exp(2j * np.pi * c.phi[e][ctx.neg[ctx.lift], 0] / m)
+        d2 = np.exp(2j * np.pi * c.phi[e][ctx.neg[ctx.lift], 0] / ctx.m)
         right = np.kron(P, eye_d) @ B @ np.kron(np.diag(d2.conj()), eye_d)
         # d1[z^, x] = <sigma^(g^_ab + z^), sigma(x + g_ab) - sigma(x)>
         arg = ctx.lift_hat[ctx.shift_hat[ctx.Gd.index(ghat.edge_values[e])]]
-        step = ctx.sub[ctx.lift[ctx.shift[G.index(gab)]], ctx.lift]
+        step = ctx.sub[ctx.lift[ctx.shift[ig]], ctx.lift]
         d1 = np.repeat(ctx.phases[arg[:, None], step], d, axis=1)
-        out[e] = {zhat: d1[k][:, None] * right
-                  for k, zhat in enumerate(ctx.dual_quotient.reps())}
+        out[e] = d1[:, :, None] * right
     return out
 
 
-def dual_decker(ctx: DualityContext, legs: tuple[int, ...]) -> dict:
-    """mu^(chi, z^) = diag_x <chi, -sigma(x)> tensor identity; vertex independent."""
+def dual_decker(ctx: DualityContext, legs: tuple[int, ...]) -> np.ndarray:
+    """mu^(chi, z^) = diag_x <chi, -sigma(x)> tensor identity, as an (n, q^, D, D)
+    table; vertex independent and constant in z^."""
     diags = np.repeat(ctx.phases[:, ctx.lift].conj(), int(np.prod(legs)), axis=1)
     mats = diags[:, :, None] * np.eye(diags.shape[1])
-    return {(chi, zhat): mats[i] for i, chi in enumerate(ctx.Gd.elements())
-            for zhat in ctx.dual_quotient.reps()}
+    return np.repeat(mats[:, None], ctx.dual_quotient.order, axis=1)
 
 
 def dual_phi_closed_form(ctx: DualityContext, gab: GroupElement,
-                         ghat_ab: GroupElement, chi: GroupElement,
-                         zhat: GroupElement) -> QZ:
-    """phi^_ab(chi, z^)^-1 = <s(z^+g^+chiNp) - chi - s(z^+g^), -sigma(g_ab)>."""
-    dq = ctx.dual_quotient
-    sigma, sigma_hat = ctx.sigma, ctx.sigma_hat
-    base = dq.add(zhat, ghat_ab)
-    lift_shift = sigma_hat(dq.add(base, dq.rep(chi)))
-    lhs = ctx.Gd.sub(ctx.Gd.sub(lift_shift, chi), sigma_hat(base))
-    inv = pairing(ctx.G, lhs, ctx.G.neg(sigma(gab)))
-    return -inv
+                         ghat_ab: GroupElement) -> np.ndarray:
+    """phi^_ab(chi, z^) as an (n, q^) Z/m table, from its inverse
+    <s^(z^+g^+chiNp) - chi - s^(z^+g^), -sigma(g_ab)>."""
+    base = ctx.shift_hat[ctx.Gd.index(ghat_ab)]                      # z^ + g^
+    chi = np.arange(ctx.Gd.order)[:, None]
+    lhs = ctx.sub[ctx.sub[ctx.lift_hat[ctx.shift_hat[:, base]], chi], ctx.lift_hat[base]]
+    inv = ctx.G.pairing_table()[lhs, ctx.neg[ctx.lift[ctx.coset[ctx.G.index(gab)]]]]
+    return -inv * (ctx.m // ctx.G.exponent) % ctx.m
 
 
 def dualize(t: TripleLocalData, c: Optional[TotalTwoCocycle] = None,
@@ -590,8 +547,8 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
                     c_hat: Optional[TotalTwoCocycle] = None) -> dict:
     """Residuals of the dual-side laws, plus the closed-form check for phi^."""
     ctx = t.ctx
-    Gd, dq, shift = ctx.Gd, ctx.dual_quotient, t_hat.ctx.shift
-    Zh, Muh = _tables(t_hat)
+    Gd, shift = ctx.Gd, t_hat.ctx.shift
+    Zh, Muh = t_hat.zeta, t_hat.mu
     res_cech = 0.0
     for a, b, c in t.nerve.simplices(2):
         moved = shift[Gd.index(t_hat.g.edge_values[(b, c)])]
@@ -600,25 +557,19 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
     res_decker = 0.0
     res_phi_form = 0.0
     for (a, b), Ze in Zh.items():
-        gab, ghat_ab = t.g.edge_values[(a, b)], t_hat.g.edge_values[(a, b)]
+        ghat_ab = t_hat.g.edge_values[(a, b)]
         lhs = adjoint(Ze[shift]) @ Muh[a][:, shift[Gd.index(ghat_ab)]] @ Ze
-        phase = np.empty(shift.shape, dtype=complex)
-        for ichi, chi in enumerate(Gd.elements()):
-            for iz, zhat in enumerate(dq.reps()):
-                want = dual_phi_closed_form(ctx, gab, ghat_ab, chi, zhat)
-                phase[ichi, iz] = unit_phase(-want)
-                if c_hat is not None and QZ.of(int(c_hat.phi[(a, b)][ichi, iz]),
-                                               ctx.m) != want:
-                    res_phi_form = 1.0
-        rhs = Muh[b] * phase[:, :, None, None]
+        want = dual_phi_closed_form(ctx, t.g.edge_values[(a, b)], ghat_ab)
+        if c_hat is not None and np.any(c_hat.phi[(a, b)] % ctx.m != want):
+            res_phi_form = 1.0
+        rhs = Muh[b] * ctx.qz_phases(-want)[:, :, None, None]
         res_decker = max(res_decker, float(np.max(np.abs(lhs - rhs))))
     # periodicity of mu^ in chi by N-perp: defect is the diagonal <nperp, -sigma(_)>
     res_periodic = 0.0
     M = Muh[t.nerve.vertices[0][0]]
-    for nperp in ctx.Nperp.elements():
-        want = np.diag(np.repeat(ctx.phases[Gd.index(nperp), ctx.lift].conj(),
-                                 t.fiber_dim))
-        got = M[Gd.add_table()[:, Gd.index(nperp)]] @ adjoint(M)
+    for nperp in np.flatnonzero(ctx.coset_hat == ctx.coset_hat[0]):
+        want = np.diag(np.repeat(ctx.phases[nperp, ctx.lift].conj(), t.fiber_dim))
+        got = M[Gd.add_table()[:, nperp]] @ adjoint(M)
         res_periodic = max(res_periodic, float(np.max(np.abs(got - want))))
     return {
         "dual_cech_law": res_cech,
@@ -640,12 +591,12 @@ def cocycle_certificate(c1: TotalTwoCocycle, c2: TotalTwoCocycle) -> Optional[To
 
 def involution_report(t: TripleLocalData, c: TotalTwoCocycle,
                       t_hat: TripleLocalData, c_hat: TotalTwoCocycle) -> dict:
-    """verify_involution from a normalised t, its dual t_hat and their cocycles.
+    """The involution checks from a normalised t, its dual t_hat and their cocycles.
 
     Dualises t_hat again; checks the base cocycle returns exactly and certifies
-    the double dual's scalar cocycle against c by an exactly re-checked coboundary."""
-    report = dual_law_report(t, t_hat, c_hat)
-    report["dual_omega_zero"] = 0.0 if c_hat.omega_is_zero() else 1.0
+    the double dual's scalar cocycle against c by an exactly re-checked coboundary.
+    The dual-side laws of (t, t_hat) are dual_law_report's."""
+    report = {"dual_omega_zero": 0.0 if c_hat.omega_is_zero() else 1.0}
     t_dd = dualize(t_hat, c_hat)
     c_dd = extract_total_cocycle(t_dd)
     same_base = all(
@@ -669,28 +620,32 @@ def verify_involution(t: TripleLocalData) -> dict:
     t = make_dualisable(t)
     c = extract_total_cocycle(t)
     t_hat = dualize(t, c)
-    return involution_report(t, c, t_hat, extract_total_cocycle(t_hat))
+    c_hat = extract_total_cocycle(t_hat)
+    return {**dual_law_report(t, t_hat, c_hat), **involution_report(t, c, t_hat, c_hat)}
 
 
 # ---------------------------------------------------------------------------
 # the Poincare phase and its checks
 
-def kappa_phase(ctx: DualityContext, z: GroupElement, zhat: GroupElement,
-                sigma: Optional[Section] = None,
-                sigma_hat: Optional[Section] = None) -> np.ndarray:
-    """Diagonal of <sigma^(z^), sigma(x - z) - sigma(x)> over x in G/N."""
-    q = ctx.quotient
-    sg = ctx.lift if sigma is None else np.array([ctx.G.index(sigma(x)) for x in q.reps()])
-    sh = sigma_hat if sigma_hat is not None else ctx.sigma_hat
-    x_minus_z = ctx.shift[ctx.neg[ctx.lift[q.index(z)]]]
-    return ctx.phases[ctx.Gd.index(sh(zhat)), ctx.sub[sg[x_minus_z], sg]]
+def kappa_phase(ctx: DualityContext) -> np.ndarray:
+    """kappa[z, z^, x] = <sigma^(z^), sigma(x - z) - sigma(x)>, a (q, q^, q) table."""
+    lift = ctx.lift
+    step = ctx.sub[lift[ctx.shift[ctx.neg[lift]]], lift]              # [z, x]
+    return ctx.phases[ctx.lift_hat[:, None], step[:, None, :]]
 
 
-def kappa_hat_phase(ctx: DualityContext, z: GroupElement, zhat: GroupElement) -> np.ndarray:
-    """Diagonal of <sigma^(y - z^) - sigma^(y), sigma(z)> over y in G^/N-perp."""
+def kappa_hat_phase(ctx: DualityContext) -> np.ndarray:
+    """kappa^[z, z^, y] = <sigma^(y - z^) - sigma^(y), sigma(z)>, a (q, q^, q^) table."""
     lh = ctx.lift_hat
-    y_minus_zhat = ctx.shift_hat[ctx.neg[lh[ctx.dual_quotient.index(zhat)]]]
-    return ctx.phases[ctx.sub[lh[y_minus_zhat], lh], ctx.lift[ctx.quotient.index(z)]]
+    step = ctx.sub[lh[ctx.shift_hat[ctx.neg[lh]]], lh]                # [z^, y]
+    return ctx.phases[step[None], ctx.lift[:, None, None]]
+
+
+def _translation(ctx: DualityContext, iz: int, d: int) -> np.ndarray:
+    """Translation by the z-th coset on L^2(G/N), tensor the identity on C^d."""
+    nq = ctx.quotient.order
+    return np.kron(perm_matrix(nq, ctx.shift[ctx.lift[iz]].__getitem__),
+                   np.eye(d, dtype=complex))
 
 
 def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
@@ -721,26 +676,21 @@ def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
                 res_a = 1.0
 
     # (b) unitary implementation of kappa tensor kappa-hat
-    nq, nd = len(q.reps()), len(dq.reps())
-    qidx = {x: i for i, x in enumerate(q.reps())}
-    didx = {y: i for i, y in enumerate(dq.reps())}
+    nq, nd = q.order, dq.order
+    kap, kap_hat = kappa_phase(ctx), kappa_hat_phase(ctx)
     mvals = ctx.phases[np.ix_(ctx.lift_hat, ctx.lift)].T
     M = np.diag(mvals.reshape(-1))           # multiplication by <s^(y), s(x)>
     res_b = 0.0
-    for z in q.reps():
-        for zhat in dq.reps():
-            lam = np.kron(
-                perm_matrix(nq, lambda j: qidx[q.add(q.reps()[j], z)]),
-                np.eye(nd, dtype=complex))
+    for iz in range(nq):
+        lam = _translation(ctx, iz, nd)
+        for izh in range(nd):
             lam_hat = np.kron(
                 np.eye(nq, dtype=complex),
-                perm_matrix(nd, lambda j: didx[dq.add(dq.reps()[j], zhat)]))
+                perm_matrix(nd, ctx.shift_hat[ctx.lift_hat[izh]].__getitem__))
             W = lam_hat @ lam @ M.conj() @ adjoint(lam_hat) @ M \
                 @ adjoint(lam) @ lam_hat @ M @ adjoint(lam_hat) @ M.conj()
-            target = np.kron(np.diag(kappa_phase(ctx, z, zhat)),
-                             np.eye(nd, dtype=complex)) \
-                @ np.kron(np.eye(nq, dtype=complex),
-                          np.diag(kappa_hat_phase(ctx, z, zhat)))
+            target = np.kron(np.diag(kap[iz, izh]), np.eye(nd, dtype=complex)) \
+                @ np.kron(np.eye(nq, dtype=complex), np.diag(kap_hat[iz, izh]))
             res_b = max(res_b, scalar_deviation(adjoint(target) @ W))
 
     # (c) [Q]+[R] = 0: nu_cd . nu-perp_ab = delta(<s^_a(..), s_c(_)>) exactly
@@ -770,7 +720,8 @@ def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
 # the local topologicalisation map
 
 def build_kappa_top(t: TripleLocalData, t_hat: TripleLocalData) -> tuple[dict, dict]:
-    """Per-vertex unitaries kappa_i(z, z^) and their gluing report.
+    """Per-vertex unitaries kappa_i(z, z^), as (q, q^, D, D) tables, and their
+    gluing report.
 
     kappa_i(z, z^) = (kappa-phase(z, z^) tensor 1) mu_i(-sigma(_), z)^-1
                      (translation-by-z tensor 1),
@@ -779,47 +730,38 @@ def build_kappa_top(t: TripleLocalData, t_hat: TripleLocalData) -> tuple[dict, d
     alpha_ab(z, z^) = <s^(g^_ab + z^) - s^(z^), sigma(z)> . (z^-independent).
     """
     ctx = t.ctx
-    q, dq = ctx.quotient, ctx.dual_quotient
-    G = ctx.G
-    reps = q.reps()
-    nq = len(reps)
-    d = t.fiber_dim
-    idx = {z: i for i, z in enumerate(reps)}
+    nq, nd, d = ctx.quotient.order, ctx.dual_quotient.order, t.fiber_dim
     eye_d = np.eye(d, dtype=complex)
-    sigma = ctx.sigma
-
+    kap = kappa_phase(ctx)
+    P = [_translation(ctx, iz, d) for iz in range(nq)]
+    D = [[np.kron(np.diag(kap[iz, izh]), eye_d) for izh in range(nd)] for iz in range(nq)]
     kappa = {}
     for v in t.nerve.vertices:
-        i = v[0]
-        tab = {}
-        for z in reps:
-            Pz = np.kron(perm_matrix(nq, lambda j: idx[q.add(reps[j], z)]), eye_d)
-            Bi = block_diag([t.mu[i][(G.neg(sigma(x)), z)] for x in reps])
-            for zhat in dq.reps():
-                D = np.kron(np.diag(kappa_phase(ctx, z, zhat)), eye_d)
-                tab[(z, zhat)] = D @ adjoint(Bi) @ Pz
-        kappa[i] = tab
+        M = t.mu[v[0]][ctx.neg[ctx.lift]]                             # mu_i(-sigma(x), z)
+        B = [adjoint(block_diag(M[:, iz])) for iz in range(nq)]
+        kappa[v[0]] = np.array([[D[iz][izh] @ B[iz] @ P[iz] for izh in range(nd)]
+                                for iz in range(nq)])
 
     res_glue = 0.0
     res_alpha = 0.0
     eye_q = np.eye(nq, dtype=complex)
     for e in t.nerve.edges:
         a, b = e
-        gab = t.g.edge_values[e]
-        ghat_ab = t_hat.g.edge_values[e]
-        alphas = np.zeros((nq, len(dq.reps())), dtype=complex)
-        for iz, z in enumerate(reps):
-            for izh, zhat in enumerate(dq.reps()):
-                lhs = kappa[a][(q.add(gab, z), dq.add(ghat_ab, zhat))] \
-                    @ t_hat.zeta[e][zhat] @ adjoint(kappa[b][(z, zhat)])
-                target = np.kron(eye_q, t.zeta[e][z])
+        ig = ctx.G.index(t.g.edge_values[e])
+        igh = ctx.Gd.index(t_hat.g.edge_values[e])
+        alphas = np.zeros((nq, nd), dtype=complex)
+        for iz in range(nq):
+            target = np.kron(eye_q, t.zeta[e][iz])
+            for izh in range(nd):
+                lhs = kappa[a][ctx.shift[ig, iz], ctx.shift_hat[igh, izh]] \
+                    @ t_hat.zeta[e][izh] @ adjoint(kappa[b][iz, izh])
                 M = lhs @ adjoint(target)
                 res_glue = max(res_glue, scalar_deviation(M))
                 s = complex(np.trace(M)) / M.shape[0]
                 alphas[iz, izh] = 1.0 / s          # alpha = inverse defect
         # alpha factorisation against beta(z, z^) = <s^(g^_ab + z^) - s^(z^), sigma(z)>,
         # with the z^-independent part fitted at z^ = 0 (column 0)
-        moved = ctx.lift_hat[ctx.shift_hat[ctx.Gd.index(ghat_ab)]]
+        moved = ctx.lift_hat[ctx.shift_hat[igh]]
         beta = ctx.phases[ctx.sub[moved, ctx.lift_hat]][:, ctx.lift].T
         const = alphas[:, :1] / beta[:, :1]
         res_alpha = max(res_alpha, float(np.max(np.abs(alphas - beta * const))))
@@ -838,22 +780,14 @@ def exterior_perturbation(t: TripleLocalData, seed: int = 0) -> TripleLocalData:
     """
     if t.gauge is None:
         raise InvalidTripleError("exterior perturbation needs fixture gauge data")
-    ctx = t.ctx
-    G, q = ctx.G, ctx.quotient
     rng = np.random.default_rng(seed)
     V = _random_unitary(rng, t.fiber_dim)
-    vfam = {
-        i: {z: adjoint(w[z]) @ V @ w[z] for z in q.reps()}
-        for i, w in t.gauge.items()
-    }
     mu = {}
-    for i, tab in t.mu.items():
-        new = {}
-        for (gg, z), U in tab.items():
-            zg = q.add(z, q.rep(gg))
-            c_i = adjoint(U) @ vfam[i][zg] @ U @ adjoint(vfam[i][z])
-            new[(gg, z)] = U @ c_i
-        mu[i] = new
+    for i, M in t.mu.items():
+        w = t.gauge[i]
+        vfam = adjoint(w) @ V @ w
+        c_i = adjoint(M) @ vfam[t.ctx.shift] @ M @ adjoint(vfam)
+        mu[i] = M @ c_i
     return t.copy_with_mu(mu)
 
 
@@ -861,40 +795,32 @@ def exterior_family_residuals(t: TripleLocalData, t2: TripleLocalData) -> dict:
     """Residuals of the compatibility laws for c_i = mu_i^-1 mu'_i."""
     ctx = t.ctx
     shift, add = ctx.shift, ctx.G.add_table()
-    Z, Mu = _tables(t)
-    Mu2 = _tables(t2)[1]
-    C = {i: adjoint(M) @ Mu2[i] for i, M in Mu.items()}
+    C = {i: adjoint(M) @ t2.mu[i] for i, M in t.mu.items()}
     res_e1 = 0.0
-    for (a, b), Ze in Z.items():
+    for (a, b), Ze in t.zeta.items():
         moved = shift[ctx.G.index(t.g.edge_values[(a, b)])]
         rhs = Ze @ C[b] @ adjoint(Ze)
         res_e1 = max(res_e1, float(np.max(np.abs(C[a][:, moved] - rhs))))
     hs = np.arange(len(add))[:, None]
     res_e2 = max(float(np.max(np.abs(
         C[i][add[:, g]] - adjoint(M[g]) @ C[i][hs, shift[g]] @ M[g] @ C[i][g])))
-        for i, M in Mu.items() for g in range(len(add)))
+        for i, M in t.mu.items() for g in range(len(add)))
     return {"exterior_e1": res_e1, "exterior_e2": res_e2}
 
 
 def relift(t: TripleLocalData, seed: int = 0) -> TripleLocalData:
-    """Multiply zeta and mu by fresh random m-th-root scalars.
+    """Multiply zeta and mu by fresh random m-th-root scalars (none on mu(0, _)).
 
     The underlying projective triple is unchanged; the extracted scalar
     cocycle moves by an exact coboundary.
     """
     ctx = t.ctx
     rng = np.random.default_rng(seed)
-    m = ctx.m
-    zeta = {}
-    for e, tab in t.zeta.items():
-        zeta[e] = {z: U * ctx.qz_phase(int(rng.integers(0, m)))
-                   for z, U in tab.items()}
-    mu = {}
-    for i, tab in t.mu.items():
-        new = {}
-        for (gg, z), U in tab.items():
-            k = int(rng.integers(0, m)) if gg != ctx.G.zero() else 0
-            new[(gg, z)] = U * ctx.qz_phase(k)
-        mu[i] = new
+    m, (n, nq) = ctx.m, ctx.shift.shape
+    zeta = {e: Z * ctx.qz_phases([int(rng.integers(0, m)) for _ in range(nq)])[:, None, None]
+            for e, Z in t.zeta.items()}
+    mu = {i: M * ctx.qz_phases([[int(rng.integers(0, m)) if g else 0 for _ in range(nq)]
+                                for g in range(n)])[:, :, None, None]
+          for i, M in t.mu.items()}
     return TripleLocalData(t.nerve, ctx, t.legs, t.g, zeta, mu,
                            t.tau_s, t.tau_u, t.gauge)

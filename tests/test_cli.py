@@ -281,11 +281,24 @@ class TestStages:
         # fixture, normalised, dual, double dual and the exterior relift
         assert calls == {"extract_total_cocycle": 5, "dualize": 2}
 
+    def test_all_run_checks_dual_laws_three_times(self, monkeypatch, tmp_path):
+        calls = []
+        fn = triples.dual_law_report
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return fn(*args, **kw)
+        monkeypatch.setattr(triples, "dual_law_report", counted)
+        assert main(["run", "z6_circle", "-o", str(tmp_path / "r.json")]) == 0
+        # inside both dualize calls, and once for check_dualize and check_involution
+        assert len(calls) == 3
+
     def test_verify_involution_matches_workspace_report(self):
         ws = Workspace(load_scenario("z6_circle"))
         want = triples.verify_involution(ws.fixture())
-        got = triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual(),
-                                        ws.dual_cocycle())
+        got = {**ws.dual_laws(),
+               **triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual(),
+                                           ws.dual_cocycle())}
         assert got.keys() == want.keys()
         for key in want:
             if key == "certificate":

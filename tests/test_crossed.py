@@ -205,12 +205,12 @@ class TestTransform:
         # cocycle law itself is what detects bad mu (see mu_is_cocycle)
         cc = CrossedContext(z4ctx, 1)
         rng = np.random.default_rng(6)
-        bad = {}
-        for g in cc.elems:
-            for z in cc.reps:
+        bad = np.zeros((cc.n, cc.q, 1, 1), complex)
+        for ig in range(cc.n):
+            for iz in range(cc.q):
                 ph = np.exp(2j * np.pi * rng.random())
-                bad[(g, z)] = np.array([[ph]])
-        bad[(z4ctx.G.zero(), cc.reps[0])] = np.array([[1.0 + 0j]])
+                bad[ig, iz] = np.array([[ph]])
+        bad[0, 0] = np.array([[1.0 + 0j]])
         assert mu_is_cocycle(cc, bad) > 1e-6
         f = ConvolutionElement.random(cc, rng)
         assert t_periodicity_residual(f, bad) < 1e-9
@@ -251,9 +251,8 @@ class TestLambda:
         from tdual.triples import dual_decker
         cc = CrossedContext(z4ctx, 1)
         tab = dual_decker(z4ctx, (1,))
-        zhat0 = z4ctx.dual_quotient.zero()
-        for chi in z4ctx.Gd.elements():
-            D = tab[(chi, zhat0)]
+        for ichi, chi in enumerate(z4ctx.Gd.elements()):
+            D = tab[ichi, 0]
             want = cc.dft() @ D @ cc.dft_inv()
             assert np.max(np.abs(cc.lam(chi) - want)) < 1e-12
 
@@ -354,6 +353,12 @@ def test_element_serialization_roundtrip(z4ctx):
 # ---------------------------------------------------------------------------
 # the table-based operations against per-element loops on the exact pairing
 
+def _keyed(cc, mu):
+    """A mu table as a dict keyed by (g, z) pairs."""
+    return {(g, z): mu[ig, iz] for ig, g in enumerate(cc.elems)
+            for iz, z in enumerate(cc.reps)}
+
+
 def _ref_dft(cc):
     ctx, w = cc.ctx, float(cc.weights.w_quot)
     F = np.array([[w * unit_phase(ctx.pair(b, ctx.sigma(z))) for z in cc.reps]
@@ -453,16 +458,16 @@ def test_dft_and_lam_match_pairing_loops(table_case):
 
 def test_algebra_matches_pairing_loops(table_case):
     cc, mu = table_case
+    keyed = _keyed(cc, mu)
     rng = np.random.default_rng(11)
     f1, f2 = (ConvolutionElement.random(cc, rng) for _ in range(2))
-    assert np.max(np.abs(convolve(f1, f2, mu).values - _ref_convolve(f1, f2, mu))) < 1e-12
-    assert np.max(np.abs(involute(f1, mu).values - _ref_involute(f1, mu))) < 1e-12
-    assert np.max(np.abs(represent(f1, mu) - _ref_represent(f1, mu))) < 1e-12
-    assert abs(mu_is_cocycle(cc, mu) - _ref_mu_cocycle(cc, mu)) < 1e-12
-    bad = dict(mu)
-    key = (cc.elems[1], cc.reps[0])
-    bad[key] = 1j * mu[key]
-    assert abs(mu_is_cocycle(cc, bad) - _ref_mu_cocycle(cc, bad)) < 1e-12
+    assert np.max(np.abs(convolve(f1, f2, mu).values - _ref_convolve(f1, f2, keyed))) < 1e-12
+    assert np.max(np.abs(involute(f1, mu).values - _ref_involute(f1, keyed))) < 1e-12
+    assert np.max(np.abs(represent(f1, mu) - _ref_represent(f1, keyed))) < 1e-12
+    assert abs(mu_is_cocycle(cc, mu) - _ref_mu_cocycle(cc, keyed)) < 1e-12
+    bad = mu.copy()
+    bad[1, 0] = 1j * mu[1, 0]
+    assert abs(mu_is_cocycle(cc, bad) - _ref_mu_cocycle(cc, _keyed(cc, bad))) < 1e-12
 
 
 def test_conjugated_kernel_matches_pairing_loops(table_case):
@@ -472,7 +477,7 @@ def test_conjugated_kernel_matches_pairing_loops(table_case):
     fm1, fm2 = _mu_twisted(f1, mu), _mu_twisted(f2, mu)
     for chi in cc.ctx.Gd.elements():
         K = conjugated_kernel(cc, fm1, chi)
-        assert np.max(np.abs(K - _ref_kernel(cc, f1, mu, chi))) < 1e-12
+        assert np.max(np.abs(K - _ref_kernel(cc, f1, _keyed(cc, mu), chi))) < 1e-12
         # a leading batch runs each element through the same products
         batch = conjugated_kernel(cc, np.stack([fm1, fm2]), chi)
         assert np.array_equal(batch[0], K)

@@ -66,11 +66,9 @@ class TestFixtures:
         a = build_random_triple(Nerve.circle(), z6ctx, d=2, seed=9)
         b = build_random_triple(Nerve.circle(), z6ctx, d=2, seed=9)
         for e in a.nerve.edges:
-            for z, U in a.zeta[e].items():
-                assert np.array_equal(U, b.zeta[e][z])
+            assert np.array_equal(a.zeta[e], b.zeta[e])
         for i in a.mu:
-            for key, U in a.mu[i].items():
-                assert np.array_equal(U, b.mu[i][key])
+            assert np.array_equal(a.mu[i], b.mu[i])
 
     def test_trivial_triple_gives_zero_cocycle(self, z6ctx):
         t = trivial_triple(Nerve.circle(), z6ctx, 1)
@@ -112,10 +110,10 @@ class TestExtraction:
         t = trivial_triple(nerve, ctx, 1)
         chi0 = ctx.G.element([1])
         mu = {
-            i: {key: np.array([[np.exp(2j * np.pi
-                                       * pairing(ctx.G, chi0, key[0]).as_fraction())]])
-                for key in tab}
-            for i, tab in t.mu.items()
+            i: np.array([[np.array([[np.exp(2j * np.pi
+                                            * pairing(ctx.G, chi0, gg).as_fraction())]])
+                          for _ in ctx.quotient.reps()] for gg in ctx.G.elements()])
+            for i in t.mu
         }
         t2 = t.copy_with_mu(mu)
         c = extract_total_cocycle(t2)
@@ -129,9 +127,8 @@ class TestExtraction:
 
     def test_non_scalar_input_rejected(self, z6ctx):
         t = trivial_triple(Nerve.circle(), z6ctx, 2)
-        bad = dict(t.mu[0])
-        key = next(iter(bad))
-        bad[key] = np.diag([1.0, 1j])   # not scalar, still unitary
+        bad = t.mu[0].copy()
+        bad[0, 0] = np.diag([1.0, 1j])   # not scalar, still unitary
         t2 = t.copy_with_mu({**t.mu, 0: bad})
         with pytest.raises(InvalidTripleError):
             extract_total_cocycle(t2)
@@ -211,7 +208,7 @@ class TestDualData:
                    for v in ghat.edge_values.values())
         th = dualize(t, c)
         for e in t.nerve.edges:
-            for zhat, U in th.zeta[e].items():
+            for U in th.zeta[e]:
                 assert np.max(np.abs(U - np.eye(U.shape[0]))) < 1e-12
 
     def test_dual_base_pairing_consistency(self, z6fix, z6ctx):
@@ -248,9 +245,7 @@ class TestDualData:
 
     def test_dual_decker_identity_at_zero(self, z6ctx):
         tab = dual_decker(z6ctx, (2,))
-        chi0 = z6ctx.Gd.zero()
-        for zhat in z6ctx.dual_quotient.reps():
-            U = tab[(chi0, zhat)]
+        for U in tab[0]:                 # chi = 0 sits at position 0
             assert np.max(np.abs(U - np.eye(U.shape[0]))) < 1e-12
 
     def test_dual_data_section_independent_up_to_coboundary(self, z6ctx):
@@ -316,7 +311,7 @@ class TestKappaTop:
         # kappa of the trivial triple is the plain translation operator
         q = z6ctx.quotient
         z = q.reps()[1]
-        got = kappa[0][(z, z6ctx.dual_quotient.zero())]
+        got = kappa[0][1, 0]
         nq = q.order
         P = np.zeros((nq, nq), complex)
         for j, x in enumerate(q.reps()):
@@ -400,8 +395,59 @@ def test_serialization_roundtrip(z6fix):
     assert cj["modulus"] == z6fix.ctx.m
 
 
+def _sphere_fixture():
+    return make_dualisable(build_random_triple(
+        Nerve.sphere(), ctx_for([2, 4], [[1, 2]]), d=2, seed=7))
+
+
+@pytest.mark.parametrize("make", [lambda t: t, lambda t: dualize(t),
+                                  lambda t: relift(exterior_perturbation(t, 3), 4)],
+                         ids=["fixture", "dual", "relifted"])
+def test_serialization_roundtrip_is_exact(make):
+    from tdual.serialize import triple_from_json, triple_to_json
+    import json
+    t = make(_sphere_fixture())
+    blob = json.dumps(triple_to_json(t))
+    t2 = triple_from_json(json.loads(blob))
+    assert t2.zeta.keys() == t.zeta.keys() and t2.mu.keys() == t.mu.keys()
+    for e in t.zeta:
+        assert np.array_equal(t2.zeta[e], t.zeta[e])
+    for i in t.mu:
+        assert np.array_equal(t2.mu[i], t.mu[i])
+    assert json.dumps(triple_to_json(t2)) == blob
+
+
+def test_serialization_refuses_incomplete_tables():
+    from tdual.serialize import triple_from_json, triple_to_json
+    import json
+    data = triple_to_json(_sphere_fixture())
+    missing = json.loads(json.dumps(data))
+    missing["mu"]["2"].pop(next(iter(missing["mu"]["2"])))
+    with pytest.raises(ValueError, match="mu at vertex 2"):
+        triple_from_json(missing)
+    small = json.loads(json.dumps(data))
+    key = next(iter(small["zeta"]["0,1"]))
+    small["zeta"]["0,1"][key] = [[[1.0, 0.0]]]
+    with pytest.raises(ValueError, match="zeta on edge 0,1"):
+        triple_from_json(small)
+    # (1, 2) lies in N, so it names the zero coset a second time
+    twice = json.loads(json.dumps(data))
+    twice["zeta"]["0,1"]["1,2"] = twice["zeta"]["0,1"]["0,0"]
+    with pytest.raises(ValueError, match="repeats a position"):
+        triple_from_json(twice)
+
+
 # ---------------------------------------------------------------------------
 # batched extraction against the per-matrix loop it replaced
+
+def _keyed(t):
+    """zeta and mu as dicts keyed by quotient reps and (g, z) pairs."""
+    elems, reps = t.ctx.G.elements(), t.ctx.quotient.reps()
+    zeta = {e: dict(zip(reps, Z)) for e, Z in t.zeta.items()}
+    mu = {i: {(gg, z): M[ig, iz] for ig, gg in enumerate(elems) for iz, z in enumerate(reps)}
+          for i, M in t.mu.items()}
+    return zeta, mu
+
 
 def reference_extract(t):
     """(psi, phi, omega) by one scalar_part + snap_phase per matrix, in loop order."""
@@ -410,6 +456,7 @@ def reference_extract(t):
     G, q, m = ctx.G, ctx.quotient, ctx.m
     reps, elems = q.reps(), G.elements()
     n, nq = len(elems), len(reps)
+    zeta, mu = _keyed(t)
 
     def snap(Mat):
         return snap_phase(scalar_part(Mat, t.tau_s), m, t.tau_s)
@@ -420,8 +467,8 @@ def reference_extract(t):
         gbc = t.g.edge_values[(b, c)]
         row = np.zeros(nq, dtype=np.int64)
         for iz, z in enumerate(reps):
-            Mat = adjoint(t.zeta[(a, c)][z]) @ t.zeta[(a, b)][q.add(gbc, z)] \
-                @ t.zeta[(b, c)][z]
+            Mat = adjoint(zeta[(a, c)][z]) @ zeta[(a, b)][q.add(gbc, z)] \
+                @ zeta[(b, c)][z]
             row[iz] = snap(Mat)
         psi[s] = row
     phi = {}
@@ -432,8 +479,8 @@ def reference_extract(t):
         for ig, gg in enumerate(elems):
             ggN = q.rep(gg)
             for iz, z in enumerate(reps):
-                Mat = t.mu[b][(gg, z)] @ adjoint(t.zeta[e][z]) \
-                    @ adjoint(t.mu[a][(gg, q.add(gab, z))]) @ t.zeta[e][q.add(z, ggN)]
+                Mat = mu[b][(gg, z)] @ adjoint(zeta[e][z]) \
+                    @ adjoint(mu[a][(gg, q.add(gab, z))]) @ zeta[e][q.add(z, ggN)]
                 tab[ig, iz] = snap(Mat)
         phi[e] = tab
     omega = {}
@@ -444,8 +491,8 @@ def reference_extract(t):
             ggN = q.rep(gg)
             for ih, hh in enumerate(elems):
                 for iz, z in enumerate(reps):
-                    Mat = t.mu[i][(gg, z)] @ adjoint(t.mu[i][(G.add(gg, hh), z)]) \
-                        @ t.mu[i][(hh, q.add(z, ggN))]
+                    Mat = mu[i][(gg, z)] @ adjoint(mu[i][(G.add(gg, hh), z)]) \
+                        @ mu[i][(hh, q.add(z, ggN))]
                     tab[ig, ih, iz] = snap(Mat)
         omega[i] = tab
     return psi, phi, omega
@@ -510,13 +557,14 @@ def _reference_error(t):
 def test_batched_extraction_fails_like_reference(case, d):
     t = _extraction_fixture(case, d)
     i = t.nerve.vertices[-1][0]
-    keys = list(t.mu[i])
+    cells = t.mu[i].shape[:2]
+    mid = np.unravel_index(cells[0] * cells[1] // 2, cells)
     m = t.ctx.m
 
-    non_scalar = dict(t.mu[i])
-    non_scalar[keys[-1]] = np.diag(np.exp(2j * np.pi * np.arange(d) / (d + 1)))
-    off_root = dict(t.mu[i])
-    off_root[keys[len(keys) // 2]] = off_root[keys[len(keys) // 2]] \
+    non_scalar = t.mu[i].copy()
+    non_scalar[-1, -1] = np.diag(np.exp(2j * np.pi * np.arange(d) / (d + 1)))
+    off_root = t.mu[i].copy()
+    off_root[mid] = off_root[mid] \
         * np.exp(1j * np.pi / m ** 2)
     for mu_i, kind in ((non_scalar, "not scalar"), (off_root, "does not snap")):
         bad = t.copy_with_mu({**t.mu, i: mu_i})
