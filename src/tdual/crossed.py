@@ -19,11 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidTripleError
-from .lca import GroupElement
 from .linops import adjoint, operator_matrix
 from .triples import DualityContext, TripleLocalData
 
 HOLONOMY_TOL = 1e-9   # Gram eigenvalue above which a loop's defect counts
+LIFT_TOL = 1e-6       # lift dependence of the transform, relative to max(1, |f|_inf)
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,15 @@ class HaarWeights:
 class CrossedContext:
     """Index tables for one (G, N, d) crossed-product instance, built once.
 
-    Positions are those of elems = G.elements() (characters share them, the
-    dual being identified coordinate-wise), reps = quotient.reps() and
-    nperp = N-perp elements; gi, zi and bi invert the three lists.
+    Group elements, characters (the dual being identified coordinate-wise),
+    cosets and dual-quotient points are positions in the DualityContext
+    tables: those of G.elements(), quotient.reps() and dual_quotient.reps().
 
       add[g, h], neg[g], sub[g, h]  positions of g + h, -g and g - h
       coset[g]                      position of g + N among reps
       shift[g, z]                   position of z + gN (coset addition)
       lift[z]                       position of sigma(z)
-      perp[b]                       position of the b-th N-perp element
+      perp                          positions of N-perp, ascending
       phases[chi, g]                exp(2 pi i <chi, g>), from G.pairing_table()
 
     A mu table is an (n, q, d, d) array on the same positions, as a vertex's
@@ -69,14 +69,7 @@ class CrossedContext:
         self.ctx = ctx
         self.d = d
         self.weights = HaarWeights.for_context(ctx)
-        self.elems = ctx.G.elements()
-        self.reps = ctx.quotient.reps()
-        self.nperp = ctx.Nperp.elements()
-        self.n = len(self.elems)
-        self.q = len(self.reps)
-        self.gi = {g: i for i, g in enumerate(self.elems)}
-        self.zi = {z: i for i, z in enumerate(self.reps)}
-        self.bi = {b: i for i, b in enumerate(self.nperp)}
+        self.n, self.q = ctx.shift.shape
         self.add = ctx.G.add_table()
         self.neg, self.sub, self.coset = ctx.neg, ctx.sub, ctx.coset
         self.shift, self.lift, self.phases = ctx.shift, ctx.lift, ctx.phases
@@ -90,10 +83,20 @@ class CrossedContext:
     def dft_inv(self) -> np.ndarray:
         return adjoint(self.phases[np.ix_(self.perp, self.lift)])
 
-    def lam(self, chi: GroupElement) -> np.ndarray:
-        """Lambda(chi) = DFT . <chi, -sigma(_)> . DFT^-1, unitary on L^2(G/N^)."""
-        diag = self.phases[self.ctx.Gd.index(chi), self.lift].conj()
-        return (self.dft() * diag) @ self.dft_inv()
+    def lam(self, chi) -> np.ndarray:
+        """Lambda(chi) = DFT . <chi, -sigma(_)> . DFT^-1, unitary on L^2(G/N^).
+
+        chi is a character position, or an array of them (a stack of Lambdas).
+        """
+        diag = self.phases[chi][..., self.lift].conj()
+        return (self.dft() * diag[..., None, :]) @ self.dft_inv()
+
+
+def _fibre(L: np.ndarray, d: int) -> np.ndarray:
+    """L tensor the identity on C^d, as np.kron forms it, over a stack of L."""
+    q = L.shape[-1]
+    return (L[..., :, None, :, None] * np.eye(d)[:, None, :]).reshape(
+        *L.shape[:-2], q * d, q * d)
 
 
 class ConvolutionElement:
@@ -119,7 +122,7 @@ class ConvolutionElement:
     def unit(cc: CrossedContext) -> "ConvolutionElement":
         """Point mass at g = 0 with matrix I / w_G: the convolution unit."""
         vals = np.zeros((cc.n, cc.q, cc.d, cc.d), complex)
-        vals[cc.gi[cc.ctx.G.zero()]] = (1.0 / float(cc.weights.w_G)) * np.eye(cc.d)
+        vals[0] = (1.0 / float(cc.weights.w_G)) * np.eye(cc.d)     # position 0 is g = 0
         return ConvolutionElement(cc, vals)
 
     @staticmethod
@@ -178,81 +181,82 @@ def _mu_twisted(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
     return f.values @ adjoint(mu)
 
 
-def conjugated_kernel(cc: CrossedContext, fm: np.ndarray,
-                      chi: GroupElement) -> np.ndarray:
-    """(Lambda(chi) x 1) K(chi) (Lambda(chi)^-1 x 1) at a character lift chi.
+def conjugated_kernel(cc: CrossedContext, fm: np.ndarray, chi) -> np.ndarray:
+    """(Lambda(chi) x 1) K(chi) (Lambda(chi)^-1 x 1) at a character position chi.
 
     K(chi)[a, c] = int fm(g, z) <chi + c, g> <c - a, z> d(g, z), with a, c
     running over N-perp and fm = _mu_twisted(f, mu).  Axes of fm before the
     last four are a batch: each element goes through the same matrix
-    products as it would alone.
+    products as it would alone.  chi may also be an array of positions whose
+    shape broadcasts against that batch.
     """
     q, d = cc.q, cc.d
-    batch = fm.shape[:-4]
+    batch = np.broadcast_shapes(np.shape(chi), fm.shape[:-4])
     w = float(cc.weights.w_G * cc.weights.w_quot)
-    char = w * cc.phases[cc.add[cc.ctx.Gd.index(chi), cc.perp]]               # (c, g)
+    char = w * cc.phases[cc.add[np.asarray(chi)[..., None], cc.perp]]       # (c, g)
     quot = cc.phases[cc.sub[np.ix_(cc.perp, cc.perp)][..., None], cc.lift]   # (c, a, z)
-    K = quot @ (char @ fm.reshape(*batch, cc.n, q * d * d)).reshape(*batch, q, q, d * d)
-    K = np.moveaxis(K.reshape(*batch, q, q, d, d), -4, -2)                  # (a, i, c, j)
-    L = np.kron(cc.lam(chi), np.eye(d))
-    return L @ K.reshape(*batch, q * d, q * d) @ adjoint(L)
+    # each step rebinds K, so at most two kernel-sized arrays are alive at once
+    K = quot @ (char @ fm.reshape(*fm.shape[:-4], cc.n, q * d * d)).reshape(
+        *batch, q, q, d * d)
+    K = np.moveaxis(K.reshape(*batch, q, q, d, d), -4, -2).reshape(    # (a, i, c, j)
+        *batch, q * d, q * d)
+    L = _fibre(cc.lam(chi), d)
+    K = L @ K
+    return K @ adjoint(L)
 
 
 def t_periodicity_residual(f: ConvolutionElement, mu: np.ndarray) -> float:
-    """Deviation of the conjugated kernel under N-perp shifts of the lift."""
-    cc = f.cc
-    ctx = cc.ctx
-    fm = _mu_twisted(f, mu)
-    res = 0.0
-    betas = [b for b in cc.nperp if b != ctx.Gd.zero()] or [ctx.Gd.zero()]
-    for zhat in ctx.dual_quotient.reps():
-        chi = ctx.sigma_hat(zhat)
-        base = conjugated_kernel(cc, fm, chi)
-        moved = conjugated_kernel(cc, fm, ctx.Gd.add(chi, betas[0]))
-        res = max(res, float(np.max(np.abs(base - moved))))
-    return res
+    """Largest change of the conjugated kernel when a lift chi of z^ moves to
+    chi + beta, over every z^ and every nonzero beta in N-perp.
 
-
-def t_transform(f: ConvolutionElement, mu: np.ndarray,
-                check_tol: float = 1e-6) -> dict:
-    """The dual section z^ -> Lambda-conjugated Fourier kernel, one matrix per z^.
-
-    output:  T(z^) = (Lambda(chi) x 1) K(chi) (Lambda(chi)^-1 x 1) at the
-    canonical lift chi of z^.  Independence of the lift is re-verified per
-    point as an internal consistency assertion (it holds for any mu table;
-    use mu_is_cocycle to validate mu itself).
+    Every character is one such chi + beta, so this is one kernel per
+    character, each against the kernel at its coset's canonical lift.
     """
     cc = f.cc
     ctx = cc.ctx
-    fm = _mu_twisted(f, mu)
-    out = {}
-    scale = max(1.0, f.norm_inf())
-    betas = [b for b in cc.nperp if b != ctx.Gd.zero()]
-    for zhat in ctx.dual_quotient.reps():
-        chi = ctx.sigma_hat(zhat)
-        K = conjugated_kernel(cc, fm, chi)
-        if betas and check_tol is not None:
-            K2 = conjugated_kernel(cc, fm, ctx.Gd.add(chi, betas[0]))
-            if float(np.max(np.abs(K - K2))) > check_tol * scale:
-                raise InvalidTripleError(
-                    "transform output depends on the character lift")
-        out[zhat] = K
+    K = conjugated_kernel(cc, _mu_twisted(f, mu), np.arange(cc.n))
+    return float(np.max(np.abs(K - K[ctx.lift_hat[ctx.coset_hat]])))
+
+
+def _check_lift(f: ConvolutionElement, mu: np.ndarray) -> None:
+    """Raise if the transform of f depends on the character lift.
+
+    The defect is linear in f and reads mu only through f mu^-1, so one
+    random element detects a fault in the kernel almost surely."""
+    if t_periodicity_residual(f, mu) > LIFT_TOL * max(1.0, f.norm_inf()):
+        raise InvalidTripleError("transform output depends on the character lift")
+
+
+def t_transform(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
+    """The dual section as one (..., q^, q d, q d) array on the positions of
+    dual_quotient.reps(), leading axes being f's batch.
+
+    T(z^) = (Lambda(chi) x 1) K(chi) (Lambda(chi)^-1 x 1) at the canonical
+    lift chi of z^.  It does not depend on the lift, for any mu table
+    (t_periodicity_residual measures it; mu_is_cocycle validates mu itself).
+    The stack is filled one z^ at a time.
+    """
+    cc = f.cc
+    # t_linearized's batch is strided: copy fm once here, not once per z^ in a reshape
+    fm = np.ascontiguousarray(_mu_twisted(f, mu))
+    lifts = cc.ctx.lift_hat
+    out = np.empty((*fm.shape[:-4], len(lifts), cc.q * cc.d, cc.q * cc.d), complex)
+    for izh, chi in enumerate(lifts):
+        out[..., izh, :, :] = conjugated_kernel(cc, fm, chi)
     return out
 
 
 def t_linearized(cc: CrossedContext, mu: np.ndarray) -> np.ndarray:
     """The transform as one big matrix on flattened coordinates (for rank checks)."""
-    zhats = cc.ctx.dual_quotient.reps()
 
     def apply(batch: np.ndarray) -> np.ndarray:
         # one transform of all columns at once, the batch moved to the front
         cols = batch.shape[1]
-        T = t_transform(ConvolutionElement(cc, batch.T.reshape(cols, cc.n, cc.q, cc.d, cc.d)),
-                        mu, check_tol=None)
-        return np.concatenate([T[zhat].reshape(cols, -1) for zhat in zhats], axis=1).T
+        f = ConvolutionElement(cc, batch.T.reshape(cols, cc.n, cc.q, cc.d, cc.d))
+        return t_transform(f, mu).reshape(cols, -1).T
 
     return operator_matrix(apply, cc.n * cc.q * cc.d * cc.d,
-                           len(zhats) * (cc.q * cc.d) ** 2, complex)
+                           len(cc.ctx.lift_hat) * (cc.q * cc.d) ** 2, complex)
 
 
 def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
@@ -274,9 +278,8 @@ def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
     F = cc.dft()
     Fi = cc.dft_inv()
     res = max(res, float(np.max(np.abs(Fi @ F - np.eye(cc.q)))))
-    duals = ctx.Gd.elements()
-    res = max(res, float(np.max(np.abs(adjoint(cc.lam(duals[1 % len(duals)]))
-                                       @ cc.lam(duals[1 % len(duals)]) - np.eye(cc.q)))))
+    L = cc.lam(1 % cc.n)
+    res = max(res, float(np.max(np.abs(adjoint(L) @ L - np.eye(cc.q)))))
     return res
 
 
@@ -312,32 +315,28 @@ def verify_point_theorem(ctx: DualityContext, d: int, mu: np.ndarray,
     cc = CrossedContext(ctx, d)
     rng = np.random.default_rng(seed)
     rep = {"mu_cocycle": mu_is_cocycle(cc, mu)}
-    dq = ctx.dual_quotient
     hom = star = normres = equiv = 0.0
-    for _ in range(trials):
+    for trial in range(trials):
         f1 = ConvolutionElement.random(cc, rng)
         f2 = ConvolutionElement.random(cc, rng)
+        if trial == 0:
+            _check_lift(f1, mu)
         T1 = t_transform(f1, mu)
         T2 = t_transform(f2, mu)
         T12 = t_transform(convolve(f1, f2, mu), mu)
-        for zhat in dq.reps():
-            hom = max(hom, float(np.max(np.abs(T12[zhat] - T1[zhat] @ T2[zhat]))))
+        hom = max(hom, float(np.max(np.abs(T12 - T1 @ T2))))
         Tstar = t_transform(involute(f1, mu), mu)
-        for zhat in dq.reps():
-            star = max(star, float(np.max(np.abs(Tstar[zhat] - adjoint(T1[zhat])))))
+        star = max(star, float(np.max(np.abs(Tstar - adjoint(T1)))))
         lhs = operator_norm(f1, mu)
-        rhs = max(float(np.linalg.norm(T1[zhat], 2)) for zhat in dq.reps())
+        rhs = float(np.max(np.linalg.norm(T1, 2, axis=(-2, -1))))
         normres = max(normres, abs(lhs - rhs))
-        # equivariance under the dual action
+        # equivariance under the dual action: T(chi f)(z^) = L^-1 T(f)(z^ + chi) L
         k = int(rng.integers(0, ctx.Gd.order))
-        chi = ctx.Gd.elements()[k]
         fchi = ConvolutionElement(cc, f1.values * cc.phases[k][:, None, None, None])
         Tchi = t_transform(fchi, mu)
-        L = np.kron(cc.lam(chi), np.eye(d))
-        for zhat in dq.reps():
-            moved = dq.add(zhat, dq.rep(chi))
-            want = adjoint(L) @ T1[moved] @ L
-            equiv = max(equiv, float(np.max(np.abs(Tchi[zhat] - want))))
+        L = _fibre(cc.lam(k), d)
+        want = adjoint(L) @ T1[ctx.shift_hat[k]] @ L
+        equiv = max(equiv, float(np.max(np.abs(Tchi - want))))
     rep["homomorphism"] = hom
     rep["star_compatibility"] = star
     rep["norm_preservation"] = normres
@@ -349,8 +348,7 @@ def verify_point_theorem(ctx: DualityContext, d: int, mu: np.ndarray,
     rank = int(np.sum(sv > 1e-9 * sv[0]))
     rep["injective_rank_deficit"] = float(src - rank)
     # zero element maps to zero
-    Tz = t_transform(ConvolutionElement.zero(cc), mu)
-    rep["zero_to_zero"] = max(float(np.max(np.abs(M))) for M in Tz.values())
+    rep["zero_to_zero"] = float(np.max(np.abs(t_transform(ConvolutionElement.zero(cc), mu))))
     return rep
 
 
@@ -434,14 +432,16 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
             for e in t.nerve.edges}
     res_family = 0.0
     res_glue = 0.0
-    for _ in range(trials):
+    for trial in range(trials):
         fam = section_family(t, cc, rng)
         # family relation on every edge (also the non-tree ones)
         for e in t.nerve.edges:
             want = _transport(cc, t, e, fam[e[0]].values)
             res_family = max(res_family, float(np.max(np.abs(fam[e[1]].values - want))))
-        # t_transform's keys run over the dual quotient's reps, in order
-        T = {i: np.array(list(t_transform(fam[i], t.mu[i]).values())) for i in fam}
+        if trial == 0:
+            for i in fam:
+                _check_lift(fam[i], t.mu[i])
+        T = {i: t_transform(fam[i], t.mu[i]) for i in fam}
         for (a, b), (W, moved) in glue.items():
             want = adjoint(W) @ T[a][moved] @ W
             res_glue = max(res_glue, float(np.max(np.abs(T[b] - want))))

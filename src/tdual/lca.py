@@ -104,10 +104,10 @@ class FiniteLcaGroup:
         self._pairing_table: Optional[np.ndarray] = None
 
     def element(self, coords: Iterable[int]) -> GroupElement:
-        coords = tuple(int(c) % f for c, f in zip(tuple(coords), self.factors))
+        coords = tuple(coords)
         if len(coords) != len(self.factors):
             raise ValueError("wrong coordinate count")
-        return GroupElement(coords)
+        return GroupElement(tuple(int(c) % f for c, f in zip(coords, self.factors)))
 
     def zero(self) -> GroupElement:
         return GroupElement((0,) * len(self.factors))

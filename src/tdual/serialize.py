@@ -136,14 +136,14 @@ def cocycle_to_json(c: TotalTwoCocycle) -> dict:
 
 
 def element_to_json(f: ConvolutionElement) -> dict:
-    cc = f.cc
+    ctx = f.cc.ctx
     return {
-        "context": context_to_json(cc.ctx),
-        "fiber_dim": cc.d,
+        "context": context_to_json(ctx),
+        "fiber_dim": f.cc.d,
         "values": {
             f"{_elem_key(g)}|{_elem_key(z)}": matrix_to_json(f.values[ig, iz])
-            for ig, g in enumerate(cc.elems)
-            for iz, z in enumerate(cc.reps)
+            for ig, g in enumerate(ctx.G.elements())
+            for iz, z in enumerate(ctx.quotient.reps())
         },
     }
 
@@ -154,9 +154,8 @@ def element_from_json(data: dict) -> ConvolutionElement:
     vals = np.zeros((cc.n, cc.q, cc.d, cc.d), complex)
     for key, M in data["values"].items():
         gk, zk = key.split("|")
-        g = _elem_from_key(ctx.G, gk)
-        z = ctx.quotient.rep(_elem_from_key(ctx.G, zk))
-        vals[cc.gi[g], cc.zi[z]] = matrix_from_json(M)
+        vals[ctx.G.index(_elem_from_key(ctx.G, gk)),
+             ctx.quotient.index(_elem_from_key(ctx.G, zk))] = matrix_from_json(M)
     return ConvolutionElement(cc, vals)
 
 

@@ -35,15 +35,12 @@ from .groupcoh import (
 from .lca import (
     QZ,
     FiniteLcaGroup,
-    GroupElement,
     QuotientGroup,
     Section,
     Subgroup,
     annihilator,
     dual_group,
     make_section,
-    pairing,
-    solve_character,
 )
 from .linops import (
     adjoint,
@@ -87,9 +84,6 @@ class DualityContext:
             raise ValueError(
                 f"modulus {self.m} must be a multiple of the exponent {G.exponent}")
         self._dual: Optional[DualityContext] = None
-
-    def pair(self, chi: GroupElement, g: GroupElement) -> QZ:
-        return pairing(self.G, chi, g)
 
     # Integer index tables, built on first use.  Positions are those of
     # G.elements(), quotient.reps() and dual_quotient.reps(); characters
@@ -437,34 +431,33 @@ def make_dualisable(t: TripleLocalData,
 # ---------------------------------------------------------------------------
 # the duality transform
 
-def dual_base_cocycle(t: TripleLocalData, c: Optional[TotalTwoCocycle] = None) -> TwistCocycle:
-    """Edge cocycle g^ of the dual bundle: <g^_ab, n> = -phi_ab(n, z) on N."""
+def dual_base_cocycle(t: TripleLocalData, c: TotalTwoCocycle) -> TwistCocycle:
+    """Edge cocycle g^ of the dual bundle: <g^_ab, n> = -phi_ab(n, z) on N.
+
+    phi_ab(n, z) must be constant in z.  g^_ab is found by one search of the
+    pairing table: the characters with <chi, n> = -phi_ab(n, 0) on all of N
+    form one N-perp coset, which is g^_ab.  Finding none means -phi_ab is
+    not a character of N.
+    """
     ctx = t.ctx
-    G, q, m = ctx.G, ctx.quotient, ctx.m
-    if c is None:
-        c = extract_total_cocycle(t)
+    G, m = ctx.G, ctx.m
     if not c.omega_is_zero():
         raise InvalidTripleError("dual base cocycle needs omega = 0 (normalise first)")
-    dq = ctx.dual_quotient
+    npos = np.flatnonzero(ctx.coset == ctx.coset[0])                  # N
+    pair = G.pairing_table()[:, npos] * (m // G.exponent)              # <chi, n> as k/m
     vals = {}
     for e in t.nerve.edges:
-        tab = c.phi[e]
-        for nn in ctx.N.elements():
-            col = tab[G.index(nn), :]
-            if np.any(col != col[0]):
-                raise InvalidTripleError(
-                    f"phi({nn}, .) is not constant on the fiber over edge {e}")
-        values = {nn: QZ.of(-int(tab[G.index(nn), 0]), m) for nn in ctx.N.generators}
-        chi = solve_character(G, ctx.N, values)
-        vals[e] = dq.rep(chi)
-    ghat = TwistCocycle(t.nerve, dq, vals)
-    # re-pairing consistency on all of N, all fiber points
-    for e in t.nerve.edges:
-        for nn in ctx.N.elements():
-            want = QZ.of(-int(c.phi[e][G.index(nn), 0]), m)
-            if ctx.pair(ghat.edge_values[e], nn) != want:
-                raise InvalidTripleError(f"dual cocycle pairing mismatch on {e}")
-    return ghat
+        tab = c.phi[e][npos]
+        bad = np.flatnonzero(np.any(tab != tab[:, :1], axis=1))
+        if bad.size:
+            raise InvalidTripleError(
+                f"phi({G.elements()[npos[bad[0]]]}, .) is not constant "
+                f"on the fiber over edge {e}")
+        hits = np.flatnonzero(np.all((pair + tab[:, 0]) % m == 0, axis=1))
+        if not hits.size:
+            raise InvalidTripleError(f"-phi on edge {e} is not a character of N")
+        vals[e] = ctx.Gd.elements()[hits[0]]
+    return TwistCocycle(t.nerve, ctx.dual_quotient, vals)
 
 
 def dual_transitions(t: TripleLocalData, c: TotalTwoCocycle,
@@ -502,23 +495,22 @@ def dual_decker(ctx: DualityContext, legs: tuple[int, ...]) -> np.ndarray:
     return np.repeat(mats[:, None], ctx.dual_quotient.order, axis=1)
 
 
-def dual_phi_closed_form(ctx: DualityContext, gab: GroupElement,
-                         ghat_ab: GroupElement) -> np.ndarray:
+def dual_phi_closed_form(ctx: DualityContext, gab: int, ghat_ab: int) -> np.ndarray:
     """phi^_ab(chi, z^) as an (n, q^) Z/m table, from its inverse
-    <s^(z^+g^+chiNp) - chi - s^(z^+g^), -sigma(g_ab)>."""
-    base = ctx.shift_hat[ctx.Gd.index(ghat_ab)]                      # z^ + g^
+    <s^(z^+g^+chiNp) - chi - s^(z^+g^), -sigma(g_ab)>; gab and ghat_ab are
+    the positions of g_ab in G and of g^_ab among the characters."""
+    base = ctx.shift_hat[ghat_ab]                                      # z^ + g^
     chi = np.arange(ctx.Gd.order)[:, None]
     lhs = ctx.sub[ctx.sub[ctx.lift_hat[ctx.shift_hat[:, base]], chi], ctx.lift_hat[base]]
-    inv = ctx.G.pairing_table()[lhs, ctx.neg[ctx.lift[ctx.coset[ctx.G.index(gab)]]]]
+    inv = ctx.G.pairing_table()[lhs, ctx.neg[ctx.lift[ctx.coset[gab]]]]
     return -inv * (ctx.m // ctx.G.exponent) % ctx.m
 
 
-def dualize(t: TripleLocalData, c: Optional[TotalTwoCocycle] = None,
-            verify: bool = True) -> TripleLocalData:
+def dualize(t: TripleLocalData, c: Optional[TotalTwoCocycle] = None) -> TripleLocalData:
     """The dual triple over (G^, N-perp) with fiber L^2(G/N) x old fiber.
 
-    With verify on, the projective dual Cech law and the dual decker law
-    (against its closed-form scalar defect) are asserted within tau_u.
+    The projective dual Cech law and the dual decker law (against its
+    closed-form scalar defect) are asserted within tau_u.
     """
     if c is None:
         c = extract_total_cocycle(t)
@@ -530,16 +522,15 @@ def dualize(t: TripleLocalData, c: Optional[TotalTwoCocycle] = None,
     legs = (t.ctx.quotient.order,) + t.legs
     out = TripleLocalData(t.nerve, ctx_d, legs, ghat, zeta_hat, mu_hat,
                           t.tau_s, t.tau_u, gauge=None)
-    if verify:
-        rep = dual_law_report(t, out)
-        if rep["dual_cech_law"] > t.tau_u:
-            raise InvalidTripleError(
-                f"dual transitions violate the twisted cocycle law "
-                f"({rep['dual_cech_law']:.3e} > {t.tau_u:g})")
-        if rep["dual_decker_law"] > t.tau_u:
-            raise InvalidTripleError(
-                f"dual decker defect deviates from its closed form "
-                f"({rep['dual_decker_law']:.3e} > {t.tau_u:g})")
+    rep = dual_law_report(t, out)
+    if rep["dual_cech_law"] > t.tau_u:
+        raise InvalidTripleError(
+            f"dual transitions violate the twisted cocycle law "
+            f"({rep['dual_cech_law']:.3e} > {t.tau_u:g})")
+    if rep["dual_decker_law"] > t.tau_u:
+        raise InvalidTripleError(
+            f"dual decker defect deviates from its closed form "
+            f"({rep['dual_decker_law']:.3e} > {t.tau_u:g})")
     return out
 
 
@@ -557,9 +548,9 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
     res_decker = 0.0
     res_phi_form = 0.0
     for (a, b), Ze in Zh.items():
-        ghat_ab = t_hat.g.edge_values[(a, b)]
-        lhs = adjoint(Ze[shift]) @ Muh[a][:, shift[Gd.index(ghat_ab)]] @ Ze
-        want = dual_phi_closed_form(ctx, t.g.edge_values[(a, b)], ghat_ab)
+        ighat = Gd.index(t_hat.g.edge_values[(a, b)])
+        lhs = adjoint(Ze[shift]) @ Muh[a][:, shift[ighat]] @ Ze
+        want = dual_phi_closed_form(ctx, ctx.G.index(t.g.edge_values[(a, b)]), ighat)
         if c_hat is not None and np.any(c_hat.phi[(a, b)] % ctx.m != want):
             res_phi_form = 1.0
         rhs = Muh[b] * ctx.qz_phases(-want)[:, :, None, None]
@@ -658,22 +649,17 @@ def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
         coboundary of <s^_a(..), s_c(_)>, in Q/Z.
     """
     q, dq = ctx.quotient, ctx.dual_quotient
-    G, Gd = ctx.G, ctx.Gd
-    sigma, sigma_hat = ctx.sigma, ctx.sigma_hat
+    G, sub, P = ctx.G, ctx.sub, ctx.G.pairing_table()
     sigma2 = make_section(G, ctx.N, "random", seed=seed + 1, quotient=q)
-    sigma_hat2 = make_section(Gd, ctx.Nperp, "random", seed=seed + 2, quotient=dq)
+    sigma_hat2 = make_section(ctx.Gd, ctx.Nperp, "random", seed=seed + 2, quotient=dq)
+    lift, lift_hat = ctx.lift, ctx.lift_hat
+    lift2 = np.array([G.index(sigma2(z)) for z in q.reps()])
+    lift_hat2 = np.array([ctx.Gd.index(sigma_hat2(z)) for z in dq.reps()])
 
-    # (a) sigma^-independence: ratio constant along the fiber, exactly
-    res_a = 0.0
-    for z in q.reps():
-        for zhat in dq.reps():
-            vals = [
-                ctx.pair(Gd.sub(sigma_hat(zhat), sigma_hat2(zhat)),
-                         G.sub(sigma(q.sub_(x, z)), sigma(x)))
-                for x in q.reps()
-            ]
-            if any(v != vals[0] for v in vals):
-                res_a = 1.0
+    # (a) sigma^-independence: <s^(z^) - s^2(z^), s(x - z) - s(x)> constant in x
+    step = sub[lift[ctx.shift[ctx.neg[lift]]], lift]                  # [z, x]
+    vals = P[sub[lift_hat, lift_hat2][None, :, None], step[:, None, :]]
+    res_a = float(np.any(vals != vals[..., :1]))
 
     # (b) unitary implementation of kappa tensor kappa-hat
     nq, nd = q.order, dq.order
@@ -693,24 +679,16 @@ def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
                 @ np.kron(np.eye(nq, dtype=complex), np.diag(kap_hat[iz, izh]))
             res_b = max(res_b, scalar_deviation(adjoint(target) @ W))
 
-    # (c) [Q]+[R] = 0: nu_cd . nu-perp_ab = delta(<s^_a(..), s_c(_)>) exactly
-    res_c = 0.0
-    s_c, s_d = sigma, sigma2
-    sh_a, sh_b = sigma_hat, sigma_hat2
-    for z in q.reps():
-        n_cd = G.sub(s_d(z), s_c(z))
-        if n_cd not in ctx.N:
-            res_c = 1.0
-            continue
-        for zhat in dq.reps():
-            nperp_ab = Gd.sub(sh_b(zhat), sh_a(zhat))
-            if nperp_ab not in ctx.Nperp:
-                res_c = 1.0
-                continue
-            lhs = ctx.pair(sh_a(zhat), n_cd) + ctx.pair(nperp_ab, s_d(z))
-            rhs = ctx.pair(sh_b(zhat), s_d(z)) - ctx.pair(sh_a(zhat), s_c(z))
-            if lhs != rhs:
-                res_c = 1.0
+    # (c) [Q]+[R] = 0: nu_cd . nu-perp_ab = delta(<s^_a(..), s_c(_)>) exactly,
+    # with s_c, s_d = sigma, sigma2 and s^_a, s^_b = sigma^, sigma^2
+    n_cd = sub[lift2, lift]                                           # [z]
+    nperp_ab = sub[lift_hat2, lift_hat]                               # [z^]
+    lhs = P[lift_hat[:, None], n_cd] + P[nperp_ab[:, None], lift2]
+    rhs = P[lift_hat2[:, None], lift2] - P[lift_hat[:, None], lift]
+    ok = ((ctx.coset[n_cd] == ctx.coset[0])
+          & (ctx.coset_hat[nperp_ab] == ctx.coset_hat[0])[:, None]
+          & ((lhs - rhs) % G.exponent == 0))
+    res_c = float(not ok.all())
     return {"sigma_hat_independence": res_a,
             "kappa_unitary_word": res_b,
             "q_plus_r_coboundary": res_c}

@@ -23,8 +23,8 @@ from tdual.crossed import (
     verify_gluing,
     verify_point_theorem,
 )
-from tdual.errors import ResourceCapError
-from tdual.lca import FiniteLcaGroup, Subgroup
+from tdual.errors import InvalidTripleError, ResourceCapError
+from tdual.lca import FiniteLcaGroup, Subgroup, pairing
 from tdual.linops import adjoint, unit_phase
 from tdual.triples import (
     DualityContext,
@@ -93,7 +93,7 @@ class TestConvolutionAlgebra:
     def test_supported_at_zero_multiplies_pointwise(self, z4ctx, z4mu):
         cc = CrossedContext(z4ctx, 2)
         rng = np.random.default_rng(2)
-        i0 = cc.gi[z4ctx.G.zero()]
+        i0 = z4ctx.G.index(z4ctx.G.zero())
         a = ConvolutionElement.zero(cc)
         b = ConvolutionElement.zero(cc)
         a.values[i0] = rng.normal(size=(cc.q, 2, 2))
@@ -123,7 +123,7 @@ class TestConvolutionAlgebra:
         cc = CrossedContext(z4ctx, 2)
         H = np.array([[1.0, 1j], [-1j, 2.0]])
         f = ConvolutionElement.zero(cc)
-        i0 = cc.gi[z4ctx.G.zero()]
+        i0 = z4ctx.G.index(z4ctx.G.zero())
         for iz in range(cc.q):
             f.values[i0, iz] = H
         assert (involute(f, trivial_mu(cc)) - f).norm_inf() < 1e-12
@@ -142,7 +142,7 @@ class TestTransform:
         # forced by multiplicativity plus the unit law
         cc = CrossedContext(z4ctx, 1)
         T = t_transform(ConvolutionElement.unit(cc), trivial_mu(cc))
-        for M in T.values():
+        for M in T:
             assert np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-10
 
     def test_linearity(self, z4ctx, z4mu):
@@ -153,8 +153,8 @@ class TestTransform:
         T = t_transform(f1.scaled(a) + f2.scaled(b), z4mu)
         T1 = t_transform(f1, z4mu)
         T2 = t_transform(f2, z4mu)
-        for zhat in T:
-            assert np.max(np.abs(T[zhat] - a * T1[zhat] - b * T2[zhat])) < 1e-10
+        for izh in range(len(T)):
+            assert np.max(np.abs(T[izh] - a * T1[izh] - b * T2[izh])) < 1e-10
 
     def test_z2_minimal_instance_bijective(self):
         # G = Z/2, N = 0: source dimension 4, target M_2 over a point
@@ -185,8 +185,8 @@ class TestTransform:
 
         def transform(vals):
             f = ConvolutionElement(cc, vals.reshape(cc.n, cc.q, cc.d, cc.d))
-            T = t_transform(f, z4mu, check_tol=None)
-            return np.concatenate([T[zhat].reshape(-1) for zhat in zhats])
+            T = t_transform(f, z4mu)
+            return np.concatenate([T[izh].reshape(-1) for izh in range(len(zhats))])
 
         src = cc.n * cc.q * cc.d * cc.d
         ref = np.stack([transform(e) for e in np.eye(src, dtype=complex)], axis=1)
@@ -223,27 +223,84 @@ class TestTransform:
         assert t_periodicity_residual(f, z4mu) < 1e-9
 
 
+GROUP_PAIRS = [([4], [[2]]), ([6], [[3]]), ([2, 2], [[1, 1]])]
+
+
+def _identity_lam(self, chi):
+    """Lambda replaced by the identity: the kernel then moves with the lift."""
+    return np.broadcast_to(np.eye(self.q, dtype=complex), np.shape(chi) + (self.q, self.q))
+
+
+@pytest.mark.parametrize("factors,gens", GROUP_PAIRS + [([2, 4], [[1, 2]])])
+def test_periodicity_residual_covers_every_beta(factors, gens, monkeypatch):
+    ctx = ctx_for(factors, gens)
+    Gd = ctx.Gd
+    mu = make_dualisable(build_random_triple(Nerve.circle(), ctx, d=2, seed=5)).mu[0]
+    cc = CrossedContext(ctx, 2)
+    f = ConvolutionElement.random(cc, np.random.default_rng(0))
+    assert t_periodicity_residual(f, mu) < 1e-9
+    # without Lambda the residual is the largest kernel move over every z^
+    # and every nonzero beta in N-perp, one kernel call per pair here
+    monkeypatch.setattr(CrossedContext, "lam", _identity_lam)
+    fm = _mu_twisted(f, mu)
+    betas = [b for b in ctx.Nperp.elements() if b != Gd.zero()]
+    moves = {b: 0.0 for b in betas}          # largest move over z^, per beta
+    for zhat in ctx.dual_quotient.reps():
+        chi = ctx.sigma_hat(zhat)
+        base = conjugated_kernel(cc, fm, Gd.index(chi))
+        for beta in betas:
+            moved = conjugated_kernel(cc, fm, Gd.index(Gd.add(chi, beta)))
+            moves[beta] = max(moves[beta], float(np.max(np.abs(moved - base))))
+    res = t_periodicity_residual(f, mu)
+    assert betas and min(moves.values()) > 1e-3
+    assert abs(res - max(moves.values())) < 1e-12 * res
+    if factors == [2, 4]:
+        # here the largest move is not at the first nonzero beta
+        assert moves[betas[0]] < res - 1e-3
+
+
+class TestLiftCheck:
+    """The lift check runs once per verification; a broken Lambda trips it."""
+
+    def test_point_theorem_raises(self, monkeypatch):
+        ctx = ctx_for([6], [[3]])
+        mu = make_dualisable(build_random_triple(Nerve.circle(), ctx, d=2, seed=42)).mu[0]
+        monkeypatch.setattr(CrossedContext, "lam", _identity_lam)
+        with pytest.raises(InvalidTripleError, match="character lift"):
+            verify_point_theorem(ctx, 2, mu, trials=2, seed=1)
+
+    def test_gluing_raises(self, monkeypatch):
+        ctx = ctx_for([6], [[3]])
+        t = make_dualisable(build_random_triple(Nerve.circle(), ctx, d=2, seed=42))
+        th = dualize(t, extract_total_cocycle(t))
+        monkeypatch.setattr(CrossedContext, "lam", _identity_lam)
+        with pytest.raises(InvalidTripleError, match="character lift"):
+            verify_gluing(t, th, trials=2, seed=2)
+
+
 class TestLambda:
     def test_extension_property(self, z4ctx):
         # Lambda restricted to N-perp is the regular representation
         cc = CrossedContext(z4ctx, 1)
         ctx = z4ctx
+        nperp = ctx.Nperp.elements()
+        bi = {b: i for i, b in enumerate(nperp)}
         for beta in ctx.Nperp.elements():
-            L = cc.lam(beta)
+            L = cc.lam(ctx.Gd.index(beta))
             P = np.zeros((cc.q, cc.q), complex)
-            for j, b in enumerate(cc.nperp):
-                P[cc.bi[ctx.Gd.add(b, beta)], j] = 1.0
+            for j, b in enumerate(nperp):
+                P[bi[ctx.Gd.add(b, beta)], j] = 1.0
             assert np.max(np.abs(L - P)) < 1e-12
 
     def test_homomorphism_and_unitary(self, z4ctx):
         cc = CrossedContext(z4ctx, 1)
         ctx = z4ctx
         for chi1 in ctx.Gd.elements():
-            L1 = cc.lam(chi1)
+            L1 = cc.lam(ctx.Gd.index(chi1))
             assert np.max(np.abs(adjoint(L1) @ L1 - np.eye(cc.q))) < 1e-12
             for chi2 in ctx.Gd.elements():
-                L12 = cc.lam(ctx.Gd.add(chi1, chi2))
-                assert np.max(np.abs(L12 - L1 @ cc.lam(chi2))) < 1e-12
+                L12 = cc.lam(ctx.Gd.index(ctx.Gd.add(chi1, chi2)))
+                assert np.max(np.abs(L12 - L1 @ cc.lam(ctx.Gd.index(chi2)))) < 1e-12
 
     def test_matches_dual_decker_diagonal(self, z4ctx):
         # Lambda is the DFT transport of the dual-decker phase for the
@@ -254,7 +311,7 @@ class TestLambda:
         for ichi, chi in enumerate(z4ctx.Gd.elements()):
             D = tab[ichi, 0]
             want = cc.dft() @ D @ cc.dft_inv()
-            assert np.max(np.abs(cc.lam(chi) - want)) < 1e-12
+            assert np.max(np.abs(cc.lam(ichi) - want)) < 1e-12
 
 
 class TestPointTheorem:
@@ -353,48 +410,60 @@ def test_element_serialization_roundtrip(z4ctx):
 # ---------------------------------------------------------------------------
 # the table-based operations against per-element loops on the exact pairing
 
+def _lists(cc):
+    """(G.elements(), quotient.reps(), N-perp elements, their inverse maps)."""
+    ctx = cc.ctx
+    elems, reps, nperp = ctx.G.elements(), ctx.quotient.reps(), ctx.Nperp.elements()
+    return elems, reps, nperp, ctx.G.index, {z: i for i, z in enumerate(reps)}
+
+
 def _keyed(cc, mu):
     """A mu table as a dict keyed by (g, z) pairs."""
-    return {(g, z): mu[ig, iz] for ig, g in enumerate(cc.elems)
-            for iz, z in enumerate(cc.reps)}
+    elems, reps, _, _, _ = _lists(cc)
+    return {(g, z): mu[ig, iz] for ig, g in enumerate(elems)
+            for iz, z in enumerate(reps)}
 
 
 def _ref_dft(cc):
     ctx, w = cc.ctx, float(cc.weights.w_quot)
-    F = np.array([[w * unit_phase(ctx.pair(b, ctx.sigma(z))) for z in cc.reps]
-                  for b in cc.nperp])
-    Fi = np.array([[unit_phase(-ctx.pair(b, ctx.sigma(z))) for b in cc.nperp]
-                   for z in cc.reps])
+    _, reps, nperp, _, _ = _lists(cc)
+    F = np.array([[w * unit_phase(pairing(ctx.G, b, ctx.sigma(z))) for z in reps]
+                  for b in nperp])
+    Fi = np.array([[unit_phase(-pairing(ctx.G, b, ctx.sigma(z))) for b in nperp]
+                   for z in reps])
     return F, Fi
 
 
 def _ref_lam(cc, chi):
     F, Fi = _ref_dft(cc)
     ctx = cc.ctx
-    return F @ np.diag([unit_phase(-ctx.pair(chi, ctx.sigma(z))) for z in cc.reps]) @ Fi
+    _, reps, _, _, _ = _lists(cc)
+    return F @ np.diag([unit_phase(-pairing(ctx.G, chi, ctx.sigma(z))) for z in reps]) @ Fi
 
 
 def _ref_convolve(f1, f2, mu):
     cc = f1.cc
     G, q = cc.ctx.G, cc.ctx.quotient
+    elems, reps, _, gi, zi = _lists(cc)
     out = np.zeros_like(f1.values)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
-            for ih, h in enumerate(cc.elems):
+    for ig, g in enumerate(elems):
+        for iz, z in enumerate(reps):
+            for ih, h in enumerate(elems):
                 U = mu[(h, z)]
                 out[ig, iz] += f1.values[ih, iz] @ adjoint(U) @ f2.values[
-                    cc.gi[G.sub(g, h)], cc.zi[q.add(z, q.rep(h))]] @ U
+                    gi(G.sub(g, h)), zi[q.add(z, q.rep(h))]] @ U
     return float(cc.weights.w_G) * out
 
 
 def _ref_involute(f, mu):
     cc = f.cc
     G, q = cc.ctx.G, cc.ctx.quotient
+    elems, reps, _, gi, zi = _lists(cc)
     out = np.zeros_like(f.values)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
+    for ig, g in enumerate(elems):
+        for iz, z in enumerate(reps):
             U = mu[(g, z)]
-            back = f.values[cc.gi[G.neg(g)], cc.zi[q.add(z, q.rep(g))]]
+            back = f.values[gi(G.neg(g)), zi[q.add(z, q.rep(g))]]
             out[ig, iz] = adjoint(U) @ adjoint(back) @ U
     return out
 
@@ -403,14 +472,15 @@ def _ref_represent(f, mu):
     cc = f.cc
     G, q = cc.ctx.G, cc.ctx.quotient
     n, nq, d = cc.n, cc.q, cc.d
+    elems, reps, _, gi, zi = _lists(cc)
     out = np.zeros((n * nq * d, n * nq * d), complex)
-    for ig, g in enumerate(cc.elems):
-        for iz, z in enumerate(cc.reps):
+    for ig, g in enumerate(elems):
+        for iz, z in enumerate(reps):
             Um = mu[(G.neg(g), z)]
-            zs = cc.zi[q.sub_(z, q.rep(g))]
-            for ih, h in enumerate(cc.elems):
+            zs = zi[q.sub_(z, q.rep(g))]
+            for ih, h in enumerate(elems):
                 r0 = (ig * nq + iz) * d
-                c0 = (cc.gi[G.sub(g, h)] * nq + iz) * d
+                c0 = (gi(G.sub(g, h)) * nq + iz) * d
                 out[r0:r0 + d, c0:c0 + d] += float(cc.weights.w_G) \
                     * adjoint(Um) @ f.values[ih, zs] @ Um
     return out
@@ -419,13 +489,14 @@ def _ref_represent(f, mu):
 def _ref_kernel(cc, f, mu, chi):
     ctx, Gd, d = cc.ctx, cc.ctx.Gd, cc.d
     w = float(cc.weights.w_G * cc.weights.w_quot)
+    elems, reps, nperp, _, _ = _lists(cc)
     K = np.zeros((cc.q * d, cc.q * d), complex)
-    for ia, a in enumerate(cc.nperp):
-        for ic, c in enumerate(cc.nperp):
-            for ig, g in enumerate(cc.elems):
-                for iz, z in enumerate(cc.reps):
-                    ph = unit_phase(ctx.pair(Gd.add(chi, c), g)
-                                    + ctx.pair(Gd.sub(c, a), ctx.sigma(z)))
+    for ia, a in enumerate(nperp):
+        for ic, c in enumerate(nperp):
+            for ig, g in enumerate(elems):
+                for iz, z in enumerate(reps):
+                    ph = unit_phase(pairing(ctx.G, Gd.add(chi, c), g)
+                                    + pairing(ctx.G, Gd.sub(c, a), ctx.sigma(z)))
                     K[ia * d:(ia + 1) * d, ic * d:(ic + 1) * d] += \
                         w * ph * f.values[ig, iz] @ adjoint(mu[(g, z)])
     L = np.kron(_ref_lam(cc, chi), np.eye(d))
@@ -434,9 +505,10 @@ def _ref_kernel(cc, f, mu, chi):
 
 def _ref_mu_cocycle(cc, mu):
     G, q = cc.ctx.G, cc.ctx.quotient
+    elems, reps, _, _, _ = _lists(cc)
     return max(float(np.max(np.abs(mu[(G.add(g, h), z)]
                                    - mu[(g, q.add(z, q.rep(h)))] @ mu[(h, z)])))
-               for g in cc.elems for h in cc.elems for z in cc.reps)
+               for g in elems for h in elems for z in reps)
 
 
 @pytest.fixture(scope="module", params=[([4], [[2]]), ([2, 4], [[1, 2]])],
@@ -452,8 +524,8 @@ def test_dft_and_lam_match_pairing_loops(table_case):
     F, Fi = _ref_dft(cc)
     assert np.max(np.abs(cc.dft() - F)) < 1e-12
     assert np.max(np.abs(cc.dft_inv() - Fi)) < 1e-12
-    for chi in cc.ctx.Gd.elements():
-        assert np.max(np.abs(cc.lam(chi) - _ref_lam(cc, chi))) < 1e-12
+    for ichi, chi in enumerate(cc.ctx.Gd.elements()):
+        assert np.max(np.abs(cc.lam(ichi) - _ref_lam(cc, chi))) < 1e-12
 
 
 def test_algebra_matches_pairing_loops(table_case):
@@ -475,10 +547,10 @@ def test_conjugated_kernel_matches_pairing_loops(table_case):
     rng = np.random.default_rng(12)
     f1, f2 = (ConvolutionElement.random(cc, rng) for _ in range(2))
     fm1, fm2 = _mu_twisted(f1, mu), _mu_twisted(f2, mu)
-    for chi in cc.ctx.Gd.elements():
-        K = conjugated_kernel(cc, fm1, chi)
+    for ichi, chi in enumerate(cc.ctx.Gd.elements()):
+        K = conjugated_kernel(cc, fm1, ichi)
         assert np.max(np.abs(K - _ref_kernel(cc, f1, _keyed(cc, mu), chi))) < 1e-12
         # a leading batch runs each element through the same products
-        batch = conjugated_kernel(cc, np.stack([fm1, fm2]), chi)
+        batch = conjugated_kernel(cc, np.stack([fm1, fm2]), ichi)
         assert np.array_equal(batch[0], K)
-        assert np.array_equal(batch[1], conjugated_kernel(cc, fm2, chi))
+        assert np.array_equal(batch[1], conjugated_kernel(cc, fm2, ichi))

@@ -235,6 +235,16 @@ class TestSolveCharacter:
             assert Gd.sub(got, chi) in nperp
 
 
+def test_element_refuses_extra_coordinates():
+    # coordinates beyond the factor count are an error, not dropped
+    G = FiniteLcaGroup([2, 4])
+    with pytest.raises(ValueError):
+        G.element((0, 0, 9))
+    with pytest.raises(ValueError):
+        G.element((1,))
+    assert G.element((3, 9)) == G.element((1, 1))
+
+
 def test_group_order_cap():
     with pytest.raises(ValueError):
         FiniteLcaGroup([4096, 2])

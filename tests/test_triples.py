@@ -6,7 +6,7 @@ import pytest
 from tdual.cech import Nerve, TwistCocycle
 from tdual.errors import InvalidTripleError
 from tdual.groupcoh import GroupCochain, GroupCochainSpace, d_group, group_cohomology
-from tdual.lca import QZ, FiniteLcaGroup, Subgroup, pairing
+from tdual.lca import QZ, FiniteLcaGroup, Subgroup, make_section, pairing
 from tdual.triples import (
     DualityContext,
     TotalTwoCocycle,
@@ -435,6 +435,157 @@ def test_serialization_refuses_incomplete_tables():
     twice["zeta"]["0,1"]["1,2"] = twice["zeta"]["0,1"]["0,0"]
     with pytest.raises(ValueError, match="repeats a position"):
         triple_from_json(twice)
+
+
+def test_serialization_refuses_extra_key_coordinates():
+    from tdual.serialize import triple_from_json, triple_to_json
+    data = triple_to_json(_sphere_fixture())
+    data["zeta"]["0,1"]["0,0,9"] = data["zeta"]["0,1"].pop("0,0")
+    with pytest.raises(ValueError):
+        triple_from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# integer Poincare and dual-base checks against the exact Q/Z loops they replaced
+
+EQUIV_PAIRS = GROUP_PAIRS + [([2, 4], [[1, 2]]), ([4], [[1]]), ([3], [])]
+
+
+def _ref_poincare_ac(ctx, seed, make=make_section):
+    """poincare_check's (a) and (c) flags as per-element loops over the pairing."""
+    q, dq = ctx.quotient, ctx.dual_quotient
+    G, Gd = ctx.G, ctx.Gd
+    sigma, sigma_hat = ctx.sigma, ctx.sigma_hat
+    sigma2 = make(G, ctx.N, "random", seed=seed + 1, quotient=q)
+    sigma_hat2 = make(Gd, ctx.Nperp, "random", seed=seed + 2, quotient=dq)
+
+    # (a) sigma^-independence: ratio constant along the fiber, exactly
+    res_a = 0.0
+    for z in q.reps():
+        for zhat in dq.reps():
+            vals = [
+                pairing(G, Gd.sub(sigma_hat(zhat), sigma_hat2(zhat)),
+                        G.sub(sigma(q.sub_(x, z)), sigma(x)))
+                for x in q.reps()
+            ]
+            if any(v != vals[0] for v in vals):
+                res_a = 1.0
+
+    # (c) [Q]+[R] = 0: nu_cd . nu-perp_ab = delta(<s^_a(..), s_c(_)>) exactly
+    res_c = 0.0
+    s_c, s_d = sigma, sigma2
+    sh_a, sh_b = sigma_hat, sigma_hat2
+    for z in q.reps():
+        n_cd = G.sub(s_d(z), s_c(z))
+        if n_cd not in ctx.N:
+            res_c = 1.0
+            continue
+        for zhat in dq.reps():
+            nperp_ab = Gd.sub(sh_b(zhat), sh_a(zhat))
+            if nperp_ab not in ctx.Nperp:
+                res_c = 1.0
+                continue
+            lhs = pairing(G, sh_a(zhat), n_cd) + pairing(G, nperp_ab, s_d(z))
+            rhs = pairing(G, sh_b(zhat), s_d(z)) - pairing(G, sh_a(zhat), s_c(z))
+            if lhs != rhs:
+                res_c = 1.0
+    return res_a, res_c
+
+
+def _off_coset_section(*args, **kw):
+    """A random section moved off its coset at every nonzero representative
+    (None when the subgroup is the whole group)."""
+    sec = make_section(*args, **kw)
+    G, sub = args[0], args[1]
+    off = next((g for g in G.elements() if g not in sub), None)
+    if off is not None:
+        for r in sec.quotient.reps()[1:]:
+            sec.table[r] = G.add(sec.table[r], off)
+    return sec
+
+
+@pytest.mark.parametrize("factors,gens", EQUIV_PAIRS)
+@pytest.mark.parametrize("seed", [0, 1, 4, 9])
+def test_poincare_integer_checks_match_pairing_loops(factors, gens, seed):
+    ctx = ctx_for(factors, gens)
+    rep = poincare_check(ctx, seed=seed)
+    got = (rep["sigma_hat_independence"], rep["q_plus_r_coboundary"])
+    assert got == _ref_poincare_ac(ctx, seed) == (0.0, 0.0)
+
+
+def test_poincare_integer_checks_match_pairing_loops_off_coset(monkeypatch):
+    import tdual.triples as triples_mod
+    ctxs = [ctx_for(factors, gens) for factors, gens in EQUIV_PAIRS]
+    # only the second sections, drawn inside poincare_check, leave their cosets
+    monkeypatch.setattr(triples_mod, "make_section", _off_coset_section)
+    flags = []
+    for ctx in ctxs:
+        for seed in (0, 1, 4):
+            rep = poincare_check(ctx, seed=seed)
+            got = (rep["sigma_hat_independence"], rep["q_plus_r_coboundary"])
+            assert got == _ref_poincare_ac(ctx, seed, make=_off_coset_section)
+            flags.append(got)
+    # the broken sections do trip both checks somewhere
+    assert any(a == 1.0 for a, _ in flags) and any(c == 1.0 for _, c in flags)
+
+
+def _ref_dual_base_cocycle(t, c):
+    """dual_base_cocycle as Smith-form character solving plus a re-pairing loop."""
+    from tdual.lca import solve_character
+    ctx = t.ctx
+    G, q, m = ctx.G, ctx.quotient, ctx.m
+    if not c.omega_is_zero():
+        raise InvalidTripleError("dual base cocycle needs omega = 0 (normalise first)")
+    dq = ctx.dual_quotient
+    vals = {}
+    for e in t.nerve.edges:
+        tab = c.phi[e]
+        for nn in ctx.N.elements():
+            col = tab[G.index(nn), :]
+            if np.any(col != col[0]):
+                raise InvalidTripleError(
+                    f"phi({nn}, .) is not constant on the fiber over edge {e}")
+        values = {nn: QZ.of(-int(tab[G.index(nn), 0]), m) for nn in ctx.N.generators}
+        chi = solve_character(G, ctx.N, values)
+        vals[e] = dq.rep(chi)
+    ghat = TwistCocycle(t.nerve, dq, vals)
+    # re-pairing consistency on all of N, all fiber points
+    for e in t.nerve.edges:
+        for nn in ctx.N.elements():
+            want = QZ.of(-int(c.phi[e][G.index(nn), 0]), m)
+            if pairing(G, ghat.edge_values[e], nn) != want:
+                raise InvalidTripleError(f"dual cocycle pairing mismatch on {e}")
+    return ghat
+
+
+@pytest.mark.parametrize("factors,gens", EQUIV_PAIRS)
+@pytest.mark.parametrize("nerve", [Nerve.circle(), Nerve.sphere()], ids=["circle", "sphere"])
+def test_dual_base_search_matches_character_solving(factors, gens, nerve):
+    ctx = ctx_for(factors, gens, m=2 * FiniteLcaGroup(factors).exponent)
+    for seed in (1, 6, 8):
+        t = make_dualisable(build_random_triple(nerve, ctx, d=1, seed=seed))
+        c = extract_total_cocycle(t)
+        got = dual_base_cocycle(t, c).edge_values
+        assert got == _ref_dual_base_cocycle(t, c).edge_values
+
+
+@pytest.mark.parametrize("corrupt", ["not_a_homomorphism", "nonzero_at_zero", "not_constant"])
+def test_dual_base_refuses_phi_that_is_no_character(corrupt):
+    # Z4, N = {0, 2}, m = 4: <chi, 2> is 0 or 1/2, never 3/4
+    ctx = ctx_for([4], [[2]])
+    t = make_dualisable(build_random_triple(Nerve.circle(), ctx, d=1, seed=3))
+    c = extract_total_cocycle(t)
+    e = t.nerve.edges[0]
+    phi = c.phi[e].copy()
+    if corrupt == "not_a_homomorphism":
+        phi[ctx.G.index(ctx.G.element([2]))] = 1          # asks <chi, 2> = -1/4
+    elif corrupt == "nonzero_at_zero":
+        phi[0] = 1                                        # asks <chi, 0> = -1/4
+    else:
+        phi[ctx.G.index(ctx.G.element([2])), 1] += 2
+    bad = TotalTwoCocycle(c.nerve, c.ctx, c.g, c.psi, {**c.phi, e: phi}, c.omega)
+    with pytest.raises(InvalidTripleError):
+        dual_base_cocycle(t, bad)
 
 
 # ---------------------------------------------------------------------------
