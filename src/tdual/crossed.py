@@ -60,6 +60,7 @@ class CrossedContext:
       lift[z]                       position of sigma(z)
       perp                          positions of N-perp, ascending
       phases[chi, g]                exp(2 pi i <chi, g>), from G.pairing_table()
+      quot[c, a, z]                 phases at (c - a, sigma(z)), c and a in N-perp
 
     A mu table is an (n, q, d, d) array on the same positions, as a vertex's
     entry of TripleLocalData.mu.
@@ -75,13 +76,18 @@ class CrossedContext:
         self.shift, self.lift, self.phases = ctx.shift, ctx.lift, ctx.phases
         # N-perp is the zero coset of the dual quotient
         self.perp = np.flatnonzero(ctx.coset_hat == ctx.coset_hat[0])
+        self.quot = self.phases[self.sub[np.ix_(self.perp, self.perp)][..., None], self.lift]
+        F = self.phases[np.ix_(self.perp, self.lift)]
+        self._dft, self._dft_inv = float(self.weights.w_quot) * F, adjoint(F)
+        for shared in (self.quot, self._dft, self._dft_inv):   # read by every call
+            shared.setflags(write=False)
 
     def dft(self) -> np.ndarray:
         """Fourier transform L^2(G/N) -> L^2(dual of G/N), rows over N-perp."""
-        return float(self.weights.w_quot) * self.phases[np.ix_(self.perp, self.lift)]
+        return self._dft
 
     def dft_inv(self) -> np.ndarray:
-        return adjoint(self.phases[np.ix_(self.perp, self.lift)])
+        return self._dft_inv
 
     def lam(self, chi) -> np.ndarray:
         """Lambda(chi) = DFT . <chi, -sigma(_)> . DFT^-1, unitary on L^2(G/N^).
@@ -89,7 +95,7 @@ class CrossedContext:
         chi is a character position, or an array of them (a stack of Lambdas).
         """
         diag = self.phases[chi][..., self.lift].conj()
-        return (self.dft() * diag[..., None, :]) @ self.dft_inv()
+        return (self._dft * diag[..., None, :]) @ self._dft_inv
 
 
 def _fibre(L: np.ndarray, d: int) -> np.ndarray:
@@ -194,9 +200,8 @@ def conjugated_kernel(cc: CrossedContext, fm: np.ndarray, chi) -> np.ndarray:
     batch = np.broadcast_shapes(np.shape(chi), fm.shape[:-4])
     w = float(cc.weights.w_G * cc.weights.w_quot)
     char = w * cc.phases[cc.add[np.asarray(chi)[..., None], cc.perp]]       # (c, g)
-    quot = cc.phases[cc.sub[np.ix_(cc.perp, cc.perp)][..., None], cc.lift]   # (c, a, z)
     # each step rebinds K, so at most two kernel-sized arrays are alive at once
-    K = quot @ (char @ fm.reshape(*fm.shape[:-4], cc.n, q * d * d)).reshape(
+    K = cc.quot @ (char @ fm.reshape(*fm.shape[:-4], cc.n, q * d * d)).reshape(
         *batch, q, q, d * d)
     K = np.moveaxis(K.reshape(*batch, q, q, d, d), -4, -2).reshape(    # (a, i, c, j)
         *batch, q * d, q * d)

@@ -41,8 +41,9 @@ class SmithForm:
     """U @ A @ V = D mod m, with U, V invertible mod m and D diagonal.
 
     The diagonal divides along the chain gcd(d[0], m) | gcd(d[1], m) | ...
-    uinv is the mod-m inverse of u.  u, uinv and v hold the transforms asked
-    for and are None when smith_form was told not to track them.
+    uinv is the mod-m inverse of U.  u, uinv and v hold the transforms asked
+    for and are None when smith_form was told not to track them; u holds
+    U @ B mod m, not U, when smith_form carried a rows x k block B.
     """
 
     d: np.ndarray
@@ -145,16 +146,20 @@ def _pivot(S: np.ndarray, m: int) -> Optional[tuple[int, int]]:
         h *= 2
 
 
-def smith_form(A: np.ndarray, m: int, *, u: bool = True, uinv: bool = True,
-               v: bool = True) -> SmithForm:
+def smith_form(A: np.ndarray, m: int, *, u: bool | np.ndarray = True,
+               uinv: bool = True, v: bool = True) -> SmithForm:
     """Smith normal form of A over Z/m with the transforms asked for.
 
-    Pivots and elementary operations do not depend on which transforms are
-    tracked, so every tracked transform is the same whatever else is asked.
+    u may be a rows x k block B: the row operations then act on B, so the
+    form's u is U @ B mod m, bit for bit, and no rows x rows U is built.
+    Pivots and operations do not depend on which transforms are tracked.
     """
     D = np.asarray(A, dtype=np.int64) % m
     rows, cols = D.shape
-    U = np.eye(rows, dtype=np.int64) if u else None
+    if isinstance(u, bool):
+        U = np.eye(rows, dtype=np.int64) if u else None
+    else:
+        U = np.array(u, dtype=np.int64) % m
     Uinv = np.eye(rows, dtype=np.int64) if uinv else None
     V = np.eye(cols, dtype=np.int64) if v else None
     row = _Side(D, U, Uinv, m)
@@ -190,41 +195,38 @@ def smith_form(A: np.ndarray, m: int, *, u: bool = True, uinv: bool = True,
     return SmithForm(d=D, u=U, v=V, uinv=Uinv, m=m)
 
 
-def _solve(sf: SmithForm, B: np.ndarray) -> Optional[np.ndarray]:
-    """Solutions X of A X = B mod m from A's Smith form, or None.
+def _diagonal(d: np.ndarray, n: int) -> np.ndarray:
+    """The diagonal of d, padded with zeros to length n."""
+    diag = np.diagonal(d)
+    return np.concatenate([diag, np.zeros(n - diag.size, dtype=np.int64)])
 
-    B is (rows, k) and reduced mod m; the result is (cols, k), one solution
-    per column, and None as soon as one column has no solution.
+
+def _solve(sf: SmithForm) -> Optional[np.ndarray]:
+    """Solutions X of A X = B mod m from the Smith form that carried B, or None.
+
+    sf.u holds C = U @ B, B being (rows, k); the result is (cols, k), one
+    solution per column, and None if any column has no solution.
     """
-    m = sf.m
+    m, C = sf.m, sf.u
     rows, cols = sf.d.shape
-    C = (sf.u @ B) % m
-    Y = np.zeros((cols, B.shape[1]), dtype=np.int64)
-    k = min(rows, cols)
-    for i in range(rows):
-        di = int(sf.d[i, i]) if i < k else 0
-        g = gcd(di, m)
-        if np.any(C[i] % g):
-            return None
-        if i < k and di % m != 0:
-            Y[i] = (C[i] // g * inv_mod(di // g, m // g)) % (m // g)
+    d = _diagonal(sf.d, rows)
+    g = np.gcd(d, m)
+    if np.any(C % g[:, None]):
+        return None
+    piv = np.flatnonzero(d[:cols])   # entries of d are reduced mod m
+    gp, mg = g[piv], m // g[piv]
+    inv = [inv_mod(int(x), int(y)) for x, y in zip(d[piv] // gp, mg)]
+    Y = np.zeros((cols, C.shape[1]), dtype=np.int64)
+    Y[piv] = (C[piv] // gp[:, None] * np.array(inv, dtype=np.int64)[:, None]) % mg[:, None]
     return (sf.v @ Y) % m
 
 
 def _kernel(sf: SmithForm) -> np.ndarray:
     """Generators (columns) of the kernel of A mod m from A's Smith form."""
     m = sf.m
-    rows, cols = sf.d.shape
-    k = min(rows, cols)
-    gens = []
-    for j in range(cols):
-        dj = int(sf.d[j, j]) if j < k else 0
-        mult = m // gcd(dj, m)
-        if mult % m != 0:
-            gens.append((sf.v[:, j] * mult) % m)
-    if not gens:
-        return np.zeros((cols, 0), dtype=np.int64)
-    return np.stack(gens, axis=1)
+    mult = m // np.gcd(_diagonal(sf.d, sf.d.shape[1]), m)
+    keep = np.flatnonzero(mult % m)
+    return (sf.v[:, keep] * mult[keep]) % m
 
 
 def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
@@ -238,7 +240,7 @@ def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
     b = np.asarray(b, dtype=np.int64) % m
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    X = _solve(smith_form(A, m, uinv=False), b if b.ndim == 2 else b[:, None])
+    X = _solve(smith_form(A, m, u=b if b.ndim == 2 else b[:, None], uinv=False))
     if X is None:
         return None
     return X if b.ndim == 2 else X[:, 0]
@@ -269,25 +271,17 @@ def module_quotient(
     n, t = gens.shape
     if t == 0:
         return [], np.zeros((n, 0), dtype=np.int64)
-    sf = smith_form(gens, m, uinv=False)
-    coords = _solve(sf, np.asarray(rels, dtype=np.int64) % m)
+    sf = smith_form(gens, m, u=rels, uinv=False)
+    coords = _solve(sf)
     if coords is None:
         raise ValueError("relation outside the span of the generators")
     R = np.concatenate([coords, _kernel(sf)], axis=1)
     if R.shape[1] == 0:
         R = np.zeros((t, 1), dtype=np.int64)
     sf = smith_form(R, m, u=False, v=False)
-    k = min(R.shape)
-    new_gens = (gens @ sf.uinv) % m
-    factors, reps = [], []
-    for i in range(t):
-        di = int(sf.d[i, i]) if i < k else 0
-        f = gcd(di, m)
-        if f > 1:
-            factors.append(f)
-            reps.append(new_gens[:, i])
-    reps_arr = np.stack(reps, axis=1) if reps else np.zeros((n, 0), dtype=np.int64)
-    return factors, reps_arr
+    f = np.gcd(_diagonal(sf.d, t), m)
+    keep = np.flatnonzero(f > 1)
+    return [int(x) for x in f[keep]], (gens @ sf.uinv[:, keep]) % m
 
 
 def cohomology_of(

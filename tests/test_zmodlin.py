@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdual import zmodlin
+from tdual.cech import Nerve, TwistCocycle
+from tdual.groupcoh import total_matrix
+from tdual.lca import FiniteLcaGroup, QuotientGroup, Subgroup
 from tdual.zmodlin import (
     cohomology_of,
     inv_mod,
@@ -174,6 +177,34 @@ def test_cohomology_of_factors_each_matrix_once(monkeypatch):
     assert factors == expected[0] and np.array_equal(reps, expected[1])
 
 
+def test_solvers_carry_the_right_hand_side_not_u(monkeypatch):
+    # Z4/<2> on the circle: the total differential from degree 2 to 3 is the
+    # 480 x 120 matrix the coboundary solver factors; neither solve_mod nor
+    # module_quotient's first factorisation may build its 480 x 480 U
+    G = FiniteLcaGroup([4])
+    q = QuotientGroup(G, Subgroup(G, [G.element([2])]))
+    nerve = Nerve.circle()
+    A = total_matrix(nerve, G, q, 4, TwistCocycle.trivial(nerve, q), 2)
+    assert A.shape == (480, 120)
+    B = (A @ np.random.default_rng(2).integers(0, 4, size=(120, 5))) % 4
+    shapes = []
+    real = zmodlin.smith_form
+
+    def spy(M, mod, **kw):
+        sf = real(M, mod, **kw)
+        shapes.append((np.shape(M), None if sf.u is None else sf.u.shape))
+        return sf
+
+    monkeypatch.setattr(zmodlin, "smith_form", spy)
+    X = solve_mod(A, B, 4)
+    assert np.array_equal((A @ X) % 4, B)
+    x = solve_mod(A, B[:, 0], 4)
+    assert np.array_equal((A @ x) % 4, B[:, 0])
+    module_quotient(A, B, 4)
+    assert shapes[:3] == [((480, 120), (480, 5)), ((480, 120), (480, 1)),
+                          ((480, 120), (480, 5))]
+
+
 def reference_smith(A, m):
     """The Smith reduction one entry at a time, as (D, U, V, U^-1).
 
@@ -274,6 +305,8 @@ def random_matrix(rng, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_smith_form_matches_reference_bit_for_bit(kind):
     rng = np.random.default_rng(KINDS.index(kind))
+    # the carried blocks draw from their own stream, so the matrices stay put
+    block_rng = np.random.default_rng([KINDS.index(kind), 1])
     moduli = set()
     for _ in range(12):
         A, m = random_matrix(rng, kind)
@@ -287,6 +320,13 @@ def test_smith_form_matches_reference_bit_for_bit(kind):
                     assert np.array_equal(getattr(sf, name), ref[name]), (A, m, name)
                 else:
                     assert getattr(sf, name) is None
+        # a carried rows x k block comes out as U @ B, and changes nothing else
+        for k in (0, 1, 3):
+            B = block_rng.integers(0, m, size=(A.shape[0], k))
+            sf = smith_form(A, m, u=B)
+            assert np.array_equal(sf.u, (ref["u"] @ B) % m), (A, m, B)
+            for name in ("d", "v", "uinv"):
+                assert np.array_equal(getattr(sf, name), ref[name]), (A, m, name)
     assert any(all(m % p for p in range(2, m)) for m in moduli)   # a prime
     assert any(any(m % p == 0 for p in range(2, m)) for m in moduli)   # a composite
 
@@ -313,3 +353,101 @@ def test_smith_form_exact_at_the_largest_loadable_modulus(m):
     assert not ((exact_product(exact_product(sf.u, A), sf.v) - sf.d) % m).any()
     assert not ((exact_product(sf.u, sf.uinv) - np.eye(512, dtype=np.int64)) % m).any()
     assert sf.diag == [1, 1, 1, 1]
+    # the solver carries B through the row operations instead of forming U
+    X0 = rng.integers(0, m, size=(4, 3))
+    B = (exact_product(A, X0) % m).astype(np.int64)
+    carried = smith_form(A, m, u=B, uinv=False)
+    assert np.array_equal(carried.u, (exact_product(sf.u, B) % m).astype(np.int64))
+    X = solve_mod(A, B, m)
+    assert not ((exact_product(A, X) - B) % m).any()
+
+
+def reference_solve(sf: zmodlin.SmithForm, B: np.ndarray):
+    """Solutions X of A X = B mod m from A's Smith form, or None.
+
+    B is (rows, k) and reduced mod m; the result is (cols, k), one solution
+    per column, and None as soon as one column has no solution.
+    """
+    m = sf.m
+    rows, cols = sf.d.shape
+    C = (sf.u @ B) % m
+    Y = np.zeros((cols, B.shape[1]), dtype=np.int64)
+    k = min(rows, cols)
+    for i in range(rows):
+        di = int(sf.d[i, i]) if i < k else 0
+        g = gcd(di, m)
+        if np.any(C[i] % g):
+            return None
+        if i < k and di % m != 0:
+            Y[i] = (C[i] // g * inv_mod(di // g, m // g)) % (m // g)
+    return (sf.v @ Y) % m
+
+
+def reference_kernel(sf: zmodlin.SmithForm) -> np.ndarray:
+    """Generators (columns) of the kernel of A mod m from A's Smith form."""
+    m = sf.m
+    rows, cols = sf.d.shape
+    k = min(rows, cols)
+    gens = []
+    for j in range(cols):
+        dj = int(sf.d[j, j]) if j < k else 0
+        mult = m // gcd(dj, m)
+        if mult % m != 0:
+            gens.append((sf.v[:, j] * mult) % m)
+    if not gens:
+        return np.zeros((cols, 0), dtype=np.int64)
+    return np.stack(gens, axis=1)
+
+
+def reference_module_quotient(gens, rels, m):
+    """module_quotient with the full U: reference_solve on U @ rels."""
+    n, t = gens.shape
+    if t == 0:
+        return [], np.zeros((n, 0), dtype=np.int64)
+    sf = smith_form(gens, m, uinv=False)
+    coords = reference_solve(sf, np.asarray(rels, dtype=np.int64) % m)
+    R = np.concatenate([coords, reference_kernel(sf)], axis=1)
+    if R.shape[1] == 0:
+        R = np.zeros((t, 1), dtype=np.int64)
+    sf = smith_form(R, m, u=False, v=False)
+    k = min(R.shape)
+    new_gens = (gens @ sf.uinv) % m
+    factors, reps = [], []
+    for i in range(t):
+        di = int(sf.d[i, i]) if i < k else 0
+        f = gcd(di, m)
+        if f > 1:
+            factors.append(f)
+            reps.append(new_gens[:, i])
+    reps_arr = np.stack(reps, axis=1) if reps else np.zeros((n, 0), dtype=np.int64)
+    return factors, reps_arr
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_solvers_match_the_u_tracking_reference(kind):
+    rng = np.random.default_rng([KINDS.index(kind), 2])
+    solvable = set()
+    for _ in range(12):
+        A, m = random_matrix(rng, kind)
+        rows, cols = A.shape
+        # two columns in the image of A, two drawn at random (often not)
+        B = np.concatenate([(A @ rng.integers(0, m, size=(cols, 2))) % m,
+                            rng.integers(0, m, size=(rows, 2))], axis=1)
+        sf = smith_form(A, m, uinv=False)
+        for rhs in (B, B[:, :2], B[:, 2:3], B[:, :0]):
+            want = reference_solve(sf, rhs)
+            got = solve_mod(A, rhs, m)
+            solvable.add(want is not None)
+            assert (got is None) == (want is None), (A, m, rhs)
+            assert want is None or np.array_equal(got, want), (A, m, rhs)
+        rels = (A @ rng.integers(0, m, size=(cols, 3))) % m
+        f, reps = module_quotient(A, rels, m)
+        f_ref, reps_ref = reference_module_quotient(A, rels, m)
+        assert f == f_ref and np.array_equal(reps, reps_ref), (A, m)
+        K = reference_kernel(smith_form(A, m, u=False, uinv=False))
+        assert np.array_equal(kernel_mod(A, m), K)
+        d_prev = (K @ rng.integers(0, m, size=(K.shape[1], 3))) % m
+        f, reps = cohomology_of(A, d_prev, m)
+        f_ref, reps_ref = reference_module_quotient(K, d_prev, m)
+        assert f == f_ref and np.array_equal(reps, reps_ref), (A, m)
+    assert solvable == {True, False}
