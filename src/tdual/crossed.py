@@ -61,6 +61,8 @@ class CrossedContext:
       perp                          positions of N-perp, ascending
       phases[chi, g]                exp(2 pi i <chi, g>), from G.pairing_table()
       quot[c, a, z]                 phases at (c - a, sigma(z)), c and a in N-perp
+      dft, dft_inv                  Fourier transform L^2(G/N) -> L^2(dual of G/N),
+                                    rows over N-perp, and its inverse
 
     A mu table is an (n, q, d, d) array on the same positions, as a vertex's
     entry of TripleLocalData.mu.
@@ -78,16 +80,9 @@ class CrossedContext:
         self.perp = np.flatnonzero(ctx.coset_hat == ctx.coset_hat[0])
         self.quot = self.phases[self.sub[np.ix_(self.perp, self.perp)][..., None], self.lift]
         F = self.phases[np.ix_(self.perp, self.lift)]
-        self._dft, self._dft_inv = float(self.weights.w_quot) * F, adjoint(F)
-        for shared in (self.quot, self._dft, self._dft_inv):   # read by every call
+        self.dft, self.dft_inv = float(self.weights.w_quot) * F, adjoint(F)
+        for shared in (self.quot, self.dft, self.dft_inv):   # read by every call
             shared.setflags(write=False)
-
-    def dft(self) -> np.ndarray:
-        """Fourier transform L^2(G/N) -> L^2(dual of G/N), rows over N-perp."""
-        return self._dft
-
-    def dft_inv(self) -> np.ndarray:
-        return self._dft_inv
 
     def lam(self, chi) -> np.ndarray:
         """Lambda(chi) = DFT . <chi, -sigma(_)> . DFT^-1, unitary on L^2(G/N^).
@@ -95,7 +90,7 @@ class CrossedContext:
         chi is a character position, or an array of them (a stack of Lambdas).
         """
         diag = self.phases[chi][..., self.lift].conj()
-        return (self._dft * diag[..., None, :]) @ self._dft_inv
+        return (self.dft * diag[..., None, :]) @ self.dft_inv
 
 
 def _fibre(L: np.ndarray, d: int) -> np.ndarray:
@@ -280,8 +275,8 @@ def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
     weil = float(w.w_quot) * float(w.w_N) * f[cc.add[np.ix_(cc.lift, n_pos)]].sum()
     res = max(res, abs(total - weil))
     # on G/N against N-perp
-    F = cc.dft()
-    Fi = cc.dft_inv()
+    F = cc.dft
+    Fi = cc.dft_inv
     res = max(res, float(np.max(np.abs(Fi @ F - np.eye(cc.q)))))
     L = cc.lam(1 % cc.n)
     res = max(res, float(np.max(np.abs(adjoint(L) @ L - np.eye(cc.q)))))
@@ -429,8 +424,8 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
     ctx = t.ctx
     cc = CrossedContext(ctx, t.fiber_dim)
     rng = np.random.default_rng(seed)
-    kron_dft = np.kron(cc.dft(), np.eye(cc.d))
-    kron_dft_inv = np.kron(cc.dft_inv(), np.eye(cc.d))
+    kron_dft = np.kron(cc.dft, np.eye(cc.d))
+    kron_dft_inv = np.kron(cc.dft_inv, np.eye(cc.d))
     # per edge: W stacked over z^, and the positions of g^_ab + z^
     glue = {e: (kron_dft @ t_hat.zeta[e] @ kron_dft_inv,
                 ctx.shift_hat[ctx.Gd.index(t_hat.g.edge_values[e])])

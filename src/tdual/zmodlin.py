@@ -41,9 +41,9 @@ class SmithForm:
     """U @ A @ V = D mod m, with U, V invertible mod m and D diagonal.
 
     The diagonal divides along the chain gcd(d[0], m) | gcd(d[1], m) | ...
-    uinv is the mod-m inverse of U.  u, uinv and v hold the transforms asked
-    for and are None when smith_form was told not to track them; u holds
-    U @ B mod m, not U, when smith_form carried a rows x k block B.
+    uinv is the mod-m inverse of U.  u holds U @ B mod m for the rows x k
+    block B that smith_form carried; u, uinv and v are None when smith_form
+    was told not to track them.
     """
 
     d: np.ndarray
@@ -146,20 +146,18 @@ def _pivot(S: np.ndarray, m: int) -> Optional[tuple[int, int]]:
         h *= 2
 
 
-def smith_form(A: np.ndarray, m: int, *, u: bool | np.ndarray = True,
+def smith_form(A: np.ndarray, m: int, *, u: Optional[np.ndarray] = None,
                uinv: bool = True, v: bool = True) -> SmithForm:
     """Smith normal form of A over Z/m with the transforms asked for.
 
-    u may be a rows x k block B: the row operations then act on B, so the
-    form's u is U @ B mod m, bit for bit, and no rows x rows U is built.
-    Pivots and operations do not depend on which transforms are tracked.
+    u is a rows x k block B or None: the row operations act on B, so the
+    form's u is U @ B mod m, bit for bit, and no rows x rows U is built
+    (B = identity gives U itself).  Pivots and operations do not depend on
+    which transforms are tracked.
     """
     D = np.asarray(A, dtype=np.int64) % m
     rows, cols = D.shape
-    if isinstance(u, bool):
-        U = np.eye(rows, dtype=np.int64) if u else None
-    else:
-        U = np.array(u, dtype=np.int64) % m
+    U = None if u is None else np.array(u, dtype=np.int64) % m
     Uinv = np.eye(rows, dtype=np.int64) if uinv else None
     V = np.eye(cols, dtype=np.int64) if v else None
     row = _Side(D, U, Uinv, m)
@@ -254,7 +252,7 @@ def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
         return np.eye(cols, dtype=np.int64)
     if cols == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    return _kernel(smith_form(A, m, u=False, uinv=False))
+    return _kernel(smith_form(A, m, uinv=False))
 
 
 def module_quotient(
@@ -278,7 +276,7 @@ def module_quotient(
     R = np.concatenate([coords, _kernel(sf)], axis=1)
     if R.shape[1] == 0:
         R = np.zeros((t, 1), dtype=np.int64)
-    sf = smith_form(R, m, u=False, v=False)
+    sf = smith_form(R, m, v=False)
     f = np.gcd(_diagonal(sf.d, t), m)
     keep = np.flatnonzero(f > 1)
     return [int(x) for x in f[keep]], (gens @ sf.uinv[:, keep]) % m
