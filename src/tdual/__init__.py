@@ -11,11 +11,9 @@ from .lca import (
     Section,
     Subgroup,
     annihilator,
-    canonical_isos,
     dual_group,
     make_section,
     pairing,
-    solve_character,
 )
 from .cech import GModule, Nerve, TwistCocycle, TwistedCochain, cohomology, delta_g, r_sharp
 from .groupcoh import (

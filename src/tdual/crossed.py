@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidTripleError
-from .linops import adjoint, operator_matrix
+from .errors import InvalidTripleError, check_dim
+from .linops import adjoint
 from .triples import DualityContext, TripleLocalData
 
 HOLONOMY_TOL = 1e-9   # Gram eigenvalue above which a loop's defect counts
@@ -104,7 +104,7 @@ class ConvolutionElement:
     """A matrix-valued function on G x G/N, stored as (|G|, q, d, d).
 
     Leading axes before those four, if any, hold a batch of elements; only
-    t_transform reads a batch (t_linearized maps the identity through it).
+    t_transform reads a batch (t_linearized maps unit elements through it).
     """
 
     def __init__(self, cc: CrossedContext, values: np.ndarray):
@@ -237,8 +237,7 @@ def t_transform(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
     The stack is filled one z^ at a time.
     """
     cc = f.cc
-    # t_linearized's batch is strided: copy fm once here, not once per z^ in a reshape
-    fm = np.ascontiguousarray(_mu_twisted(f, mu))
+    fm = _mu_twisted(f, mu)
     lifts = cc.ctx.lift_hat
     out = np.empty((*fm.shape[:-4], len(lifts), cc.q * cc.d, cc.q * cc.d), complex)
     for izh, chi in enumerate(lifts):
@@ -247,16 +246,23 @@ def t_transform(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
 
 
 def t_linearized(cc: CrossedContext, mu: np.ndarray) -> np.ndarray:
-    """The transform as one big matrix on flattened coordinates (for rank checks)."""
+    """The transform as one big matrix on flattened coordinates (for rank checks).
 
-    def apply(batch: np.ndarray) -> np.ndarray:
-        # one transform of all columns at once, the batch moved to the front
-        cols = batch.shape[1]
-        f = ConvolutionElement(cc, batch.T.reshape(cols, cc.n, cc.q, cc.d, cc.d))
-        return t_transform(f, mu).reshape(cols, -1).T
-
-    return operator_matrix(apply, cc.n * cc.q * cc.d * cc.d,
-                           len(cc.ctx.lift_hat) * (cc.q * cc.d) ** 2, complex)
+    Column (g, z, i, j) is the image of the unit element at that point.  The
+    unit elements at one g are zero off g, so each g-block of q d^2 columns
+    is one transform of a batch of q d^2 elements.
+    """
+    block = cc.q * cc.d * cc.d
+    n_src, n_dst = cc.n * block, len(cc.ctx.lift_hat) * (cc.q * cc.d) ** 2
+    check_dim(max(n_src, n_dst))
+    A = np.empty((n_dst, n_src), complex)
+    units = np.eye(block, dtype=complex).reshape(block, cc.q, cc.d, cc.d)
+    for g in range(cc.n):
+        vals = np.zeros((block, cc.n, cc.q, cc.d, cc.d), complex)
+        vals[:, g] = units
+        T = t_transform(ConvolutionElement(cc, vals), mu)
+        A[:, g * block:(g + 1) * block] = T.reshape(block, n_dst).T
+    return A
 
 
 def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
@@ -281,16 +287,6 @@ def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
     L = cc.lam(1 % cc.n)
     res = max(res, float(np.max(np.abs(adjoint(L) @ L - np.eye(cc.q)))))
     return res
-
-
-def s_reindex_matrix(ctx: DualityContext) -> np.ndarray:
-    """The reshuffle L^2(N) x L^2(G/N) -> L^2(G), (Sf)(g) = f(g - sigma(gN), gN)."""
-    n, q = ctx.G.order, ctx.quotient.order
-    n_pos = np.flatnonzero(ctx.coset == ctx.coset[0])      # N, in N.elements() order
-    n_part = ctx.sub[np.arange(n), ctx.lift[ctx.coset]]
-    S = np.zeros((n, len(n_pos) * q), complex)
-    S[np.arange(n), np.searchsorted(n_pos, n_part) * q + ctx.coset] = 1.0
-    return S
 
 
 def mu_is_cocycle(cc: CrossedContext, mu: np.ndarray) -> float:

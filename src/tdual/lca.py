@@ -16,8 +16,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .zmodlin import solve_mod
-
 MAX_GROUP_ORDER = 4096
 
 
@@ -318,13 +316,14 @@ def make_section(
 
 
 def annihilator(G: FiniteLcaGroup, N: Subgroup) -> Subgroup:
-    """N-perp: all characters of G vanishing on N (brute force over the dual)."""
+    """N-perp: all characters of G vanishing on N (brute force over the dual).
+
+    A character vanishes on N when its pairing-table row is zero at the
+    positions of N's generators (rows index characters, as G.elements()).
+    """
     Gd = dual_group(G)
-    members = [
-        chi
-        for chi in Gd.elements()
-        if all(pairing(G, chi, n).is_zero() for n in N.generators)
-    ]
+    at_gens = G.pairing_table()[:, [G.index(n) for n in N.generators]]
+    members = [chi for chi, hit in zip(Gd.elements(), at_gens.any(axis=1)) if not hit]
     # thin the member list to a small generating set, in enumeration order
     gens: list[GroupElement] = []
     span = {Gd.zero()}
@@ -336,85 +335,3 @@ def annihilator(G: FiniteLcaGroup, N: Subgroup) -> Subgroup:
         if len(span) == len(members):
             break
     return Subgroup(Gd, gens)
-
-
-def solve_character(
-    G: FiniteLcaGroup, N: Subgroup, values: Mapping[GroupElement, QZ]
-) -> GroupElement:
-    """A chi in the dual with <chi, n> = values[n] for all n in N.
-
-    values must be a homomorphism N -> Q/Z; the result is unique modulo the
-    annihilator of N.  Solved as an integer linear system mod the exponent.
-    """
-    m = G.exponent
-    gens = list(N.generators)
-    if not gens:
-        return dual_group(G).zero()
-    r = len(G.factors)
-    A = np.zeros((len(gens), r), dtype=np.int64)
-    b = np.zeros(len(gens), dtype=np.int64)
-    for j, n in enumerate(gens):
-        for i, (ni, f) in enumerate(zip(n.coords, G.factors)):
-            A[j, i] = (ni * (m // f)) % m
-        v = values.get(n)
-        if v is None:
-            raise ValueError(f"no value given for generator {n}")
-        b[j] = v.to_index(m)
-    x = solve_mod(A, b, m)
-    if x is None:
-        raise ValueError("values do not extend to a character (not a homomorphism?)")
-    chi = dual_group(G).element(tuple(int(c) for c in x))
-    # full postcondition check over all of N
-    for n in N.elements():
-        expect = _hom_value(G, N, values, n)
-        if pairing(G, chi, n) != expect:
-            raise ValueError("values are not a homomorphism on N")
-    return chi
-
-
-def _hom_value(
-    G: FiniteLcaGroup, N: Subgroup, values: Mapping[GroupElement, QZ], n: GroupElement
-) -> QZ:
-    """Extend generator values additively to n; n must be reachable."""
-    if n in values:
-        return values[n]
-    seen = {G.zero(): QZ_ZERO}
-    frontier = [(G.zero(), QZ_ZERO)]
-    while frontier:
-        x, vx = frontier.pop()
-        if x == n:
-            return vx
-        for g in N.generators:
-            y = G.add(x, g)
-            if y not in seen:
-                vy = vx + values[g]
-                seen[y] = vy
-                frontier.append((y, vy))
-    raise ValueError(f"{n} is not in the subgroup")
-
-
-def canonical_isos(G: FiniteLcaGroup, N: Subgroup):
-    """The two canonical duality tables for the pair (G, N).
-
-    Returns (to_char_of_N, from_char_of_quotient):
-      - to_char_of_N maps each canonical representative of a coset in
-        (dual G)/N-perp to the character table of N it induces;
-      - from_char_of_quotient maps each character table of G/N (keyed by
-        the tuple of values on the canonical quotient representatives) to
-        the element of N-perp implementing it.
-    """
-    Gd = dual_group(G)
-    nperp = annihilator(G, N)
-    dual_quot = QuotientGroup(Gd, nperp)
-    n_elems = N.elements()
-    to_char = {}
-    for zhat in dual_quot.reps():
-        to_char[zhat] = tuple(pairing(G, zhat, n) for n in n_elems)
-
-    quot = QuotientGroup(G, N)
-    sigma = make_section(G, N, "least", quotient=quot)
-    from_char = {}
-    for nperp_el in nperp.elements():
-        table = tuple(pairing(G, nperp_el, sigma(z)) for z in quot.reps())
-        from_char[table] = nperp_el
-    return to_char, from_char

@@ -20,8 +20,8 @@ def adjoint(U: np.ndarray) -> np.ndarray:
 
 
 def operator_matrix(apply: Callable[[np.ndarray], np.ndarray], n_src: int,
-                    n_dst: int, dtype=np.int64) -> np.ndarray:
-    """Matrix of a linear map on flat coordinates, from one batched call.
+                    n_dst: int) -> np.ndarray:
+    """Integer matrix of a linear map on flat coordinates, from one batched call.
 
     apply takes flat coordinates of shape (n_src, B), a batch of B vectors
     along the trailing axis, and returns their images, shape (n_dst, B).  It
@@ -30,8 +30,8 @@ def operator_matrix(apply: Callable[[np.ndarray], np.ndarray], n_src: int,
     """
     check_dim(max(n_src, n_dst))
     if n_src == 0 or n_dst == 0:
-        return np.zeros((n_dst, n_src), dtype=dtype)
-    A = np.asarray(apply(np.eye(n_src, dtype=dtype)), dtype=dtype)
+        return np.zeros((n_dst, n_src), dtype=np.int64)
+    A = np.asarray(apply(np.eye(n_src, dtype=np.int64)), dtype=np.int64)
     if A.shape != (n_dst, n_src):
         raise ValueError(f"operator image has shape {A.shape}, want {(n_dst, n_src)}")
     return A

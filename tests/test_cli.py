@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from tdual import triples
-from tdual.cli import ScenarioError, Workspace, load_scenario, main
+from tdual import cech, groupcoh, triples, zmodlin
+from tdual.cli import ScenarioError, Workspace, check_total, load_scenario, main
 
 Z6 = {
     "groups": {"factors": [6], "N": [[3]]},
@@ -281,6 +281,18 @@ class TestStages:
         # fixture, normalised, dual, double dual and the exterior relift
         assert calls == {"extract_total_cocycle": 5, "dualize": 2}
 
+    def test_run_factors_each_point_nerve_degree_once(self, monkeypatch, tmp_path):
+        calls = []
+        fn = zmodlin.smith_form
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return fn(*args, **kw)
+        monkeypatch.setattr(zmodlin, "smith_form", counted)
+        assert main(["run", "z6_circle", "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
+        # 31 when the point-nerve check also factored the group-cohomology side
+        assert len(calls) == 25
+
     def test_all_run_checks_dual_laws_three_times(self, monkeypatch, tmp_path):
         calls = []
         fn = triples.dual_law_report
@@ -305,3 +317,40 @@ class TestStages:
                 assert np.array_equal(got[key].flatten(), want[key].flatten())
             else:
                 assert got[key] == want[key], key
+
+
+POINT_NERVE = "total.point_nerve_matches_group_cohomology"
+
+
+def _point_nerve_row(factors, gens):
+    ws = Workspace({"groups": {"factors": factors, "N": gens},
+                    "nerve": {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]},
+                    "seed": 3, "command": "total-cohomology"})
+    return next(r for r in check_total(ws) if r["name"] == POINT_NERVE), ws.ctx
+
+
+@pytest.mark.parametrize("factors,gens", [([6], [[3]]), ([2, 4], [[1, 2]]),
+                                          ([4], [[2]]), ([2, 2], [[1, 1]])])
+def test_point_nerve_check_passes_with_group_factors(factors, gens):
+    row, ctx = _point_nerve_row(factors, gens)
+    assert row["passed"]
+    for p, f in row["factors"].items():
+        assert f == groupcoh.group_cohomology(ctx.G, ctx.quotient, ctx.m, int(p))[0]
+
+
+def test_point_nerve_check_catches_a_negated_total_differential(monkeypatch):
+    honest, _ = _point_nerve_row([6], [[3]])
+    fn = groupcoh.total_differential
+
+    def negated(t, g):
+        out = fn(t, g)
+        blocks = {kl: cech.TwistedCochain(b.nerve, b.module, b.degree,
+                                          {s: -v for s, v in b.values.items()})
+                  for kl, b in out.blocks.items()}
+        return groupcoh.TotalCochain(out.nerve, out.G, out.quotient, out.m,
+                                     out.degree, blocks)
+    monkeypatch.setattr(groupcoh, "total_differential", negated)
+    row, _ = _point_nerve_row([6], [[3]])
+    assert not row["passed"]
+    # negation keeps every cohomology group, so comparing factors would accept it
+    assert row["factors"] == honest["factors"]

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tdual import crossed
 from tdual.cech import Nerve, TwistCocycle
 from tdual.crossed import (
     ConvolutionElement,
@@ -14,7 +17,6 @@ from tdual.crossed import (
     mu_is_cocycle,
     operator_norm,
     represent,
-    s_reindex_matrix,
     section_family,
     t_linearized,
     t_periodicity_residual,
@@ -198,6 +200,39 @@ class TestTransform:
         with pytest.raises(ResourceCapError):
             t_linearized(cc, z4mu)
 
+    @pytest.mark.parametrize("factors,gens,d", [([6], [[3]], 2), ([2, 4], [[1, 2]], 1)])
+    def test_linearized_matches_whole_identity_batch(self, factors, gens, d):
+        ctx = ctx_for(factors, gens)
+        cc = CrossedContext(ctx, d)
+        mu = build_random_triple(Nerve.circle(), ctx, d=d, seed=7).mu[0]
+        assert not np.allclose(mu, trivial_mu(cc))
+        # every unit vector through one transform, as one (n_src, n_src) batch
+        src = cc.n * cc.q * d * d
+        ident = np.eye(src, dtype=complex)
+        f = ConvolutionElement(cc, ident.T.reshape(src, cc.n, cc.q, d, d))
+        ref = t_transform(f, mu).reshape(src, -1).T
+        assert np.array_equal(t_linearized(cc, mu), ref)
+
+    def test_linearized_refuses_before_allocating(self, monkeypatch):
+        ctx = ctx_for([6], [[3]])
+        cc = CrossedContext(ctx, 4)
+        src = cc.n * cc.q * cc.d ** 2
+        dst = len(ctx.lift_hat) * (cc.q * cc.d) ** 2
+        monkeypatch.setenv("TDUAL_MAX_DIM", str(src - 1))
+
+        def no_transform(*args):
+            raise AssertionError("transform ran over the cap")
+        monkeypatch.setattr(crossed, "t_transform", no_transform)
+        mu = trivial_mu(cc)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                t_linearized(cc, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < src * dst * 16 // 8     # far below the complex matrix
+
     def test_lift_independence_is_automatic(self, z4ctx):
         # conjugating the kernel by Lambda cancels the index shift under
         # N-perp translations of the lift for ANY mu table, so the output
@@ -371,29 +406,6 @@ class TestGluing:
         assert rep["edges"] == 0 and rep["section_transition"] == 0.0
         prep = verify_point_theorem(ctx, 2, t.mu[0], trials=2, seed=5)
         assert all(v < 1e-8 for v in prep.values())
-
-
-def test_s_matrix_intertwines_translations(z4ctx):
-    ctx = z4ctx
-    G, q = ctx.G, ctx.quotient
-    S = s_reindex_matrix(ctx)
-    nn = ctx.N.elements()
-    reps = q.reps()
-    ni = {x: i for i, x in enumerate(nn)}
-    zi = {z: i for i, z in enumerate(reps)}
-    dim = len(nn) * len(reps)
-    for g in G.elements():
-        lamG = np.zeros((G.order, G.order), complex)
-        for i, x in enumerate(G.elements()):
-            lamG[G.index(G.add(x, g)), i] = 1.0
-        M = np.linalg.inv(S) @ lamG @ S
-        E = np.zeros((dim, dim), complex)
-        for inn, n in enumerate(nn):
-            for iz, z in enumerate(reps):
-                n0 = G.sub(G.add(g, ctx.sigma(z)), ctx.sigma(q.add(z, q.rep(g))))
-                E[ni[G.add(n, n0)] * len(reps) + zi[q.add(z, q.rep(g))],
-                  inn * len(reps) + iz] = 1.0
-        assert np.max(np.abs(M - E)) < 1e-12
 
 
 def test_element_serialization_roundtrip(z4ctx):

@@ -6,7 +6,8 @@ import pytest
 from tdual.cech import Nerve, TwistCocycle
 from tdual.errors import InvalidTripleError
 from tdual.groupcoh import GroupCochain, GroupCochainSpace, d_group, group_cohomology
-from tdual.lca import QZ, FiniteLcaGroup, Subgroup, make_section, pairing
+from tdual.lca import (QZ, QZ_ZERO, FiniteLcaGroup, Subgroup, dual_group, make_section,
+                       pairing)
 from tdual.triples import (
     DualityContext,
     TotalTwoCocycle,
@@ -30,6 +31,7 @@ from tdual.triples import (
     validate_triple,
     verify_involution,
 )
+from tdual.zmodlin import solve_mod
 
 GROUP_PAIRS = [([4], [[2]]), ([6], [[3]]), ([2, 2], [[1, 1]])]
 
@@ -529,9 +531,59 @@ def test_poincare_integer_checks_match_pairing_loops_off_coset(monkeypatch):
     assert any(a == 1.0 for a, _ in flags) and any(c == 1.0 for _, c in flags)
 
 
+def solve_character(G, N, values):
+    """A chi in the dual with <chi, n> = values[n] for all n in N.
+
+    values must be a homomorphism N -> Q/Z; the result is unique modulo the
+    annihilator of N.  Solved as an integer linear system mod the exponent.
+    """
+    m = G.exponent
+    gens = list(N.generators)
+    if not gens:
+        return dual_group(G).zero()
+    r = len(G.factors)
+    A = np.zeros((len(gens), r), dtype=np.int64)
+    b = np.zeros(len(gens), dtype=np.int64)
+    for j, n in enumerate(gens):
+        for i, (ni, f) in enumerate(zip(n.coords, G.factors)):
+            A[j, i] = (ni * (m // f)) % m
+        v = values.get(n)
+        if v is None:
+            raise ValueError(f"no value given for generator {n}")
+        b[j] = v.to_index(m)
+    x = solve_mod(A, b, m)
+    if x is None:
+        raise ValueError("values do not extend to a character (not a homomorphism?)")
+    chi = dual_group(G).element(tuple(int(c) for c in x))
+    # full postcondition check over all of N
+    for n in N.elements():
+        expect = _hom_value(G, N, values, n)
+        if pairing(G, chi, n) != expect:
+            raise ValueError("values are not a homomorphism on N")
+    return chi
+
+
+def _hom_value(G, N, values, n):
+    """Extend generator values additively to n; n must be reachable."""
+    if n in values:
+        return values[n]
+    seen = {G.zero(): QZ_ZERO}
+    frontier = [(G.zero(), QZ_ZERO)]
+    while frontier:
+        x, vx = frontier.pop()
+        if x == n:
+            return vx
+        for g in N.generators:
+            y = G.add(x, g)
+            if y not in seen:
+                vy = vx + values[g]
+                seen[y] = vy
+                frontier.append((y, vy))
+    raise ValueError(f"{n} is not in the subgroup")
+
+
 def _ref_dual_base_cocycle(t, c):
     """dual_base_cocycle as Smith-form character solving plus a re-pairing loop."""
-    from tdual.lca import solve_character
     ctx = t.ctx
     G, q, m = ctx.G, ctx.quotient, ctx.m
     if not c.omega_is_zero():
