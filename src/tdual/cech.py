@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lca import GroupElement, QuotientGroup
+from .lca import MAX_GROUP_ORDER, GroupElement, QuotientGroup
 from .linops import operator_matrix
 from .zmodlin import cohomology_of
 
@@ -87,75 +87,60 @@ class Nerve:
 
 
 class GModule:
-    """Coefficients (Z/m)^points with a translation action on the index set.
+    """Coefficients (Z/m)^size with a translation action by quotient positions.
 
-    points index the coordinates; act(x) gives the permutation p with
-    (v . x)[i] = v[p[i]], i.e. p[index(z)] = index(z + x).
+    act[x] is the permutation p with (v . x)[i] = v[p[i]], for x a position
+    in quotient.reps(); for Fun(G/N, Z/m), p[z] = position of z + x.
     """
 
-    def __init__(self, m: int, points: Sequence, perm_of):
+    def __init__(self, m: int, act: np.ndarray):
         self.m = int(m)
-        self.points = tuple(points)
-        self.size = len(self.points)
-        self._perm_of = perm_of
-        self._cache: dict = {}
-
-    def act(self, x) -> np.ndarray:
-        key = x
-        if key not in self._cache:
-            self._cache[key] = self._perm_of(x)
-        return self._cache[key]
+        self.act = act
+        self.size = act.shape[1]
 
     @staticmethod
     def trivial(m: int) -> "GModule":
-        return GModule(m, [()], lambda x: np.zeros(1, dtype=np.int64))
+        """Z/m with every coset acting as the identity, for any quotient."""
+        return GModule(m, np.broadcast_to(np.zeros(1, dtype=np.int64), (MAX_GROUP_ORDER, 1)))
 
     @staticmethod
     def functions_on_quotient(m: int, quotient: QuotientGroup) -> "GModule":
-        """Fun(G/N, Z/m) with (v . x)(z) = v(z + x); x may lie in G or G/N."""
-        reps = quotient.reps()
-        index = {r: i for i, r in enumerate(reps)}
-
-        def perm_of(x: GroupElement) -> np.ndarray:
-            xr = quotient.rep(x)
-            return np.array(
-                [index[quotient.add(z, xr)] for z in reps], dtype=np.int64
-            )
-
-        return GModule(m, reps, perm_of)
+        """Fun(G/N, Z/m) with (v . x)(z) = v(z + x)."""
+        return GModule(m, quotient.add_table())
 
 
 class TwistCocycle:
-    """Edge labels in G/N with g_ik = g_ij + g_jk on every 2-simplex."""
+    """Edge labels in G/N with g_ik = g_ij + g_jk on every 2-simplex.
+
+    labels[e] is the position of g_e in quotient.reps(); the constructors
+    take group elements, and edge_values gives them back.
+    """
 
     def __init__(self, nerve: Nerve, quotient: QuotientGroup,
                  edge_values: Mapping[Simplex, GroupElement]):
         self.nerve = nerve
         self.quotient = quotient
-        vals = {}
         for e in nerve.edges:
             if e not in edge_values:
                 raise ValueError(f"missing twist value for edge {e}")
-            vals[e] = quotient.rep(edge_values[e])
         extra = set(edge_values) - set(nerve.edges)
         if extra:
             raise ValueError(f"twist labels on non-edges: {sorted(extra)}")
-        self.edge_values = vals
+        self.labels = lab = {e: quotient.index(edge_values[e]) for e in nerve.edges}
         for (a, b, c) in nerve.simplices(2):
-            lhs = vals[(a, c)]
-            rhs = quotient.add(vals[(a, b)], vals[(b, c)])
+            lhs, rhs = lab[(a, c)], quotient.add_table()[lab[(a, b)], lab[(b, c)]]
             if lhs != rhs:
+                reps = quotient.reps()
                 raise ValueError(
                     f"twist violates the cocycle law on ({a},{b},{c}): "
-                    f"g_ac={lhs}, g_ab+g_bc={rhs}"
+                    f"g_ac={reps[lhs]}, g_ab+g_bc={reps[rhs]}"
                 )
 
-    def value(self, i: int, j: int) -> GroupElement:
-        if i == j:
-            return self.quotient.zero()
-        if i < j:
-            return self.edge_values[(i, j)]
-        return self.quotient.neg(self.edge_values[(j, i)])
+    @property
+    def edge_values(self) -> dict[Simplex, GroupElement]:
+        """The label of each edge as its coset representative."""
+        reps = self.quotient.reps()
+        return {e: reps[i] for e, i in self.labels.items()}
 
     @staticmethod
     def trivial(nerve: Nerve, quotient: QuotientGroup) -> "TwistCocycle":
@@ -253,8 +238,7 @@ def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
             acc = (acc + (-1) ** j * c.values[face]) % m
         # twist term on the leading face, acted by the last edge label
         lead = s[:-1]
-        x = g.value(s[-2], s[-1])
-        shifted = c.values[lead][module.act(x)]
+        shifted = c.values[lead][module.act[g.labels[s[-2:]]]]
         acc = (acc + (-1) ** k * (c.values[lead] - shifted)) % m
         out[s] = acc
     return TwistedCochain(nerve, module, k + 1, out)
@@ -284,8 +268,8 @@ def cohomology(nerve: Nerve, module: GModule, g: TwistCocycle, k: int):
     return factors, rep_cochains
 
 
-def r_sharp(c: TwistedCochain, r: Mapping[int, GroupElement]) -> TwistedCochain:
-    """(r# phi)_s = phi_s . r_{last vertex of s}.
+def r_sharp(c: TwistedCochain, r: Mapping[int, int]) -> TwistedCochain:
+    """(r# phi)_s = phi_s . r_{last vertex of s}, with r_i a quotient position.
 
     Intertwines the differentials: delta_g(r# c) = r#(delta_g' c) for
     g'_ij = r_i + g_ij - r_j (see r_conjugate_twist).
@@ -293,14 +277,14 @@ def r_sharp(c: TwistedCochain, r: Mapping[int, GroupElement]) -> TwistedCochain:
     module = c.module
     out = TwistedCochain(c.nerve, module, c.degree)
     for s, v in c.values.items():
-        out.values[s] = v[module.act(r[s[-1]])]
+        out.values[s] = v[module.act[r[s[-1]]]]
     return out
 
 
-def r_conjugate_twist(g: TwistCocycle, r: Mapping[int, GroupElement]) -> TwistCocycle:
+def r_conjugate_twist(g: TwistCocycle, r: Mapping[int, int]) -> TwistCocycle:
     """The twist g'_ij = r_i + g_ij - r_j matched to r_sharp."""
     q = g.quotient
-    vals = {}
-    for (i, j) in g.nerve.edges:
-        vals[(i, j)] = q.sub_(q.add(q.rep(r[i]), g.edge_values[(i, j)]), q.rep(r[j]))
+    reps, add = q.reps(), q.add_table()
+    vals = {(i, j): q.sub_(reps[add[r[i], x]], reps[r[j]])
+            for (i, j), x in g.labels.items()}
     return TwistCocycle(g.nerve, q, vals)

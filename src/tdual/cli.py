@@ -253,8 +253,7 @@ def check_cech(ws: Workspace) -> list[dict]:
         tw_factors[str(k)] = f
     out.append(_exact("cech.twisted_factors", True, factors=tw_factors))
 
-    r = {v[0]: ctx.quotient.reps()[int(rng.integers(0, ctx.quotient.order))]
-         for v in nerve.vertices}
+    r = {v[0]: int(rng.integers(0, ctx.quotient.order)) for v in nerve.vertices}
     gp = cech.r_conjugate_twist(ws.twist, r)
     ok = True
     for deg in range(nerve.dimension):
@@ -265,11 +264,42 @@ def check_cech(ws: Workspace) -> list[dict]:
         rhs = cech.r_sharp(cech.delta_g(c, gp), r)
         if not (lhs - rhs).is_zero():
             ok = False
-        rneg = {v: ctx.quotient.neg(x) for v, x in r.items()}
+        rneg = {v: ctx.coset[ctx.neg[ctx.lift[x]]] for v, x in r.items()}
         if not (cech.r_sharp(cech.r_sharp(c, r), rneg) - c).is_zero():
             ok = False
     out.append(_exact("cech.r_sharp_chain_map", ok))
     return out
+
+
+def _n_factors(ctx: triples.DualityContext) -> list[int]:
+    """Invariant factors of N, from how many of its elements each prime power
+    kills: #N[p^k] / #N[p^(k-1)] = p^t, where p^k divides t of the factors.
+
+    Counting on the add table keeps the oracle off the Smith form it checks."""
+    add, e = ctx.G.add_table(), ctx.G.exponent
+    n = np.flatnonzero(ctx.coset == ctx.coset[0])
+    killed, kx = [len(n)], np.zeros_like(n)            # killed[k] = #N[k]
+    for _ in range(e):
+        kx = add[kx, n]                                # positions of k x, x in N
+        killed.append(int(np.count_nonzero(kx == 0)))
+    factors = [1] * len(n)                             # largest first
+    for p in [p for p in range(2, e + 1) if e % p == 0 and all(p % r for r in range(2, p))]:
+        pk = p
+        while e % pk == 0:
+            t = round(math.log(killed[pk] // killed[pk // p], p))
+            factors[:t] = [f * p for f in factors[:t]]
+            pk *= p
+    return sorted(f for f in factors if f > 1)
+
+
+def _shapiro_factors(ctx: triples.DualityContext) -> dict[int, list[int]]:
+    """H^p(G, Fun(G/N, Z/m)) for p = 0, 1, 2, from Shapiro's lemma: it is
+    H^p(N, Z/m), which for N = sum_i Z/n_i (invariant factors) is Z/m, then
+    sum_i Z/(n_i, m), then that plus Z/(n_i, n_j, m) = Z/(n_i, m) for i < j."""
+    m = ctx.m
+    h1 = [f for f in (math.gcd(x, m) for x in _n_factors(ctx)) if f > 1]
+    h2 = sorted(h1 + [f for i, f in enumerate(h1) for _ in h1[i + 1:]])
+    return {0: [m], 1: h1, 2: h2}
 
 
 def check_total(ws: Workspace) -> list[dict]:
@@ -301,6 +331,7 @@ def check_total(ws: Workspace) -> list[dict]:
     skipped = []
     cap = max_matrix_dim()
     prev = None              # the degree p-1 matrix; the cap skips only top degrees
+    shapiro = _shapiro_factors(ctx)
     for p in (0, 1, 2):
         if (ctx.G.order ** (p + 1)) * ctx.quotient.order > cap:
             skipped.append(p)
@@ -312,6 +343,8 @@ def check_total(ws: Workspace) -> list[dict]:
         if not np.array_equal(A, -((-1) ** p) * groupcoh.d_group_matrix(sp) % ctx.m):
             ok_pt = False
         pt_factors[str(p)], _ = cohomology_of(A, prev, ctx.m)
+        if pt_factors[str(p)] != shapiro[p]:
+            ok_pt = False
         prev = A
     out.append(_exact("total.point_nerve_matches_group_cohomology", ok_pt,
                       factors=pt_factors, capped_degrees=skipped))

@@ -354,7 +354,7 @@ def _transport(cc: CrossedContext, t: TripleLocalData, e: tuple, f: np.ndarray,
     or back from f_b to f_a.  The coset axis of f is its third from last, so
     f may be a value table or a stack of fibre tables."""
     Z = t.zeta[e]
-    s = cc.shift[cc.ctx.G.index(t.g.edge_values[e])]               # g_ab + z
+    s = cc.ctx.quotient.add_table()[t.g.labels[e]]                 # g_ab + z
     if forward:
         return adjoint(Z) @ np.take(f, s, axis=-3) @ Z
     return np.take(Z @ f @ adjoint(Z), np.argsort(s), axis=-3)
@@ -424,7 +424,7 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
     kron_dft_inv = np.kron(cc.dft_inv, np.eye(cc.d))
     # per edge: W stacked over z^, and the positions of g^_ab + z^
     glue = {e: (kron_dft @ t_hat.zeta[e] @ kron_dft_inv,
-                ctx.shift_hat[ctx.Gd.index(t_hat.g.edge_values[e])])
+                ctx.dual_quotient.add_table()[t_hat.g.labels[e]])
             for e in t.nerve.edges}
     res_family = 0.0
     res_glue = 0.0

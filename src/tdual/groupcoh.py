@@ -32,7 +32,7 @@ class GroupCochainSpace:
 
     With quotient None the coefficients are plain Z/m with trivial action.
     fiber is the coefficient module of one table entry; translations act
-    on the G/N slot only.
+    on the G/N slot only, g as fiber.act[coset[g]].
     """
 
     def __init__(self, G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
@@ -46,22 +46,20 @@ class GroupCochainSpace:
         self.n = G.order
         self.q = quotient.order if quotient is not None else 1
         self.size = self.n ** arity * self.q
-        self.fiber = (GModule.trivial(self.m) if quotient is None
-                      else GModule.functions_on_quotient(self.m, quotient))
-        self._gmodule: Optional[GModule] = None
+        if quotient is None:
+            self.fiber, self.coset = GModule.trivial(self.m), np.zeros(self.n, dtype=np.int64)
+        else:
+            self.fiber = GModule.functions_on_quotient(self.m, quotient)
+            self.coset = quotient.coset
 
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.arity + (self.q,)
 
     def as_gmodule(self) -> GModule:
         """The whole table as a Cech coefficient module: fiber.act per entry."""
-        if self._gmodule is None:
-            blocks = self.size // self.q
-            offsets = np.repeat(np.arange(blocks, dtype=np.int64) * self.q, self.q)
-            self._gmodule = GModule(
-                self.m, range(self.size),
-                lambda x: offsets + np.tile(self.fiber.act(x), blocks))
-        return self._gmodule
+        blocks = self.size // self.q
+        offsets = np.repeat(np.arange(blocks, dtype=np.int64) * self.q, self.q)
+        return GModule(self.m, offsets + np.tile(self.fiber.act, blocks))
 
 
 @dataclass
@@ -111,9 +109,8 @@ def d_group(f: GroupCochain) -> GroupCochain:
     sp = f.space
     G, m, l = sp.G, sp.m, sp.arity
     out_sp = GroupCochainSpace(G, sp.quotient, m, l + 1)
-    elems = G.elements()
-    n = len(elems)
-    add = G.add_table()
+    n = G.order
+    add, act, coset = G.add_table(), sp.fiber.act, sp.coset
     out = np.zeros(out_sp.shape() + f.values.shape[l + 1:], dtype=np.int64)
     sign_last = (-1) ** (l + 1)
     for tup in itertools.product(range(n), repeat=l + 1):
@@ -121,7 +118,7 @@ def d_group(f: GroupCochain) -> GroupCochain:
         for i in range(1, l + 1):
             merged = tup[:i - 1] + (int(add[tup[i - 1], tup[i]]),) + tup[i + 1:]
             acc = (acc + (-1) ** i * f.values[merged]) % m
-        acc = (acc + f.values[tup[1:]][sp.fiber.act(elems[tup[0]])]) % m
+        acc = (acc + f.values[tup[1:]][act[coset[tup[0]]]]) % m
         out[tup] = acc
     return GroupCochain(out_sp, out)
 

@@ -218,7 +218,10 @@ class Subgroup:
 
 
 class QuotientGroup:
-    """G/N with canonical (lexicographically least) coset representatives."""
+    """G/N with canonical (lexicographically least) coset representatives.
+
+    coset[i] is the position in reps() of the coset of G.elements()[i].
+    """
 
     def __init__(self, parent: FiniteLcaGroup, sub: Subgroup):
         if sub.parent != parent:
@@ -241,6 +244,9 @@ class QuotientGroup:
         self._rep_of = rep_of
         self._index = {r: i for i, r in enumerate(self._reps)}
         self.order = len(self._reps)
+        self.coset = np.array([self._index[rep_of[x]] for x in parent.elements()],
+                              dtype=np.int64)
+        self._add_table: Optional[np.ndarray] = None
 
     def rep(self, x: GroupElement) -> GroupElement:
         return self._rep_of[x]
@@ -262,6 +268,13 @@ class QuotientGroup:
 
     def sub_(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self._rep_of[self.parent.sub(a, b)]
+
+    def add_table(self) -> np.ndarray:
+        """T[i, j] = index(reps()[i] + reps()[j]); built once, from G.add_table()."""
+        if self._add_table is None:
+            lifts = [self.parent.index(r) for r in self._reps]
+            self._add_table = self.coset[self.parent.add_table()[np.ix_(lifts, lifts)]]
+        return self._add_table
 
     def __repr__(self) -> str:
         return f"({self.parent})/{self.sub!r}"

@@ -104,25 +104,25 @@ class DualityContext:
         """sub[g, h] = position of g - h."""
         return self.G.add_table()[:, self.neg]
 
-    @cached_property
+    @property
     def coset(self) -> np.ndarray:
         """coset[g] = position of g + N among quotient.reps()."""
-        return np.array([self.quotient.index(g) for g in self.G.elements()])
+        return self.quotient.coset
 
-    @cached_property
+    @property
     def coset_hat(self) -> np.ndarray:
         """coset_hat[chi] = position of chi + N-perp among dual_quotient.reps()."""
-        return np.array([self.dual_quotient.index(c) for c in self.Gd.elements()])
+        return self.dual_quotient.coset
 
     @cached_property
     def shift(self) -> np.ndarray:
         """shift[g, z] = position of z + gN (coset addition)."""
-        return self.coset[self.G.add_table()[:, self.lift]]
+        return self.quotient.add_table()[self.coset]
 
     @cached_property
     def shift_hat(self) -> np.ndarray:
         """shift_hat[chi, z^] = position of z^ + chi N-perp."""
-        return self.coset_hat[self.G.add_table()[:, self.lift_hat]]
+        return self.dual_quotient.add_table()[self.coset_hat]
 
     @cached_property
     def lift(self) -> np.ndarray:
@@ -256,17 +256,15 @@ def build_random_triple(nerve: Nerve, ctx: DualityContext, d: int, seed: int,
     rng = np.random.default_rng(seed)
     G, q, m = ctx.G, ctx.quotient, ctx.m
     n, nq = ctx.shift.shape
-    shift, lift = ctx.shift, ctx.lift
+    shift, lift, qadd = ctx.shift, ctx.lift, q.add_table()
     reps = q.reps()
 
     # twist: supplied class representative plus a random coboundary
     r_vals = {v[0]: reps[int(rng.integers(0, nq))] for v in nerve.vertices}
     cob = TwistCocycle.coboundary(nerve, q, r_vals)
-    vals = {}
-    for e in nerve.edges:
-        base = twist.edge_values[e] if twist is not None else q.zero()
-        vals[e] = q.add(base, cob.edge_values[e])
-    g = TwistCocycle(nerve, q, vals)
+    g = TwistCocycle(nerve, q, {
+        e: reps[qadd[twist.labels[e] if twist is not None else 0, x]]
+        for e, x in cob.labels.items()})
 
     # chart gauges and the exactly multiplicative model cocycle
     gauge = {v[0]: np.array([_random_unitary(rng, d) for _ in range(nq)])
@@ -293,7 +291,7 @@ def build_random_triple(nerve: Nerve, ctx: DualityContext, d: int, seed: int,
     zeta = {}
     for (a, b) in nerve.edges:
         s_edge = ctx.qz_phases([int(rng.integers(0, m)) for _ in range(nq)])
-        moved = shift[G.index(g.edge_values[(a, b)])]
+        moved = qadd[g.labels[(a, b)]]
         zeta[(a, b)] = s_edge[:, None, None] * adjoint(gauge[a][moved]) @ gauge[b]
     return TripleLocalData(nerve, ctx, (d,), g, zeta, mu, gauge=gauge)
 
@@ -301,14 +299,14 @@ def build_random_triple(nerve: Nerve, ctx: DualityContext, d: int, seed: int,
 def validate_triple(t: TripleLocalData) -> dict:
     """Largest residuals of the structural laws (unitarity, both cocycle laws)."""
     ctx = t.ctx
-    shift, add = ctx.shift, ctx.G.add_table()
+    shift, add, qadd = ctx.shift, ctx.G.add_table(), ctx.quotient.add_table()
     Z, Mu = t.zeta, t.mu
     eye = np.eye(t.fiber_dim)
     uni = max(float(np.max(np.abs(adjoint(U) @ U - eye)))
               for U in (*Z.values(), *Mu.values()))
     decker = 0.0
     for (a, b), Ze in Z.items():
-        moved = shift[ctx.G.index(t.g.edge_values[(a, b)])]
+        moved = qadd[t.g.labels[(a, b)]]
         decker = max(decker, scalar_deviation(
             adjoint(Ze[shift]) @ Mu[a][:, moved] @ Ze @ adjoint(Mu[b])))
     cocyc = max(scalar_deviation(M[g][shift] @ M @ adjoint(M[add[g]]))
@@ -342,8 +340,8 @@ def extract_total_cocycle(t: TripleLocalData) -> TotalTwoCocycle:
 
     Each defect is a batched product over the context's index tables."""
     ctx = t.ctx
-    G, m = ctx.G, ctx.m
-    shift, add = ctx.shift, G.add_table()
+    m = ctx.m
+    shift, add, qadd = ctx.shift, ctx.G.add_table(), ctx.quotient.add_table()
     Z, Mu = t.zeta, t.mu
 
     def snap(mats: np.ndarray) -> np.ndarray:
@@ -352,13 +350,13 @@ def extract_total_cocycle(t: TripleLocalData) -> TotalTwoCocycle:
     psi = {}
     for s in t.nerve.simplices(2):
         a, b, c = s
-        moved = shift[G.index(t.g.edge_values[(b, c)])]
+        moved = qadd[t.g.labels[(b, c)]]
         psi[s] = snap(adjoint(Z[(a, c)]) @ Z[(a, b)][moved] @ Z[(b, c)])
 
     phi = {}
     for e in t.nerve.edges:
         a, b = e
-        moved = shift[G.index(t.g.edge_values[e])]
+        moved = qadd[t.g.labels[e]]
         phi[e] = snap(Mu[b] @ adjoint(Z[e]) @ adjoint(Mu[a][:, moved]) @ Z[e][shift])
 
     omega = {}
@@ -473,14 +471,14 @@ def dual_transitions(t: TripleLocalData, c: TotalTwoCocycle,
     neg_x = ctx.coset[ctx.neg[ctx.lift]]
     out = {}
     for e in t.nerve.edges:
-        ig = ctx.G.index(t.g.edge_values[e])
+        ig = ctx.lift[t.g.labels[e]]                                # in the g_ab coset
         P = perm_matrix(nq, ctx.shift[ctx.neg[ig]].__getitem__)     # x -> x - g_ab
         B = block_diag(t.zeta[e][neg_x])
         # phi_ab(-sigma(x), 0) as m-th roots; column 0 is the zero coset
         d2 = np.exp(2j * np.pi * c.phi[e][ctx.neg[ctx.lift], 0] / ctx.m)
         right = np.kron(P, eye_d) @ B @ np.kron(np.diag(d2.conj()), eye_d)
         # d1[z^, x] = <sigma^(g^_ab + z^), sigma(x + g_ab) - sigma(x)>
-        arg = ctx.lift_hat[ctx.shift_hat[ctx.Gd.index(ghat.edge_values[e])]]
+        arg = ctx.lift_hat[ctx.dual_quotient.add_table()[ghat.labels[e]]]
         step = ctx.sub[ctx.lift[ctx.shift[ig]], ctx.lift]
         d1 = np.repeat(ctx.phases[arg[:, None], step], d, axis=1)
         out[e] = d1[:, :, None] * right
@@ -498,11 +496,11 @@ def dual_decker(ctx: DualityContext, legs: tuple[int, ...]) -> np.ndarray:
 def dual_phi_closed_form(ctx: DualityContext, gab: int, ghat_ab: int) -> np.ndarray:
     """phi^_ab(chi, z^) as an (n, q^) Z/m table, from its inverse
     <s^(z^+g^+chiNp) - chi - s^(z^+g^), -sigma(g_ab)>; gab and ghat_ab are
-    the positions of g_ab in G and of g^_ab among the characters."""
-    base = ctx.shift_hat[ghat_ab]                                      # z^ + g^
+    the positions of g_ab in quotient.reps() and of g^_ab in dual_quotient.reps()."""
+    base = ctx.dual_quotient.add_table()[ghat_ab]                      # z^ + g^
     chi = np.arange(ctx.Gd.order)[:, None]
     lhs = ctx.sub[ctx.sub[ctx.lift_hat[ctx.shift_hat[:, base]], chi], ctx.lift_hat[base]]
-    inv = ctx.G.pairing_table()[lhs, ctx.neg[ctx.lift[ctx.coset[gab]]]]
+    inv = ctx.G.pairing_table()[lhs, ctx.neg[ctx.lift[gab]]]
     return -inv * (ctx.m // ctx.G.exponent) % ctx.m
 
 
@@ -538,19 +536,19 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
                     c_hat: Optional[TotalTwoCocycle] = None) -> dict:
     """Residuals of the dual-side laws, plus the closed-form check for phi^."""
     ctx = t.ctx
-    Gd, shift = ctx.Gd, t_hat.ctx.shift
+    Gd, shift, dqadd = ctx.Gd, t_hat.ctx.shift, ctx.dual_quotient.add_table()
     Zh, Muh = t_hat.zeta, t_hat.mu
     res_cech = 0.0
     for a, b, c in t.nerve.simplices(2):
-        moved = shift[Gd.index(t_hat.g.edge_values[(b, c)])]
+        moved = dqadd[t_hat.g.labels[(b, c)]]
         mats = adjoint(Zh[(a, c)]) @ Zh[(a, b)][moved] @ Zh[(b, c)]
         res_cech = max(res_cech, scalar_deviation(mats))
     res_decker = 0.0
     res_phi_form = 0.0
     for (a, b), Ze in Zh.items():
-        ighat = Gd.index(t_hat.g.edge_values[(a, b)])
-        lhs = adjoint(Ze[shift]) @ Muh[a][:, shift[ighat]] @ Ze
-        want = dual_phi_closed_form(ctx, ctx.G.index(t.g.edge_values[(a, b)]), ighat)
+        ighat = t_hat.g.labels[(a, b)]
+        lhs = adjoint(Ze[shift]) @ Muh[a][:, dqadd[ighat]] @ Ze
+        want = dual_phi_closed_form(ctx, t.g.labels[(a, b)], ighat)
         if c_hat is not None and np.any(c_hat.phi[(a, b)] % ctx.m != want):
             res_phi_form = 1.0
         rhs = Muh[b] * ctx.qz_phases(-want)[:, :, None, None]
@@ -590,9 +588,7 @@ def involution_report(t: TripleLocalData, c: TotalTwoCocycle,
     report = {"dual_omega_zero": 0.0 if c_hat.omega_is_zero() else 1.0}
     t_dd = dualize(t_hat, c_hat)
     c_dd = extract_total_cocycle(t_dd)
-    same_base = all(
-        t_dd.g.edge_values[e] == t.g.edge_values[e] for e in t.nerve.edges
-    )
+    same_base = t_dd.g.labels == t.g.labels
     report["double_dual_base_equals_original"] = 0.0 if same_base else 1.0
     cert = cocycle_certificate(c, c_dd)
     report["double_dual_class_certificate"] = 0.0 if cert is not None else 1.0
@@ -725,8 +721,8 @@ def build_kappa_top(t: TripleLocalData, t_hat: TripleLocalData) -> tuple[dict, d
     eye_q = np.eye(nq, dtype=complex)
     for e in t.nerve.edges:
         a, b = e
-        ig = ctx.G.index(t.g.edge_values[e])
-        igh = ctx.Gd.index(t_hat.g.edge_values[e])
+        ig = ctx.lift[t.g.labels[e]]                                # in the g_ab coset
+        igh = ctx.lift_hat[t_hat.g.labels[e]]                       # in the g^_ab coset
         alphas = np.zeros((nq, nd), dtype=complex)
         for iz in range(nq):
             target = np.kron(eye_q, t.zeta[e][iz])
@@ -772,11 +768,11 @@ def exterior_perturbation(t: TripleLocalData, seed: int = 0) -> TripleLocalData:
 def exterior_family_residuals(t: TripleLocalData, t2: TripleLocalData) -> dict:
     """Residuals of the compatibility laws for c_i = mu_i^-1 mu'_i."""
     ctx = t.ctx
-    shift, add = ctx.shift, ctx.G.add_table()
+    shift, add, qadd = ctx.shift, ctx.G.add_table(), ctx.quotient.add_table()
     C = {i: adjoint(M) @ t2.mu[i] for i, M in t.mu.items()}
     res_e1 = 0.0
     for (a, b), Ze in t.zeta.items():
-        moved = shift[ctx.G.index(t.g.edge_values[(a, b)])]
+        moved = qadd[t.g.labels[(a, b)]]
         rhs = Ze @ C[b] @ adjoint(Ze)
         res_e1 = max(res_e1, float(np.max(np.abs(C[a][:, moved] - rhs))))
     hs = np.arange(len(add))[:, None]

@@ -27,6 +27,14 @@ Z8_OVERCAP = {
 OVERCAP_MESSAGE = "matrix dimension 864 exceeds cap 512 (TDUAL_MAX_DIM)"
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "z6_circle_report.json")
+# a non-cyclic group on a nerve with 2-simplices, at the scenario's default seed
+Z2XZ2_SPHERE = {
+    "groups": {"factors": [2, 2], "N": [[1, 1]]},
+    "nerve": {"vertices": 4, "simplices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]},
+    "fiber_dim": 2,
+    "command": "all",
+}
+Z2XZ2_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "z2xz2_sphere_report.json")
 
 
 def write_scenario(tmp_path, data, name="s.json"):
@@ -192,6 +200,19 @@ class TestReports:
         with open(GOLDEN, encoding="utf-8") as fh:
             assert report == json.load(fh)
 
+    def test_noncyclic_sphere_report_matches_golden(self, tmp_path, monkeypatch):
+        # integer outputs of Z2xZ2/<(1,1)> on the sphere, pinned like z6_circle's
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        out = str(tmp_path / "r.json")
+        assert main(["run", write_scenario(tmp_path, Z2XZ2_SPHERE), "-o", out]) == 0
+        report = json.load(open(out))
+        report.pop("timings")
+        for check in report["checks"]:
+            check.pop("residual")
+            check.pop("detail", None)
+        with open(Z2XZ2_GOLDEN, encoding="utf-8") as fh:
+            assert report == json.load(fh)
+
     def test_seed_flag_overrides(self, tmp_path):
         sc = write_scenario(tmp_path, dict(Z6, command="dualize", fiber_dim=1))
         o1 = str(tmp_path / "r1.json")
@@ -354,3 +375,20 @@ def test_point_nerve_check_catches_a_negated_total_differential(monkeypatch):
     assert not row["passed"]
     # negation keeps every cohomology group, so comparing factors would accept it
     assert row["factors"] == honest["factors"]
+
+
+def test_point_nerve_check_catches_an_identity_quotient_action(monkeypatch):
+    # both matrices the check compares come from d_group, so a d_group whose
+    # action does nothing (d^2 = 0 still holds) is caught only by the Shapiro
+    # closed form: Z6/<3> then has H^1 = [6, 6, 6], where the right answer is [2]
+    def identity_action(m, quotient):
+        return cech.GModule(m, np.tile(np.arange(quotient.order), (quotient.order, 1)))
+    monkeypatch.setattr(cech.GModule, "functions_on_quotient", staticmethod(identity_action))
+    ws = Workspace({"groups": {"factors": [6], "N": [[3]]},
+                    "nerve": {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]},
+                    "seed": 3, "command": "total-cohomology"})
+    # cocycle extraction's closure check would raise before the report is built
+    monkeypatch.setattr(ws, "cocycle", lambda: None)
+    row = next(r for r in check_total(ws) if r["name"] == POINT_NERVE)
+    assert row["factors"]["1"] == [6, 6, 6]
+    assert not row["passed"]
