@@ -22,7 +22,7 @@ import numpy as np
 from . import cech, crossed, groupcoh, triples
 from .errors import ResourceCapError, check_dim, max_matrix_dim
 from .lca import FiniteLcaGroup, Subgroup
-from .zmodlin import cohomology_of
+from .zmodlin import cohomology_of, solve_columns
 
 
 class ScenarioError(ValueError):
@@ -107,7 +107,10 @@ class Workspace:
 
     Each pipeline stage is built once, from the stages before it:
     fixture -> fixture_cocycle -> normalized -> cocycle -> dual -> dual_cocycle
-    -> dual_laws.
+    -> dual_laws, then double_dual -> double_dual_cocycle, and exterior ->
+    exterior_cocycle.  total_matrix(p) is the scenario nerve's total
+    differential, and certificates solves both class certificates against
+    total_matrix(1) in one factorisation.
     """
 
     def __init__(self, scenario: dict, seed: Optional[int] = None,
@@ -183,6 +186,58 @@ class Workspace:
     def dual_laws(self) -> dict:
         return self._get("dual_laws", lambda: triples.dual_law_report(
             self.normalized(), self.dual(), self.dual_cocycle()))
+
+    def double_dual(self) -> triples.TripleLocalData:
+        return self._get("double_dual",
+                         lambda: triples.dualize(self.dual(), self.dual_cocycle()))
+
+    def double_dual_cocycle(self) -> triples.TotalTwoCocycle:
+        return self._get("double_dual_cocycle",
+                         lambda: triples.extract_total_cocycle(self.double_dual()))
+
+    def exterior(self) -> Optional[triples.TripleLocalData]:
+        """An exterior perturbation of the normalised triple; None when the
+        fixture has no chart gauges to build one from."""
+        return self._get("exterior", lambda: None if self.fixture().gauge is None
+                         else triples.exterior_perturbation(self.normalized(),
+                                                            self.seed + 7))
+
+    def exterior_cocycle(self) -> triples.TotalTwoCocycle:
+        return self._get("exterior_cocycle", lambda: triples.extract_total_cocycle(
+            triples.relift(self.exterior(), self.seed + 8)))
+
+    def total_matrix(self, p: int) -> np.ndarray:
+        """The total differential from degree p to p+1 on the scenario nerve.
+
+        It is built with the fixture's twist, which the certificates need: the
+        scenario's twist plus a seeded coboundary dr.  r# is an isomorphism of
+        the two total complexes, so their cohomology factors agree.
+        """
+        ctx = self.ctx
+        return self._get(f"total_matrix{p}", lambda: groupcoh.total_matrix(
+            self.nerve, ctx.G, ctx.quotient, ctx.m, self.fixture().g, p))
+
+    def certificates(self) -> dict:
+        """Degree-1 total cochains x with d_tot(x) = c' - c, None where none exists.
+
+        c is the normalised cocycle; c' is the double dual's ("involution") and,
+        with an exterior perturbation, the relifted perturbation's ("exterior").
+        The targets are columns of one factorisation of total_matrix(1), each
+        solved as solve_mod would solve it alone.
+        """
+        def build():
+            ctx = self.ctx
+            base = self.cocycle().to_total_cochain()
+            others = {"involution": self.double_dual_cocycle()}
+            if self.exterior() is not None:
+                others["exterior"] = self.exterior_cocycle()
+            B = np.stack([(c.to_total_cochain() - base).flatten()
+                          for c in others.values()], axis=1)
+            xs = solve_columns(self.total_matrix(1), B, ctx.m)
+            return {name: None if x is None else groupcoh.TotalCochain.from_flat(
+                        self.nerve, ctx.G, ctx.quotient, ctx.m, 1, x)
+                    for name, x in zip(others, xs)}
+        return self._get("certificates", build)
 
     def derived_summary(self) -> dict:
         ctx = self.ctx
@@ -353,9 +408,8 @@ def check_total(ws: Workspace) -> list[dict]:
     capped = False
     for p in (0, 1):
         try:
-            f, _ = groupcoh.total_cohomology(nerve, ctx.G, ctx.quotient, ctx.m,
-                                             ws.twist, p)
-            factors[str(p)] = f
+            factors[str(p)], _ = cohomology_of(
+                ws.total_matrix(p), ws.total_matrix(p - 1) if p else None, ctx.m)
         except ResourceCapError:
             capped = True
     out.append(_exact("total.scenario_factors", True, factors=factors,
@@ -389,13 +443,12 @@ def check_dualize(ws: Workspace) -> list[dict]:
     out.append(_result("dualize.kappa_top_gluing", krep["kappa_top_gluing"], ws.tau_u))
     out.append(_result("dualize.alpha_factorisation", krep["alpha_factorisation"],
                        ws.tau_u))
-    if t.gauge is not None:
-        tp = triples.exterior_perturbation(tn, ws.seed + 7)
+    tp = ws.exterior()
+    if tp is not None:
         er = triples.exterior_family_residuals(tn, tp)
         out.append(_result("dualize.exterior_family_laws",
                            max(er.values()), ws.tau_u))
-        cp = triples.extract_total_cocycle(triples.relift(tp, ws.seed + 8))
-        cert = triples.cocycle_certificate(cn, cp)
+        cert = ws.certificates()["exterior"]
         from .serialize import total_cochain_to_json
         out.append(_exact(
             "dualize.exterior_class_certificate", cert is not None,
@@ -406,8 +459,9 @@ def check_dualize(ws: Workspace) -> list[dict]:
 def check_involution(ws: Workspace) -> list[dict]:
     from .serialize import total_cochain_to_json
     laws = ws.dual_laws()
-    rep = triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual(),
-                                    ws.dual_cocycle())
+    rep = triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual_cocycle(),
+                                    ws.double_dual(), ws.double_dual_cocycle(),
+                                    ws.certificates()["involution"])
     cert_json = (total_cochain_to_json(rep["certificate"])
                  if "certificate" in rep else None)
     out = [
@@ -525,17 +579,31 @@ def certifies(command: str) -> bool:
                for f in COMMANDS[command])
 
 
+def normalizes(command: str) -> bool:
+    """Whether the command runs a check that builds Workspace.normalized()."""
+    return any(f.__name__ not in ("check_cech", "check_poincare")
+               for f in COMMANDS[command])
+
+
 def certificate_dim(ws: Workspace) -> int:
     """Larger side of the degree-1 -> 2 total matrix the class certificates solve against."""
     return max(groupcoh.total_dimension(ws.nerve, ws.ctx.G, ws.ctx.quotient, ws.ctx.m, p)
                for p in (1, 2))
 
 
+def dualisability_dim(ws: Workspace) -> int:
+    """Rows of the arity-1 -> 2 group differential that normalising solves against."""
+    return ws.ctx.G.order ** 2 * ws.ctx.quotient.order
+
+
 def run_checks(ws: Workspace, command: str, only: Optional[str] = None) -> list[dict]:
     fns = COMMANDS[command]
+    # refuse an over-cap certificate or dualisability matrix before any check
+    # does work
     if certifies(command):
-        # refuse an over-cap certificate before any check does work
         check_dim(certificate_dim(ws))
+    if normalizes(command):
+        check_dim(dualisability_dim(ws))
 
     def guarded(f: Callable) -> list[dict]:
         # a law violation inside a check is a falsifying instance: FAIL,

@@ -238,11 +238,14 @@ def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
     for (k, l), blk in t.blocks.items():
         # Cech direction
         collect((k + 1, l), delta_g(blk, g))
-        # group direction, simplex-wise
+        # group direction: the block's simplices as one trailing batch axis,
+        # so one d_group call per block; a block without simplices needs none
         if l + 1 <= MAX_TOTAL_ARITY:
-            sp = t.space(l)
-            vals = {s: sign * d_group(GroupCochain.from_flat(sp, v)).flatten()
-                    for s, v in blk.values.items()}
+            vals = {}
+            if blk.values:
+                stacked = np.stack(list(blk.values.values()), axis=-1)
+                dg = sign * d_group(GroupCochain.from_flat(t.space(l), stacked)).flatten()
+                vals = {s: dg[..., i] for i, s in enumerate(blk.values)}
             collect((k, l + 1),
                     TwistedCochain(t.nerve, t.space(l + 1).as_gmodule(), k, vals))
     return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out)

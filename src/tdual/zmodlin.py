@@ -199,24 +199,24 @@ def _diagonal(d: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([diag, np.zeros(n - diag.size, dtype=np.int64)])
 
 
-def _solve(sf: SmithForm) -> Optional[np.ndarray]:
-    """Solutions X of A X = B mod m from the Smith form that carried B, or None.
+def _solve(sf: SmithForm) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions X of A X = B mod m from the Smith form that carried B.
 
-    sf.u holds C = U @ B, B being (rows, k); the result is (cols, k), one
-    solution per column, and None if any column has no solution.
+    sf.u holds C = U @ B, B being (rows, k).  Returns (X, ok): X is
+    (cols, k), and ok[j] says whether column j of B is solvable, in which
+    case X[:, j] solves it.  Each column is solved on its own.
     """
     m, C = sf.m, sf.u
     rows, cols = sf.d.shape
     d = _diagonal(sf.d, rows)
     g = np.gcd(d, m)
-    if np.any(C % g[:, None]):
-        return None
+    ok = ~np.any(C % g[:, None], axis=0)
     piv = np.flatnonzero(d[:cols])   # entries of d are reduced mod m
     gp, mg = g[piv], m // g[piv]
     inv = [inv_mod(int(x), int(y)) for x, y in zip(d[piv] // gp, mg)]
     Y = np.zeros((cols, C.shape[1]), dtype=np.int64)
     Y[piv] = (C[piv] // gp[:, None] * np.array(inv, dtype=np.int64)[:, None]) % mg[:, None]
-    return (sf.v @ Y) % m
+    return (sf.v @ Y) % m, ok
 
 
 def _kernel(sf: SmithForm) -> np.ndarray:
@@ -238,10 +238,25 @@ def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
     b = np.asarray(b, dtype=np.int64) % m
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    X = _solve(smith_form(A, m, u=b if b.ndim == 2 else b[:, None], uinv=False))
-    if X is None:
+    X, ok = _solve(smith_form(A, m, u=b if b.ndim == 2 else b[:, None], uinv=False))
+    if not ok.all():
         return None
     return X if b.ndim == 2 else X[:, 0]
+
+
+def solve_columns(A: np.ndarray, B: np.ndarray, m: int) -> list[Optional[np.ndarray]]:
+    """A solution x_j of A x_j = B[:, j] mod m for each column j, or None for it.
+
+    A is factored once.  The row operations act on each column alone, so
+    each x_j is bit for bit solve_mod(A, B[:, j], m), and an unsolvable
+    column leaves the others' solutions as they are.
+    """
+    A = np.asarray(A, dtype=np.int64) % m
+    B = np.asarray(B, dtype=np.int64) % m
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
+    X, ok = _solve(smith_form(A, m, u=B, uinv=False))
+    return [X[:, j] if ok[j] else None for j in range(B.shape[1])]
 
 
 def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
@@ -270,8 +285,8 @@ def module_quotient(
     if t == 0:
         return [], np.zeros((n, 0), dtype=np.int64)
     sf = smith_form(gens, m, u=rels, uinv=False)
-    coords = _solve(sf)
-    if coords is None:
+    coords, ok = _solve(sf)
+    if not ok.all():
         raise ValueError("relation outside the span of the generators")
     R = np.concatenate([coords, _kernel(sf)], axis=1)
     if R.shape[1] == 0:

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from tdual import cech, groupcoh, triples, zmodlin
-from tdual.cli import ScenarioError, Workspace, check_total, load_scenario, main
+from tdual.cli import (
+    COMMANDS,
+    ScenarioError,
+    Workspace,
+    check_total,
+    load_scenario,
+    main,
+    normalizes,
+)
 
 Z6 = {
     "groups": {"factors": [6], "N": [[3]]},
@@ -25,6 +33,16 @@ Z8_OVERCAP = {
     "command": "all",
 }
 OVERCAP_MESSAGE = "matrix dimension 864 exceeds cap 512 (TDUAL_MAX_DIM)"
+
+# Z32/<16> on a circle: normalising solves against the |G|^2 |G/N| = 16384-row
+# arity-1 -> 2 group differential; check_total skips its own over-cap
+# matrices, so without the up-front check the run reaches that one only
+# after the d^2 checks, seconds later
+Z32_OVERCAP = {
+    "groups": {"factors": [32], "N": [[16]]},
+    "nerve": {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]},
+    "command": "total-cohomology",
+}
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "z6_circle_report.json")
 # a non-cyclic group on a nerve with 2-simplices, at the scenario's default seed
@@ -164,6 +182,25 @@ class TestExitCodes:
         assert OVERCAP_MESSAGE in capsys.readouterr().err
         assert not os.path.exists(out)
         assert elapsed < 0.1
+
+    def test_overcap_dualisability_refused_before_any_check(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        sc = write_scenario(tmp_path, Z32_OVERCAP)
+        load_scenario(sc)       # imports the schema validator outside the clock
+        out = str(tmp_path / "r.json")
+        start = time.perf_counter()
+        rc = main(["run", sc, "-o", out])
+        elapsed = time.perf_counter() - start
+        assert rc == 3
+        assert "matrix dimension 16384 exceeds cap 512 (TDUAL_MAX_DIM)" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert elapsed < 0.5
+
+    def test_commands_that_normalise(self):
+        assert {c for c in COMMANDS if normalizes(c)} == {
+            "total-cohomology", "dualize", "involution", "crossed-point",
+            "crossed-glue", "all"}
 
     def test_overcap_certificate_spares_total_cohomology(self, tmp_path, monkeypatch):
         # total-cohomology solves no certificate and catches its own caps
@@ -311,8 +348,60 @@ class TestStages:
             return fn(*args, **kw)
         monkeypatch.setattr(zmodlin, "smith_form", counted)
         assert main(["run", "z6_circle", "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
-        # 31 when the point-nerve check also factored the group-cohomology side
-        assert len(calls) == 25
+        # 31 when the point-nerve check also factored the group-cohomology side,
+        # 25 when each class certificate factored the certificate matrix itself
+        assert len(calls) == 24
+
+    def test_run_batches_d_group_and_assembles_each_total_matrix_once(
+            self, monkeypatch, tmp_path):
+        d_group_calls, assembled = [], []
+        d_group, total_matrix = groupcoh.d_group, groupcoh.total_matrix
+
+        def counted_d_group(f):
+            d_group_calls.append(1)
+            return d_group(f)
+
+        def counted_total_matrix(nerve, G, quotient, m, g, p):
+            assembled.append((nerve.vertex_count, p))
+            return total_matrix(nerve, G, quotient, m, g, p)
+        monkeypatch.setattr(groupcoh, "d_group", counted_d_group)
+        monkeypatch.setattr(groupcoh, "total_matrix", counted_total_matrix)
+        assert main(["run", "z6_circle", "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
+        # 97 with one d_group call per simplex in total_differential
+        assert len(d_group_calls) <= 40
+        # the circle's two degrees once each (scenario factors and both
+        # certificates share them), then the point nerve's under the cap
+        assert sorted(assembled) == [(1, 0), (1, 1), (3, 0), (3, 1)]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_shared_certificates_match_solving_each_alone(self, seed):
+        ws = Workspace(load_scenario("z6_circle"), seed=seed)
+        certs = ws.certificates()
+        want = {
+            "involution": triples.cocycle_certificate(ws.cocycle(), ws.double_dual_cocycle()),
+            "exterior": triples.cocycle_certificate(ws.cocycle(), ws.exterior_cocycle()),
+        }
+        assert certs.keys() == want.keys()
+        for name, cert in want.items():
+            assert cert is not None
+            assert np.array_equal(certs[name].flatten(), cert.flatten()), name
+
+    @pytest.mark.parametrize("scenario", [
+        "z6_circle",
+        dict(Z6, twist={"0,1": [1], "0,2": [0], "1,2": [0]}),
+        dict(Z2XZ2_SPHERE, fiber_dim=1),
+    ], ids=["z6_circle", "z6_twisted", "z2xz2_sphere"])
+    def test_scenario_factors_do_not_depend_on_the_twist_representative(self, scenario):
+        # the stage matrices carry the fixture's twist, the scenario's plus a
+        # seeded coboundary; r# makes the two total complexes isomorphic
+        ws = Workspace(scenario if isinstance(scenario, dict) else load_scenario(scenario))
+        assert ws.fixture().g.labels != ws.twist.labels
+        got = next(r for r in check_total(ws) if r["name"] == "total.scenario_factors")
+        ctx = ws.ctx
+        for p in (0, 1):
+            want, _ = groupcoh.total_cohomology(ws.nerve, ctx.G, ctx.quotient, ctx.m,
+                                                ws.twist, p)
+            assert got["factors"][str(p)] == want
 
     def test_all_run_checks_dual_laws_three_times(self, monkeypatch, tmp_path):
         calls = []
@@ -330,8 +419,9 @@ class TestStages:
         ws = Workspace(load_scenario("z6_circle"))
         want = triples.verify_involution(ws.fixture())
         got = {**ws.dual_laws(),
-               **triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual(),
-                                           ws.dual_cocycle())}
+               **triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual_cocycle(),
+                                           ws.double_dual(), ws.double_dual_cocycle(),
+                                           ws.certificates()["involution"])}
         assert got.keys() == want.keys()
         for key in want:
             if key == "certificate":

@@ -6,6 +6,7 @@ import pytest
 from tdual.cech import Nerve, TwistCocycle, TwistedCochain, delta_g
 from tdual.errors import ResourceCapError
 from tdual.groupcoh import (
+    MAX_TOTAL_ARITY,
     GroupCochain,
     GroupCochainSpace,
     TotalCochain,
@@ -259,3 +260,73 @@ def test_group_cochain_checks_leading_axes():
             GroupCochain(sp, np.zeros(bad, dtype=np.int64))
     f = GroupCochain(sp, np.ones((4, 2, 5), dtype=np.int64))   # a batch of five
     assert f.flatten().shape == (8, 5)
+
+
+def per_simplex_total_differential(t, g):
+    """d_tot with one d_group call per simplex: the reference for the batched one."""
+    p = t.degree
+    sign = -((-1) ** p)
+    out: dict = {}
+
+    def collect(kl, c):
+        out[kl] = out[kl] + c if kl in out else c
+
+    for (k, l), blk in t.blocks.items():
+        collect((k + 1, l), delta_g(blk, g))
+        if l + 1 <= MAX_TOTAL_ARITY:
+            sp = t.space(l)
+            vals = {s: sign * d_group(GroupCochain.from_flat(sp, v)).flatten()
+                    for s, v in blk.values.items()}
+            collect((k, l + 1),
+                    TwistedCochain(t.nerve, t.space(l + 1).as_gmodule(), k, vals))
+    return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out)
+
+
+FIVE = Nerve(5, [[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 2, 4], [2, 3, 4]])
+
+
+def _twist(nerve, q, rng):
+    if nerve.simplices(2):
+        r = {v[0]: q.reps()[int(rng.integers(0, q.order))] for v in nerve.vertices}
+        return TwistCocycle.coboundary(nerve, q, r)
+    # on the circle every edge labelling is a cocycle: a twist of nonzero class
+    return TwistCocycle(nerve, q, {e: q.reps()[int(rng.integers(0, q.order))]
+                                   for e in nerve.edges})
+
+
+# degree 3 leaves blocks without simplices: (2, 1) and (3, 0) on the circle,
+# (3, 0) on the sphere and on the five-vertex nerve
+@pytest.mark.parametrize("nerve", [Nerve.circle(), Nerve.sphere(), FIVE],
+                         ids=["circle", "sphere", "five"])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batched"])
+def test_total_differential_matches_per_simplex_reference(nerve, p, batch):
+    G, N, q = make_ctx([4], [[2]])
+    rng = np.random.default_rng(10 * p + len(batch))
+    g = _twist(nerve, q, rng)
+    flat = rng.integers(0, 8, size=(total_dimension(nerve, G, q, 8, p),) + batch)
+    t = TotalCochain.from_flat(nerve, G, q, 8, p, flat)
+    got, want = total_differential(t, g), per_simplex_total_differential(t, g)
+    assert got.blocks.keys() == want.blocks.keys()
+    for kl, blk in want.blocks.items():
+        assert got.blocks[kl].values.keys() == blk.values.keys()
+        for s, v in blk.values.items():
+            assert np.array_equal(got.blocks[kl].values[s], v), (kl, s)
+    assert np.array_equal(got.flatten(), want.flatten())
+
+
+def test_total_differential_calls_d_group_once_per_block(monkeypatch):
+    import tdual.groupcoh as groupcoh
+    calls = []
+    fn = groupcoh.d_group
+
+    def counted(f):
+        calls.append(f.values.shape)
+        return fn(f)
+    monkeypatch.setattr(groupcoh, "d_group", counted)
+    G, N, q = make_ctx([4], [[2]])
+    nerve = Nerve.circle()
+    t = rand_total(nerve, G, q, 8, 2, np.random.default_rng(1))
+    total_differential(t, TwistCocycle.trivial(nerve, q))
+    # blocks (1, 1) and (0, 2) have simplices; (2, 0) has none, so no call
+    assert sorted(calls) == [(4, 2, 3), (4, 4, 2, 3)]

@@ -15,6 +15,7 @@ from tdual.zmodlin import (
     kernel_mod,
     module_quotient,
     smith_form,
+    solve_columns,
     solve_mod,
     xgcd,
 )
@@ -203,6 +204,24 @@ def test_solvers_carry_the_right_hand_side_not_u(monkeypatch):
     module_quotient(A, B, 4)
     assert shapes[:3] == [((480, 120), (480, 5)), ((480, 120), (480, 1)),
                           ((480, 120), (480, 5))]
+
+
+@pytest.mark.parametrize("m", [4, 12])
+def test_solve_columns_solves_each_column_alone(m):
+    # A's last row is zero, so a target with a unit there has no solution
+    rng = np.random.default_rng(m)
+    A = rng.integers(0, m, size=(9, 6)).astype(np.int64)
+    A[-1] = 0
+    bad = np.zeros(9, dtype=np.int64)
+    bad[-1] = 1
+    good = (A @ rng.integers(0, m, size=6)) % m
+    B = np.stack([bad, good], axis=1)
+    assert solve_mod(A, B, m) is None
+    x_bad, x_good = solve_columns(A, B, m)
+    assert x_bad is None
+    alone = solve_mod(A, good, m)
+    assert x_good.dtype == alone.dtype and np.array_equal(x_good, alone)
+    assert np.array_equal((A @ x_good) % m, good)
 
 
 def reference_smith(A, m):
