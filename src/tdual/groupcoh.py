@@ -239,13 +239,17 @@ def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
         # Cech direction
         collect((k + 1, l), delta_g(blk, g))
         # group direction: the block's simplices as one trailing batch axis,
-        # so one d_group call per block; a block without simplices needs none
+        # so one d_group call per block; a block without simplices needs none,
+        # and a lone simplex goes unstacked (an axis of length 1 only slows
+        # d_group's tuple loop)
         if l + 1 <= MAX_TOTAL_ARITY:
             vals = {}
             if blk.values:
-                stacked = np.stack(list(blk.values.values()), axis=-1)
-                dg = sign * d_group(GroupCochain.from_flat(t.space(l), stacked)).flatten()
-                vals = {s: dg[..., i] for i, s in enumerate(blk.values)}
+                one = len(blk.values) == 1
+                x = (next(iter(blk.values.values())) if one
+                     else np.stack(list(blk.values.values()), axis=-1))
+                dg = sign * d_group(GroupCochain.from_flat(t.space(l), x)).flatten()
+                vals = dict(zip(blk.values, [dg] if one else np.moveaxis(dg, -1, 0)))
             collect((k, l + 1),
                     TwistedCochain(t.nerve, t.space(l + 1).as_gmodule(), k, vals))
     return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out)

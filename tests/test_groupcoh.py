@@ -295,9 +295,10 @@ def _twist(nerve, q, rng):
 
 
 # degree 3 leaves blocks without simplices: (2, 1) and (3, 0) on the circle,
-# (3, 0) on the sphere and on the five-vertex nerve
-@pytest.mark.parametrize("nerve", [Nerve.circle(), Nerve.sphere(), FIVE],
-                         ids=["circle", "sphere", "five"])
+# (3, 0) on the sphere and on the five-vertex nerve; the point's blocks hold
+# one simplex each
+@pytest.mark.parametrize("nerve", [Nerve.point(), Nerve.circle(), Nerve.sphere(), FIVE],
+                         ids=["point", "circle", "sphere", "five"])
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batched"])
 def test_total_differential_matches_per_simplex_reference(nerve, p, batch):
