@@ -720,11 +720,16 @@ def cmd_explain(args) -> int:
     print(f"crossed-product representation dimension: {d['crossed_rep_dim']}")
     print(f"matrix dimension cap: {d['matrix_dim_cap']} (env TDUAL_MAX_DIM)")
     cmd = scenario["command"]
-    n, cap = certificate_dim(ws), d["matrix_dim_cap"]
-    print(f"certificate matrix dimension {n} (cap {cap})")
-    if n > cap and certifies(cmd):
-        print("warning: the class certificates exceed the cap; run would exit 3 "
-              "before any check")
+    cap = d["matrix_dim_cap"]
+    # the matrices run_checks refuses up front, in its order
+    for what, n, refused, warning in (
+            ("certificate", certificate_dim(ws), certifies(cmd),
+             "the class certificates exceed the cap"),
+            ("dualisability", dualisability_dim(ws), normalizes(cmd),
+             "normalising the triple exceeds the cap")):
+        print(f"{what} matrix dimension {n} (cap {cap})")
+        if n > cap and refused:
+            print(f"warning: {warning}; run would exit 3 before any check")
     cmds = [cmd] if cmd != "all" else list(CHECK_DESCRIPTIONS)
     for c in cmds:
         print(f"checks [{c}]:")

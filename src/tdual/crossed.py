@@ -103,8 +103,9 @@ def _fibre(L: np.ndarray, d: int) -> np.ndarray:
 class ConvolutionElement:
     """A matrix-valued function on G x G/N, stored as (|G|, q, d, d).
 
-    Leading axes before those four, if any, hold a batch of elements; only
-    t_transform reads a batch (t_linearized maps unit elements through it).
+    Leading axes before those four, if any, hold a batch of elements:
+    convolve, involute, represent, operator_norm and t_transform act on
+    each element of a batch alike (the crossed checks stack their trials).
     """
 
     def __init__(self, cc: CrossedContext, values: np.ndarray):
@@ -148,33 +149,37 @@ def convolve(f1: ConvolutionElement, f2: ConvolutionElement,
              mu: np.ndarray) -> ConvolutionElement:
     cc = f1.cc
     left = f1.values @ adjoint(mu)                                  # at (h, z)
-    right = f2.values[cc.sub[:, :, None], cc.shift[None]] @ mu      # f2(g-h, z+hN) mu(h, z)
-    return ConvolutionElement(cc, float(cc.weights.w_G) * (left @ right).sum(axis=1))
+    # f2(g-h, z+hN) mu(h, z) at (g, h, z)
+    right = f2.values[..., cc.sub[:, :, None], cc.shift[None], :, :] @ mu
+    prod = left[..., None, :, :, :, :] @ right
+    return ConvolutionElement(cc, float(cc.weights.w_G) * prod.sum(axis=-4))
 
 
 def involute(f: ConvolutionElement, mu: np.ndarray) -> ConvolutionElement:
     cc = f.cc
-    back = f.values[cc.neg[:, None], cc.shift]                      # f(-g, z+gN)
+    back = f.values[..., cc.neg[:, None], cc.shift, :, :]           # f(-g, z+gN)
     return ConvolutionElement(cc, adjoint(mu) @ adjoint(back) @ mu)
 
 
 def represent(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
-    """The matrix of f x _ on L^2(G x G/N) tensor C^d.
+    """The matrix of f x _ on L^2(G x G/N) tensor C^d, one per element of f's batch.
 
     (f x F)(g, z) = int_G mu(-g,z)^-1( f(h, z - gN) ) F(g-h, z) dh.
     """
     cc = f.cc
     Um = mu[cc.neg]                                                 # mu(-g, z)
     # block (g, z) -> (p, z) at p = g - h: f(g - p, z - gN) conjugated by Um
-    F = f.values[cc.sub[:, :, None], cc.shift[cc.neg][:, None, :]]
+    F = f.values[..., cc.sub[:, :, None], cc.shift[cc.neg][:, None, :], :, :]
     blocks = adjoint(Um)[:, None] @ F @ Um[:, None]                 # at (g, p, z)
-    out = float(cc.weights.w_G) * np.einsum("gpzij,zy->gzipyj", blocks, np.eye(cc.q))
+    out = float(cc.weights.w_G) * np.einsum("...gpzij,zy->...gzipyj", blocks,
+                                            np.eye(cc.q))
     dim = cc.n * cc.q * cc.d
-    return out.reshape(dim, dim)
+    return out.reshape(*f.values.shape[:-4], dim, dim)
 
 
-def operator_norm(f: ConvolutionElement, mu: np.ndarray) -> float:
-    return float(np.linalg.norm(represent(f, mu), 2))
+def operator_norm(f: ConvolutionElement, mu: np.ndarray) -> float | np.ndarray:
+    """The operator norm of f, a float, or an array of them over f's batch."""
+    return np.linalg.norm(represent(f, mu), 2, axis=(-2, -1))
 
 
 def _mu_twisted(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
@@ -307,36 +312,32 @@ def verify_point_theorem(ctx: DualityContext, d: int, mu: np.ndarray,
     Checks, on random elements: T is multiplicative, *-preserving and
     norm-preserving; T intertwines the dual action with conjugation by
     Lambda; T is injective (full rank on a spanning set); zero maps to 0.
+    Every trial's elements are drawn first (f1, f2, then k, trial by trial)
+    and all trials go through each transform as one batch.
     """
     cc = CrossedContext(ctx, d)
     rng = np.random.default_rng(seed)
     rep = {"mu_cocycle": mu_is_cocycle(cc, mu)}
-    hom = star = normres = equiv = 0.0
-    for trial in range(trials):
-        f1 = ConvolutionElement.random(cc, rng)
-        f2 = ConvolutionElement.random(cc, rng)
-        if trial == 0:
-            _check_lift(f1, mu)
-        T1 = t_transform(f1, mu)
-        T2 = t_transform(f2, mu)
-        T12 = t_transform(convolve(f1, f2, mu), mu)
-        hom = max(hom, float(np.max(np.abs(T12 - T1 @ T2))))
-        Tstar = t_transform(involute(f1, mu), mu)
-        star = max(star, float(np.max(np.abs(Tstar - adjoint(T1)))))
-        lhs = operator_norm(f1, mu)
-        rhs = float(np.max(np.linalg.norm(T1, 2, axis=(-2, -1))))
-        normres = max(normres, abs(lhs - rhs))
-        # equivariance under the dual action: T(chi f)(z^) = L^-1 T(f)(z^ + chi) L
-        k = int(rng.integers(0, ctx.Gd.order))
-        fchi = ConvolutionElement(cc, f1.values * cc.phases[k][:, None, None, None])
-        Tchi = t_transform(fchi, mu)
-        L = _fibre(cc.lam(k), d)
-        want = adjoint(L) @ T1[ctx.shift_hat[k]] @ L
-        equiv = max(equiv, float(np.max(np.abs(Tchi - want))))
-    rep["homomorphism"] = hom
-    rep["star_compatibility"] = star
-    rep["norm_preservation"] = normres
-    rep["equivariance"] = equiv
+    draws = [(ConvolutionElement.random(cc, rng).values,
+              ConvolutionElement.random(cc, rng).values,
+              int(rng.integers(0, ctx.Gd.order))) for _ in range(trials)]
+    v1, v2, ks = (np.stack(slot) for slot in zip(*draws))
+    f1, f2 = ConvolutionElement(cc, v1), ConvolutionElement(cc, v2)
+    _check_lift(ConvolutionElement(cc, v1[0]), mu)
+    T1 = t_transform(f1, mu)
+    T12 = t_transform(convolve(f1, f2, mu), mu)
+    rep["homomorphism"] = float(np.max(np.abs(T12 - T1 @ t_transform(f2, mu))))
+    Tstar = t_transform(involute(f1, mu), mu)
+    rep["star_compatibility"] = float(np.max(np.abs(Tstar - adjoint(T1))))
+    lhs = operator_norm(f1, mu)
+    rhs = np.max(np.linalg.norm(T1, 2, axis=(-2, -1)), axis=-1)
+    rep["norm_preservation"] = float(np.max(np.abs(lhs - rhs)))
+    # equivariance under the dual action: T(chi f)(z^) = L^-1 T(f)(z^ + chi) L
+    fchi = ConvolutionElement(cc, v1 * cc.phases[ks][:, :, None, None, None])
+    Tchi = t_transform(fchi, mu)
+    L = _fibre(cc.lam(ks), d)[:, None]
+    want = adjoint(L) @ T1[np.arange(trials)[:, None], ctx.shift_hat[ks]] @ L
+    rep["equivariance"] = float(np.max(np.abs(Tchi - want)))
     # injectivity: numerical rank of the linearised transform
     A = t_linearized(cc, mu)
     src = cc.n * cc.q * cc.d * cc.d
@@ -352,25 +353,26 @@ def _transport(cc: CrossedContext, t: TripleLocalData, e: tuple, f: np.ndarray,
                forward: bool = True) -> np.ndarray:
     """f_a -> f_b along e = (a, b), f_b(g, z) = zeta_ab(z)^-1 f_a(g, g_ab + z) zeta_ab(z),
     or back from f_b to f_a.  The coset axis of f is its third from last, so
-    f may be a value table or a stack of fibre tables."""
+    f may be a value table, a batch of them or a stack of fibre tables."""
     Z = t.zeta[e]
     s = cc.ctx.quotient.add_table()[t.g.labels[e]]                 # g_ab + z
     if forward:
-        return adjoint(Z) @ np.take(f, s, axis=-3) @ Z
-    return np.take(Z @ f @ adjoint(Z), np.argsort(s), axis=-3)
+        return adjoint(Z) @ f[..., s, :, :] @ Z
+    return (Z @ f @ adjoint(Z))[..., np.argsort(s), :, :]
 
 
-def section_family(t: TripleLocalData, cc: CrossedContext,
-                   rng: np.random.Generator) -> dict:
-    """A random compatible family {f_i}: f_b(g,z) = zeta_ab(z)^-1(f_a(g, g_ab+z)).
+def section_family(t: TripleLocalData, cc: CrossedContext, f0: np.ndarray) -> dict:
+    """The compatible family {f_i}, f_b(g,z) = zeta_ab(z)^-1(f_a(g, g_ab+z)), from
+    root values f0: a value table at vertex 0, or a batch of them.
 
-    A random element at vertex 0 is spread through a spanning tree.  An edge
-    off the tree closes a loop and holds only when the root value is fixed
-    by the loop's monodromy, so the root value is first projected onto the
-    null space of the defect map f_0 -> (f_b - T_ab f_a) over those edges.
-    The monodromy acts on G/N and the fibre with g a spectator, so the map
-    is built on one (q, d, d) slice.  Without holonomy it is zero (all
-    eigenvalues of its Gram matrix under HOLONOMY_TOL) and f_0 is kept as is.
+    The root value is spread through a spanning tree.  An edge off the tree
+    closes a loop and holds only when the root value is fixed by the loop's
+    monodromy, so the root value is first projected onto the null space of
+    the defect map f_0 -> (f_b - T_ab f_a) over those edges.  The monodromy
+    acts on G/N and the fibre with g a spectator, so the map is built once,
+    on one (q, d, d) slice, for the whole batch.  Without holonomy it is zero
+    (all eigenvalues of its Gram matrix under HOLONOMY_TOL) and f0 is kept
+    as is.
     """
     nerve = t.nerve
     root = nerve.vertices[0][0]
@@ -395,7 +397,6 @@ def section_family(t: TripleLocalData, cc: CrossedContext,
             fam[other] = _transport(cc, t, e, fam[v], forward=(v == e[0]))
         return fam
 
-    f0 = ConvolutionElement.random(cc, rng).values
     if loops:
         dim = cc.q * cc.d * cc.d
         basis = spread(np.eye(dim, dtype=complex).reshape(dim, cc.q, cc.d, cc.d))
@@ -405,7 +406,7 @@ def section_family(t: TripleLocalData, cc: CrossedContext,
             gram += D.conj() @ D.T
         vals, vecs = np.linalg.eigh(gram)
         R = vecs[:, vals > HOLONOMY_TOL]            # spans the defect's row space
-        flat = f0.reshape(cc.n, dim)
+        flat = f0.reshape(*f0.shape[:-3], dim)
         f0 = (flat - (flat @ R.conj()) @ R.T).reshape(f0.shape)
     return {v: ConvolutionElement(cc, f) for v, f in spread(f0).items()}
 
@@ -415,31 +416,30 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
     """Chart-wise transforms of a global section glue through the dual data.
 
     For every edge:  T_b f_b(z^) = W^-1 T_a f_a(g^_ab + z^) W  with
-    W = (DFT x 1) zeta^_ab(z^) (DFT^-1 x 1).
+    W = (DFT x 1) zeta^_ab(z^) (DFT^-1 x 1).  One random root value is
+    drawn per trial, and all trials' families go through as one batch.
     """
     ctx = t.ctx
     cc = CrossedContext(ctx, t.fiber_dim)
     rng = np.random.default_rng(seed)
     kron_dft = np.kron(cc.dft, np.eye(cc.d))
     kron_dft_inv = np.kron(cc.dft_inv, np.eye(cc.d))
-    # per edge: W stacked over z^, and the positions of g^_ab + z^
-    glue = {e: (kron_dft @ t_hat.zeta[e] @ kron_dft_inv,
-                ctx.dual_quotient.add_table()[t_hat.g.labels[e]])
-            for e in t.nerve.edges}
+    fam = section_family(t, cc, np.stack(
+        [ConvolutionElement.random(cc, rng).values for _ in range(trials)]))
+    # family relation on every edge (also the non-tree ones)
     res_family = 0.0
+    for e in t.nerve.edges:
+        want = _transport(cc, t, e, fam[e[0]].values)
+        res_family = max(res_family, float(np.max(np.abs(fam[e[1]].values - want))))
+    for i in fam:
+        _check_lift(ConvolutionElement(cc, fam[i].values[0]), t.mu[i])
+    T = {i: t_transform(fam[i], t.mu[i]) for i in fam}
     res_glue = 0.0
-    for trial in range(trials):
-        fam = section_family(t, cc, rng)
-        # family relation on every edge (also the non-tree ones)
-        for e in t.nerve.edges:
-            want = _transport(cc, t, e, fam[e[0]].values)
-            res_family = max(res_family, float(np.max(np.abs(fam[e[1]].values - want))))
-        if trial == 0:
-            for i in fam:
-                _check_lift(fam[i], t.mu[i])
-        T = {i: t_transform(fam[i], t.mu[i]) for i in fam}
-        for (a, b), (W, moved) in glue.items():
-            want = adjoint(W) @ T[a][moved] @ W
-            res_glue = max(res_glue, float(np.max(np.abs(T[b] - want))))
+    for (a, b) in t.nerve.edges:
+        # W stacked over z^, and the positions of g^_ab + z^
+        W = kron_dft @ t_hat.zeta[(a, b)] @ kron_dft_inv
+        moved = ctx.dual_quotient.add_table()[t_hat.g.labels[(a, b)]]
+        want = adjoint(W) @ T[a][:, moved] @ W
+        res_glue = max(res_glue, float(np.max(np.abs(T[b] - want))))
     return {"section_family": res_family, "section_transition": res_glue,
             "edges": len(t.nerve.edges)}

@@ -105,6 +105,7 @@ def d_group(f: GroupCochain) -> GroupCochain:
     """Group-cohomology differential, arity l -> l+1.
 
     Axes of f.values after the table's are batch axes and pass through.
+    A zero cochain maps to zero without the tuple loop.
     """
     sp = f.space
     G, m, l = sp.G, sp.m, sp.arity
@@ -112,6 +113,8 @@ def d_group(f: GroupCochain) -> GroupCochain:
     n = G.order
     add, act, coset = G.add_table(), sp.fiber.act, sp.coset
     out = np.zeros(out_sp.shape() + f.values.shape[l + 1:], dtype=np.int64)
+    if f.is_zero():
+        return GroupCochain(out_sp, out)
     sign_last = (-1) ** (l + 1)
     for tup in itertools.product(range(n), repeat=l + 1):
         acc = (sign_last * f.values[tup[:-1]]) % m

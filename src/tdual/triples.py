@@ -359,12 +359,11 @@ def extract_total_cocycle(t: TripleLocalData) -> TotalTwoCocycle:
         moved = qadd[t.g.labels[e]]
         phi[e] = snap(Mu[b] @ adjoint(Z[e]) @ adjoint(Mu[a][:, moved]) @ Z[e][shift])
 
-    omega = {}
+    # omega at (g, h, z) for all g at once: |G|^2 q d^2 entries, bounded by
+    # cap d^2 where normalising is capped (|G|^2 q <= TDUAL_MAX_DIM, in the CLI)
     hs = np.arange(len(add))[:, None]
-    for i, M in Mu.items():
-        # one slab per g keeps every temporary at the size of M
-        omega[i] = np.stack([snap(M[g] @ adjoint(M[add[g]]) @ M[hs, shift[g]])
-                             for g in range(len(add))])
+    omega = {i: snap(M[:, None] @ adjoint(M[add]) @ M[hs, shift[:, None, :]])
+             for i, M in Mu.items()}
 
     out = TotalTwoCocycle(t.nerve, ctx, t.g, psi, phi, omega)
     closure = total_differential(out.to_total_cochain(), t.g)

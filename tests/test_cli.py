@@ -324,6 +324,26 @@ class TestExplain:
         assert "certificate matrix dimension 864 (cap 512)" in out
         assert "run would exit 3" in out
 
+    def test_explain_warns_on_overcap_dualisability(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        # Z6/<3>: |G|^2 |G/N| = 108, under the cap
+        assert main(["explain", write_scenario(tmp_path, dict(Z6, command="all"))]) == 0
+        out = capsys.readouterr().out
+        assert "dualisability matrix dimension 108 (cap 512)" in out
+        assert "exit 3" not in out
+        # Z32/<16>: total-cohomology normalises but solves no certificate
+        sc = write_scenario(tmp_path, Z32_OVERCAP)
+        assert main(["explain", sc]) == 0
+        out = capsys.readouterr().out
+        assert "dualisability matrix dimension 16384 (cap 512)" in out
+        assert out.count("run would exit 3") == 1
+        assert "warning: normalising the triple exceeds the cap" in out
+        assert main(["run", sc, "-o", str(tmp_path / "r.json")]) == 3
+        # poincare builds no normalised triple: no warning
+        assert main(["explain", write_scenario(tmp_path, dict(Z32_OVERCAP,
+                                                              command="poincare"))]) == 0
+        assert "exit 3" not in capsys.readouterr().out
+
 
 class TestStages:
     def test_run_extracts_each_triple_once(self, monkeypatch, tmp_path):

@@ -395,7 +395,9 @@ class TestGluing:
         rep = verify_gluing(t, th, trials=4, seed=5)
         assert rep["section_family"] < 1e-9
         assert rep["section_transition"] < 1e-8
-        fam = section_family(t, CrossedContext(ctx, 1), np.random.default_rng(0))
+        cc = CrossedContext(ctx, 1)
+        root = ConvolutionElement.random(cc, np.random.default_rng(0)).values
+        fam = section_family(t, cc, root)
         assert min(f.norm_inf() for f in fam.values()) > 1e-3
 
     def test_single_vertex_reduces_to_point(self):
@@ -566,3 +568,199 @@ def test_conjugated_kernel_matches_pairing_loops(table_case):
         batch = conjugated_kernel(cc, np.stack([fm1, fm2]), ichi)
         assert np.array_equal(batch[0], K)
         assert np.array_equal(batch[1], conjugated_kernel(cc, fm2, ichi))
+
+
+# ---------------------------------------------------------------------------
+# the batched crossed checks against the per-trial loops they replaced
+
+def _ref_verify_point_theorem(ctx, d, mu, trials=4, seed=0):
+    """verify_point_theorem with one trial and one transform per step."""
+    cc = CrossedContext(ctx, d)
+    rng = np.random.default_rng(seed)
+    rep = {"mu_cocycle": mu_is_cocycle(cc, mu)}
+    hom = star = normres = equiv = 0.0
+    for trial in range(trials):
+        f1 = ConvolutionElement.random(cc, rng)
+        f2 = ConvolutionElement.random(cc, rng)
+        if trial == 0:
+            crossed._check_lift(f1, mu)
+        T1 = t_transform(f1, mu)
+        T2 = t_transform(f2, mu)
+        T12 = t_transform(convolve(f1, f2, mu), mu)
+        hom = max(hom, float(np.max(np.abs(T12 - T1 @ T2))))
+        Tstar = t_transform(involute(f1, mu), mu)
+        star = max(star, float(np.max(np.abs(Tstar - adjoint(T1)))))
+        lhs = float(operator_norm(f1, mu))
+        rhs = float(np.max(np.linalg.norm(T1, 2, axis=(-2, -1))))
+        normres = max(normres, abs(lhs - rhs))
+        k = int(rng.integers(0, ctx.Gd.order))
+        fchi = ConvolutionElement(cc, f1.values * cc.phases[k][:, None, None, None])
+        Tchi = t_transform(fchi, mu)
+        L = crossed._fibre(cc.lam(k), d)
+        want = adjoint(L) @ T1[ctx.shift_hat[k]] @ L
+        equiv = max(equiv, float(np.max(np.abs(Tchi - want))))
+    rep["homomorphism"] = hom
+    rep["star_compatibility"] = star
+    rep["norm_preservation"] = normres
+    rep["equivariance"] = equiv
+    A = t_linearized(cc, mu)
+    src = cc.n * cc.q * cc.d * cc.d
+    sv = np.linalg.svd(A, compute_uv=False)
+    rep["injective_rank_deficit"] = float(src - int(np.sum(sv > 1e-9 * sv[0])))
+    rep["zero_to_zero"] = float(np.max(np.abs(t_transform(ConvolutionElement.zero(cc), mu))))
+    return rep
+
+
+def _ref_section_family(t, cc, rng):
+    """section_family for one root value drawn here, projector rebuilt per call."""
+    nerve = t.nerve
+    root = nerve.vertices[0][0]
+    tree = []
+    seen, todo = {root}, [root]
+    while todo:
+        v = todo.pop()
+        for e in nerve.edges:
+            a, b = e
+            other = b if a == v else (a if b == v else None)
+            if other is None or other in seen:
+                continue
+            tree.append((e, v, other))
+            seen.add(other)
+            todo.append(other)
+    in_tree = {e for e, _, _ in tree}
+    loops = [e for e in nerve.edges if e not in in_tree]
+
+    def spread(f0):
+        fam = {root: f0}
+        for e, v, other in tree:
+            fam[other] = crossed._transport(cc, t, e, fam[v], forward=(v == e[0]))
+        return fam
+
+    f0 = ConvolutionElement.random(cc, rng).values
+    if loops:
+        dim = cc.q * cc.d * cc.d
+        basis = spread(np.eye(dim, dtype=complex).reshape(dim, cc.q, cc.d, cc.d))
+        gram = np.zeros((dim, dim), complex)
+        for e in loops:
+            D = (crossed._transport(cc, t, e, basis[e[0]]) - basis[e[1]]).reshape(dim, dim)
+            gram += D.conj() @ D.T
+        vals, vecs = np.linalg.eigh(gram)
+        R = vecs[:, vals > crossed.HOLONOMY_TOL]
+        flat = f0.reshape(cc.n, dim)
+        f0 = (flat - (flat @ R.conj()) @ R.T).reshape(f0.shape)
+    return {v: ConvolutionElement(cc, f) for v, f in spread(f0).items()}
+
+
+def _ref_verify_gluing(t, t_hat, trials=10, seed=0):
+    """verify_gluing with one section family and one transform per trial."""
+    ctx = t.ctx
+    cc = CrossedContext(ctx, t.fiber_dim)
+    rng = np.random.default_rng(seed)
+    kron_dft = np.kron(cc.dft, np.eye(cc.d))
+    kron_dft_inv = np.kron(cc.dft_inv, np.eye(cc.d))
+    glue = {e: (kron_dft @ t_hat.zeta[e] @ kron_dft_inv,
+                ctx.dual_quotient.add_table()[t_hat.g.labels[e]])
+            for e in t.nerve.edges}
+    res_family = res_glue = 0.0
+    for trial in range(trials):
+        fam = _ref_section_family(t, cc, rng)
+        for e in t.nerve.edges:
+            want = crossed._transport(cc, t, e, fam[e[0]].values)
+            res_family = max(res_family, float(np.max(np.abs(fam[e[1]].values - want))))
+        if trial == 0:
+            for i in fam:
+                crossed._check_lift(fam[i], t.mu[i])
+        T = {i: t_transform(fam[i], t.mu[i]) for i in fam}
+        for (a, b), (W, moved) in glue.items():
+            want = adjoint(W) @ T[a][moved] @ W
+            res_glue = max(res_glue, float(np.max(np.abs(T[b] - want))))
+    return {"section_family": res_family, "section_transition": res_glue,
+            "edges": len(t.nerve.edges)}
+
+
+def _one_edge_twist(ctx, nerve):
+    """Edge (0, 1) labelled by the coset of 1, the others 0: a loop with holonomy."""
+    labels = {e: ctx.quotient.zero() for e in nerve.edges}
+    labels[(0, 1)] = ctx.quotient.rep(ctx.G.element([1]))
+    return TwistCocycle(nerve, ctx.quotient, labels)
+
+
+# (factors, generators of N, nerve, d, twisted)
+BATCH_CASES = {
+    "z6_circle_d1": ([6], [[3]], "circle", 1, False),
+    "z6_circle_d2": ([6], [[3]], "circle", 2, False),
+    "z6_circle_d4": ([6], [[3]], "circle", 4, False),
+    "z6_twisted_circle_d1": ([6], [[3]], "circle", 1, True),
+    "z2xz2_sphere_d2": ([2, 2], [[1, 1]], "sphere", 2, False),
+    "z4_sphere_d1": ([4], [[2]], "sphere", 1, False),
+    "z4_point_d2": ([4], [[2]], "point", 2, False),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batched_crossed_checks_match_per_trial_loops(case):
+    factors, gens, nerve_name, d, twisted = BATCH_CASES[case]
+    ctx, nerve = ctx_for(factors, gens), getattr(Nerve, nerve_name)()
+    twist = _one_edge_twist(ctx, nerve) if twisted else None
+    t = make_dualisable(build_random_triple(nerve, ctx, d=d, seed=3, twist=twist))
+    th = dualize(t, extract_total_cocycle(t))
+    for trials, seed in ((1, 0), (5, 7)):
+        assert verify_point_theorem(ctx, d, t.mu[0], trials, seed) \
+            == _ref_verify_point_theorem(ctx, d, t.mu[0], trials, seed)
+    for trials, seed in ((1, 1), (10, 8)):
+        assert verify_gluing(t, th, trials, seed) == _ref_verify_gluing(t, th, trials, seed)
+
+
+def test_batched_point_theorem_matches_per_trial_loop_on_trivial_mu():
+    ctx = ctx_for([2], [])
+    mu = trivial_mu(CrossedContext(ctx, 1))
+    assert verify_point_theorem(ctx, 1, mu, 4, 0) == _ref_verify_point_theorem(ctx, 1, mu, 4, 0)
+
+
+def test_batched_section_family_matches_per_root_calls():
+    ctx, nerve = ctx_for([6], [[3]]), Nerve.circle()
+    t = make_dualisable(build_random_triple(nerve, ctx, d=2, seed=3,
+                                            twist=_one_edge_twist(ctx, nerve)))
+    cc = CrossedContext(ctx, 2)
+    rng = np.random.default_rng(4)
+    roots = np.stack([ConvolutionElement.random(cc, rng).values for _ in range(3)])
+    fam = section_family(t, cc, roots)
+    rng = np.random.default_rng(4)
+    for j in range(3):
+        ref = _ref_section_family(t, cc, rng)
+        assert fam.keys() == ref.keys()
+        for v, f in ref.items():
+            assert np.array_equal(fam[v].values[j], f.values)
+
+
+def test_batched_algebra_matches_single_elements(table_case):
+    cc, mu = table_case
+    rng = np.random.default_rng(13)
+    f1, f2 = (ConvolutionElement(cc, np.stack([ConvolutionElement.random(cc, rng).values
+                                               for _ in range(3)])) for _ in range(2))
+    conv, inv = convolve(f1, f2, mu).values, involute(f1, mu).values
+    rep, norm = represent(f1, mu), operator_norm(f1, mu)
+    assert conv.shape == f1.values.shape and rep.shape[0] == norm.shape[0] == 3
+    for j in range(3):
+        a, b = ConvolutionElement(cc, f1.values[j]), ConvolutionElement(cc, f2.values[j])
+        assert np.array_equal(conv[j], convolve(a, b, mu).values)
+        assert np.array_equal(inv[j], involute(a, mu).values)
+        assert np.array_equal(rep[j], represent(a, mu))
+        assert norm[j] == operator_norm(a, mu)
+
+
+def test_run_batches_crossed_trials(monkeypatch, tmp_path):
+    from tdual.cli import main
+    calls = {"conjugated_kernel": 0, "t_transform": 0, "_transport": 0, "eigh": 0}
+    for owner, name in ((crossed, "conjugated_kernel"), (crossed, "t_transform"),
+                        (crossed, "_transport"), (np.linalg, "eigh")):
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    assert main(["run", "z6_circle", "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
+    # one trial per call: 128 kernels, 62 transforms, 80 transports, 10 eigh
+    assert calls == {"conjugated_kernel": 34, "t_transform": 15, "_transport": 8,
+                     "eigh": 1}

@@ -331,3 +331,51 @@ def test_total_differential_calls_d_group_once_per_block(monkeypatch):
     total_differential(t, TwistCocycle.trivial(nerve, q))
     # blocks (1, 1) and (0, 2) have simplices; (2, 0) has none, so no call
     assert sorted(calls) == [(4, 2, 3), (4, 4, 2, 3)]
+
+
+def _ref_d_group(f):
+    """d_group entry by entry from the formula, one table at a time."""
+    sp = f.space
+    G, m, l = sp.G, sp.m, sp.arity
+    add, act = G.add_table(), sp.fiber.act
+    out = np.zeros((G.order,) * (l + 1) + (sp.q,), dtype=np.int64)
+    for tup in np.ndindex(*(G.order,) * (l + 1)):
+        acc = (-1) ** (l + 1) * f.values[tup[:-1]]
+        for i in range(1, l + 1):
+            acc = acc + (-1) ** i * f.values[
+                tup[:i - 1] + (add[tup[i - 1], tup[i]],) + tup[i + 1:]]
+        out[tup] = (acc + f.values[tup[1:]][act[sp.coset[tup[0]]]]) % m
+    return out
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batched"])
+def test_d_group_of_zero_skips_the_tuple_loop(arity, batch, monkeypatch):
+    import tdual.groupcoh as groupcoh
+    G, N, q = make_ctx([6], [[3]])
+    sp = GroupCochainSpace(G, q, 6, arity)
+
+    def no_loop(*args, **kw):
+        raise AssertionError("d_group looped over a zero cochain")
+    monkeypatch.setattr(groupcoh.itertools, "product", no_loop)
+    df = d_group(GroupCochain(sp, np.zeros(sp.shape() + batch, dtype=np.int64)))
+    assert df.space.arity == arity + 1
+    assert df.values.shape == (6,) * (arity + 1) + (q.order,) + batch
+    assert df.values.dtype == np.int64 and df.is_zero()
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2])
+def test_d_group_of_nonzero_matches_formula(arity):
+    G, N, q = make_ctx([6], [[3]])
+    sp = GroupCochainSpace(G, q, 6, arity)
+    rng = np.random.default_rng(arity)
+    # one batch column zero, one a point mass, one random: the batch is not zero
+    vals = np.zeros(sp.shape() + (3,), dtype=np.int64)
+    vals[(1,) * arity + (2, 1)] = 5
+    vals[..., 2] = rng.integers(0, 6, size=sp.shape())
+    got = d_group(GroupCochain(sp, vals)).values
+    for j in range(3):
+        want = _ref_d_group(GroupCochain(sp, vals[..., j]))
+        assert np.array_equal(got[..., j], want)
+        assert np.array_equal(d_group(GroupCochain(sp, vals[..., j])).values, want)
+    assert got[..., 1].any() and not got[..., 0].any()

@@ -776,3 +776,49 @@ def test_batched_extraction_fails_like_reference(case, d):
         with pytest.raises(InvalidTripleError) as got:
             extract_total_cocycle(bad)
         assert str(got.value) == want
+
+
+def _per_g_omega(t):
+    """omega snapped one g-slab at a time, the layout extraction had before it
+    stacked every g."""
+    from tdual.linops import adjoint
+    from tdual.triples import _snap_stack
+    ctx = t.ctx
+    shift, add = ctx.shift, ctx.G.add_table()
+    hs = np.arange(len(add))[:, None]
+    return {i: np.stack([_snap_stack(M[g] @ adjoint(M[add[g]]) @ M[hs, shift[g]],
+                                     ctx.m, t.tau_s) for g in range(len(add))])
+            for i, M in t.mu.items()}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("case", sorted(EXTRACTION_CASES))
+def test_stacked_omega_matches_per_g_slabs(case, d):
+    t = _extraction_fixture(case, d)
+    c = extract_total_cocycle(t)
+    tn = make_dualisable(t, c)
+    cn = extract_total_cocycle(tn)
+    th = dualize(tn, cn)
+    for tri, cc in ((t, c), (tn, cn), (th, extract_total_cocycle(th))):
+        want = _per_g_omega(tri)
+        assert cc.omega.keys() == want.keys()
+        for i, om in want.items():
+            assert cc.omega[i].dtype == om.dtype and np.array_equal(cc.omega[i], om), i
+
+
+def test_extraction_rejects_a_perturbed_omega_entry(z6fix, monkeypatch):
+    import tdual.triples as triples
+    snap = triples._snap_stack
+    perturbed = []
+
+    def off_by_one(mats, m, tol):
+        k = snap(mats, m, tol)
+        if mats.ndim == 5 and not perturbed:    # the first vertex's omega, at (g, h, z)
+            k[1, 2, 0] = (k[1, 2, 0] + 1) % m
+            perturbed.append(mats.shape)
+        return k
+    extract_total_cocycle(z6fix)
+    monkeypatch.setattr(triples, "_snap_stack", off_by_one)
+    with pytest.raises(InvalidTripleError, match="not a total cocycle"):
+        extract_total_cocycle(z6fix)
+    assert perturbed == [(6, 6, 3, 2, 2)]
