@@ -3,6 +3,14 @@ finite scale: Pontryagin duality of finite abelian groups, twisted Cech and
 group cohomology, the duality transform on dynamical-triple local data, and
 the Fourier-transform isomorphism of finite crossed products."""
 
+import os
+
+# One BLAS thread unless the user set one: the crossed-product checks run
+# small complex SVDs, where starting threads costs more than the work.  The
+# default acts only if numpy has not been imported before tdual.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .lca import (
     QZ,
     FiniteLcaGroup,

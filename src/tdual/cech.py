@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import check_dim
 from .lca import MAX_GROUP_ORDER, GroupElement, QuotientGroup
-from .linops import operator_matrix
 from .zmodlin import cohomology_of
 
 Simplex = tuple[int, ...]
@@ -244,12 +244,40 @@ def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
     return TwistedCochain(nerve, module, k + 1, out)
 
 
+def delta_terms(nerve: Nerve, module: GModule, g: TwistCocycle,
+                k: int) -> list[tuple[int, np.ndarray]]:
+    """delta_g from degree k to k+1 as (sign, source index) terms.
+
+    Each source array runs over the flat output coordinates (s, i), for s
+    a (k+1)-simplex and i a module slot, and names the flat source
+    coordinate whose value enters entry (s, i) with that sign: face j of s
+    in slot i for j <= k, and the last face s[:-1] in slot act[x][i] for x
+    the label of s's last edge.  The twist term's untwisted half cancels
+    the alternating sum's last face, which leaves k + 2 terms.
+    """
+    sz = module.size
+    pos = {s: i for i, s in enumerate(nerve.simplices(k))}
+    top = nerve.simplices(k + 1)
+    faces = np.array([[pos[s[:j] + s[j + 1:]] for j in range(k + 2)] for s in top],
+                     dtype=np.int64).reshape(len(top), k + 2) * sz
+    labels = np.array([g.labels[s[-2:]] for s in top], dtype=np.int64)
+    slots = np.arange(sz)
+    terms = [((-1) ** j, (faces[:, j, None] + slots).ravel()) for j in range(k + 1)]
+    terms.append(((-1) ** (k + 1), (faces[:, k + 1, None] + module.act[labels]).ravel()))
+    return terms
+
+
 def delta_matrix(nerve: Nerve, module: GModule, g: TwistCocycle, k: int) -> np.ndarray:
     """Matrix of delta_g from degree k to k+1 on flattened coordinates."""
     sz = module.size
-    return operator_matrix(
-        lambda e: delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
-        len(nerve.simplices(k)) * sz, len(nerve.simplices(k + 1)) * sz)
+    n_src, n_dst = len(nerve.simplices(k)) * sz, len(nerve.simplices(k + 1)) * sz
+    check_dim(max(n_src, n_dst))
+    A = np.zeros((n_dst, n_src), dtype=np.int64)
+    rows = np.arange(n_dst)
+    for sign, src in delta_terms(nerve, module, g, k):
+        A[rows, src] += sign
+    A %= module.m
+    return A
 
 
 def cohomology(nerve: Nerve, module: GModule, g: TwistCocycle, k: int):

@@ -397,6 +397,13 @@ def check_total(ws: Workspace) -> list[dict]:
         sp = groupcoh.GroupCochainSpace(ctx.G, ctx.quotient, ctx.m, p)
         if not np.array_equal(A, -((-1) ** p) * groupcoh.d_group_matrix(sp) % ctx.m):
             ok_pt = False
+        # the matrices come from index arrays, not from total_differential:
+        # the applier must map a random cochain as A does
+        x = rng.integers(0, ctx.m, size=A.shape[1])
+        image = groupcoh.total_differential(
+            groupcoh.TotalCochain.from_flat(pt, ctx.G, ctx.quotient, ctx.m, p, x), gp)
+        if not np.array_equal(image.flatten(), A @ x % ctx.m):
+            ok_pt = False
         pt_factors[str(p)], _ = cohomology_of(A, prev, ctx.m)
         if pt_factors[str(p)] != shapiro[p]:
             ok_pt = False

@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cech import GModule, Nerve, TwistCocycle, TwistedCochain, delta_g
+from .cech import GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_terms
+from .errors import check_dim
 from .lca import FiniteLcaGroup, QuotientGroup
-from .linops import operator_matrix
 from .zmodlin import cohomology_of, solve_mod
 
 MAX_ARITY = 4          # dense tables G^l -> M exist up to this arity
@@ -126,12 +126,38 @@ def d_group(f: GroupCochain) -> GroupCochain:
     return GroupCochain(out_sp, out)
 
 
+def d_group_terms(space: GroupCochainSpace) -> list[tuple[int, np.ndarray]]:
+    """d_group from arity l to l+1 as (sign, source index) terms.
+
+    Each source array runs over the flat output coordinates
+    (g_1, ..., g_{l+1}, z) in row-major order and names the flat source
+    coordinate whose value enters that entry with that sign: the last
+    argument dropped, each adjacent pair merged by add_table(), and the
+    first argument dropped with z moved by fiber.act[coset[g_1]].
+    """
+    l, shape = space.arity, space.shape()
+    idx = np.indices((space.n,) * (l + 1) + (space.q,)).reshape(l + 2, -1)
+    g, z = list(idx[:-1]), idx[-1]
+    add = space.G.add_table()
+    terms = [((-1) ** (l + 1), np.ravel_multi_index(g[:l] + [z], shape))]
+    for i in range(1, l + 1):
+        merged = g[:i - 1] + [add[g[i - 1], g[i]]] + g[i + 1:]
+        terms.append(((-1) ** i, np.ravel_multi_index(merged + [z], shape)))
+    moved = space.fiber.act[space.coset[g[0]], z]
+    terms.append((1, np.ravel_multi_index(g[1:] + [moved], shape)))
+    return terms
+
+
 def d_group_matrix(space: GroupCochainSpace) -> np.ndarray:
     """Matrix of d_group from arity l to l+1 on flattened coordinates."""
     out_sp = GroupCochainSpace(space.G, space.quotient, space.m, space.arity + 1)
-    return operator_matrix(
-        lambda e: d_group(GroupCochain.from_flat(space, e)).flatten(),
-        space.size, out_sp.size)
+    check_dim(max(space.size, out_sp.size))
+    A = np.zeros((out_sp.size, space.size), dtype=np.int64)
+    rows = np.arange(out_sp.size)
+    for sign, src in d_group_terms(space):
+        A[rows, src] += sign
+    A %= space.m
+    return A
 
 
 def group_cohomology(G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
@@ -215,15 +241,22 @@ class TotalCochain:
         return TotalCochain(nerve, G, quotient, m, degree, blocks)
 
 
-def total_dimension(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
-                    m: int, p: int) -> int:
-    dim = 0
-    for k in range(p + 1):
+def _block_offsets(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
+                  p: int) -> tuple[dict, int]:
+    """Flat offset of each block (k, l) of degree p, in bidegrees() order, and the dimension."""
+    offsets, dim = {}, 0
+    for k in range(p, -1, -1):
         l = p - k
         if l > MAX_TOTAL_ARITY:
             continue
+        offsets[(k, l)] = dim
         dim += len(nerve.simplices(k)) * (G.order ** l) * quotient.order
-    return dim
+    return offsets, dim
+
+
+def total_dimension(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
+                    m: int, p: int) -> int:
+    return _block_offsets(nerve, G, quotient, p)[1]
 
 
 def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
@@ -260,12 +293,30 @@ def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
 
 def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
                  m: int, g: TwistCocycle, p: int) -> np.ndarray:
-    """Matrix of the total differential from degree p to p+1."""
-    return operator_matrix(
-        lambda e: total_differential(
-            TotalCochain.from_flat(nerve, G, quotient, m, p, e), g).flatten(),
-        total_dimension(nerve, G, quotient, m, p),
-        total_dimension(nerve, G, quotient, m, p + 1))
+    """Matrix of the total differential from degree p to p+1.
+
+    Source block (k, l) enters block (k+1, l) through delta_g's terms, and
+    block (k, l+1) through -(-1)^p times d_group's, once per k-simplex.
+    """
+    src_off, n_src = _block_offsets(nerve, G, quotient, p)
+    dst_off, n_dst = _block_offsets(nerve, G, quotient, p + 1)
+    check_dim(max(n_src, n_dst))
+    A = np.zeros((n_dst, n_src), dtype=np.int64)
+    sign = -((-1) ** p)
+
+    def scatter(row0, s, src):
+        A[np.arange(row0, row0 + src.size), src] += s
+
+    for (k, l), off in src_off.items():
+        sp = GroupCochainSpace(G, quotient, m, l)
+        for s, src in delta_terms(nerve, sp.as_gmodule(), g, k):
+            scatter(dst_off[(k + 1, l)], s, off + src)
+        if l + 1 <= MAX_TOTAL_ARITY:
+            starts = off + sp.size * np.arange(len(nerve.simplices(k)))[:, None]
+            for s, src in d_group_terms(sp):
+                scatter(dst_off[(k, l + 1)], sign * s, (starts + src).ravel())
+    A %= m
+    return A
 
 
 def total_cohomology(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,

@@ -1,4 +1,4 @@
-"""Small dense-matrix helpers shared by the duality and crossed-product code."""
+"""Small complex-matrix and phase helpers shared by the duality and crossed-product code."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidTripleError, check_dim
+from .errors import InvalidTripleError
 from .lca import QZ
 
 
@@ -17,24 +17,6 @@ def unit_phase(x: QZ) -> complex:
 def adjoint(U: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes; leading axes are a stack."""
     return np.swapaxes(U.conj(), -1, -2)
-
-
-def operator_matrix(apply: Callable[[np.ndarray], np.ndarray], n_src: int,
-                    n_dst: int) -> np.ndarray:
-    """Integer matrix of a linear map on flat coordinates, from one batched call.
-
-    apply takes flat coordinates of shape (n_src, B), a batch of B vectors
-    along the trailing axis, and returns their images, shape (n_dst, B).  It
-    is called once, on the (n_src, n_src) identity, so column j of the
-    result is the image of e_j; a matrix with no entries needs no call.
-    """
-    check_dim(max(n_src, n_dst))
-    if n_src == 0 or n_dst == 0:
-        return np.zeros((n_dst, n_src), dtype=np.int64)
-    A = np.asarray(apply(np.eye(n_src, dtype=np.int64)), dtype=np.int64)
-    if A.shape != (n_dst, n_src):
-        raise ValueError(f"operator image has shape {A.shape}, want {(n_dst, n_src)}")
-    return A
 
 
 def perm_matrix(size: int, image: Callable[[int], int]) -> np.ndarray:

@@ -62,9 +62,10 @@ class _Side:
     """Row operations on D with the transform T they build and its inverse.
 
     Column operations are the row operations of the transposes: the column
-    side holds D.T and V.T as views, with no inverse.  Only the trailing
-    block D[k:, k:] is updated at step k: rows and columns before k hold
-    just their pivot, and every operation of step k leaves them unchanged.
+    side holds the view D.T and a C-contiguous V.T, with no inverse.  Only
+    the trailing block D[k:, k:] is updated at step k: rows and columns
+    before k hold just their pivot, and every operation of step k leaves
+    them unchanged.
     """
 
     def __init__(self, D, T, Tinv, m):
@@ -80,10 +81,17 @@ class _Side:
             self.Tinv[:, [i, j]] = self.Tinv[:, [j, i]]
 
     def add(self, k, dst, src, q):
-        # rows dst += q * row src, as one rank-1 update; q lies in (-m, m)
+        # rows dst += q * row src, as one rank-1 update; q lies in (-m, m).
+        # Columns past the last nonzero of row src are left as they are:
+        # D is reduced mod m already, so the update would rewrite them
+        # unchanged.  After a row clear, the column side's source is zero
+        # past column k, and only column k is written.
         m, D, T, Tinv = self.m, self.D, self.T, self.Tinv
         q = np.asarray(q, dtype=np.int64)
-        D[dst, k:] = (D[dst, k:] + q[:, None] * D[src, k:]) % m
+        nz = D[src, k:].nonzero()[0]
+        if nz.size:
+            end = k + int(nz[-1]) + 1
+            D[dst, k:end] = (D[dst, k:end] + q[:, None] * D[src, k:end]) % m
         if T is not None:
             T[dst] = (T[dst] + q[:, None] * T[src]) % m
         if Tinv is not None:
@@ -110,13 +118,13 @@ class _Side:
         the scan resumes with the new pivot.
         """
         D = self.D
-        rows = np.flatnonzero(D[k + 1:, k]) + k + 1
+        rows = D[k + 1:, k].nonzero()[0] + (k + 1)
         b = D[rows, k]
         pos = 0
         while pos < rows.size:
             a = int(D[k, k])   # nonzero: the pivot, or the gcd a block left
-            bad = np.flatnonzero(b[pos:] % a)
-            end = pos + int(bad[0]) if bad.size else rows.size
+            bad = (b[pos:] % a).nonzero()[0] if a > 1 else ()
+            end = pos + int(bad[0]) if len(bad) else rows.size
             if end > pos:
                 self.add(k, rows[pos:end], k, -(b[pos:end] // a))
             if end < rows.size:
@@ -129,20 +137,22 @@ class _Side:
 def _pivot(S: np.ndarray, m: int) -> Optional[tuple[int, int]]:
     """Position of the first entry of S, in row-major order, of least gcd with m.
 
-    None if S is zero.  Windows of leading rows, doubling in height, are
-    searched first: a unit found in one is the answer, as no later row
-    comes before it.
+    None if S is zero.  A zero has gcd m, more than any nonzero entry below
+    m has, so one gcd over a window finds its least nonzero entry.  Windows
+    of leading rows, doubling in height, are searched first: a unit found
+    in one is the answer, as no later row comes before it.
     """
+    rows, cols = S.shape
     h = 1
     while True:
-        ri, ci = np.nonzero(S[:h])
-        if ri.size:
-            g = np.gcd(S[ri, ci], m)
-            best = int(np.argmin(g))
-            if g[best] == 1 or h >= S.shape[0]:
-                return int(ri[best]), int(ci[best])
-        elif h >= S.shape[0]:
-            return None
+        g = np.gcd(S[:h], m)
+        best = int(g.argmin())
+        least = g.flat[best]
+        if least == m:                 # the window is zero
+            if h >= rows:
+                return None
+        elif least == 1 or h >= rows:
+            return divmod(best, cols)
         h *= 2
 
 
@@ -159,9 +169,9 @@ def smith_form(A: np.ndarray, m: int, *, u: Optional[np.ndarray] = None,
     rows, cols = D.shape
     U = None if u is None else np.array(u, dtype=np.int64) % m
     Uinv = np.eye(rows, dtype=np.int64) if uinv else None
-    V = np.eye(cols, dtype=np.int64) if v else None
+    Vt = np.eye(cols, dtype=np.int64) if v else None
     row = _Side(D, U, Uinv, m)
-    col = _Side(D.T, None if V is None else V.T, None, m)
+    col = _Side(D.T, Vt, None, m)
 
     def clear_pivot(k: int) -> None:
         # make D[k,k] the only nonzero entry in its row and column; col.clear
@@ -169,7 +179,7 @@ def smith_form(A: np.ndarray, m: int, *, u: Optional[np.ndarray] = None,
         while True:
             row.clear(k)
             col.clear(k)
-            if not np.any(D[k + 1:, k]):
+            if not D[k + 1:, k].any():
                 return
 
     for k in range(min(rows, cols)):
@@ -190,7 +200,7 @@ def smith_form(A: np.ndarray, m: int, *, u: Optional[np.ndarray] = None,
             row.add(k, [k], int(bad[0]) + k + 1, [1])
             clear_pivot(k)
 
-    return SmithForm(d=D, u=U, v=V, uinv=Uinv, m=m)
+    return SmithForm(d=D, u=U, v=None if Vt is None else Vt.T, uinv=Uinv, m=m)
 
 
 def _diagonal(d: np.ndarray, n: int) -> np.ndarray:

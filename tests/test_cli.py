@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -502,3 +504,18 @@ def test_point_nerve_check_catches_an_identity_quotient_action(monkeypatch):
     row = next(r for r in check_total(ws) if r["name"] == POINT_NERVE)
     assert row["factors"]["1"] == [6, 6, 6]
     assert not row["passed"]
+
+
+@pytest.mark.parametrize("user_value,want", [(None, "1"), ("2", "2")])
+def test_import_defaults_blas_to_one_thread_unless_set(user_value, want):
+    # a fresh interpreter: this one has imported numpy and tdual already
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    out = subprocess.run(
+        [sys.executable, "-c", "import tdual, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == want

@@ -1,9 +1,11 @@
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tdual.cech import Nerve, TwistCocycle, TwistedCochain, delta_g
+from tdual.cech import GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_matrix
 from tdual.errors import ResourceCapError
 from tdual.groupcoh import (
     MAX_TOTAL_ARITY,
@@ -379,3 +381,102 @@ def test_d_group_of_nonzero_matches_formula(arity):
         assert np.array_equal(got[..., j], want)
         assert np.array_equal(d_group(GroupCochain(sp, vals[..., j])).values, want)
     assert got[..., 1].any() and not got[..., 0].any()
+
+
+# the bench's seven (G, N), then N = 0 and N = G
+SWEEP_GROUPS = [([4], [[2]]), ([6], [[3]]), ([8], [[4]]), ([9], [[3]]), ([12], [[4]]),
+                ([2, 2], [[1, 1]]), ([2, 4], [[1, 2]]), ([6], []), ([2, 2], [[1, 0], [0, 1]])]
+SWEEP_NERVES = [Nerve.point(), Nerve.circle(), Nerve.sphere(), FIVE]
+SWEEP_CAP = 512
+
+
+def _sweep_setting(data):
+    factors, gens = data.draw(st.sampled_from(SWEEP_GROUPS))
+    G, N, q = make_ctx(factors, gens)
+    nerve = data.draw(st.sampled_from(SWEEP_NERVES))
+    g = _twist(nerve, q, np.random.default_rng(data.draw(st.integers(0, 2 ** 16))))
+    return G, q, G.exponent, nerve, g
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_d_group_matrix_matches_unit_vector_loop_sweep(data):
+    G, q, m, _, _ = _sweep_setting(data)
+    quotient = data.draw(st.sampled_from([q, None]))
+    arity = data.draw(st.integers(0, 3))
+    while arity and G.order ** (arity + 1) * q.order > SWEEP_CAP:
+        arity -= 1
+    sp = GroupCochainSpace(G, quotient, m, arity)
+    ref = unit_vector_matrix(
+        lambda e: d_group(GroupCochain(sp, e.reshape(sp.shape()))).flatten(), sp.size)
+    assert np.array_equal(d_group_matrix(sp), ref)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_delta_matrix_matches_unit_vector_loop_sweep(data):
+    G, q, m, nerve, g = _sweep_setting(data)
+    module = data.draw(st.sampled_from([
+        GModule.trivial(m), GModule.functions_on_quotient(m, q),
+        GroupCochainSpace(G, q, m, 1).as_gmodule()]))
+    for k in range(nerve.dimension + 1):
+        n_src, n_dst = (len(nerve.simplices(j)) * module.size for j in (k, k + 1))
+        if max(n_src, n_dst) > SWEEP_CAP:
+            break
+        ref = unit_vector_matrix(
+            lambda e: delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
+            n_src)
+        assert np.array_equal(delta_matrix(nerve, module, g, k), ref), k
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_total_matrix_matches_unit_vector_loop_sweep(data):
+    G, q, m, nerve, g = _sweep_setting(data)
+    for p in range(3):
+        n_src, n_dst = (total_dimension(nerve, G, q, m, d) for d in (p, p + 1))
+        if max(n_src, n_dst) > SWEEP_CAP:
+            break
+        ref = unit_vector_matrix(
+            lambda e: total_differential(
+                TotalCochain.from_flat(nerve, G, q, m, p, e), g).flatten(), n_src)
+        assert np.array_equal(total_matrix(nerve, G, q, m, g, p), ref), p
+
+
+def test_d_group_matrix_peak_memory_is_its_output(monkeypatch):
+    # Z12/<6> arity 2 is 10368 x 864: the index arrays and the scatter add
+    # under a tenth to the matrix, where the identity batch took twice it
+    monkeypatch.setenv("TDUAL_MAX_DIM", "10368")
+    G, N, q = make_ctx([12], [[6]])
+    sp = GroupCochainSpace(G, q, 12, 2)
+    G.add_table(), sp.fiber.act              # tables the group caches
+    tracemalloc.start()
+    try:
+        A = d_group_matrix(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (10368, 864)
+    assert peak <= 1.1 * A.nbytes, (peak, A.nbytes)
+
+
+def test_matrix_builders_refuse_over_cap_before_allocating(monkeypatch):
+    monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+    G, N, q = make_ctx([12], [[6]])
+    sp = GroupCochainSpace(G, q, 12, 2)                 # 10368 x 864
+    module = GroupCochainSpace(G, q, 12, 2).as_gmodule()
+    nerve = Nerve.circle()
+    g = TwistCocycle.trivial(nerve, q)
+    G.add_table(), q.add_table()
+    builders = [lambda: d_group_matrix(sp),
+                lambda: delta_matrix(nerve, module, g, 0),            # 2592 x 2592
+                lambda: total_matrix(nerve, G, q, 12, g, 2)]          # 33696 x 2808
+    for build in builders:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak

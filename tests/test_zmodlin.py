@@ -471,3 +471,169 @@ def test_solvers_match_the_u_tracking_reference(kind):
         f_ref, reps_ref = reference_module_quotient(K, d_prev, m)
         assert f == f_ref and np.array_equal(reps, reps_ref), (A, m)
     assert solvable == {True, False}
+
+
+class _FullSide:
+    """smith_form's row side with every update written in full.
+
+    Each rank-1 update rewrites the whole trailing block of its rows, and
+    the column side carries V through the strided view V.T.  Together with
+    full_update_pivot and full_update_smith_form it is the reference that
+    smith_form's skipped writes must match bit for bit.
+    """
+
+    def __init__(self, D, T, Tinv, m):
+        self.D, self.T, self.Tinv, self.m = D, T, Tinv, m
+
+    def swap(self, i, j):
+        if i == j:
+            return
+        self.D[[i, j]] = self.D[[j, i]]
+        if self.T is not None:
+            self.T[[i, j]] = self.T[[j, i]]
+        if self.Tinv is not None:
+            self.Tinv[:, [i, j]] = self.Tinv[:, [j, i]]
+
+    def add(self, k, dst, src, q):
+        m, D, T, Tinv = self.m, self.D, self.T, self.Tinv
+        q = np.asarray(q, dtype=np.int64)
+        D[dst, k:] = (D[dst, k:] + q[:, None] * D[src, k:]) % m
+        if T is not None:
+            T[dst] = (T[dst] + q[:, None] * T[src]) % m
+        if Tinv is not None:
+            Tinv[:, src] = (Tinv[:, src] - Tinv[:, dst] @ q) % m
+
+    def block(self, k, i, x, y, c, d):
+        m, D, T, Tinv = self.m, self.D, self.T, self.Tinv
+        B = np.array([[x, y], [c, d]], dtype=np.int64)
+        D[[k, i], k:] = (B @ D[[k, i], k:]) % m
+        if T is not None:
+            T[[k, i]] = (B @ T[[k, i]]) % m
+        if Tinv is not None:
+            Binv = np.array([[d, -y], [-c, x]], dtype=np.int64)
+            Tinv[:, [k, i]] = (Tinv[:, [k, i]] @ Binv) % m
+
+    def clear(self, k):
+        D = self.D
+        rows = np.flatnonzero(D[k + 1:, k]) + k + 1
+        b = D[rows, k]
+        pos = 0
+        while pos < rows.size:
+            a = int(D[k, k])
+            bad = np.flatnonzero(b[pos:] % a)
+            end = pos + int(bad[0]) if bad.size else rows.size
+            if end > pos:
+                self.add(k, rows[pos:end], k, -(b[pos:end] // a))
+            if end < rows.size:
+                bb = int(b[end])
+                g, x, y = xgcd(a, bb)
+                self.block(k, int(rows[end]), x, y, -(bb // g), a // g)
+            pos = end + 1
+
+
+def full_update_pivot(S, m):
+    """First least-gcd entry of S in row-major order, from the gcds of its nonzeros."""
+    h = 1
+    while True:
+        ri, ci = np.nonzero(S[:h])
+        if ri.size:
+            g = np.gcd(S[ri, ci], m)
+            best = int(np.argmin(g))
+            if g[best] == 1 or h >= S.shape[0]:
+                return int(ri[best]), int(ci[best])
+        elif h >= S.shape[0]:
+            return None
+        h *= 2
+
+
+def full_update_smith_form(A, m, *, u=None, uinv=True, v=True):
+    D = np.asarray(A, dtype=np.int64) % m
+    rows, cols = D.shape
+    U = None if u is None else np.array(u, dtype=np.int64) % m
+    Uinv = np.eye(rows, dtype=np.int64) if uinv else None
+    V = np.eye(cols, dtype=np.int64) if v else None
+    row = _FullSide(D, U, Uinv, m)
+    col = _FullSide(D.T, None if V is None else V.T, None, m)
+
+    def clear_pivot(k):
+        while True:
+            row.clear(k)
+            col.clear(k)
+            if not np.any(D[k + 1:, k]):
+                return
+
+    for k in range(min(rows, cols)):
+        best = full_update_pivot(D[k:, k:], m)
+        if best is None:
+            break
+        row.swap(k, best[0] + k)
+        col.swap(k, best[1] + k)
+        clear_pivot(k)
+        while True:
+            gk = gcd(int(D[k, k]), m)
+            if gk == 1:
+                break
+            bad = np.flatnonzero((D[k + 1:, k + 1:] % gk).any(axis=1))
+            if not bad.size:
+                break
+            row.add(k, [k], int(bad[0]) + k + 1, [1])
+            clear_pivot(k)
+
+    return zmodlin.SmithForm(d=D, u=U, v=V, uinv=Uinv, m=m)
+
+
+def assert_same_smith(A, m, **kw):
+    got, want = smith_form(A, m, **kw), full_update_smith_form(A, m, **kw)
+    for name in ("d", "u", "v", "uinv"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        assert a is None or (a.dtype == b.dtype and np.array_equal(a, b)), (A, m, name)
+
+
+# 2^27 is the largest modulus the loader accepts at cap 512: (m-1)^2 * 512 < 2^63
+SMITH_MODULI = [1, 2, 4, 6, 8, 9, 12, 30, 97, 2 ** 27]
+
+
+@st.composite
+def smith_inputs(draw):
+    m = draw(st.sampled_from(SMITH_MODULI))
+    shape = draw(st.sampled_from(["empty-rows", "empty-cols", "wide", "tall", "square"]))
+    a, b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rows, cols = {"empty-rows": (0, a), "empty-cols": (a, 0), "wide": (min(a, b), max(a, b)),
+                  "tall": (max(a, b), min(a, b)), "square": (a, a)}[shape]
+    kind = draw(st.sampled_from(["uniform", "sparse-units", "no-unit"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        A = rng.integers(0, m, size=(rows, cols))
+    elif kind == "sparse-units":
+        A = rng.choice([-1, 0, 0, 0, 1], size=(rows, cols))
+    else:
+        # multiples of a proper divisor of m (none for m = 1 or a prime)
+        p = next((p for p in range(2, m) if m % p == 0), m)
+        A = p * rng.integers(0, max(m // p, 1), size=(rows, cols))
+    u = draw(st.sampled_from([None, "eye", "block"]))
+    U = {None: None, "eye": np.eye(rows, dtype=np.int64),
+         "block": rng.integers(0, m, size=(rows, 3))}[u]
+    return A, m, U, draw(st.booleans()), draw(st.booleans())
+
+
+@given(smith_inputs())
+@settings(max_examples=300, deadline=None)
+def test_smith_form_matches_full_update_reference(case):
+    A, m, U, uinv, v = case
+    assert_same_smith(A, m, u=U, uinv=uinv, v=v)
+
+
+def test_smith_form_matches_full_update_reference_on_ladder_matrix():
+    # the 480 x 120 total differential the cohomology ladder factors over Z/4
+    G = FiniteLcaGroup([4])
+    q = QuotientGroup(G, Subgroup(G, [G.element([2])]))
+    nerve = Nerve.circle()
+    A = total_matrix(nerve, G, q, 4, TwistCocycle.trivial(nerve, q), 2)
+    assert A.shape == (480, 120)
+    B = (A @ np.random.default_rng(3).integers(0, 4, size=(120, 2))) % 4
+    for kw in ({"uinv": False}, {"u": B, "uinv": False}, {"v": False},
+               {"u": np.eye(480, dtype=np.int64)}):
+        assert_same_smith(A, 4, **kw)
+    assert_same_smith(A.T, 4, v=False)
