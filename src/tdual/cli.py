@@ -22,7 +22,7 @@ import numpy as np
 from . import cech, crossed, groupcoh, triples
 from .errors import ResourceCapError, check_dim, max_matrix_dim
 from .lca import FiniteLcaGroup, Subgroup
-from .zmodlin import cohomology_of, solve_columns
+from .zmodlin import cohomology_of
 
 
 class ScenarioError(ValueError):
@@ -108,9 +108,10 @@ class Workspace:
     Each pipeline stage is built once, from the stages before it:
     fixture -> fixture_cocycle -> normalized -> cocycle -> dual -> dual_cocycle
     -> dual_laws, then double_dual -> double_dual_cocycle, and exterior ->
-    exterior_cocycle.  total_matrix(p) is the scenario nerve's total
-    differential, and certificates solves both class certificates against
-    total_matrix(1) in one factorisation.
+    exterior_cocycle.  The scenario nerve's total matrices carry the
+    fixture's twist g, and groupcoh keeps their factorisations per g: the
+    scenario factors and both class certificates share the factorisation
+    of total_matrix(1).
     """
 
     def __init__(self, scenario: dict, seed: Optional[int] = None,
@@ -206,24 +207,14 @@ class Workspace:
         return self._get("exterior_cocycle", lambda: triples.extract_total_cocycle(
             triples.relift(self.exterior(), self.seed + 8)))
 
-    def total_matrix(self, p: int) -> np.ndarray:
-        """The total differential from degree p to p+1 on the scenario nerve.
-
-        It is built with the fixture's twist, which the certificates need: the
-        scenario's twist plus a seeded coboundary dr.  r# is an isomorphism of
-        the two total complexes, so their cohomology factors agree.
-        """
-        ctx = self.ctx
-        return self._get(f"total_matrix{p}", lambda: groupcoh.total_matrix(
-            self.nerve, ctx.G, ctx.quotient, ctx.m, self.fixture().g, p))
-
     def certificates(self) -> dict:
         """Degree-1 total cochains x with d_tot(x) = c' - c, None where none exists.
 
         c is the normalised cocycle; c' is the double dual's ("involution") and,
         with an exterior perturbation, the relifted perturbation's ("exterior").
-        The targets are columns of one factorisation of total_matrix(1), each
-        solved as solve_mod would solve it alone.
+        The targets are solved as columns against the factorisation of
+        total_matrix(1) that the scenario factors use, each as solve_mod
+        would solve it alone.
         """
         def build():
             ctx = self.ctx
@@ -233,10 +224,11 @@ class Workspace:
                 others["exterior"] = self.exterior_cocycle()
             B = np.stack([(c.to_total_cochain() - base).flatten()
                           for c in others.values()], axis=1)
-            xs = solve_columns(self.total_matrix(1), B, ctx.m)
-            return {name: None if x is None else groupcoh.TotalCochain.from_flat(
-                        self.nerve, ctx.G, ctx.quotient, ctx.m, 1, x)
-                    for name, x in zip(others, xs)}
+            X, ok = groupcoh.total_smith_form(
+                self.nerve, ctx.G, ctx.quotient, ctx.m, self.fixture().g, 1).solve(B)
+            return {name: groupcoh.TotalCochain.from_flat(
+                        self.nerve, ctx.G, ctx.quotient, ctx.m, 1, X[:, j]) if ok[j] else None
+                    for j, name in enumerate(others)}
         return self._get("certificates", build)
 
     def derived_summary(self) -> dict:
@@ -415,8 +407,11 @@ def check_total(ws: Workspace) -> list[dict]:
     capped = False
     for p in (0, 1):
         try:
-            factors[str(p)], _ = cohomology_of(
-                ws.total_matrix(p), ws.total_matrix(p - 1) if p else None, ctx.m)
+            # the fixture's twist is the scenario's plus a seeded coboundary dr;
+            # r# is an isomorphism of the two total complexes, so the factors
+            # agree, and the certificates reuse this twist's factorisations
+            factors[str(p)], _ = groupcoh.total_cohomology(
+                nerve, ctx.G, ctx.quotient, ctx.m, ws.fixture().g, p)
         except ResourceCapError:
             capped = True
     out.append(_exact("total.scenario_factors", True, factors=factors,

@@ -13,6 +13,7 @@ to the twisted Cech differential with sign:  d_tot = delta_g - (-1)^p d*.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 from .cech import GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_terms
 from .errors import check_dim
 from .lca import FiniteLcaGroup, QuotientGroup
-from .zmodlin import cohomology_of, solve_mod
+from .zmodlin import SmithForm, cohomology_of, module_quotient, smith_form
 
 MAX_ARITY = 4          # dense tables G^l -> M exist up to this arity
 MAX_TOTAL_ARITY = 3    # total-complex blocks keep l <= 3
@@ -51,15 +52,21 @@ class GroupCochainSpace:
         else:
             self.fiber = GModule.functions_on_quotient(self.m, quotient)
             self.coset = quotient.coset
+        self._module: Optional[GModule] = None
 
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.arity + (self.q,)
 
     def as_gmodule(self) -> GModule:
-        """The whole table as a Cech coefficient module: fiber.act per entry."""
-        blocks = self.size // self.q
-        offsets = np.repeat(np.arange(blocks, dtype=np.int64) * self.q, self.q)
-        return GModule(self.m, offsets + np.tile(self.fiber.act, blocks))
+        """The whole table as a Cech coefficient module: fiber.act per entry.
+
+        Built on the first call and kept by the space.
+        """
+        if self._module is None:
+            blocks = self.size // self.q
+            offsets = np.repeat(np.arange(blocks, dtype=np.int64) * self.q, self.q)
+            self._module = GModule(self.m, offsets + np.tile(self.fiber.act, blocks))
+        return self._module
 
 
 @dataclass
@@ -181,7 +188,8 @@ class TotalCochain:
     Block (k, l) is a twisted Cech k-cochain valued in arity-l group
     cochains, stored as a TwistedCochain over the matching tensor module.
     Block values may carry trailing batch axes; blocks left out are filled
-    with single (unbatched) zero cochains.
+    with single (unbatched) zero cochains.  spaces holds one
+    GroupCochainSpace per arity, shared by the cochains made from this one.
     """
 
     nerve: Nerve
@@ -190,6 +198,7 @@ class TotalCochain:
     m: int
     degree: int
     blocks: dict = field(default_factory=dict)  # (k, l) -> TwistedCochain
+    spaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         full = {}
@@ -205,7 +214,7 @@ class TotalCochain:
         self.blocks = full
 
     def space(self, l: int) -> GroupCochainSpace:
-        return GroupCochainSpace(self.G, self.quotient, self.m, l)
+        return _space(self.spaces, self.G, self.quotient, self.m, l)
 
     def bidegrees(self) -> list[tuple[int, int]]:
         return sorted(self.blocks.keys(), key=lambda kl: -kl[0])
@@ -220,25 +229,32 @@ class TotalCochain:
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def __sub__(self, other: "TotalCochain") -> "TotalCochain":
-        out = TotalCochain(self.nerve, self.G, self.quotient, self.m, self.degree)
-        for kl, blk in self.blocks.items():
-            out.blocks[kl] = blk - other.blocks[kl]
-        return out
+        blocks = {kl: blk - other.blocks[kl] for kl, blk in self.blocks.items()}
+        return TotalCochain(self.nerve, self.G, self.quotient, self.m, self.degree,
+                            blocks, self.spaces)
 
     @staticmethod
     def from_flat(nerve, G, quotient, m, degree, flat: np.ndarray) -> "TotalCochain":
         """Inverse of flatten; axes of flat after the first are batch axes."""
-        blocks = {}
+        blocks, spaces = {}, {}
         off = 0
         for k in range(degree, -1, -1):          # bidegrees() order
             l = degree - k
             if l > MAX_TOTAL_ARITY:
                 continue
-            module = GroupCochainSpace(G, quotient, m, l).as_gmodule()
+            module = _space(spaces, G, quotient, m, l).as_gmodule()
             n = len(nerve.simplices(k)) * module.size
             blocks[(k, l)] = TwistedCochain.from_flat(nerve, module, k, flat[off:off + n])
             off += n
-        return TotalCochain(nerve, G, quotient, m, degree, blocks)
+        return TotalCochain(nerve, G, quotient, m, degree, blocks, spaces)
+
+
+def _space(spaces: dict, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
+           l: int) -> GroupCochainSpace:
+    """spaces[l], made on first use."""
+    if l not in spaces:
+        spaces[l] = GroupCochainSpace(G, quotient, m, l)
+    return spaces[l]
 
 
 def _block_offsets(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
@@ -288,7 +304,7 @@ def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
                 vals = dict(zip(blk.values, [dg] if one else np.moveaxis(dg, -1, 0)))
             collect((k, l + 1),
                     TwistedCochain(t.nerve, t.space(l + 1).as_gmodule(), k, vals))
-    return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out)
+    return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out, t.spaces)
 
 
 def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
@@ -319,6 +335,39 @@ def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
     return A
 
 
+# The total matrices of each live twist cocycle g, for the complex on g's
+# own nerve and quotient: (m, p) -> [total_matrix(p), its Smith form or
+# None].  A cocycle's labels are fixed when it is made, so an entry stays
+# valid; it goes when g does, and no two cocycle objects share one.
+_TOTALS: "weakref.WeakKeyDictionary[TwistCocycle, dict]" = weakref.WeakKeyDictionary()
+
+
+def _total(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
+           g: TwistCocycle, p: int) -> list:
+    """g's [total_matrix(p), Smith form or None], built on first use.
+
+    Only the complex g was made on is kept (nerve is g.nerve, quotient is
+    g.quotient, G is quotient.parent); any other gets an entry of its own.
+    """
+    own = nerve is g.nerve and quotient is g.quotient and G is quotient.parent
+    memo = _TOTALS.setdefault(g, {}) if own else {}
+    if (m, p) not in memo:
+        memo[(m, p)] = [total_matrix(nerve, G, quotient, m, g, p), None]
+    return memo[(m, p)]
+
+
+def total_smith_form(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
+                     m: int, g: TwistCocycle, p: int) -> SmithForm:
+    """Smith form of total_matrix(p) with V and no inverse of U.
+
+    Kernels and solves against it share one factorisation per live g.
+    """
+    entry = _total(nerve, G, quotient, m, g, p)
+    if entry[1] is None:
+        entry[1] = smith_form(entry[0], m, uinv=False)
+    return entry[1]
+
+
 def total_cohomology(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
                      m: int, g: TwistCocycle, p: int):
     """Invariant factors and representatives of the total cohomology at p."""
@@ -326,9 +375,11 @@ def total_cohomology(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
         raise ValueError("degree must be >= 0")
     if total_dimension(nerve, G, quotient, m, p) == 0:
         return [], []
-    A = total_matrix(nerve, G, quotient, m, g, p)
-    B = total_matrix(nerve, G, quotient, m, g, p - 1) if p > 0 else None
-    factors, reps = cohomology_of(A, B, m)
+    A = _total(nerve, G, quotient, m, g, p)[0]
+    B = (_total(nerve, G, quotient, m, g, p - 1)[0] if p > 0
+         else np.zeros((A.shape[1], 0), dtype=np.int64))
+    sf = total_smith_form(nerve, G, quotient, m, g, p)
+    factors, reps = module_quotient(sf.kernel(), B, m)
     rep_cochains = [
         TotalCochain.from_flat(nerve, G, quotient, m, p, reps[:, i])
         for i in range(reps.shape[1])
@@ -348,8 +399,9 @@ def solve_total_coboundary(nerve: Nerve, G: FiniteLcaGroup,
     p = target.degree
     if p == 0:
         return TotalCochain(nerve, G, quotient, m, -1) if target.is_zero() else None
-    A = total_matrix(nerve, G, quotient, m, g, p - 1)
-    x = solve_mod(A, target.flatten(), m)
-    if x is None:
+    b = target.flatten()
+    X, ok = total_smith_form(nerve, G, quotient, m, g, p - 1).solve(
+        b if b.ndim == 2 else b[:, None])
+    if not ok.all():
         return None
-    return TotalCochain.from_flat(nerve, G, quotient, m, p - 1, x)
+    return TotalCochain.from_flat(nerve, G, quotient, m, p - 1, X if b.ndim == 2 else X[:, 0])

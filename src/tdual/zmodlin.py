@@ -36,61 +36,151 @@ def inv_mod(a: int, m: int) -> int:
     return x % m
 
 
+_SWAP, _ADD, _BLOCK = 0, 1, 2
+
+
 @dataclass
 class SmithForm:
     """U @ A @ V = D mod m, with U, V invertible mod m and D diagonal.
 
     The diagonal divides along the chain gcd(d[0], m) | gcd(d[1], m) | ...
-    uinv is the mod-m inverse of U.  u holds U @ B mod m for the rows x k
-    block B that smith_form carried; u, uinv and v are None when smith_form
-    was told not to track them.
+    U itself is not kept: steps, dst and mult record smith_form's row
+    operations in order, and carry replays them on a block.  Each row of
+    steps is one operation: (_SWAP, i, j), (_ADD, src, a, b) for rows
+    dst[a:b] += mult[a:b] * row src, or (_BLOCK, k, i, x, y, c, d) for
+    [row k; row i] <- [[x, y], [c, d]] @ [row k; row i].  uinv is the mod-m
+    inverse of U; uinv and v are None when smith_form was told not to track
+    them.
     """
 
     d: np.ndarray
-    u: Optional[np.ndarray]
     v: Optional[np.ndarray]
     uinv: Optional[np.ndarray]
     m: int
+    steps: np.ndarray   # (operations, 7) int64, unused slots 0
+    dst: np.ndarray
+    mult: np.ndarray
 
     @property
     def diag(self) -> list[int]:
         k = min(self.d.shape)
         return [int(self.d[i, i]) for i in range(k)]
 
+    def carry(self, B: np.ndarray) -> np.ndarray:
+        """U @ B mod m for a rows x k block B, bit for bit."""
+        m, dst, mult = self.m, self.dst, self.mult
+        C = np.asarray(B, dtype=np.int64) % m
+        if C.ndim != 2 or C.shape[0] != self.d.shape[0]:
+            raise ValueError(f"shape mismatch: A is {self.d.shape}, B is {C.shape}")
+        # an _ADD step reads (src, a, b) from the slots named i, j, x
+        for kind, i, j, x, y, c, d in self.steps.tolist():
+            if kind == _SWAP:
+                row = C[i].copy()
+                C[i] = C[j]
+                C[j] = row
+            elif kind == _ADD:
+                rows = dst[j:x]
+                C[rows] = (C[rows] + mult[j:x, None] * C[i]) % m
+            else:
+                pair = np.array([[x, y], [c, d]], dtype=np.int64)
+                C[[i, j]] = (pair @ C[[i, j]]) % m
+        return C
+
+    def solve(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solutions X of A X = B mod m, B being (rows, k).
+
+        Returns (X, ok): X is (cols, k), and ok[j] says whether column j of
+        B is solvable, in which case X[:, j] solves it.  Each column is
+        solved on its own.  Needs v.
+        """
+        m, C = self.m, self.carry(B)
+        rows, cols = self.d.shape
+        d = _diagonal(self.d, rows)
+        g = np.gcd(d, m)
+        ok = ~np.any(C % g[:, None], axis=0)
+        piv = np.flatnonzero(d[:cols])   # entries of d are reduced mod m
+        gp, mg = g[piv], m // g[piv]
+        inv = [inv_mod(int(x), int(y)) for x, y in zip(d[piv] // gp, mg)]
+        Y = np.zeros((cols, C.shape[1]), dtype=np.int64)
+        Y[piv] = (C[piv] // gp[:, None] * np.array(inv, dtype=np.int64)[:, None]) % mg[:, None]
+        return (self.v @ Y) % m, ok
+
+    def kernel(self) -> np.ndarray:
+        """Generators (columns) of the kernel of A mod m.  Needs v."""
+        m = self.m
+        if m == 1:
+            return np.eye(self.d.shape[1], dtype=np.int64)
+        mult = m // np.gcd(_diagonal(self.d, self.d.shape[1]), m)
+        keep = np.flatnonzero(mult % m)
+        return (self.v[:, keep] * mult[keep]) % m
+
+
+class _RowLog:
+    """The row operations of one factorisation, in the layout of SmithForm."""
+
+    def __init__(self):
+        self.steps, self.dst, self.mult, self.size = [], [], [], 0
+
+    def swap(self, i, j):
+        self.steps.append((_SWAP, i, j, 0, 0, 0, 0))
+
+    def add(self, dst, src, q):
+        a = self.size
+        self.size += len(dst)
+        self.steps.append((_ADD, src, a, self.size, 0, 0, 0))
+        self.dst.append(dst)
+        self.mult.append(q)
+
+    def block(self, k, i, x, y, c, d):
+        self.steps.append((_BLOCK, k, i, x, y, c, d))
+
+    def pack(self) -> dict:
+        def flat(parts):
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return {"steps": np.array(self.steps, dtype=np.int64).reshape(-1, 7),
+                "dst": flat(self.dst), "mult": flat(self.mult)}
+
 
 class _Side:
     """Row operations on D with the transform T they build and its inverse.
 
     Column operations are the row operations of the transposes: the column
-    side holds the view D.T and a C-contiguous V.T, with no inverse.  Only
-    the trailing block D[k:, k:] is updated at step k: rows and columns
-    before k hold just their pivot, and every operation of step k leaves
-    them unchanged.
+    side holds the view D.T and a C-contiguous V.T, with no inverse.  The
+    row side builds no T: it records its operations in log.  Only the
+    trailing block D[k:, k:] is updated at step k: rows and columns before k
+    hold just their pivot, and every operation of step k leaves them
+    unchanged.
     """
 
-    def __init__(self, D, T, Tinv, m):
-        self.D, self.T, self.Tinv, self.m = D, T, Tinv, m
+    def __init__(self, D, T, Tinv, m, log=None):
+        self.D, self.T, self.Tinv, self.m, self.log = D, T, Tinv, m, log
 
-    def swap(self, i, j):
-        if i == j:
+    def swap(self, k, j):
+        if k == j:
             return
-        self.D[[i, j]] = self.D[[j, i]]
-        if self.T is not None:
-            self.T[[i, j]] = self.T[[j, i]]
-        if self.Tinv is not None:
-            self.Tinv[:, [i, j]] = self.Tinv[:, [j, i]]
+        # row copies; columns of D before k are zero in both rows
+        for M in (self.D[:, k:], self.T, None if self.Tinv is None else self.Tinv.T):
+            if M is not None:
+                row = M[k].copy()
+                M[k] = M[j]
+                M[j] = row
+        if self.log is not None:
+            self.log.swap(k, j)
 
-    def add(self, k, dst, src, q):
+    def extent(self, k, src):
+        """One past the last nonzero column of D[src, k:], or k if none."""
+        nz = self.D[src, k:].nonzero()[0]
+        return k + int(nz[-1]) + 1 if nz.size else k
+
+    def add(self, k, dst, src, q, end):
         # rows dst += q * row src, as one rank-1 update; q lies in (-m, m).
-        # Columns past the last nonzero of row src are left as they are:
-        # D is reduced mod m already, so the update would rewrite them
+        # end is extent(k, src): columns past it are left as they are, as D
+        # is reduced mod m already and the update would rewrite them
         # unchanged.  After a row clear, the column side's source is zero
         # past column k, and only column k is written.
         m, D, T, Tinv = self.m, self.D, self.T, self.Tinv
         q = np.asarray(q, dtype=np.int64)
-        nz = D[src, k:].nonzero()[0]
-        if nz.size:
-            end = k + int(nz[-1]) + 1
+        if end > k:
             D[dst, k:end] = (D[dst, k:end] + q[:, None] * D[src, k:end]) % m
         if T is not None:
             T[dst] = (T[dst] + q[:, None] * T[src]) % m
@@ -98,6 +188,8 @@ class _Side:
             # sums len(dst) < rows products below (m-1)^2, which the
             # loader's bound (m-1)^2 * cap < 2^63 keeps inside int64
             Tinv[:, src] = (Tinv[:, src] - Tinv[:, dst] @ q) % m
+        if self.log is not None:
+            self.log.add(np.asarray(dst, dtype=np.int64), src, q)
 
     def block(self, k, i, x, y, c, d):
         # [row_k; row_i] <- [[x, y], [c, d]] @ [row_k; row_i], det == 1
@@ -109,77 +201,81 @@ class _Side:
         if Tinv is not None:
             Binv = np.array([[d, -y], [-c, x]], dtype=np.int64)
             Tinv[:, [k, i]] = (Tinv[:, [k, i]] @ Binv) % m
+        if self.log is not None:
+            self.log.block(k, i, x, y, c, d)
 
-    def clear(self, k):
+    def clear(self, k) -> bool:
         """Clear D[k+1:, k] against the pivot D[k, k], in row order.
 
         Each maximal run of entries the pivot divides is one rank-1 update;
         an entry it does not divide takes an xgcd 2x2 block, after which
-        the scan resumes with the new pivot.
+        the scan resumes with the new pivot.  Says whether a block was taken.
         """
         D = self.D
         rows = D[k + 1:, k].nonzero()[0] + (k + 1)
+        if not rows.size:
+            return False
         b = D[rows, k]
-        pos = 0
+        last = self.extent(k, k)   # row k changes only in a block
+        pos, blocked = 0, False
         while pos < rows.size:
             a = int(D[k, k])   # nonzero: the pivot, or the gcd a block left
             bad = (b[pos:] % a).nonzero()[0] if a > 1 else ()
             end = pos + int(bad[0]) if len(bad) else rows.size
             if end > pos:
-                self.add(k, rows[pos:end], k, -(b[pos:end] // a))
+                self.add(k, rows[pos:end], k, -(b[pos:end] // a), last)
             if end < rows.size:
                 bb = int(b[end])
                 g, x, y = xgcd(a, bb)
                 self.block(k, int(rows[end]), x, y, -(bb // g), a // g)
+                last, blocked = self.extent(k, k), True
             pos = end + 1
+        return blocked
 
 
 def _pivot(S: np.ndarray, m: int) -> Optional[tuple[int, int]]:
     """Position of the first entry of S, in row-major order, of least gcd with m.
 
     None if S is zero.  A zero has gcd m, more than any nonzero entry below
-    m has, so one gcd over a window finds its least nonzero entry.  Windows
-    of leading rows, doubling in height, are searched first: a unit found
-    in one is the answer, as no later row comes before it.
+    m has, so one gcd over a block of rows finds its least nonzero entry.
+    Blocks of rows, doubling in height, are searched in order, each once: a
+    unit found by then is the answer, as no later row comes before it, and
+    a later block must hold a smaller gcd to win.
     """
     rows, cols = S.shape
-    h = 1
+    lo, hi = 0, 1
+    least, best = m, None
     while True:
-        g = np.gcd(S[:h], m)
-        best = int(g.argmin())
-        least = g.flat[best]
-        if least == m:                 # the window is zero
-            if h >= rows:
-                return None
-        elif least == 1 or h >= rows:
-            return divmod(best, cols)
-        h *= 2
+        g = np.gcd(S[lo:hi], m)
+        i = int(g.argmin())
+        if g.flat[i] < least:
+            least, best = g.flat[i], lo * cols + i
+        if least == 1 or hi >= rows:
+            return None if best is None else divmod(best, cols)
+        lo, hi = hi, 2 * hi
 
 
-def smith_form(A: np.ndarray, m: int, *, u: Optional[np.ndarray] = None,
-               uinv: bool = True, v: bool = True) -> SmithForm:
+def smith_form(A: np.ndarray, m: int, *, uinv: bool = True, v: bool = True) -> SmithForm:
     """Smith normal form of A over Z/m with the transforms asked for.
 
-    u is a rows x k block B or None: the row operations act on B, so the
-    form's u is U @ B mod m, bit for bit, and no rows x rows U is built
-    (B = identity gives U itself).  Pivots and operations do not depend on
-    which transforms are tracked.
+    The row operations are recorded, not applied to a rows x rows U:
+    SmithForm.carry gives U @ B for any block B.  Pivots and operations do
+    not depend on which transforms are tracked.
     """
     D = np.asarray(A, dtype=np.int64) % m
     rows, cols = D.shape
-    U = None if u is None else np.array(u, dtype=np.int64) % m
     Uinv = np.eye(rows, dtype=np.int64) if uinv else None
     Vt = np.eye(cols, dtype=np.int64) if v else None
-    row = _Side(D, U, Uinv, m)
+    log = _RowLog()
+    row = _Side(D, None, Uinv, m, log)
     col = _Side(D.T, Vt, None, m)
 
     def clear_pivot(k: int) -> None:
         # make D[k,k] the only nonzero entry in its row and column; col.clear
-        # leaves row k clear, but a column block may refill column k
+        # leaves row k clear, and only a column block can refill column k
         while True:
             row.clear(k)
-            col.clear(k)
-            if not D[k + 1:, k].any():
+            if not col.clear(k) or not D[k + 1:, k].any():
                 return
 
     for k in range(min(rows, cols)):
@@ -197,44 +293,17 @@ def smith_form(A: np.ndarray, m: int, *, u: Optional[np.ndarray] = None,
             bad = np.flatnonzero((D[k + 1:, k + 1:] % gk).any(axis=1))
             if not bad.size:
                 break
-            row.add(k, [k], int(bad[0]) + k + 1, [1])
+            src = int(bad[0]) + k + 1
+            row.add(k, [k], src, [1], row.extent(k, src))
             clear_pivot(k)
 
-    return SmithForm(d=D, u=U, v=None if Vt is None else Vt.T, uinv=Uinv, m=m)
+    return SmithForm(d=D, v=None if Vt is None else Vt.T, uinv=Uinv, m=m, **log.pack())
 
 
 def _diagonal(d: np.ndarray, n: int) -> np.ndarray:
     """The diagonal of d, padded with zeros to length n."""
     diag = np.diagonal(d)
     return np.concatenate([diag, np.zeros(n - diag.size, dtype=np.int64)])
-
-
-def _solve(sf: SmithForm) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions X of A X = B mod m from the Smith form that carried B.
-
-    sf.u holds C = U @ B, B being (rows, k).  Returns (X, ok): X is
-    (cols, k), and ok[j] says whether column j of B is solvable, in which
-    case X[:, j] solves it.  Each column is solved on its own.
-    """
-    m, C = sf.m, sf.u
-    rows, cols = sf.d.shape
-    d = _diagonal(sf.d, rows)
-    g = np.gcd(d, m)
-    ok = ~np.any(C % g[:, None], axis=0)
-    piv = np.flatnonzero(d[:cols])   # entries of d are reduced mod m
-    gp, mg = g[piv], m // g[piv]
-    inv = [inv_mod(int(x), int(y)) for x, y in zip(d[piv] // gp, mg)]
-    Y = np.zeros((cols, C.shape[1]), dtype=np.int64)
-    Y[piv] = (C[piv] // gp[:, None] * np.array(inv, dtype=np.int64)[:, None]) % mg[:, None]
-    return (sf.v @ Y) % m, ok
-
-
-def _kernel(sf: SmithForm) -> np.ndarray:
-    """Generators (columns) of the kernel of A mod m from A's Smith form."""
-    m = sf.m
-    mult = m // np.gcd(_diagonal(sf.d, sf.d.shape[1]), m)
-    keep = np.flatnonzero(mult % m)
-    return (sf.v[:, keep] * mult[keep]) % m
 
 
 def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
@@ -244,40 +313,22 @@ def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
     result has the matching shape (cols,) or (cols, k), and is None if any
     column is unsolvable.  A is factored once for all columns.
     """
-    A = np.asarray(A, dtype=np.int64) % m
-    b = np.asarray(b, dtype=np.int64) % m
+    A, b = np.asarray(A), np.asarray(b)
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    X, ok = _solve(smith_form(A, m, u=b if b.ndim == 2 else b[:, None], uinv=False))
+    X, ok = smith_form(A, m, uinv=False).solve(b if b.ndim == 2 else b[:, None])
     if not ok.all():
         return None
     return X if b.ndim == 2 else X[:, 0]
 
 
-def solve_columns(A: np.ndarray, B: np.ndarray, m: int) -> list[Optional[np.ndarray]]:
-    """A solution x_j of A x_j = B[:, j] mod m for each column j, or None for it.
-
-    A is factored once.  The row operations act on each column alone, so
-    each x_j is bit for bit solve_mod(A, B[:, j], m), and an unsolvable
-    column leaves the others' solutions as they are.
-    """
-    A = np.asarray(A, dtype=np.int64) % m
-    B = np.asarray(B, dtype=np.int64) % m
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
-    X, ok = _solve(smith_form(A, m, u=B, uinv=False))
-    return [X[:, j] if ok[j] else None for j in range(B.shape[1])]
-
-
 def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
     """Generators (columns) of {x : A x = 0 mod m} as a subgroup of (Z/m)^cols."""
-    A = np.asarray(A, dtype=np.int64) % m
+    A = np.asarray(A)
     rows, cols = A.shape
-    if rows == 0 or m == 1:
+    if rows == 0 or cols == 0 or m == 1:   # all of (Z/m)^cols; nothing to factor
         return np.eye(cols, dtype=np.int64)
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    return _kernel(smith_form(A, m, uinv=False))
+    return smith_form(A, m, uinv=False).kernel()
 
 
 def module_quotient(
@@ -294,11 +345,11 @@ def module_quotient(
     n, t = gens.shape
     if t == 0:
         return [], np.zeros((n, 0), dtype=np.int64)
-    sf = smith_form(gens, m, u=rels, uinv=False)
-    coords, ok = _solve(sf)
+    sf = smith_form(gens, m, uinv=False)
+    coords, ok = sf.solve(rels)
     if not ok.all():
         raise ValueError("relation outside the span of the generators")
-    R = np.concatenate([coords, _kernel(sf)], axis=1)
+    R = np.concatenate([coords, sf.kernel()], axis=1)
     if R.shape[1] == 0:
         R = np.zeros((t, 1), dtype=np.int64)
     sf = smith_form(R, m, v=False)

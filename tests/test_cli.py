@@ -368,11 +368,14 @@ class TestStages:
         def counted(*args, **kw):
             calls.append(1)
             return fn(*args, **kw)
-        monkeypatch.setattr(zmodlin, "smith_form", counted)
+        # groupcoh factors the total matrices itself
+        for mod in (zmodlin, groupcoh):
+            monkeypatch.setattr(mod, "smith_form", counted)
         assert main(["run", "z6_circle", "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
         # 31 when the point-nerve check also factored the group-cohomology side,
-        # 25 when each class certificate factored the certificate matrix itself
-        assert len(calls) == 24
+        # 25 when each class certificate factored the certificate matrix itself,
+        # 24 when the scenario factors factored total_matrix(1) apart from them
+        assert len(calls) == 23
 
     def test_run_batches_d_group_and_assembles_each_total_matrix_once(
             self, monkeypatch, tmp_path):

@@ -480,3 +480,127 @@ def test_matrix_builders_refuse_over_cap_before_allocating(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# one factorisation of each total matrix per live twist cocycle
+
+def _spy_smith_forms(monkeypatch):
+    """Record every matrix smith_form is asked to factor, reduced mod m."""
+    import tdual.groupcoh as groupcoh
+    from tdual import zmodlin
+    seen = []
+    real = zmodlin.smith_form
+
+    def spy(A, m, **kw):
+        seen.append(np.asarray(A, dtype=np.int64) % m)
+        return real(A, m, **kw)
+    for mod in (zmodlin, groupcoh):
+        monkeypatch.setattr(mod, "smith_form", spy)
+    return seen
+
+
+def _times_factored(seen, A):
+    return sum(1 for M in seen if M.shape == A.shape and np.array_equal(M, A))
+
+
+# (group, N generators, nerve, degree, circle twist labels) of ladder total rungs
+TOTAL_RUNGS = [([4], [[2]], "circle", 1, None), ([6], [[3]], "circle", 1, [1, 0, 0]),
+               ([2, 2], [[1, 1]], "sphere", 1, None)]
+
+
+def _rung_twist(nerve, q, labels):
+    if labels is None:
+        return TwistCocycle.trivial(nerve, q)
+    return TwistCocycle(nerve, q, {e: q.reps()[i] for e, i in zip(nerve.edges, labels)})
+
+
+def _rung(nerve, G, q, m, g, p, x0):
+    """A ladder total rung: cohomology at p, then a certificate for d_tot(x0)."""
+    factors, reps = total_cohomology(nerve, G, q, m, g, p)
+    target = total_differential(TotalCochain.from_flat(nerve, G, q, m, p, x0), g)
+    return factors, reps, solve_total_coboundary(nerve, G, q, m, g, target)
+
+
+@pytest.mark.parametrize("factors,gens,nerve_name,p,labels", TOTAL_RUNGS)
+def test_total_rung_factors_its_matrix_once(factors, gens, nerve_name, p, labels,
+                                            monkeypatch):
+    G, N, q = make_ctx(factors, gens)
+    m = G.exponent
+    nerve = getattr(Nerve, nerve_name)()
+    x0 = np.random.default_rng(p).integers(0, m, size=total_dimension(nerve, G, q, m, p))
+    # fresh cocycle objects share nothing: the parent's two factorisations
+    fresh = [_rung_twist(nerve, q, labels) for _ in range(2)]
+    want_factors, want_reps = total_cohomology(nerve, G, q, m, fresh[0], p)
+    target = total_differential(TotalCochain.from_flat(nerve, G, q, m, p, x0), fresh[1])
+    want_x = solve_total_coboundary(nerve, G, q, m, fresh[1], target)
+    seen = _spy_smith_forms(monkeypatch)
+    g = _rung_twist(nerve, q, labels)
+    got_factors, got_reps, got_x = _rung(nerve, G, q, m, g, p, x0)
+    A = total_matrix(nerve, G, q, m, g, p)
+    assert _times_factored(seen, A) == 1
+    assert got_factors == want_factors and len(got_reps) == len(want_reps)
+    for a, b in zip(got_reps, want_reps):
+        assert np.array_equal(a.flatten(), b.flatten())
+    assert want_x is not None and np.array_equal(got_x.flatten(), want_x.flatten())
+    assert (total_differential(got_x, g) - target).is_zero()
+
+
+def test_factorisations_go_with_their_cocycle():
+    import gc
+    import weakref
+    import tdual.groupcoh as groupcoh
+    G, N, q = make_ctx([4], [[2]])
+    nerve = Nerve.circle()
+    before = len(groupcoh._TOTALS)
+    g = TwistCocycle.trivial(nerve, q)
+    total_cohomology(nerve, G, q, 4, g, 1)
+    assert g in groupcoh._TOTALS and len(groupcoh._TOTALS) == before + 1
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None and len(groupcoh._TOTALS) == before
+
+
+def test_another_complex_neither_reads_nor_fills_the_memo(monkeypatch):
+    import tdual.groupcoh as groupcoh
+    G, N, q = make_ctx([4], [[2]])
+    nerve = Nerve.circle()
+    g = TwistCocycle.trivial(nerve, q)
+    want = total_cohomology(nerve, G, q, 4, g, 1)
+    A = total_matrix(nerve, G, q, 4, g, 1)
+    entry = dict(groupcoh._TOTALS[g])
+    # an equal nerve, or an equal quotient, that is not g's own object
+    other_nerve = Nerve(nerve.vertex_count, nerve.edges)
+    other_q = QuotientGroup(G, N)
+    for args in ((other_nerve, G, q), (nerve, G, other_q)):
+        seen = _spy_smith_forms(monkeypatch)
+        got = total_cohomology(*args, 4, g, 1)
+        assert _times_factored(seen, A) == 1          # not read
+        assert groupcoh._TOTALS[g].keys() == entry.keys()  # not filled
+        assert got[0] == want[0]
+        for a, b in zip(got[1], want[1]):
+            assert np.array_equal(a.flatten(), b.flatten())
+    assert all(groupcoh._TOTALS[g][key] is entry[key] for key in entry)
+
+
+def test_cochain_family_builds_each_act_table_once(monkeypatch):
+    # a degree-2 circle cochain, d_tot once and twice: one table per arity
+    import tdual.groupcoh as groupcoh
+    built = []
+
+    class Spy(GModule):
+        def __init__(self, m, act):
+            built.append(act.shape[1])
+            super().__init__(m, act)
+    monkeypatch.setattr(groupcoh, "GModule", Spy)
+    G, N, q = make_ctx([4], [[2]])
+    nerve = Nerve.circle()
+    g = TwistCocycle.trivial(nerve, q)
+    flat = np.random.default_rng(5).integers(0, 4, size=total_dimension(nerve, G, q, 4, 2))
+    t = TotalCochain.from_flat(nerve, G, q, 4, 2, flat)
+    assert sorted(built) == [2, 8, 32]
+    once = total_differential(t, g)
+    assert sorted(built) == [2, 8, 32, 128]
+    assert total_differential(once, g).is_zero()
+    assert sorted(built) == [2, 8, 32, 128]

@@ -1,13 +1,14 @@
 import itertools
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from tdual import zmodlin
 from tdual.cech import Nerve, TwistCocycle
-from tdual.groupcoh import total_matrix
+from tdual.groupcoh import GroupCochainSpace, d_group_matrix, total_matrix
 from tdual.lca import FiniteLcaGroup, QuotientGroup, Subgroup
 from tdual.zmodlin import (
     cohomology_of,
@@ -15,7 +16,6 @@ from tdual.zmodlin import (
     kernel_mod,
     module_quotient,
     smith_form,
-    solve_columns,
     solve_mod,
     xgcd,
 )
@@ -55,9 +55,10 @@ def test_smith_form_properties(m, rows, cols, data):
         [[data.draw(st.integers(0, m - 1)) for _ in range(cols)] for _ in range(rows)],
         dtype=np.int64,
     )
-    sf = smith_form(A, m, u=np.eye(rows, dtype=np.int64))
-    assert np.array_equal((sf.u @ A @ sf.v) % m, sf.d % m)
-    assert np.array_equal((sf.u @ sf.uinv) % m, np.eye(rows, dtype=np.int64) % m)
+    sf = smith_form(A, m)
+    U = sf.carry(np.eye(rows, dtype=np.int64))
+    assert np.array_equal((U @ A @ sf.v) % m, sf.d % m)
+    assert np.array_equal((U @ sf.uinv) % m, np.eye(rows, dtype=np.int64) % m)
     assert solve_mod(sf.v, np.eye(cols, dtype=np.int64), m) is not None
     off = sf.d.copy()
     for i in range(min(rows, cols)):
@@ -173,41 +174,52 @@ def test_cohomology_of_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(zmodlin, "smith_form", counted)
     factors, reps = cohomology_of(d_k, d_prev, m)
     assert len(calls) <= 3, calls
-    # the kernel reads only V, so its Smith form tracks no U
-    assert calls[0][0] == d_k.shape and calls[0][1].get("u") is None
+    # the kernel reads only V, so its Smith form tracks no inverse of U
+    assert calls[0][0] == d_k.shape and calls[0][1].get("uinv") is False
     assert factors == expected[0] and np.array_equal(reps, expected[1])
 
 
 def test_solvers_carry_the_right_hand_side_not_u(monkeypatch):
     # Z4/<2> on the circle: the total differential from degree 2 to 3 is the
     # 480 x 120 matrix the coboundary solver factors; neither solve_mod nor
-    # module_quotient's first factorisation may build its 480 x 480 U
+    # module_quotient's first factorisation may build its 480 x 480 U or its
+    # inverse: each replays the row operations on the right-hand side
     G = FiniteLcaGroup([4])
     q = QuotientGroup(G, Subgroup(G, [G.element([2])]))
     nerve = Nerve.circle()
     A = total_matrix(nerve, G, q, 4, TwistCocycle.trivial(nerve, q), 2)
     assert A.shape == (480, 120)
     B = (A @ np.random.default_rng(2).integers(0, 4, size=(120, 5))) % 4
-    shapes = []
-    real = zmodlin.smith_form
+    calls, carried = [], []
+    real, carry = zmodlin.smith_form, zmodlin.SmithForm.carry
 
     def spy(M, mod, **kw):
-        sf = real(M, mod, **kw)
-        shapes.append((np.shape(M), None if sf.u is None else sf.u.shape))
-        return sf
+        calls.append((np.shape(M), kw))
+        return real(M, mod, **kw)
+
+    def carry_spy(sf, C):
+        carried.append(np.shape(C))
+        return carry(sf, C)
 
     monkeypatch.setattr(zmodlin, "smith_form", spy)
-    X = solve_mod(A, B, 4)
-    assert np.array_equal((A @ X) % 4, B)
-    x = solve_mod(A, B[:, 0], 4)
-    assert np.array_equal((A @ x) % 4, B[:, 0])
+    monkeypatch.setattr(zmodlin.SmithForm, "carry", carry_spy)
+    u_bytes = 480 * 480 * 8
+    for rhs in (B, B[:, 0]):
+        tracemalloc.start()
+        try:
+            X = solve_mod(A, rhs, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal((A @ X) % 4, rhs)
+        assert peak < u_bytes, peak
     module_quotient(A, B, 4)
-    assert shapes[:3] == [((480, 120), (480, 5)), ((480, 120), (480, 1)),
-                          ((480, 120), (480, 5))]
+    assert calls[:3] == [((480, 120), {"uinv": False})] * 3
+    assert carried[:3] == [(480, 5), (480, 1), (480, 5)]
 
 
 @pytest.mark.parametrize("m", [4, 12])
-def test_solve_columns_solves_each_column_alone(m):
+def test_smith_form_solves_each_column_alone(m):
     # A's last row is zero, so a target with a unit there has no solution
     rng = np.random.default_rng(m)
     A = rng.integers(0, m, size=(9, 6)).astype(np.int64)
@@ -217,8 +229,9 @@ def test_solve_columns_solves_each_column_alone(m):
     good = (A @ rng.integers(0, m, size=6)) % m
     B = np.stack([bad, good], axis=1)
     assert solve_mod(A, B, m) is None
-    x_bad, x_good = solve_columns(A, B, m)
-    assert x_bad is None
+    X, ok = smith_form(A, m, uinv=False).solve(B)
+    assert ok.tolist() == [False, True]
+    x_good = X[:, 1]
     alone = solve_mod(A, good, m)
     assert x_good.dtype == alone.dtype and np.array_equal(x_good, alone)
     assert np.array_equal((A @ x_good) % m, good)
@@ -331,22 +344,22 @@ def test_smith_form_matches_reference_bit_for_bit(kind):
         A, m = random_matrix(rng, kind)
         moduli.add(m)
         ref = dict(zip(("d", "u", "v", "uinv"), reference_smith(A, m)))
-        for u, uinv, v in itertools.product((True, False), repeat=3):
-            eye = np.eye(A.shape[0], dtype=np.int64)
-            sf = smith_form(A, m, u=eye if u else None, uinv=uinv, v=v)
+        eye = np.eye(A.shape[0], dtype=np.int64)
+        for uinv, v in itertools.product((True, False), repeat=2):
+            sf = smith_form(A, m, uinv=uinv, v=v)
             assert np.array_equal(sf.d, ref["d"])
-            for name, tracked in (("u", u), ("uinv", uinv), ("v", v)):
+            # the recorded row operations replay to U whatever else is tracked
+            assert np.array_equal(sf.carry(eye), ref["u"]), (A, m)
+            for name, tracked in (("uinv", uinv), ("v", v)):
                 if tracked:
                     assert np.array_equal(getattr(sf, name), ref[name]), (A, m, name)
                 else:
                     assert getattr(sf, name) is None
-        # a carried rows x k block comes out as U @ B, and changes nothing else
+        # a carried rows x k block comes out as U @ B
+        sf = smith_form(A, m)
         for k in (0, 1, 3):
             B = block_rng.integers(0, m, size=(A.shape[0], k))
-            sf = smith_form(A, m, u=B)
-            assert np.array_equal(sf.u, (ref["u"] @ B) % m), (A, m, B)
-            for name in ("d", "v", "uinv"):
-                assert np.array_equal(getattr(sf, name), ref[name]), (A, m, name)
+            assert np.array_equal(sf.carry(B), (ref["u"] @ B) % m), (A, m, B)
     assert any(all(m % p for p in range(2, m)) for m in moduli)   # a prime
     assert any(any(m % p == 0 for p in range(2, m)) for m in moduli)   # a composite
 
@@ -369,28 +382,29 @@ def test_smith_form_exact_at_the_largest_loadable_modulus(m):
     # a chain of pivots 3^16, 3^15, ..., 1: sixteen xgcd blocks in one column
     A[0, 0] = 3 ** 16
     A[1:17, 0] = [2 * 3 ** e for e in range(15, -1, -1)]
-    sf = smith_form(A, m, u=np.eye(512, dtype=np.int64))
-    assert not ((exact_product(exact_product(sf.u, A), sf.v) - sf.d) % m).any()
-    assert not ((exact_product(sf.u, sf.uinv) - np.eye(512, dtype=np.int64)) % m).any()
+    sf = smith_form(A, m)
+    U = sf.carry(np.eye(512, dtype=np.int64))
+    assert not ((exact_product(exact_product(U, A), sf.v) - sf.d) % m).any()
+    assert not ((exact_product(U, sf.uinv) - np.eye(512, dtype=np.int64)) % m).any()
     assert sf.diag == [1, 1, 1, 1]
     # the solver carries B through the row operations instead of forming U
     X0 = rng.integers(0, m, size=(4, 3))
     B = (exact_product(A, X0) % m).astype(np.int64)
-    carried = smith_form(A, m, u=B, uinv=False)
-    assert np.array_equal(carried.u, (exact_product(sf.u, B) % m).astype(np.int64))
+    carried = smith_form(A, m, uinv=False).carry(B)
+    assert np.array_equal(carried, (exact_product(U, B) % m).astype(np.int64))
     X = solve_mod(A, B, m)
     assert not ((exact_product(A, X) - B) % m).any()
 
 
-def reference_solve(sf: zmodlin.SmithForm, B: np.ndarray):
-    """Solutions X of A X = B mod m from A's Smith form, or None.
+def reference_solve(sf: zmodlin.SmithForm, U: np.ndarray, B: np.ndarray):
+    """Solutions X of A X = B mod m from A's Smith form and its full U, or None.
 
     B is (rows, k) and reduced mod m; the result is (cols, k), one solution
     per column, and None as soon as one column has no solution.
     """
     m = sf.m
     rows, cols = sf.d.shape
-    C = (sf.u @ B) % m
+    C = (U @ B) % m
     Y = np.zeros((cols, B.shape[1]), dtype=np.int64)
     k = min(rows, cols)
     for i in range(rows):
@@ -424,8 +438,9 @@ def reference_module_quotient(gens, rels, m):
     n, t = gens.shape
     if t == 0:
         return [], np.zeros((n, 0), dtype=np.int64)
-    sf = smith_form(gens, m, u=np.eye(n, dtype=np.int64), uinv=False)
-    coords = reference_solve(sf, np.asarray(rels, dtype=np.int64) % m)
+    sf = smith_form(gens, m, uinv=False)
+    coords = reference_solve(sf, sf.carry(np.eye(n, dtype=np.int64)),
+                             np.asarray(rels, dtype=np.int64) % m)
     R = np.concatenate([coords, reference_kernel(sf)], axis=1)
     if R.shape[1] == 0:
         R = np.zeros((t, 1), dtype=np.int64)
@@ -453,9 +468,10 @@ def test_solvers_match_the_u_tracking_reference(kind):
         # two columns in the image of A, two drawn at random (often not)
         B = np.concatenate([(A @ rng.integers(0, m, size=(cols, 2))) % m,
                             rng.integers(0, m, size=(rows, 2))], axis=1)
-        sf = smith_form(A, m, u=np.eye(rows, dtype=np.int64), uinv=False)
+        sf = smith_form(A, m, uinv=False)
+        U = sf.carry(np.eye(rows, dtype=np.int64))
         for rhs in (B, B[:, :2], B[:, 2:3], B[:, :0]):
-            want = reference_solve(sf, rhs)
+            want = reference_solve(sf, U, rhs)
             got = solve_mod(A, rhs, m)
             solvable.add(want is not None)
             assert (got is None) == (want is None), (A, m, rhs)
@@ -547,6 +563,7 @@ def full_update_pivot(S, m):
 
 
 def full_update_smith_form(A, m, *, u=None, uinv=True, v=True):
+    """(D, U @ u or None, V or None, U^-1 or None), every transform updated in full."""
     D = np.asarray(A, dtype=np.int64) % m
     rows, cols = D.shape
     U = None if u is None else np.array(u, dtype=np.int64) % m
@@ -579,13 +596,17 @@ def full_update_smith_form(A, m, *, u=None, uinv=True, v=True):
             row.add(k, [k], int(bad[0]) + k + 1, [1])
             clear_pivot(k)
 
-    return zmodlin.SmithForm(d=D, u=U, v=V, uinv=Uinv, m=m)
+    return D, U, V, Uinv
 
 
-def assert_same_smith(A, m, **kw):
-    got, want = smith_form(A, m, **kw), full_update_smith_form(A, m, **kw)
-    for name in ("d", "u", "v", "uinv"):
-        a, b = getattr(got, name), getattr(want, name)
+def assert_same_smith(A, m, u=None, **kw):
+    """smith_form against the reference; u is a rows x k block both carry."""
+    got = smith_form(A, m, **kw)
+    d, U, V, Uinv = full_update_smith_form(A, m, u=u, **kw)
+    pairs = [("d", got.d, d), ("v", got.v, V), ("uinv", got.uinv, Uinv)]
+    if u is not None:
+        pairs.append(("u", got.carry(u), U))
+    for name, a, b in pairs:
         assert (a is None) == (b is None), name
         assert a is None or (a.dtype == b.dtype and np.array_equal(a, b)), (A, m, name)
 
@@ -597,11 +618,16 @@ SMITH_MODULI = [1, 2, 4, 6, 8, 9, 12, 30, 97, 2 ** 27]
 @st.composite
 def smith_inputs(draw):
     m = draw(st.sampled_from(SMITH_MODULI))
-    shape = draw(st.sampled_from(["empty-rows", "empty-cols", "wide", "tall", "square"]))
+    shape = draw(st.sampled_from(["empty-rows", "empty-cols", "wide", "tall", "square",
+                                  "tall-sparse"]))
     a, b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     rows, cols = {"empty-rows": (0, a), "empty-cols": (a, 0), "wide": (min(a, b), max(a, b)),
-                  "tall": (max(a, b), min(a, b)), "square": (a, a)}[shape]
-    kind = draw(st.sampled_from(["uniform", "sparse-units", "no-unit"]))
+                  "tall": (max(a, b), min(a, b)), "square": (a, a), "tall-sparse": (0, b)}[shape]
+    if shape == "tall-sparse":
+        # up to 40 rows of +-1: the doubling pivot windows pass several heights
+        rows, kind = draw(st.integers(13, 40)), "sparse-units"
+    else:
+        kind = draw(st.sampled_from(["uniform", "sparse-units", "no-unit"]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     if kind == "uniform":
@@ -625,15 +651,56 @@ def test_smith_form_matches_full_update_reference(case):
     assert_same_smith(A, m, u=U, uinv=uinv, v=v)
 
 
-def test_smith_form_matches_full_update_reference_on_ladder_matrix():
-    # the 480 x 120 total differential the cohomology ladder factors over Z/4
+def test_smith_inputs_reach_a_column_side_block(monkeypatch):
+    # a column-side xgcd block is the one operation that refills column k
+    # below the pivot; the sweep above must reach it
+    hits = []
+    block = zmodlin._Side.block
+
+    def spy(side, *args):
+        if side.log is None:          # the column side records nothing
+            hits.append(args)
+        return block(side, *args)
+
+    def takes_a_column_block(case):
+        hits.clear()
+        smith_form(case[0], case[1])
+        return bool(hits)
+
+    monkeypatch.setattr(zmodlin._Side, "block", spy)
+    A, m, U, uinv, v = find(smith_inputs(), takes_a_column_block,
+                            settings=settings(database=None, max_examples=2000))
+    assert_same_smith(A, m, u=U, uinv=uinv, v=v)
+
+
+def ladder_matrices():
+    """The two largest matrices the cohomology ladder factors over Z/4."""
     G = FiniteLcaGroup([4])
     q = QuotientGroup(G, Subgroup(G, [G.element([2])]))
     nerve = Nerve.circle()
+    # the circle's total differential from degree 2 to 3
     A = total_matrix(nerve, G, q, 4, TwistCocycle.trivial(nerve, q), 2)
-    assert A.shape == (480, 120)
+    # the point's arity-3 group differential, the heaviest pivot search
+    A3 = d_group_matrix(GroupCochainSpace(G, q, 4, 3))
+    assert A.shape == (480, 120) and A3.shape == (512, 128)
+    return A, A3
+
+
+def test_smith_form_matches_full_update_reference_on_ladder_matrix():
+    A, A3 = ladder_matrices()
     B = (A @ np.random.default_rng(3).integers(0, 4, size=(120, 2))) % 4
     for kw in ({"uinv": False}, {"u": B, "uinv": False}, {"v": False},
                {"u": np.eye(480, dtype=np.int64)}):
         assert_same_smith(A, 4, **kw)
     assert_same_smith(A.T, 4, v=False)
+    B3 = (A3 @ np.random.default_rng(4).integers(0, 4, size=(128, 2))) % 4
+    for kw in ({"u": B3, "uinv": False}, {"u": np.eye(512, dtype=np.int64)}):
+        assert_same_smith(A3, 4, **kw)
+
+
+def test_recorded_row_operations_take_at_most_half_of_d():
+    # the record replaces a rows x rows U; it must stay well below even D
+    for A in ladder_matrices():
+        sf = smith_form(A, 4, uinv=False)
+        recorded = sf.steps.nbytes + sf.dst.nbytes + sf.mult.nbytes
+        assert recorded <= sf.d.nbytes // 2, (A.shape, recorded, sf.d.nbytes)
