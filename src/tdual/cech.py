@@ -14,7 +14,7 @@ computed exactly over Z/m via Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -267,17 +267,28 @@ def delta_terms(nerve: Nerve, module: GModule, g: TwistCocycle,
     return terms
 
 
+def terms_matrix(n_dst: int, n_src: int, m: int,
+                 blocks: Callable[[], Iterable[tuple[int, list]]]) -> np.ndarray:
+    """The n_dst x n_src matrix over Z/m of the (row0, terms) blocks() yields.
+
+    terms are (sign, src) pairs as delta_terms gives them: sign is added at
+    (row0 + r, src[r]) for every r.  blocks() runs after check_dim passes.
+    """
+    check_dim(max(n_src, n_dst))
+    A = np.zeros((n_dst, n_src), dtype=np.int64)
+    for row0, terms in blocks():
+        for sign, src in terms:
+            A[np.arange(row0, row0 + src.size), src] += sign
+    A %= m
+    return A
+
+
 def delta_matrix(nerve: Nerve, module: GModule, g: TwistCocycle, k: int) -> np.ndarray:
     """Matrix of delta_g from degree k to k+1 on flattened coordinates."""
     sz = module.size
     n_src, n_dst = len(nerve.simplices(k)) * sz, len(nerve.simplices(k + 1)) * sz
-    check_dim(max(n_src, n_dst))
-    A = np.zeros((n_dst, n_src), dtype=np.int64)
-    rows = np.arange(n_dst)
-    for sign, src in delta_terms(nerve, module, g, k):
-        A[rows, src] += sign
-    A %= module.m
-    return A
+    return terms_matrix(n_dst, n_src, module.m,
+                        lambda: [(0, delta_terms(nerve, module, g, k))])
 
 
 def cohomology(nerve: Nerve, module: GModule, g: TwistCocycle, k: int):

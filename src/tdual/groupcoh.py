@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cech import GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_terms
-from .errors import check_dim
+from .cech import (GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_terms,
+                   terms_matrix)
 from .lca import FiniteLcaGroup, QuotientGroup
 from .zmodlin import SmithForm, cohomology_of, module_quotient, smith_form
 
@@ -158,13 +158,8 @@ def d_group_terms(space: GroupCochainSpace) -> list[tuple[int, np.ndarray]]:
 def d_group_matrix(space: GroupCochainSpace) -> np.ndarray:
     """Matrix of d_group from arity l to l+1 on flattened coordinates."""
     out_sp = GroupCochainSpace(space.G, space.quotient, space.m, space.arity + 1)
-    check_dim(max(space.size, out_sp.size))
-    A = np.zeros((out_sp.size, space.size), dtype=np.int64)
-    rows = np.arange(out_sp.size)
-    for sign, src in d_group_terms(space):
-        A[rows, src] += sign
-    A %= space.m
-    return A
+    return terms_matrix(out_sp.size, space.size, space.m,
+                        lambda: [(0, d_group_terms(space))])
 
 
 def group_cohomology(G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
@@ -316,23 +311,18 @@ def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
     """
     src_off, n_src = _block_offsets(nerve, G, quotient, p)
     dst_off, n_dst = _block_offsets(nerve, G, quotient, p + 1)
-    check_dim(max(n_src, n_dst))
-    A = np.zeros((n_dst, n_src), dtype=np.int64)
     sign = -((-1) ** p)
 
-    def scatter(row0, s, src):
-        A[np.arange(row0, row0 + src.size), src] += s
-
-    for (k, l), off in src_off.items():
-        sp = GroupCochainSpace(G, quotient, m, l)
-        for s, src in delta_terms(nerve, sp.as_gmodule(), g, k):
-            scatter(dst_off[(k + 1, l)], s, off + src)
-        if l + 1 <= MAX_TOTAL_ARITY:
-            starts = off + sp.size * np.arange(len(nerve.simplices(k)))[:, None]
-            for s, src in d_group_terms(sp):
-                scatter(dst_off[(k, l + 1)], sign * s, (starts + src).ravel())
-    A %= m
-    return A
+    def blocks():
+        for (k, l), off in src_off.items():
+            sp = GroupCochainSpace(G, quotient, m, l)
+            yield dst_off[(k + 1, l)], [(s, off + src) for s, src in
+                                        delta_terms(nerve, sp.as_gmodule(), g, k)]
+            if l + 1 <= MAX_TOTAL_ARITY:
+                starts = off + sp.size * np.arange(len(nerve.simplices(k)))[:, None]
+                yield dst_off[(k, l + 1)], [(sign * s, (starts + src).ravel())
+                                            for s, src in d_group_terms(sp)]
+    return terms_matrix(n_dst, n_src, m, blocks)
 
 
 # The total matrices of each live twist cocycle g, for the complex on g's
@@ -358,13 +348,13 @@ def _total(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
 
 def total_smith_form(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
                      m: int, g: TwistCocycle, p: int) -> SmithForm:
-    """Smith form of total_matrix(p) with V and no inverse of U.
+    """Smith form of total_matrix(p), with V.
 
     Kernels and solves against it share one factorisation per live g.
     """
     entry = _total(nerve, G, quotient, m, g, p)
     if entry[1] is None:
-        entry[1] = smith_form(entry[0], m, uinv=False)
+        entry[1] = smith_form(entry[0], m)
     return entry[1]
 
 

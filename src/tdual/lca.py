@@ -143,11 +143,16 @@ class FiniteLcaGroup:
         characters; <chi, g> = P / exponent exactly.
         """
         if self._pairing_table is None:
-            coords = np.array([e.coords for e in self._elements],
-                              dtype=np.int64).reshape(self.order, len(self.factors))
-            weights = np.array([self.exponent // f for f in self.factors], dtype=np.int64)
-            self._pairing_table = (coords * weights) @ coords.T % self.exponent
+            self._pairing_table = self.pairing_columns(self._elements)
         return self._pairing_table
+
+    def pairing_columns(self, elems: Sequence[GroupElement]) -> np.ndarray:
+        """The columns of pairing_table() at elems, built without the table."""
+        r = len(self.factors)
+        rows = np.array([e.coords for e in self._elements], dtype=np.int64).reshape(self.order, r)
+        cols = np.array([e.coords for e in elems], dtype=np.int64).reshape(len(elems), r)
+        weights = np.array([self.exponent // f for f in self.factors], dtype=np.int64)
+        return (rows * weights) @ cols.T % self.exponent
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteLcaGroup) and self.factors == other.factors
@@ -335,7 +340,7 @@ def annihilator(G: FiniteLcaGroup, N: Subgroup) -> Subgroup:
     positions of N's generators (rows index characters, as G.elements()).
     """
     Gd = dual_group(G)
-    at_gens = G.pairing_table()[:, [G.index(n) for n in N.generators]]
+    at_gens = G.pairing_columns(N.generators)
     members = [chi for chi, hit in zip(Gd.elements(), at_gens.any(axis=1)) if not hit]
     # thin the member list to a small generating set, in enumeration order
     gens: list[GroupElement] = []

@@ -401,9 +401,9 @@ def normalize(t: TripleLocalData, nu: dict,
     sp1 = GroupCochainSpace(G, q, m, 1)
     if c is None:
         c = extract_total_cocycle(t)
-    for i, om in c.omega.items():
-        dnu = d_group(GroupCochain(sp1, nu[i]))
-        if not np.array_equal(dnu.values % m, om % m):
+    dnu = d_group(GroupCochain(sp1, np.stack([nu[i] for i in c.omega], axis=-1))).values
+    for j, (i, om) in enumerate(c.omega.items()):
+        if not np.array_equal(dnu[..., j], om % m):
             raise InvalidTripleError(f"nu does not solve d(nu) = omega at vertex {i}")
     mu = {i: M * ctx.qz_phases(-nu[i])[:, :, None, None] for i, M in t.mu.items()}
     return t.copy_with_mu(mu)

@@ -43,19 +43,19 @@ _SWAP, _ADD, _BLOCK = 0, 1, 2
 class SmithForm:
     """U @ A @ V = D mod m, with U, V invertible mod m and D diagonal.
 
-    The diagonal divides along the chain gcd(d[0], m) | gcd(d[1], m) | ...
-    U itself is not kept: steps, dst and mult record smith_form's row
-    operations in order, and carry replays them on a block.  Each row of
-    steps is one operation: (_SWAP, i, j), (_ADD, src, a, b) for rows
-    dst[a:b] += mult[a:b] * row src, or (_BLOCK, k, i, x, y, c, d) for
-    [row k; row i] <- [[x, y], [c, d]] @ [row k; row i].  uinv is the mod-m
-    inverse of U; uinv and v are None when smith_form was told not to track
-    them.
+    Of D only its diagonal d is kept, reduced mod m, along the chain
+    gcd(d[0], m) | gcd(d[1], m) | ...  Of U only steps, dst and mult are
+    kept, smith_form's row operations in order, which carry replays on a
+    block and uncarry undoes.  Each row of steps is one operation:
+    (_SWAP, i, j), (_ADD, src, a, b) for rows dst[a:b] += mult[a:b] * row
+    src, or (_BLOCK, k, i, x, y, c, d) for [row k; row i] <- [[x, y],
+    [c, d]] @ [row k; row i].  v is None when smith_form was told not to
+    track it.
     """
 
-    d: np.ndarray
+    shape: tuple[int, int]
+    d: np.ndarray       # (min(shape),) int64
     v: Optional[np.ndarray]
-    uinv: Optional[np.ndarray]
     m: int
     steps: np.ndarray   # (operations, 7) int64, unused slots 0
     dst: np.ndarray
@@ -63,17 +63,26 @@ class SmithForm:
 
     @property
     def diag(self) -> list[int]:
-        k = min(self.d.shape)
-        return [int(self.d[i, i]) for i in range(k)]
+        return self.d.tolist()
 
     def carry(self, B: np.ndarray) -> np.ndarray:
         """U @ B mod m for a rows x k block B, bit for bit."""
-        m, dst, mult = self.m, self.dst, self.mult
+        return self._replay(B, inverse=False)
+
+    def uncarry(self, B: np.ndarray) -> np.ndarray:
+        """U^-1 @ B mod m: each row operation undone, last first."""
+        return self._replay(B, inverse=True)
+
+    def _replay(self, B: np.ndarray, inverse: bool) -> np.ndarray:
+        m, dst = self.m, self.dst
         C = np.asarray(B, dtype=np.int64) % m
-        if C.ndim != 2 or C.shape[0] != self.d.shape[0]:
-            raise ValueError(f"shape mismatch: A is {self.d.shape}, B is {C.shape}")
+        if C.ndim != 2 or C.shape[0] != self.shape[0]:
+            raise ValueError(f"shape mismatch: A is {self.shape}, B is {C.shape}")
+        # a swap is its own inverse, an add's subtracts (src is never among
+        # its dst), and a block's is the adjugate, as its determinant is 1
+        steps, mult = (self.steps[::-1], -self.mult) if inverse else (self.steps, self.mult)
         # an _ADD step reads (src, a, b) from the slots named i, j, x
-        for kind, i, j, x, y, c, d in self.steps.tolist():
+        for kind, i, j, x, y, c, d in steps.tolist():
             if kind == _SWAP:
                 row = C[i].copy()
                 C[i] = C[j]
@@ -82,8 +91,8 @@ class SmithForm:
                 rows = dst[j:x]
                 C[rows] = (C[rows] + mult[j:x, None] * C[i]) % m
             else:
-                pair = np.array([[x, y], [c, d]], dtype=np.int64)
-                C[[i, j]] = (pair @ C[[i, j]]) % m
+                pair = [[d, -y], [-c, x]] if inverse else [[x, y], [c, d]]
+                C[[i, j]] = (np.array(pair, dtype=np.int64) @ C[[i, j]]) % m
         return C
 
     def solve(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,24 +102,22 @@ class SmithForm:
         B is solvable, in which case X[:, j] solves it.  Each column is
         solved on its own.  Needs v.
         """
-        m, C = self.m, self.carry(B)
-        rows, cols = self.d.shape
-        d = _diagonal(self.d, rows)
-        g = np.gcd(d, m)
+        m, C, d = self.m, self.carry(B), self.d
+        g = np.gcd(np.pad(d, (0, self.shape[0] - d.size)), m)
         ok = ~np.any(C % g[:, None], axis=0)
-        piv = np.flatnonzero(d[:cols])   # entries of d are reduced mod m
+        piv = np.flatnonzero(d)   # entries of d are reduced mod m
         gp, mg = g[piv], m // g[piv]
         inv = [inv_mod(int(x), int(y)) for x, y in zip(d[piv] // gp, mg)]
-        Y = np.zeros((cols, C.shape[1]), dtype=np.int64)
+        Y = np.zeros((self.shape[1], C.shape[1]), dtype=np.int64)
         Y[piv] = (C[piv] // gp[:, None] * np.array(inv, dtype=np.int64)[:, None]) % mg[:, None]
         return (self.v @ Y) % m, ok
 
     def kernel(self) -> np.ndarray:
         """Generators (columns) of the kernel of A mod m.  Needs v."""
-        m = self.m
+        m, cols = self.m, self.shape[1]
         if m == 1:
-            return np.eye(self.d.shape[1], dtype=np.int64)
-        mult = m // np.gcd(_diagonal(self.d, self.d.shape[1]), m)
+            return np.eye(cols, dtype=np.int64)
+        mult = m // np.gcd(np.pad(self.d, (0, cols - self.d.size)), m)
         keep = np.flatnonzero(mult % m)
         return (self.v[:, keep] * mult[keep]) % m
 
@@ -142,24 +149,23 @@ class _RowLog:
 
 
 class _Side:
-    """Row operations on D with the transform T they build and its inverse.
+    """Row operations on D with the transform T they build.
 
     Column operations are the row operations of the transposes: the column
-    side holds the view D.T and a C-contiguous V.T, with no inverse.  The
-    row side builds no T: it records its operations in log.  Only the
-    trailing block D[k:, k:] is updated at step k: rows and columns before k
-    hold just their pivot, and every operation of step k leaves them
-    unchanged.
+    side holds the view D.T and a C-contiguous V.T.  The row side builds no
+    T: it records its operations in log.  Only the trailing block D[k:, k:]
+    is updated at step k: rows and columns before k hold just their pivot,
+    and every operation of step k leaves them unchanged.
     """
 
-    def __init__(self, D, T, Tinv, m, log=None):
-        self.D, self.T, self.Tinv, self.m, self.log = D, T, Tinv, m, log
+    def __init__(self, D, T, m, log=None):
+        self.D, self.T, self.m, self.log = D, T, m, log
 
     def swap(self, k, j):
         if k == j:
             return
         # row copies; columns of D before k are zero in both rows
-        for M in (self.D[:, k:], self.T, None if self.Tinv is None else self.Tinv.T):
+        for M in (self.D[:, k:], self.T):
             if M is not None:
                 row = M[k].copy()
                 M[k] = M[j]
@@ -178,29 +184,22 @@ class _Side:
         # is reduced mod m already and the update would rewrite them
         # unchanged.  After a row clear, the column side's source is zero
         # past column k, and only column k is written.
-        m, D, T, Tinv = self.m, self.D, self.T, self.Tinv
+        m, D, T = self.m, self.D, self.T
         q = np.asarray(q, dtype=np.int64)
         if end > k:
             D[dst, k:end] = (D[dst, k:end] + q[:, None] * D[src, k:end]) % m
         if T is not None:
             T[dst] = (T[dst] + q[:, None] * T[src]) % m
-        if Tinv is not None:
-            # sums len(dst) < rows products below (m-1)^2, which the
-            # loader's bound (m-1)^2 * cap < 2^63 keeps inside int64
-            Tinv[:, src] = (Tinv[:, src] - Tinv[:, dst] @ q) % m
         if self.log is not None:
             self.log.add(np.asarray(dst, dtype=np.int64), src, q)
 
     def block(self, k, i, x, y, c, d):
         # [row_k; row_i] <- [[x, y], [c, d]] @ [row_k; row_i], det == 1
-        m, D, T, Tinv = self.m, self.D, self.T, self.Tinv
+        m, D, T = self.m, self.D, self.T
         B = np.array([[x, y], [c, d]], dtype=np.int64)
         D[[k, i], k:] = (B @ D[[k, i], k:]) % m
         if T is not None:
             T[[k, i]] = (B @ T[[k, i]]) % m
-        if Tinv is not None:
-            Binv = np.array([[d, -y], [-c, x]], dtype=np.int64)
-            Tinv[:, [k, i]] = (Tinv[:, [k, i]] @ Binv) % m
         if self.log is not None:
             self.log.block(k, i, x, y, c, d)
 
@@ -255,20 +254,19 @@ def _pivot(S: np.ndarray, m: int) -> Optional[tuple[int, int]]:
         lo, hi = hi, 2 * hi
 
 
-def smith_form(A: np.ndarray, m: int, *, uinv: bool = True, v: bool = True) -> SmithForm:
-    """Smith normal form of A over Z/m with the transforms asked for.
+def smith_form(A: np.ndarray, m: int, *, v: bool = True) -> SmithForm:
+    """Smith normal form of A over Z/m, with V unless v is False.
 
     The row operations are recorded, not applied to a rows x rows U:
-    SmithForm.carry gives U @ B for any block B.  Pivots and operations do
-    not depend on which transforms are tracked.
+    SmithForm.carry gives U @ B and SmithForm.uncarry U^-1 @ B for any
+    block B.  Pivots and operations do not depend on whether V is tracked.
     """
     D = np.asarray(A, dtype=np.int64) % m
     rows, cols = D.shape
-    Uinv = np.eye(rows, dtype=np.int64) if uinv else None
     Vt = np.eye(cols, dtype=np.int64) if v else None
     log = _RowLog()
-    row = _Side(D, None, Uinv, m, log)
-    col = _Side(D.T, Vt, None, m)
+    row = _Side(D, None, m, log)
+    col = _Side(D.T, Vt, m)
 
     def clear_pivot(k: int) -> None:
         # make D[k,k] the only nonzero entry in its row and column; col.clear
@@ -297,13 +295,8 @@ def smith_form(A: np.ndarray, m: int, *, uinv: bool = True, v: bool = True) -> S
             row.add(k, [k], src, [1], row.extent(k, src))
             clear_pivot(k)
 
-    return SmithForm(d=D, v=None if Vt is None else Vt.T, uinv=Uinv, m=m, **log.pack())
-
-
-def _diagonal(d: np.ndarray, n: int) -> np.ndarray:
-    """The diagonal of d, padded with zeros to length n."""
-    diag = np.diagonal(d)
-    return np.concatenate([diag, np.zeros(n - diag.size, dtype=np.int64)])
+    return SmithForm(shape=(rows, cols), d=np.diagonal(D).copy(),
+                     v=None if Vt is None else Vt.T, m=m, **log.pack())
 
 
 def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
@@ -316,7 +309,7 @@ def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
     A, b = np.asarray(A), np.asarray(b)
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    X, ok = smith_form(A, m, uinv=False).solve(b if b.ndim == 2 else b[:, None])
+    X, ok = smith_form(A, m).solve(b if b.ndim == 2 else b[:, None])
     if not ok.all():
         return None
     return X if b.ndim == 2 else X[:, 0]
@@ -328,7 +321,7 @@ def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
     rows, cols = A.shape
     if rows == 0 or cols == 0 or m == 1:   # all of (Z/m)^cols; nothing to factor
         return np.eye(cols, dtype=np.int64)
-    return smith_form(A, m, uinv=False).kernel()
+    return smith_form(A, m).kernel()
 
 
 def module_quotient(
@@ -345,7 +338,7 @@ def module_quotient(
     n, t = gens.shape
     if t == 0:
         return [], np.zeros((n, 0), dtype=np.int64)
-    sf = smith_form(gens, m, uinv=False)
+    sf = smith_form(gens, m)
     coords, ok = sf.solve(rels)
     if not ok.all():
         raise ValueError("relation outside the span of the generators")
@@ -353,9 +346,9 @@ def module_quotient(
     if R.shape[1] == 0:
         R = np.zeros((t, 1), dtype=np.int64)
     sf = smith_form(R, m, v=False)
-    f = np.gcd(_diagonal(sf.d, t), m)
+    f = np.gcd(np.pad(sf.d, (0, t - sf.d.size)), m)
     keep = np.flatnonzero(f > 1)
-    return [int(x) for x in f[keep]], (gens @ sf.uinv[:, keep]) % m
+    return [int(x) for x in f[keep]], (gens @ sf.uncarry(np.eye(t, dtype=np.int64)[:, keep])) % m
 
 
 def cohomology_of(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,14 @@ Z32_OVERCAP = {
     "groups": {"factors": [32], "N": [[16]]},
     "nerve": {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]},
     "command": "total-cohomology",
+}
+
+# Z64xZ64/<(8, 8)> on a circle: 4096 elements, so a |G| x |G| int64 table
+# alone is 134 MB; the run must refuse its certificate matrices without one
+Z64XZ64_OVERCAP = {
+    "groups": {"factors": [64, 64], "N": [[8, 8]]},
+    "nerve": {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]},
+    "command": "all",
 }
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "z6_circle_report.json")
@@ -198,6 +207,23 @@ class TestExitCodes:
         assert "matrix dimension 16384 exceeds cap 512 (TDUAL_MAX_DIM)" in capsys.readouterr().err
         assert not os.path.exists(out)
         assert elapsed < 0.5
+
+    def test_overcap_large_group_refused_without_a_group_square_table(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        sc = write_scenario(tmp_path, Z64XZ64_OVERCAP)
+        load_scenario(sc)       # imports the schema validator outside the peak
+        out = str(tmp_path / "r.json")
+        tracemalloc.start()
+        try:
+            rc = main(["run", sc, "-o", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        assert "exceeds cap 512 (TDUAL_MAX_DIM)" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert peak < 32 * 2 ** 20, peak
 
     def test_commands_that_normalise(self):
         assert {c for c in COMMANDS if normalizes(c)} == {

@@ -1,4 +1,4 @@
-"""SHA-256 of every integer differential the cohomology ladder builds.
+"""SHA-256 of every integer differential the cohomology ladder builds, and of its outputs.
 
 The rungs are those of the cohomology_ladder bench workload, twist labels
 included, plus one sphere with a nontrivial twist.  For each rung the
@@ -7,16 +7,31 @@ uses, are built at every degree from 0 to p+1 whose sides fit the default
 cap.  The digests were recorded with the identity-batch assembly, so any
 change to how the matrices are built must give the same integers.
 
-Print the table afresh with  python tests/test_matrix_digests.py
+The ladder's outputs are pinned the same way: for each of its rungs, the
+invariant factors, representatives and coboundary certificate it gives
+over two cycles at seeds 7 and 11, with the inputs the workload draws.
+Any change to the exact layer must give the same integers.
+
+Print both tables afresh with  python tests/test_matrix_digests.py
 """
 
 import hashlib
 
 import numpy as np
 
-from tdual.cech import Nerve, TwistCocycle, delta_matrix
+from tdual.cech import Nerve, TwistCocycle, cohomology, delta_matrix
 from tdual.errors import DEFAULT_MAX_DIM
-from tdual.groupcoh import GroupCochainSpace, d_group_matrix, total_dimension, total_matrix
+from tdual.groupcoh import (
+    GroupCochainSpace,
+    TotalCochain,
+    d_group_matrix,
+    group_cohomology,
+    solve_total_coboundary,
+    total_cohomology,
+    total_differential,
+    total_dimension,
+    total_matrix,
+)
 from tdual.lca import FiniteLcaGroup, QuotientGroup, Subgroup
 
 GROUPS = {
@@ -37,6 +52,7 @@ NERVES = {
 
 # (kind, group, nerve, degree, module arity for cech, twist labels): the
 # ladder's rungs, then a sphere twisted by a nonzero vertex coboundary
+LADDER_RUNGS = 19
 RUNGS = [
     ("total", "Z4", "circle", 0, None, None),
     ("total", "Z4", "circle", 1, None, None),
@@ -184,6 +200,92 @@ def test_ladder_matrix_digests(monkeypatch):
         assert digest(A) == DIGESTS[key], key
 
 
+def ladder_ops(seed, cycle):
+    """(rung key, call) per ladder rung, in the workload's order and with its inputs.
+
+    As the cohomology_ladder workload: the order is a permutation drawn from
+    (seed, cycle, 1); each rung then draws a degree-ps cochain x0 from
+    (seed, cycle, 4), ps being the largest degree <= p whose solve matrix
+    fits the cap; the call returns the rung's cohomology and the
+    certificate x solving d_tot(x) = d_tot(x0).
+    """
+    order = np.random.default_rng([seed, cycle, 1]).permutation(LADDER_RUNGS)
+    rng = np.random.default_rng([seed, cycle, 4])
+    ops = []
+    for kind, gname, nname, p, arity, labels in (RUNGS[i] for i in order):
+        G, q, m = build_group(gname)
+        nerve = Nerve(*NERVES[nname])
+        ps = p
+        while ps > 0 and max(total_dimension(nerve, G, q, m, d)
+                             for d in (ps, ps + 1)) > DEFAULT_MAX_DIM:
+            ps -= 1
+        x0 = rng.integers(0, m, size=total_dimension(nerve, G, q, m, ps))
+        key = f"{kind}/{gname}/{nname}/p{p}" + ("" if arity is None else f"/a{arity}")
+        key += "" if labels is None else "/twisted"
+
+        def call(kind=kind, G=G, q=q, m=m, nerve=nerve, p=p, ps=ps, arity=arity,
+                 labels=labels, x0=x0):
+            g = build_twist(nerve, q, labels or [0] * len(nerve.edges))
+            if kind == "total":
+                factors, reps = total_cohomology(nerve, G, q, m, g, p)
+            elif kind == "group":
+                factors, reps = group_cohomology(G, q, m, p)
+            else:
+                module = GroupCochainSpace(G, q, m, arity).as_gmodule()
+                factors, reps = cohomology(nerve, module, g, p)
+            target = total_differential(TotalCochain.from_flat(nerve, G, q, m, ps, x0), g)
+            return factors, reps, solve_total_coboundary(nerve, G, q, m, g, target)
+        ops.append((key, call))
+    return ops
+
+
+def ladder_output_digests():
+    """SHA-256 per rung of its factors, reps and certificate, over every op."""
+    hashes = {}
+    for seed in (7, 11):
+        for cycle in range(2):
+            for key, call in ladder_ops(seed, cycle):
+                factors, reps, x = call()
+                h = hashes.setdefault(key, hashlib.sha256())
+                h.update(repr(factors).encode())
+                for rep in reps:
+                    h.update(np.ascontiguousarray(rep.flatten(), dtype=np.int64).tobytes())
+                h.update(b"None" if x is None else
+                         np.ascontiguousarray(x.flatten(), dtype=np.int64).tobytes())
+    return {key: h.hexdigest() for key, h in hashes.items()}
+
+
+OUTPUT_DIGESTS = {
+    'cech/Z2xZ2/five/p1/a1': '63b9dae67f46dd611e314f5f6c9a5081cd51071077b40b94f56ecf047d14abae',
+    'cech/Z4/five/p1/a1': '3de0a4d43646926d94a82b6cba97a8f44db7d5c61377f2f99cc924b5b29851c6',
+    'cech/Z6/circle/p1/a0/twisted': '912c80e846ff98d4ab38ffbce445f987c76e618a60ffe05e0f6fb622174b47fb',
+    'cech/Z8/sphere/p1/a0': '0ac7b4a75943591a77618586107c5dc1723a8eb569dd4bc839d197ec6ccf158d',
+    'group/Z2xZ4/point/p1': '080c5a2b59a74cf6e949c072bc6988e2da0dc439c4b022420d516ee36e152432',
+    'group/Z4/point/p2': 'da74cabdca701357e2fbe88de971be7941bae9495eb3aab66f0c1f1a938c1a8f',
+    'group/Z4/point/p3': 'b411ba80caafe7e1ccc5bb9c57dbcc27ae681d012d28c8f315902af68ac0fa6a',
+    'group/Z6/point/p1': '46d217ecd271e58f3c5c6f897615bf652d8498e7b54433eda48988b74266001b',
+    'group/Z8/point/p1': 'fd5293c9295db8a7f388edeffa56ed91d8c5eef156b4fd76bf16143e0b09ee60',
+    'group/Z9/point/p1': 'eff25b4003a51ccbf494e9415f150b97a1501269e32df9d4a6142500377011b8',
+    'total/Z2xZ2/five/p1': 'f8486a5d4ebca663bcce180b9b37ca8c44ce8ec081474b8fdc070d7e494a88c0',
+    'total/Z4/circle/p0': 'c8be5e632051cb34eaf1607f5658c29ca75ca2de8dfe40b7ebb261ee20034f63',
+    'total/Z4/circle/p1': '772692181e7adc47c6964db61b4346e7d41e028ec23aa996fca70d0ba51d1e2e',
+    'total/Z4/circle/p2': 'b0ba7fccbb5f0452b5830e626d9a10fb6199306f96a4ef7b804620af0b1f6af0',
+    'total/Z4/five/p1': '7dfeac39e66f4090104afbef10a831bdadb5940a4e5508894d166b6dc27b9d32',
+    'total/Z4/sphere/p1': '510ed792b4fd0e6f6fdeca1045ba8b9ea10e0ab5fbee4684c4e675db666d6073',
+    'total/Z6/circle/p1': '35e2edfef9a7754c1ee31eed8214348024ffc8da59e77425153fe7091034fa9b',
+    'total/Z6/circle/p1/twisted': '79eb385b472292c896b71c0a3447c133f18fbcf1e399ef1eba1344a4911f0e92',
+'cech/Z9/circle/p1/a1': '2864bc88a3935e1223116194fa4322e5717cac9d0d599e5b99d0e00f25e6ebed',
+}
+
+
+def test_ladder_output_digests(monkeypatch):
+    monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+    assert ladder_output_digests() == OUTPUT_DIGESTS
+
+
 if __name__ == "__main__":
     for key, build in ladder_matrices().items():
         print(f"    {key!r}: {digest(build())!r},")
+    print()
+    for key, value in sorted(ladder_output_digests().items()):
+        print(f"    {key!r}: {value!r},")

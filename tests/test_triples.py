@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,27 @@ class TestDualisable:
         bad = {i: (v + 1) % z6ctx.m for i, v in nu.items()}
         with pytest.raises(InvalidTripleError):
             normalize(t, bad)
+
+    def test_normalize_checks_every_vertex_in_one_d_group_call(self, z6ctx, monkeypatch):
+        import tdual.triples as triples
+        t = build_random_triple(Nerve.circle(), z6ctx, d=2, seed=17)
+        c = extract_total_cocycle(t)
+        nu = is_dualisable(c)
+        calls = []
+
+        def counted(f):
+            calls.append(f.values.shape)
+            return d_group(f)
+        monkeypatch.setattr(triples, "d_group", counted)
+        normalize(t, nu, c)
+        assert len(calls) == 1
+        # a wrong nu at the second and third vertices names the second
+        bad = dict(nu)
+        verts = list(c.omega)
+        for i in verts[1:]:
+            bad[i] = (nu[i] + 1) % z6ctx.m
+        with pytest.raises(InvalidTripleError, match=re.escape(f"at vertex {verts[1]}") + "$"):
+            normalize(t, bad, c)
 
 
 class TestDualData:

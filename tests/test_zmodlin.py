@@ -32,6 +32,13 @@ def brute_kernel(A, m):
     return sols
 
 
+def dense(sf):
+    """The rows x cols D of a Smith form, from its kept diagonal."""
+    D = np.zeros(sf.shape, dtype=np.int64)
+    np.fill_diagonal(D, sf.d)
+    return D
+
+
 def span_of(cols, m, dim):
     """Subgroup of (Z/m)^dim generated by the given columns (oracle)."""
     vs = {(0,) * dim}
@@ -56,11 +63,13 @@ def test_smith_form_properties(m, rows, cols, data):
         dtype=np.int64,
     )
     sf = smith_form(A, m)
-    U = sf.carry(np.eye(rows, dtype=np.int64))
-    assert np.array_equal((U @ A @ sf.v) % m, sf.d % m)
-    assert np.array_equal((U @ sf.uinv) % m, np.eye(rows, dtype=np.int64) % m)
+    eye = np.eye(rows, dtype=np.int64)
+    U = sf.carry(eye)
+    UAV = (U @ A @ sf.v) % m
+    assert np.array_equal(UAV, dense(sf) % m)
+    assert np.array_equal((U @ sf.uncarry(eye)) % m, eye % m)
     assert solve_mod(sf.v, np.eye(cols, dtype=np.int64), m) is not None
-    off = sf.d.copy()
+    off = UAV.copy()
     for i in range(min(rows, cols)):
         off[i, i] = 0
     assert not off.any()
@@ -174,16 +183,16 @@ def test_cohomology_of_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(zmodlin, "smith_form", counted)
     factors, reps = cohomology_of(d_k, d_prev, m)
     assert len(calls) <= 3, calls
-    # the kernel reads only V, so its Smith form tracks no inverse of U
-    assert calls[0][0] == d_k.shape and calls[0][1].get("uinv") is False
+    # the kernel reads only V, the one transform a Smith form tracks
+    assert calls[0][0] == d_k.shape and calls[0][1] == {}
     assert factors == expected[0] and np.array_equal(reps, expected[1])
 
 
 def test_solvers_carry_the_right_hand_side_not_u(monkeypatch):
     # Z4/<2> on the circle: the total differential from degree 2 to 3 is the
     # 480 x 120 matrix the coboundary solver factors; neither solve_mod nor
-    # module_quotient's first factorisation may build its 480 x 480 U or its
-    # inverse: each replays the row operations on the right-hand side
+    # module_quotient's first factorisation may build its 480 x 480 U: each
+    # replays the row operations on the right-hand side
     G = FiniteLcaGroup([4])
     q = QuotientGroup(G, Subgroup(G, [G.element([2])]))
     nerve = Nerve.circle()
@@ -214,7 +223,7 @@ def test_solvers_carry_the_right_hand_side_not_u(monkeypatch):
         assert np.array_equal((A @ X) % 4, rhs)
         assert peak < u_bytes, peak
     module_quotient(A, B, 4)
-    assert calls[:3] == [((480, 120), {"uinv": False})] * 3
+    assert calls[:3] == [((480, 120), {})] * 3
     assert carried[:3] == [(480, 5), (480, 1), (480, 5)]
 
 
@@ -229,7 +238,7 @@ def test_smith_form_solves_each_column_alone(m):
     good = (A @ rng.integers(0, m, size=6)) % m
     B = np.stack([bad, good], axis=1)
     assert solve_mod(A, B, m) is None
-    X, ok = smith_form(A, m, uinv=False).solve(B)
+    X, ok = smith_form(A, m).solve(B)
     assert ok.tolist() == [False, True]
     x_good = X[:, 1]
     alone = solve_mod(A, good, m)
@@ -345,16 +354,17 @@ def test_smith_form_matches_reference_bit_for_bit(kind):
         moduli.add(m)
         ref = dict(zip(("d", "u", "v", "uinv"), reference_smith(A, m)))
         eye = np.eye(A.shape[0], dtype=np.int64)
-        for uinv, v in itertools.product((True, False), repeat=2):
-            sf = smith_form(A, m, uinv=uinv, v=v)
-            assert np.array_equal(sf.d, ref["d"])
-            # the recorded row operations replay to U whatever else is tracked
+        for v in (True, False):
+            sf = smith_form(A, m, v=v)
+            assert np.array_equal(dense(sf), ref["d"])
+            # the recorded row operations replay to U and undo to U^-1,
+            # whether V is tracked or not
             assert np.array_equal(sf.carry(eye), ref["u"]), (A, m)
-            for name, tracked in (("uinv", uinv), ("v", v)):
-                if tracked:
-                    assert np.array_equal(getattr(sf, name), ref[name]), (A, m, name)
-                else:
-                    assert getattr(sf, name) is None
+            assert np.array_equal(sf.uncarry(eye), ref["uinv"]), (A, m)
+            if v:
+                assert np.array_equal(sf.v, ref["v"]), (A, m)
+            else:
+                assert sf.v is None
         # a carried rows x k block comes out as U @ B
         sf = smith_form(A, m)
         for k in (0, 1, 3):
@@ -383,14 +393,15 @@ def test_smith_form_exact_at_the_largest_loadable_modulus(m):
     A[0, 0] = 3 ** 16
     A[1:17, 0] = [2 * 3 ** e for e in range(15, -1, -1)]
     sf = smith_form(A, m)
-    U = sf.carry(np.eye(512, dtype=np.int64))
-    assert not ((exact_product(exact_product(U, A), sf.v) - sf.d) % m).any()
-    assert not ((exact_product(U, sf.uinv) - np.eye(512, dtype=np.int64)) % m).any()
+    eye = np.eye(512, dtype=np.int64)
+    U = sf.carry(eye)
+    assert not ((exact_product(exact_product(U, A), sf.v) - dense(sf)) % m).any()
+    assert not ((exact_product(U, sf.uncarry(eye)) - eye) % m).any()
     assert sf.diag == [1, 1, 1, 1]
     # the solver carries B through the row operations instead of forming U
     X0 = rng.integers(0, m, size=(4, 3))
     B = (exact_product(A, X0) % m).astype(np.int64)
-    carried = smith_form(A, m, uinv=False).carry(B)
+    carried = sf.carry(B)
     assert np.array_equal(carried, (exact_product(U, B) % m).astype(np.int64))
     X = solve_mod(A, B, m)
     assert not ((exact_product(A, X) - B) % m).any()
@@ -403,12 +414,12 @@ def reference_solve(sf: zmodlin.SmithForm, U: np.ndarray, B: np.ndarray):
     per column, and None as soon as one column has no solution.
     """
     m = sf.m
-    rows, cols = sf.d.shape
+    rows, cols = sf.shape
     C = (U @ B) % m
     Y = np.zeros((cols, B.shape[1]), dtype=np.int64)
     k = min(rows, cols)
     for i in range(rows):
-        di = int(sf.d[i, i]) if i < k else 0
+        di = int(sf.d[i]) if i < k else 0
         g = gcd(di, m)
         if np.any(C[i] % g):
             return None
@@ -420,11 +431,11 @@ def reference_solve(sf: zmodlin.SmithForm, U: np.ndarray, B: np.ndarray):
 def reference_kernel(sf: zmodlin.SmithForm) -> np.ndarray:
     """Generators (columns) of the kernel of A mod m from A's Smith form."""
     m = sf.m
-    rows, cols = sf.d.shape
+    rows, cols = sf.shape
     k = min(rows, cols)
     gens = []
     for j in range(cols):
-        dj = int(sf.d[j, j]) if j < k else 0
+        dj = int(sf.d[j]) if j < k else 0
         mult = m // gcd(dj, m)
         if mult % m != 0:
             gens.append((sf.v[:, j] * mult) % m)
@@ -434,11 +445,11 @@ def reference_kernel(sf: zmodlin.SmithForm) -> np.ndarray:
 
 
 def reference_module_quotient(gens, rels, m):
-    """module_quotient with the full U: reference_solve on U @ rels."""
+    """module_quotient with the full U and U^-1: reference_solve on U @ rels."""
     n, t = gens.shape
     if t == 0:
         return [], np.zeros((n, 0), dtype=np.int64)
-    sf = smith_form(gens, m, uinv=False)
+    sf = smith_form(gens, m)
     coords = reference_solve(sf, sf.carry(np.eye(n, dtype=np.int64)),
                              np.asarray(rels, dtype=np.int64) % m)
     R = np.concatenate([coords, reference_kernel(sf)], axis=1)
@@ -446,10 +457,10 @@ def reference_module_quotient(gens, rels, m):
         R = np.zeros((t, 1), dtype=np.int64)
     sf = smith_form(R, m, v=False)
     k = min(R.shape)
-    new_gens = (gens @ sf.uinv) % m
+    new_gens = (gens @ sf.uncarry(np.eye(t, dtype=np.int64))) % m
     factors, reps = [], []
     for i in range(t):
-        di = int(sf.d[i, i]) if i < k else 0
+        di = int(sf.d[i]) if i < k else 0
         f = gcd(di, m)
         if f > 1:
             factors.append(f)
@@ -468,7 +479,7 @@ def test_solvers_match_the_u_tracking_reference(kind):
         # two columns in the image of A, two drawn at random (often not)
         B = np.concatenate([(A @ rng.integers(0, m, size=(cols, 2))) % m,
                             rng.integers(0, m, size=(rows, 2))], axis=1)
-        sf = smith_form(A, m, uinv=False)
+        sf = smith_form(A, m)
         U = sf.carry(np.eye(rows, dtype=np.int64))
         for rhs in (B, B[:, :2], B[:, 2:3], B[:, :0]):
             want = reference_solve(sf, U, rhs)
@@ -480,7 +491,7 @@ def test_solvers_match_the_u_tracking_reference(kind):
         f, reps = module_quotient(A, rels, m)
         f_ref, reps_ref = reference_module_quotient(A, rels, m)
         assert f == f_ref and np.array_equal(reps, reps_ref), (A, m)
-        K = reference_kernel(smith_form(A, m, uinv=False))
+        K = reference_kernel(smith_form(A, m))
         assert np.array_equal(kernel_mod(A, m), K)
         d_prev = (K @ rng.integers(0, m, size=(K.shape[1], 3))) % m
         f, reps = cohomology_of(A, d_prev, m)
@@ -562,12 +573,12 @@ def full_update_pivot(S, m):
         h *= 2
 
 
-def full_update_smith_form(A, m, *, u=None, uinv=True, v=True):
-    """(D, U @ u or None, V or None, U^-1 or None), every transform updated in full."""
+def full_update_smith_form(A, m, *, u=None, v=True):
+    """(D, U @ u or None, V or None, U^-1), every transform updated in full."""
     D = np.asarray(A, dtype=np.int64) % m
     rows, cols = D.shape
     U = None if u is None else np.array(u, dtype=np.int64) % m
-    Uinv = np.eye(rows, dtype=np.int64) if uinv else None
+    Uinv = np.eye(rows, dtype=np.int64)
     V = np.eye(cols, dtype=np.int64) if v else None
     row = _FullSide(D, U, Uinv, m)
     col = _FullSide(D.T, None if V is None else V.T, None, m)
@@ -599,11 +610,16 @@ def full_update_smith_form(A, m, *, u=None, uinv=True, v=True):
     return D, U, V, Uinv
 
 
-def assert_same_smith(A, m, u=None, **kw):
-    """smith_form against the reference; u is a rows x k block both carry."""
-    got = smith_form(A, m, **kw)
-    d, U, V, Uinv = full_update_smith_form(A, m, u=u, **kw)
-    pairs = [("d", got.d, d), ("v", got.v, V), ("uinv", got.uinv, Uinv)]
+def assert_same_smith(A, m, u=None, v=True):
+    """smith_form against the reference; u is a rows x k block both carry.
+
+    U^-1 is compared as the identity uncarried, which comes out reduced
+    mod m even where the reference's identity was never touched (m = 1).
+    """
+    got = smith_form(A, m, v=v)
+    d, U, V, Uinv = full_update_smith_form(A, m, u=u, v=v)
+    eye = np.eye(np.shape(A)[0], dtype=np.int64)
+    pairs = [("d", dense(got), d), ("v", got.v, V), ("uinv", got.uncarry(eye), Uinv % m)]
     if u is not None:
         pairs.append(("u", got.carry(u), U))
     for name, a, b in pairs:
@@ -641,14 +657,14 @@ def smith_inputs(draw):
     u = draw(st.sampled_from([None, "eye", "block"]))
     U = {None: None, "eye": np.eye(rows, dtype=np.int64),
          "block": rng.integers(0, m, size=(rows, 3))}[u]
-    return A, m, U, draw(st.booleans()), draw(st.booleans())
+    return A, m, U, draw(st.booleans())
 
 
 @given(smith_inputs())
 @settings(max_examples=300, deadline=None)
 def test_smith_form_matches_full_update_reference(case):
-    A, m, U, uinv, v = case
-    assert_same_smith(A, m, u=U, uinv=uinv, v=v)
+    A, m, U, v = case
+    assert_same_smith(A, m, u=U, v=v)
 
 
 def test_smith_inputs_reach_a_column_side_block(monkeypatch):
@@ -668,9 +684,9 @@ def test_smith_inputs_reach_a_column_side_block(monkeypatch):
         return bool(hits)
 
     monkeypatch.setattr(zmodlin._Side, "block", spy)
-    A, m, U, uinv, v = find(smith_inputs(), takes_a_column_block,
-                            settings=settings(database=None, max_examples=2000))
-    assert_same_smith(A, m, u=U, uinv=uinv, v=v)
+    A, m, U, v = find(smith_inputs(), takes_a_column_block,
+                      settings=settings(database=None, max_examples=2000))
+    assert_same_smith(A, m, u=U, v=v)
 
 
 def ladder_matrices():
@@ -689,18 +705,18 @@ def ladder_matrices():
 def test_smith_form_matches_full_update_reference_on_ladder_matrix():
     A, A3 = ladder_matrices()
     B = (A @ np.random.default_rng(3).integers(0, 4, size=(120, 2))) % 4
-    for kw in ({"uinv": False}, {"u": B, "uinv": False}, {"v": False},
-               {"u": np.eye(480, dtype=np.int64)}):
+    for kw in ({}, {"u": B}, {"v": False}, {"u": np.eye(480, dtype=np.int64)}):
         assert_same_smith(A, 4, **kw)
     assert_same_smith(A.T, 4, v=False)
     B3 = (A3 @ np.random.default_rng(4).integers(0, 4, size=(128, 2))) % 4
-    for kw in ({"u": B3, "uinv": False}, {"u": np.eye(512, dtype=np.int64)}):
+    for kw in ({"u": B3}, {"u": np.eye(512, dtype=np.int64)}):
         assert_same_smith(A3, 4, **kw)
 
 
 def test_recorded_row_operations_take_at_most_half_of_d():
     # the record replaces a rows x rows U; it must stay well below even D
     for A in ladder_matrices():
-        sf = smith_form(A, 4, uinv=False)
+        sf = smith_form(A, 4)
         recorded = sf.steps.nbytes + sf.dst.nbytes + sf.mult.nbytes
-        assert recorded <= sf.d.nbytes // 2, (A.shape, recorded, sf.d.nbytes)
+        d_bytes = A.shape[0] * A.shape[1] * 8   # the dense int64 D
+        assert recorded <= d_bytes // 2, (A.shape, recorded, d_bytes)
