@@ -113,13 +113,15 @@ class TwistCocycle:
     """Edge labels in G/N with g_ik = g_ij + g_jk on every 2-simplex.
 
     labels[e] is the position of g_e in quotient.reps(); the constructors
-    take group elements, and edge_values gives them back.
+    take group elements, and edge_values gives them back.  The labels never
+    change, so totals keeps groupcoh.Complex.total's memo per modulus.
     """
 
     def __init__(self, nerve: Nerve, quotient: QuotientGroup,
                  edge_values: Mapping[Simplex, GroupElement]):
         self.nerve = nerve
         self.quotient = quotient
+        self.totals: dict = {}
         for e in nerve.edges:
             if e not in edge_values:
                 raise ValueError(f"missing twist value for edge {e}")

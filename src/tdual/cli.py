@@ -22,7 +22,6 @@ import numpy as np
 from . import cech, crossed, groupcoh, triples
 from .errors import ResourceCapError, check_dim, max_matrix_dim
 from .lca import FiniteLcaGroup, Subgroup
-from .zmodlin import cohomology_of
 
 
 class ScenarioError(ValueError):
@@ -108,10 +107,10 @@ class Workspace:
     Each pipeline stage is built once, from the stages before it:
     fixture -> fixture_cocycle -> normalized -> cocycle -> dual -> dual_cocycle
     -> dual_laws, then double_dual -> double_dual_cocycle, and exterior ->
-    exterior_cocycle.  The scenario nerve's total matrices carry the
-    fixture's twist g, and groupcoh keeps their factorisations per g: the
-    scenario factors and both class certificates share the factorisation
-    of total_matrix(1).
+    exterior_cocycle.  The scenario factors and both class certificates
+    read groupcoh.Complex.total(fixture().g, m), the total complex twisted
+    by the fixture's twist g; g keeps its matrices and Smith forms, so
+    they share one factorisation of total_matrix(1).
     """
 
     def __init__(self, scenario: dict, seed: Optional[int] = None,
@@ -212,9 +211,9 @@ class Workspace:
 
         c is the normalised cocycle; c' is the double dual's ("involution") and,
         with an exterior perturbation, the relifted perturbation's ("exterior").
-        The targets are solved as columns against the factorisation of
-        total_matrix(1) that the scenario factors use, each as solve_mod
-        would solve it alone.
+        The targets are solved as columns of one Complex.solve against the
+        factorisation of total_matrix(1) that the scenario factors use, each
+        column on its own.
         """
         def build():
             ctx = self.ctx
@@ -224,10 +223,9 @@ class Workspace:
                 others["exterior"] = self.exterior_cocycle()
             B = np.stack([(c.to_total_cochain() - base).flatten()
                           for c in others.values()], axis=1)
-            X, ok = groupcoh.total_smith_form(
-                self.nerve, ctx.G, ctx.quotient, ctx.m, self.fixture().g, 1).solve(B)
-            return {name: groupcoh.TotalCochain.from_flat(
-                        self.nerve, ctx.G, ctx.quotient, ctx.m, 1, X[:, j]) if ok[j] else None
+            total = groupcoh.Complex.total(self.fixture().g, ctx.m)
+            X, ok = total.solve(1, B)
+            return {name: total.cochain(1, X[:, j]) if ok[j] else None
                     for j, name in enumerate(others)}
         return self._get("certificates", build)
 
@@ -377,17 +375,17 @@ def check_total(ws: Workspace) -> list[dict]:
     pt_factors = {}
     skipped = []
     cap = max_matrix_dim()
-    prev = None              # the degree p-1 matrix; the cap skips only top degrees
     shapiro = _shapiro_factors(ctx)
+    group = ctx.group_complex   # cohomology(p) reads matrix(p-1): the cap skips top degrees only
     for p in (0, 1, 2):
         if (ctx.G.order ** (p + 1)) * ctx.quotient.order > cap:
             skipped.append(p)
             continue
         # over a point d_tot is d_group with the sign total_differential puts on
-        # Cech degree 0; equal matrices give equal groups, so one factorisation
+        # Cech degree 0; equal matrices up to sign give equal groups, so the
+        # factors come from the group complex that normalising solves against
         A = groupcoh.total_matrix(pt, ctx.G, ctx.quotient, ctx.m, gp, p)
-        sp = groupcoh.GroupCochainSpace(ctx.G, ctx.quotient, ctx.m, p)
-        if not np.array_equal(A, -((-1) ** p) * groupcoh.d_group_matrix(sp) % ctx.m):
+        if not np.array_equal(A, -((-1) ** p) * group.matrix(p) % ctx.m):
             ok_pt = False
         # the matrices come from index arrays, not from total_differential:
         # the applier must map a random cochain as A does
@@ -396,10 +394,9 @@ def check_total(ws: Workspace) -> list[dict]:
             groupcoh.TotalCochain.from_flat(pt, ctx.G, ctx.quotient, ctx.m, p, x), gp)
         if not np.array_equal(image.flatten(), A @ x % ctx.m):
             ok_pt = False
-        pt_factors[str(p)], _ = cohomology_of(A, prev, ctx.m)
+        pt_factors[str(p)], _ = group.cohomology(p)
         if pt_factors[str(p)] != shapiro[p]:
             ok_pt = False
-        prev = A
     out.append(_exact("total.point_nerve_matches_group_cohomology", ok_pt,
                       factors=pt_factors, capped_degrees=skipped))
 
@@ -410,8 +407,7 @@ def check_total(ws: Workspace) -> list[dict]:
             # the fixture's twist is the scenario's plus a seeded coboundary dr;
             # r# is an isomorphism of the two total complexes, so the factors
             # agree, and the certificates reuse this twist's factorisations
-            factors[str(p)], _ = groupcoh.total_cohomology(
-                nerve, ctx.G, ctx.quotient, ctx.m, ws.fixture().g, p)
+            factors[str(p)], _ = groupcoh.Complex.total(ws.fixture().g, ctx.m).cohomology(p)
         except ResourceCapError:
             capped = True
     out.append(_exact("total.scenario_factors", True, factors=factors,

@@ -12,17 +12,17 @@ to the twisted Cech differential with sign:  d_tot = delta_g - (-1)^p d*.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .cech import (GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_terms,
                    terms_matrix)
 from .lca import FiniteLcaGroup, QuotientGroup
-from .zmodlin import SmithForm, cohomology_of, module_quotient, smith_form
+from .zmodlin import SmithForm, module_quotient, smith_form
 
 MAX_ARITY = 4          # dense tables G^l -> M exist up to this arity
 MAX_TOTAL_ARITY = 3    # total-complex blocks keep l <= 3
@@ -160,20 +160,6 @@ def d_group_matrix(space: GroupCochainSpace) -> np.ndarray:
     out_sp = GroupCochainSpace(space.G, space.quotient, space.m, space.arity + 1)
     return terms_matrix(out_sp.size, space.size, space.m,
                         lambda: [(0, d_group_terms(space))])
-
-
-def group_cohomology(G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
-                     m: int, k: int):
-    """Invariant factors and representatives of H^k(G, M) for the table module."""
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    sp = GroupCochainSpace(G, quotient, m, k)
-    A = d_group_matrix(sp)
-    B = d_group_matrix(GroupCochainSpace(G, quotient, m, k - 1)) if k > 0 else None
-    factors, reps = cohomology_of(A, B, m)
-    rep_cochains = [GroupCochain.from_flat(sp, reps[:, i])
-                    for i in range(reps.shape[1])]
-    return factors, rep_cochains
 
 
 @dataclass
@@ -325,73 +311,103 @@ def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
     return terms_matrix(n_dst, n_src, m, blocks)
 
 
-# The total matrices of each live twist cocycle g, for the complex on g's
-# own nerve and quotient: (m, p) -> [total_matrix(p), its Smith form or
-# None].  A cocycle's labels are fixed when it is made, so an entry stays
-# valid; it goes when g does, and no two cocycle objects share one.
-_TOTALS: "weakref.WeakKeyDictionary[TwistCocycle, dict]" = weakref.WeakKeyDictionary()
+class Complex:
+    """One cochain complex over Z/m, with its differentials and their Smith forms.
 
-
-def _total(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
-           g: TwistCocycle, p: int) -> list:
-    """g's [total_matrix(p), Smith form or None], built on first use.
-
-    Only the complex g was made on is kept (nerve is g.nerve, quotient is
-    g.quotient, G is quotient.parent); any other gets an entry of its own.
+    d(p) builds the matrix of the differential from degree p to p+1, and
+    cochain(p, flat) makes a degree-p cochain of flat coordinates (axes
+    after the first are batch axes).  matrix(p) and smith(p) are made on
+    first use and kept in memo, as p -> [matrix(p), its Smith form or
+    None]: data only, so a memo kept by a twist cocycle holds no reference
+    back to it.  d and smith call the module's total_matrix, d_group_matrix
+    and smith_form by name, so patching those reaches every complex.
     """
-    own = nerve is g.nerve and quotient is g.quotient and G is quotient.parent
-    memo = _TOTALS.setdefault(g, {}) if own else {}
-    if (m, p) not in memo:
-        memo[(m, p)] = [total_matrix(nerve, G, quotient, m, g, p), None]
-    return memo[(m, p)]
+
+    def __init__(self, m: int, d: Callable[[int], np.ndarray],
+                 cochain: Callable[[int, np.ndarray], object], memo: Optional[dict] = None):
+        self.m, self._d, self.cochain = m, d, cochain
+        self._memo = {} if memo is None else memo
+
+    @classmethod
+    def total(cls, g: TwistCocycle, m: int) -> "Complex":
+        """The total complex on g's nerve and quotient, twisted by g; memo is g.totals[m]."""
+        nerve, quotient, G = g.nerve, g.quotient, g.quotient.parent
+        return cls(m, lambda p: total_matrix(nerve, G, quotient, m, g, p),
+                   lambda p, flat: TotalCochain.from_flat(nerve, G, quotient, m, p, flat),
+                   g.totals.setdefault(m, {}))
+
+    @classmethod
+    def group(cls, G: FiniteLcaGroup, quotient: Optional[QuotientGroup], m: int) -> "Complex":
+        """The group complex of G with the table module: d_group_matrix, unsigned."""
+        space = functools.partial(_space, {}, G, quotient, m)
+        return cls(m, lambda p: d_group_matrix(space(p)),
+                   lambda p, flat: GroupCochain.from_flat(space(p), flat))
+
+    def matrix(self, p: int) -> np.ndarray:
+        """The differential from degree p to p+1, built on first use."""
+        if p not in self._memo:
+            self._memo[p] = [self._d(p), None]
+        return self._memo[p][0]
+
+    def smith(self, p: int) -> SmithForm:
+        """Smith form of matrix(p), with V, made on first use."""
+        A = self.matrix(p)
+        entry = self._memo[p]
+        if entry[1] is None:
+            entry[1] = smith_form(A, self.m)
+        return entry[1]
+
+    def cohomology(self, p: int):
+        """Invariant factors and representative cochains of H^p."""
+        if p < 0:
+            raise ValueError("degree must be >= 0")
+        A = self.matrix(p)
+        if A.shape[1] == 0:
+            return [], []
+        B = self.matrix(p - 1) if p > 0 else np.zeros((A.shape[1], 0), dtype=np.int64)
+        factors, reps = module_quotient(self.smith(p).kernel(), B, self.m)
+        return factors, [self.cochain(p, reps[:, i]) for i in range(reps.shape[1])]
+
+    def solve(self, p: int, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(X, ok) with matrix(p) X = B in each column ok marks, each column solved alone."""
+        return self.smith(p).solve(B)
+
+    def solve_coboundary(self, target):
+        """A degree-(p-1) cochain x with d(x) = target, or None.
+
+        x certifies that two cocycles differing by target are cohomologous.
+        At p = 0 the only coboundary is zero, witnessed by the empty degree
+        -1 cochain.
+        """
+        p = target.degree
+        if p == 0:
+            return self.cochain(-1, np.zeros(0, dtype=np.int64)) if target.is_zero() else None
+        b = target.flatten()
+        X, ok = self.solve(p - 1, b if b.ndim == 2 else b[:, None])
+        return self.cochain(p - 1, X if b.ndim == 2 else X[:, 0]) if ok.all() else None
 
 
-def total_smith_form(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
-                     m: int, g: TwistCocycle, p: int) -> SmithForm:
-    """Smith form of total_matrix(p), with V.
-
-    Kernels and solves against it share one factorisation per live g.
-    """
-    entry = _total(nerve, G, quotient, m, g, p)
-    if entry[1] is None:
-        entry[1] = smith_form(entry[0], m)
-    return entry[1]
+def _own(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
+         g: TwistCocycle) -> Complex:
+    """Complex.total(g, m), once nerve, quotient and G are g's own objects."""
+    if nerve is not g.nerve or quotient is not g.quotient or G is not quotient.parent:
+        raise ValueError("a twist's total complex lies on the twist's own nerve and quotient")
+    return Complex.total(g, m)
 
 
 def total_cohomology(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
                      m: int, g: TwistCocycle, p: int):
     """Invariant factors and representatives of the total cohomology at p."""
-    if p < 0:
-        raise ValueError("degree must be >= 0")
-    if total_dimension(nerve, G, quotient, m, p) == 0:
-        return [], []
-    A = _total(nerve, G, quotient, m, g, p)[0]
-    B = (_total(nerve, G, quotient, m, g, p - 1)[0] if p > 0
-         else np.zeros((A.shape[1], 0), dtype=np.int64))
-    sf = total_smith_form(nerve, G, quotient, m, g, p)
-    factors, reps = module_quotient(sf.kernel(), B, m)
-    rep_cochains = [
-        TotalCochain.from_flat(nerve, G, quotient, m, p, reps[:, i])
-        for i in range(reps.shape[1])
-    ]
-    return factors, rep_cochains
+    return _own(nerve, G, quotient, m, g).cohomology(p)
 
 
-def solve_total_coboundary(nerve: Nerve, G: FiniteLcaGroup,
-                           quotient: QuotientGroup, m: int, g: TwistCocycle,
-                           target: TotalCochain) -> Optional[TotalCochain]:
-    """A degree-(p-1) cochain with d_tot(x) = target, or None.
+def solve_total_coboundary(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
+                           g: TwistCocycle, target: TotalCochain) -> Optional[TotalCochain]:
+    """A degree-(p-1) cochain with d_tot(x) = target, or None (Complex.solve_coboundary)."""
+    return _own(nerve, G, quotient, m, g).solve_coboundary(target)
 
-    This is the certificate solver: target is exhibited as a coboundary,
-    so two cocycles differing by target are cohomologous.  At p = 0 the
-    only coboundary is zero, witnessed by the empty degree -1 cochain.
-    """
-    p = target.degree
-    if p == 0:
-        return TotalCochain(nerve, G, quotient, m, -1) if target.is_zero() else None
-    b = target.flatten()
-    X, ok = total_smith_form(nerve, G, quotient, m, g, p - 1).solve(
-        b if b.ndim == 2 else b[:, None])
-    if not ok.all():
-        return None
-    return TotalCochain.from_flat(nerve, G, quotient, m, p - 1, X if b.ndim == 2 else X[:, 0])
+
+def group_cohomology(G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
+                     m: int, k: int):
+    """Invariant factors and representatives of H^k(G, M) for the table module."""
+    return Complex.group(G, quotient, m).cohomology(k)

@@ -24,11 +24,11 @@ import numpy as np
 from .cech import Nerve, TwistCocycle
 from .errors import InvalidTripleError
 from .groupcoh import (
+    Complex,
     GroupCochain,
     GroupCochainSpace,
     TotalCochain,
     d_group,
-    d_group_matrix,
     solve_total_coboundary,
     total_differential,
 )
@@ -52,7 +52,6 @@ from .linops import (
     snap_phase,
     unit_phase,
 )
-from .zmodlin import solve_mod
 
 TAU_S = 1e-6   # scalarness / snapping tolerance
 TAU_U = 1e-9   # operator identity tolerance
@@ -103,6 +102,11 @@ class DualityContext:
     def sub(self) -> np.ndarray:
         """sub[g, h] = position of g - h."""
         return self.G.add_table()[:, self.neg]
+
+    @cached_property
+    def group_complex(self) -> Complex:
+        """G's complex on Fun(G/N, Z/m); normalising and the point-nerve check share it."""
+        return Complex.group(self.G, self.quotient, self.m)
 
     @property
     def coset(self) -> np.ndarray:
@@ -381,13 +385,11 @@ def is_dualisable(c: TotalTwoCocycle) -> Optional[dict]:
     All vertices are solved together: one column of right-hand sides each.
     """
     ctx = c.ctx
-    sp1 = GroupCochainSpace(ctx.G, ctx.quotient, ctx.m, 1)
-    A = d_group_matrix(sp1)
     B = np.stack([om.reshape(-1) for om in c.omega.values()], axis=1)
-    X = solve_mod(A, B, ctx.m)
-    if X is None:
+    X, ok = ctx.group_complex.solve(1, B)
+    if not ok.all():
         return None
-    return {i: X[:, j].reshape(sp1.shape()) for j, i in enumerate(c.omega)}
+    return {i: X[:, j].reshape(ctx.G.order, -1) for j, i in enumerate(c.omega)}
 
 
 def normalize(t: TripleLocalData, nu: dict,

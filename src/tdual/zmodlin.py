@@ -61,10 +61,6 @@ class SmithForm:
     dst: np.ndarray
     mult: np.ndarray
 
-    @property
-    def diag(self) -> list[int]:
-        return self.d.tolist()
-
     def carry(self, B: np.ndarray) -> np.ndarray:
         """U @ B mod m for a rows x k block B, bit for bit."""
         return self._replay(B, inverse=False)
@@ -297,22 +293,6 @@ def smith_form(A: np.ndarray, m: int, *, v: bool = True) -> SmithForm:
 
     return SmithForm(shape=(rows, cols), d=np.diagonal(D).copy(),
                      v=None if Vt is None else Vt.T, m=m, **log.pack())
-
-
-def solve_mod(A: np.ndarray, b: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """One solution x of A x = b mod m, or None if the system is unsolvable.
-
-    b is one right-hand side (rows,) or k of them as columns (rows, k); the
-    result has the matching shape (cols,) or (cols, k), and is None if any
-    column is unsolvable.  A is factored once for all columns.
-    """
-    A, b = np.asarray(A), np.asarray(b)
-    if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
-        raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    X, ok = smith_form(A, m).solve(b if b.ndim == 2 else b[:, None])
-    if not ok.all():
-        return None
-    return X if b.ndim == 2 else X[:, 0]
 
 
 def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:

@@ -64,6 +64,8 @@ Z2XZ2_SPHERE = {
     "command": "all",
 }
 Z2XZ2_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "z2xz2_sphere_report.json")
+# Z6/<3> on the circle with holonomy 1 + 0 - 0 = 1 in G/N round the loop
+Z6_HOLONOMY = dict(Z6, twist={"0,1": [1]}, command="all")
 
 
 def write_scenario(tmp_path, data, name="s.json"):
@@ -278,6 +280,17 @@ class TestReports:
         with open(Z2XZ2_GOLDEN, encoding="utf-8") as fh:
             assert report == json.load(fh)
 
+    def test_twist_with_holonomy_report_factors(self, tmp_path, monkeypatch):
+        # both goldens have twists with trivial holonomy; this one goes once
+        # round G/N = Z3 on the circle, so the twisted Cech groups keep only
+        # the constants (the trivial twist gives [6, 6, 6] in both degrees)
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        out = str(tmp_path / "r.json")
+        assert main(["run", write_scenario(tmp_path, Z6_HOLONOMY), "-o", out]) == 0
+        checks = {c["name"]: c for c in json.load(open(out))["checks"]}
+        assert checks["cech.twisted_factors"]["factors"] == {"0": [6], "1": [6]}
+        assert checks["total.scenario_factors"]["factors"] == {"0": [6], "1": [2, 6]}
+
     def test_seed_flag_overrides(self, tmp_path):
         sc = write_scenario(tmp_path, dict(Z6, command="dualize", fiber_dim=1))
         o1 = str(tmp_path / "r1.json")
@@ -400,8 +413,10 @@ class TestStages:
         assert main(["run", "z6_circle", "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
         # 31 when the point-nerve check also factored the group-cohomology side,
         # 25 when each class certificate factored the certificate matrix itself,
-        # 24 when the scenario factors factored total_matrix(1) apart from them
-        assert len(calls) == 23
+        # 24 when the scenario factors factored total_matrix(1) apart from them,
+        # 23 when normalising factored the arity-1 group matrix apart from the
+        # point-nerve check
+        assert len(calls) == 22
 
     def test_run_batches_d_group_and_assembles_each_total_matrix_once(
             self, monkeypatch, tmp_path):

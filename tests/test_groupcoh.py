@@ -185,7 +185,8 @@ def test_resource_cap(monkeypatch):
     monkeypatch.setenv("TDUAL_MAX_DIM", "10")
     G, N, q = make_ctx([4], [[2]])
     with pytest.raises(ResourceCapError):
-        total_cohomology(Nerve.circle(), G, q, 8, TwistCocycle.trivial(Nerve.circle(), q), 2)
+        nerve = Nerve.circle()
+        total_cohomology(nerve, G, q, 8, TwistCocycle.trivial(nerve, q), 2)
 
 
 def test_solve_total_coboundary_roundtrip():
@@ -547,41 +548,62 @@ def test_total_rung_factors_its_matrix_once(factors, gens, nerve_name, p, labels
 
 
 def test_factorisations_go_with_their_cocycle():
+    # g keeps matrices and Smith forms only, never a closure back to g, so g
+    # goes with its last reference, without the cyclic collector
     import gc
     import weakref
-    import tdual.groupcoh as groupcoh
+    from tdual.zmodlin import SmithForm
     G, N, q = make_ctx([4], [[2]])
     nerve = Nerve.circle()
-    before = len(groupcoh._TOTALS)
     g = TwistCocycle.trivial(nerve, q)
     total_cohomology(nerve, G, q, 4, g, 1)
-    assert g in groupcoh._TOTALS and len(groupcoh._TOTALS) == before + 1
+    assert sorted(g.totals) == [4] and sorted(g.totals[4]) == [0, 1]
+    for A, sf in g.totals[4].values():
+        assert type(A) is np.ndarray and (sf is None or type(sf) is SmithForm)
+    assert g.totals[4][1][1] is not None
     ref = weakref.ref(g)
-    del g
-    gc.collect()
-    assert ref() is None and len(groupcoh._TOTALS) == before
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_another_complex_neither_reads_nor_fills_the_memo(monkeypatch):
-    import tdual.groupcoh as groupcoh
+    # a second cocycle with equal labels is another object with its own memo
     G, N, q = make_ctx([4], [[2]])
     nerve = Nerve.circle()
     g = TwistCocycle.trivial(nerve, q)
     want = total_cohomology(nerve, G, q, 4, g, 1)
     A = total_matrix(nerve, G, q, 4, g, 1)
-    entry = dict(groupcoh._TOTALS[g])
+    entry = {p: tuple(v) for p, v in g.totals[4].items()}
+    other = TwistCocycle.trivial(nerve, q)
+    assert other.labels == g.labels
+    seen = _spy_smith_forms(monkeypatch)
+    got = total_cohomology(nerve, G, q, 4, other, 1)
+    assert _times_factored(seen, A) == 1                         # not read
+    assert g.totals[4].keys() == entry.keys()                    # not filled
+    assert all(a is b for p, v in g.totals[4].items() for a, b in zip(v, entry[p]))
+    assert sorted(other.totals[4]) == [0, 1]
+    assert got[0] == want[0]
+    for a, b in zip(got[1], want[1]):
+        assert np.array_equal(a.flatten(), b.flatten())
+
+
+def test_total_complex_refuses_another_nerve_or_quotient():
     # an equal nerve, or an equal quotient, that is not g's own object
-    other_nerve = Nerve(nerve.vertex_count, nerve.edges)
-    other_q = QuotientGroup(G, N)
-    for args in ((other_nerve, G, q), (nerve, G, other_q)):
-        seen = _spy_smith_forms(monkeypatch)
-        got = total_cohomology(*args, 4, g, 1)
-        assert _times_factored(seen, A) == 1          # not read
-        assert groupcoh._TOTALS[g].keys() == entry.keys()  # not filled
-        assert got[0] == want[0]
-        for a, b in zip(got[1], want[1]):
-            assert np.array_equal(a.flatten(), b.flatten())
-    assert all(groupcoh._TOTALS[g][key] is entry[key] for key in entry)
+    G, N, q = make_ctx([4], [[2]])
+    nerve = Nerve.circle()
+    g = TwistCocycle.trivial(nerve, q)
+    target = TotalCochain(nerve, G, q, 4, 1)
+    for args in ((Nerve(nerve.vertex_count, nerve.edges), G, q), (nerve, G, QuotientGroup(G, N)),
+                 (nerve, FiniteLcaGroup([4]), q)):
+        with pytest.raises(ValueError, match="own nerve and quotient"):
+            total_cohomology(*args, 4, g, 1)
+        with pytest.raises(ValueError, match="own nerve and quotient"):
+            solve_total_coboundary(*args, 4, g, target)
+    assert g.totals == {}
 
 
 def test_cochain_family_builds_each_act_table_once(monkeypatch):

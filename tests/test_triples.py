@@ -32,7 +32,7 @@ from tdual.triples import (
     validate_triple,
     verify_involution,
 )
-from tdual.zmodlin import solve_mod
+from tdual.zmodlin import smith_form
 
 GROUP_PAIRS = [([4], [[2]]), ([6], [[3]]), ([2, 2], [[1, 1]])]
 
@@ -573,10 +573,10 @@ def solve_character(G, N, values):
         if v is None:
             raise ValueError(f"no value given for generator {n}")
         b[j] = v.to_index(m)
-    x = solve_mod(A, b, m)
-    if x is None:
+    X, ok = smith_form(A, m).solve(b[:, None])
+    if not ok.all():
         raise ValueError("values do not extend to a character (not a homomorphism?)")
-    chi = dual_group(G).element(tuple(int(c) for c in x))
+    chi = dual_group(G).element(tuple(int(c) for c in X[:, 0]))
     # full postcondition check over all of N
     for n in N.elements():
         expect = _hom_value(G, N, values, n)

@@ -16,7 +16,6 @@ from tdual.zmodlin import (
     kernel_mod,
     module_quotient,
     smith_form,
-    solve_mod,
     xgcd,
 )
 
@@ -68,13 +67,13 @@ def test_smith_form_properties(m, rows, cols, data):
     UAV = (U @ A @ sf.v) % m
     assert np.array_equal(UAV, dense(sf) % m)
     assert np.array_equal((U @ sf.uncarry(eye)) % m, eye % m)
-    assert solve_mod(sf.v, np.eye(cols, dtype=np.int64), m) is not None
+    assert smith_form(sf.v, m).solve(np.eye(cols, dtype=np.int64))[1].all()
     off = UAV.copy()
     for i in range(min(rows, cols)):
         off[i, i] = 0
     assert not off.any()
     from math import gcd
-    chain = [gcd(x, m) for x in sf.diag]
+    chain = [gcd(x, m) for x in sf.d.tolist()]
     for a, b in zip(chain, chain[1:]):
         assert b % a == 0
 
@@ -87,15 +86,16 @@ def test_solve_and_kernel_against_enumeration(m):
         A = rng.integers(0, m, size=(rows, cols)).astype(np.int64)
         x0 = rng.integers(0, m, size=cols).astype(np.int64)
         b = (A @ x0) % m
-        x = solve_mod(A, b, m)
-        assert x is not None and np.array_equal((A @ x) % m, b)
+        X, ok = smith_form(A, m).solve(b[:, None])
+        assert ok.all() and np.array_equal((A @ X[:, 0]) % m, b)
         K = kernel_mod(A, m)
         assert span_of(K, m, cols) == brute_kernel(A, m)
 
 
 def test_unsolvable_detected():
     # 2x = 1 mod 4 has no solution
-    assert solve_mod(np.array([[2]]), np.array([1]), 4) is None
+    X, ok = smith_form(np.array([[2]]), 4).solve(np.array([[1]]))
+    assert not ok.any()
 
 
 def test_inv_mod():
@@ -141,9 +141,9 @@ def test_multi_column_solve_equals_column_solves():
     for m in (6, 8, 12):
         A = rng.integers(0, m, size=(6, 5)).astype(np.int64)
         B = (A @ rng.integers(0, m, size=(5, 4))) % m
-        X = solve_mod(A, B, m)
-        cols = [solve_mod(A, B[:, j], m) for j in range(4)]
-        assert X.shape == (5, 4)
+        X, ok = smith_form(A, m).solve(B)
+        cols = [smith_form(A, m).solve(B[:, j:j + 1])[0][:, 0] for j in range(4)]
+        assert ok.all() and X.shape == (5, 4)
         assert np.array_equal(X, np.stack(cols, axis=1))
         assert np.array_equal((A @ X) % m, B)
 
@@ -151,17 +151,18 @@ def test_multi_column_solve_equals_column_solves():
 def test_multi_column_solve_fails_on_one_bad_column():
     A = np.array([[2, 0], [0, 4]], dtype=np.int64)
     B = np.array([[2, 4, 0], [4, 0, 2]], dtype=np.int64)   # column 2: 4y = 2 mod 8
-    assert solve_mod(A, B[:, :2], 8) is not None
-    assert solve_mod(A, B[:, 2], 8) is None
-    assert solve_mod(A, B, 8) is None
+    X, ok = smith_form(A, 8).solve(B)
+    assert ok.tolist() == [True, True, False]
+    assert np.array_equal((A @ X[:, :2]) % 8, B[:, :2])
+    assert not smith_form(A, 8).solve(B[:, 2:])[1].any()
 
 
 def test_multi_column_solve_with_no_columns():
     A = np.array([[1, 2, 3], [0, 2, 4]], dtype=np.int64)
-    X = solve_mod(A, np.zeros((2, 0), dtype=np.int64), 6)
-    assert X.shape == (3, 0)
+    X, ok = smith_form(A, 6).solve(np.zeros((2, 0), dtype=np.int64))
+    assert X.shape == (3, 0) and ok.shape == (0,)
     with pytest.raises(ValueError):
-        solve_mod(A, np.zeros((3, 1), dtype=np.int64), 6)
+        smith_form(A, 6).solve(np.zeros((3, 1), dtype=np.int64))
 
 
 def test_cohomology_of_factors_each_matrix_once(monkeypatch):
@@ -190,7 +191,7 @@ def test_cohomology_of_factors_each_matrix_once(monkeypatch):
 
 def test_solvers_carry_the_right_hand_side_not_u(monkeypatch):
     # Z4/<2> on the circle: the total differential from degree 2 to 3 is the
-    # 480 x 120 matrix the coboundary solver factors; neither solve_mod nor
+    # 480 x 120 matrix the coboundary solver factors; neither SmithForm.solve nor
     # module_quotient's first factorisation may build its 480 x 480 U: each
     # replays the row operations on the right-hand side
     G = FiniteLcaGroup([4])
@@ -213,14 +214,14 @@ def test_solvers_carry_the_right_hand_side_not_u(monkeypatch):
     monkeypatch.setattr(zmodlin, "smith_form", spy)
     monkeypatch.setattr(zmodlin.SmithForm, "carry", carry_spy)
     u_bytes = 480 * 480 * 8
-    for rhs in (B, B[:, 0]):
+    for rhs in (B, B[:, :1]):
         tracemalloc.start()
         try:
-            X = solve_mod(A, rhs, 4)
+            X, ok = zmodlin.smith_form(A, 4).solve(rhs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal((A @ X) % 4, rhs)
+        assert ok.all() and np.array_equal((A @ X) % 4, rhs)
         assert peak < u_bytes, peak
     module_quotient(A, B, 4)
     assert calls[:3] == [((480, 120), {})] * 3
@@ -237,12 +238,12 @@ def test_smith_form_solves_each_column_alone(m):
     bad[-1] = 1
     good = (A @ rng.integers(0, m, size=6)) % m
     B = np.stack([bad, good], axis=1)
-    assert solve_mod(A, B, m) is None
     X, ok = smith_form(A, m).solve(B)
     assert ok.tolist() == [False, True]
     x_good = X[:, 1]
-    alone = solve_mod(A, good, m)
-    assert x_good.dtype == alone.dtype and np.array_equal(x_good, alone)
+    alone, ok_alone = smith_form(A, m).solve(good[:, None])
+    assert ok_alone.all()
+    assert x_good.dtype == alone.dtype and np.array_equal(x_good, alone[:, 0])
     assert np.array_equal((A @ x_good) % m, good)
 
 
@@ -397,14 +398,14 @@ def test_smith_form_exact_at_the_largest_loadable_modulus(m):
     U = sf.carry(eye)
     assert not ((exact_product(exact_product(U, A), sf.v) - dense(sf)) % m).any()
     assert not ((exact_product(U, sf.uncarry(eye)) - eye) % m).any()
-    assert sf.diag == [1, 1, 1, 1]
+    assert sf.d.tolist() == [1, 1, 1, 1]
     # the solver carries B through the row operations instead of forming U
     X0 = rng.integers(0, m, size=(4, 3))
     B = (exact_product(A, X0) % m).astype(np.int64)
     carried = sf.carry(B)
     assert np.array_equal(carried, (exact_product(U, B) % m).astype(np.int64))
-    X = solve_mod(A, B, m)
-    assert not ((exact_product(A, X) - B) % m).any()
+    X, ok = smith_form(A, m).solve(B)
+    assert ok.all() and not ((exact_product(A, X) - B) % m).any()
 
 
 def reference_solve(sf: zmodlin.SmithForm, U: np.ndarray, B: np.ndarray):
@@ -483,9 +484,9 @@ def test_solvers_match_the_u_tracking_reference(kind):
         U = sf.carry(np.eye(rows, dtype=np.int64))
         for rhs in (B, B[:, :2], B[:, 2:3], B[:, :0]):
             want = reference_solve(sf, U, rhs)
-            got = solve_mod(A, rhs, m)
+            got, ok = smith_form(A, m).solve(rhs)
             solvable.add(want is not None)
-            assert (got is None) == (want is None), (A, m, rhs)
+            assert ok.all() == (want is not None), (A, m, rhs)
             assert want is None or np.array_equal(got, want), (A, m, rhs)
         rels = (A @ rng.integers(0, m, size=(cols, 3))) % m
         f, reps = module_quotient(A, rels, m)
