@@ -4,15 +4,19 @@ Groups are given in invariant-factor form; the dual group is identified
 with the group itself coordinate-wise, via the pairing
 <chi, g> = sum_i chi_i * g_i / f_i mod 1.  All values of the pairing are
 exact elements of Q/Z.
+
+An element is a position 0 .. |G| - 1, the C order of its coordinates
+(G.coords).  Subgroups, quotients and sections are integer arrays over
+positions; GroupElement is built only at the API boundary, and no |G|^2
+table exists until add_table() is called.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from math import gcd, lcm, prod
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +85,12 @@ class GroupElement:
 
 
 class FiniteLcaGroup:
-    """Product of cyclic groups Z/f_1 x ... x Z/f_r with f_i >= 2."""
+    """Product of cyclic groups Z/f_1 x ... x Z/f_r with f_i >= 2.
+
+    coords[i] are the coordinates of the element at position i, in C order
+    (that of itertools.product), so sorting by coordinates is sorting by
+    position; flat() maps coordinates back to positions.
+    """
 
     def __init__(self, invariant_factors: Sequence[int]):
         factors = tuple(int(f) for f in invariant_factors)
@@ -89,17 +98,20 @@ class FiniteLcaGroup:
             raise ValueError(f"invariant factors must be >= 2, got {factors}")
         self.factors = factors
         self.exponent = lcm(*factors) if factors else 1
-        self.order = 1
-        for f in factors:
-            self.order *= f
+        self.order = prod(factors)
         if self.order > MAX_GROUP_ORDER:
             raise ValueError(f"group order {self.order} exceeds cap {MAX_GROUP_ORDER}")
-        self._elements = tuple(
-            GroupElement(c) for c in itertools.product(*(range(f) for f in factors))
-        )
-        self._index = {e: i for i, e in enumerate(self._elements)}
+        self.strides = tuple(prod(factors[i + 1:]) for i in range(len(factors)))
+        self.coords = (np.arange(self.order)[:, None] // np.array(self.strides, dtype=np.int64)
+                       % np.array(factors, dtype=np.int64))
+        self._elements: Optional[tuple[GroupElement, ...]] = None
         self._add_table: Optional[np.ndarray] = None
         self._pairing_table: Optional[np.ndarray] = None
+
+    def flat(self, coords) -> np.ndarray:
+        """Positions of the rows of coords, reduced mod the factors."""
+        return (np.asarray(coords) % np.array(self.factors, dtype=np.int64)
+                @ np.array(self.strides, dtype=np.int64))
 
     def element(self, coords: Iterable[int]) -> GroupElement:
         coords = tuple(coords)
@@ -107,34 +119,49 @@ class FiniteLcaGroup:
             raise ValueError("wrong coordinate count")
         return GroupElement(tuple(int(c) % f for c, f in zip(coords, self.factors)))
 
+    def element_at(self, i: int) -> GroupElement:
+        return GroupElement(tuple(self.coords[i].tolist()))
+
     def zero(self) -> GroupElement:
         return GroupElement((0,) * len(self.factors))
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return GroupElement(
-            tuple((x + y) % f for x, y, f in zip(a.coords, b.coords, self.factors))
-        )
+        return self.element(x + y for x, y in zip(a.coords, b.coords))
 
     def neg(self, a: GroupElement) -> GroupElement:
-        return GroupElement(tuple((-x) % f for x, f in zip(a.coords, self.factors)))
+        return self.element(-x for x in a.coords)
 
     def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.add(a, self.neg(b))
 
     def elements(self) -> tuple[GroupElement, ...]:
+        if self._elements is None:
+            self._elements = tuple(GroupElement(tuple(c)) for c in self.coords.tolist())
         return self._elements
 
     def index(self, a: GroupElement) -> int:
-        return self._index[a]
+        c = a.coords
+        if len(c) != len(self.factors) or not all(0 <= x < f for x, f in zip(c, self.factors)):
+            raise KeyError(a)
+        return sum(x * s for x, s in zip(c, self.strides))
+
+    def sums(self, coords: np.ndarray) -> np.ndarray:
+        """S[i, j] = flat(coords[i] + coords[j]), one coordinate at a time."""
+        S = np.zeros((len(coords),) * 2, dtype=np.int64)
+        for c, f, s in zip(coords.T, self.factors, self.strides):
+            t = np.add.outer(c, c)
+            S += np.multiply(np.remainder(t, f, out=t), s, out=t)
+        return S
 
     def add_table(self) -> np.ndarray:
-        """T[i, j] = index(e_i + e_j) over elements(); built once per group."""
+        """T[i, j] = position of e_i + e_j; built once per group."""
         if self._add_table is None:
-            elems = self._elements
-            self._add_table = np.array(
-                [[self._index[self.add(a, b)] for b in elems] for a in elems],
-                dtype=np.int64)
+            self._add_table = self.sums(self.coords)
         return self._add_table
+
+    def neg_table(self) -> np.ndarray:
+        """neg[i] = position of -e_i."""
+        return self.flat(-self.coords)
 
     def pairing_table(self) -> np.ndarray:
         """P[i, j] = exponent * <e_i, e_j> mod exponent over elements(); built once.
@@ -143,16 +170,13 @@ class FiniteLcaGroup:
         characters; <chi, g> = P / exponent exactly.
         """
         if self._pairing_table is None:
-            self._pairing_table = self.pairing_columns(self._elements)
+            self._pairing_table = self.pairing_columns(np.arange(self.order))
         return self._pairing_table
 
-    def pairing_columns(self, elems: Sequence[GroupElement]) -> np.ndarray:
-        """The columns of pairing_table() at elems, built without the table."""
-        r = len(self.factors)
-        rows = np.array([e.coords for e in self._elements], dtype=np.int64).reshape(self.order, r)
-        cols = np.array([e.coords for e in elems], dtype=np.int64).reshape(len(elems), r)
+    def pairing_columns(self, positions) -> np.ndarray:
+        """The columns of pairing_table() at positions, built without the table."""
         weights = np.array([self.exponent // f for f in self.factors], dtype=np.int64)
-        return (rows * weights) @ cols.T % self.exponent
+        return (self.coords * weights) @ self.coords[positions].T % self.exponent
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteLcaGroup) and self.factors == other.factors
@@ -183,39 +207,35 @@ def pairing(G: FiniteLcaGroup, chi: GroupElement, g: GroupElement) -> QZ:
 
 
 class Subgroup:
-    """Subgroup given by generators, canonicalised by enumeration."""
+    """Subgroup given by generators; least[i] is the least position in e_i + N,
+    so N sits at the positions where least is 0."""
 
     def __init__(self, parent: FiniteLcaGroup, generators: Sequence[GroupElement]):
         self.parent = parent
         self.generators = tuple(parent.element(g.coords) for g in generators)
-        elems = {parent.zero()}
-        frontier = [parent.zero()]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = parent.add(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
-        self._elements = tuple(sorted(elems, key=lambda e: e.coords))
-        self._set = frozenset(self._elements)
-        self.order = len(self._elements)
+        least = np.arange(parent.order)
+        for g in self.generators:
+            # least over i + <g>: windows of 1, 2, 4, ... multiples of g
+            shift = parent.flat(parent.coords + g.coords)
+            for _ in range((parent.exponent - 1).bit_length()):
+                least = np.minimum(least, least[shift])
+                shift = shift[shift]
+        self.least = least
+        self.positions = np.flatnonzero(least == 0)
+        self.order = len(self.positions)
 
     def elements(self) -> tuple[GroupElement, ...]:
-        return self._elements
+        return tuple(map(self.parent.element_at, self.positions))
 
     def __contains__(self, x: GroupElement) -> bool:
-        return x in self._set
+        return x in self.elements()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent == other.parent
-            and self._set == other._set
-        )
+        return (isinstance(other, Subgroup) and self.parent == other.parent
+                and np.array_equal(self.positions, other.positions))
 
     def __hash__(self) -> int:
-        return hash((self.parent, self._set))
+        return hash((self.parent, self.positions.tobytes()))
 
     def __repr__(self) -> str:
         gens = ", ".join(repr(g) for g in self.generators)
@@ -223,62 +243,46 @@ class Subgroup:
 
 
 class QuotientGroup:
-    """G/N with canonical (lexicographically least) coset representatives.
-
-    coset[i] is the position in reps() of the coset of G.elements()[i].
-    """
+    """G/N with canonical (least) coset representatives: lift[z] is the position
+    in G of reps()[z], and coset[i] the position in reps() of e_i + N."""
 
     def __init__(self, parent: FiniteLcaGroup, sub: Subgroup):
         if sub.parent != parent:
             raise ValueError("subgroup belongs to a different group")
         self.parent = parent
         self.sub = sub
-        rep_of: dict[GroupElement, GroupElement] = {}
-        reps = []
-        for x in parent.elements():
-            if x in rep_of:
-                continue
-            coset = sorted(
-                (parent.add(x, n) for n in sub.elements()), key=lambda e: e.coords
-            )
-            r = coset[0]
-            reps.append(r)
-            for y in coset:
-                rep_of[y] = r
-        self._reps = tuple(sorted(reps, key=lambda e: e.coords))
-        self._rep_of = rep_of
-        self._index = {r: i for i, r in enumerate(self._reps)}
-        self.order = len(self._reps)
-        self.coset = np.array([self._index[rep_of[x]] for x in parent.elements()],
-                              dtype=np.int64)
+        self.lift, self.coset = np.unique(sub.least, return_inverse=True)
+        self.order = len(self.lift)
+        self._reps: Optional[tuple[GroupElement, ...]] = None
         self._add_table: Optional[np.ndarray] = None
 
     def rep(self, x: GroupElement) -> GroupElement:
-        return self._rep_of[x]
+        return self.parent.element_at(self.lift[self.index(x)])
 
     def reps(self) -> tuple[GroupElement, ...]:
+        if self._reps is None:
+            self._reps = tuple(map(self.parent.element_at, self.lift))
         return self._reps
 
     def index(self, x: GroupElement) -> int:
-        return self._index[self._rep_of[x]]
+        return int(self.coset[self.parent.index(x)])
 
     def zero(self) -> GroupElement:
-        return self._rep_of[self.parent.zero()]
+        return self.parent.zero()
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self._rep_of[self.parent.add(a, b)]
+        return self.rep(self.parent.add(a, b))
 
     def neg(self, a: GroupElement) -> GroupElement:
-        return self._rep_of[self.parent.neg(a)]
+        return self.rep(self.parent.neg(a))
 
     def sub_(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self._rep_of[self.parent.sub(a, b)]
+        return self.rep(self.parent.sub(a, b))
 
     def add_table(self) -> np.ndarray:
-        """T[i, j] = index(reps()[i] + reps()[j]); built once, from G.add_table()."""
+        """T[i, j] = index(reps()[i] + reps()[j]); built once, from the reps' coordinates."""
         if self._add_table is None:
-            lifts = [self.parent.index(r) for r in self._reps]
-            self._add_table = self.coset[self.parent.add_table()[np.ix_(lifts, lifts)]]
+            self._add_table = self.coset[self.parent.sums(self.parent.coords[self.lift])]
         return self._add_table
 
     def __repr__(self) -> str:
@@ -286,51 +290,42 @@ class QuotientGroup:
 
 
 class Section:
-    """A set-theoretic section of G -> G/N with sigma(0) = 0."""
+    """A set-theoretic section of G -> G/N with sigma(0) = 0; lift[z] is the
+    position in G of its value at the coset reps()[z]."""
 
-    def __init__(self, quotient: QuotientGroup, table: Mapping[GroupElement, GroupElement]):
-        self.quotient = quotient
-        self.table = dict(table)
-        q = quotient
-        z = q.zero()
-        if self.table[z] != q.parent.zero():
+    def __init__(self, quotient: QuotientGroup, lift: Sequence[int]):
+        self.quotient = q = quotient
+        self.lift = np.array(lift, dtype=np.int64)
+        if self.lift[0] != 0:
             raise ValueError("sections must send the zero coset to 0")
-        for r in q.reps():
-            if q.rep(self.table[r]) != r:
-                raise ValueError(f"table value for {r} lies in a different coset")
+        bad = np.flatnonzero(q.coset[self.lift] != np.arange(q.order))
+        if len(bad):
+            raise ValueError(f"table value for {q.reps()[bad[0]]} lies in a different coset")
 
     def __call__(self, x: GroupElement) -> GroupElement:
-        return self.table[self.quotient.rep(x)]
+        return self.quotient.parent.element_at(self.lift[self.quotient.index(x)])
 
     def defect(self, x: GroupElement, y: GroupElement) -> GroupElement:
         """sigma(x+y) - sigma(x) - sigma(y), always an element of N."""
-        q = self.quotient
-        G = q.parent
+        q, G = self.quotient, self.quotient.parent
         return G.sub(self(q.add(x, y)), G.add(self(x), self(y)))
 
 
-def make_section(
-    G: FiniteLcaGroup,
-    N: Subgroup,
-    policy: str = "least",
-    seed: int = 0,
-    quotient: Optional[QuotientGroup] = None,
-) -> Section:
+def make_section(G: FiniteLcaGroup, N: Subgroup, policy: str = "least", seed: int = 0,
+                 quotient: Optional[QuotientGroup] = None) -> Section:
     """Section of G -> G/N.  Policies: "least" (canonical rep), "random"."""
     q = quotient if quotient is not None else QuotientGroup(G, N)
-    table: dict[GroupElement, GroupElement] = {}
     if policy == "least":
-        for r in q.reps():
-            table[r] = r
+        lift = q.lift
     elif policy == "random":
+        # row z: the positions of the coset z, ascending; one draw per coset
         rng = np.random.default_rng(seed)
-        for r in q.reps():
-            coset = sorted((G.add(r, n) for n in N.elements()), key=lambda e: e.coords)
-            table[r] = coset[int(rng.integers(0, len(coset)))]
+        cosets = np.argsort(q.coset, kind="stable").reshape(q.order, N.order)
+        lift = np.array([row[int(rng.integers(0, N.order))] for row in cosets])
+        lift[0] = 0
     else:
         raise ValueError(f"unknown section policy {policy!r}")
-    table[q.zero()] = G.zero()
-    return Section(q, table)
+    return Section(q, lift)
 
 
 def annihilator(G: FiniteLcaGroup, N: Subgroup) -> Subgroup:
@@ -340,16 +335,16 @@ def annihilator(G: FiniteLcaGroup, N: Subgroup) -> Subgroup:
     positions of N's generators (rows index characters, as G.elements()).
     """
     Gd = dual_group(G)
-    at_gens = G.pairing_columns(N.generators)
-    members = [chi for chi, hit in zip(Gd.elements(), at_gens.any(axis=1)) if not hit]
+    at_gens = G.pairing_columns([G.index(g) for g in N.generators])
+    members = np.flatnonzero(~at_gens.any(axis=1))
     # thin the member list to a small generating set, in enumeration order
     gens: list[GroupElement] = []
-    span = {Gd.zero()}
+    span = np.arange(Gd.order) == 0
     for chi in members:
-        if chi in span:
+        if span[chi]:
             continue
-        gens.append(chi)
-        span = set(Subgroup(Gd, gens).elements())
-        if len(span) == len(members):
+        gens.append(Gd.element_at(chi))
+        span = Subgroup(Gd, gens).least == 0
+        if span.sum() == len(members):
             break
     return Subgroup(Gd, gens)

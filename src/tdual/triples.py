@@ -96,7 +96,7 @@ class DualityContext:
     @cached_property
     def neg(self) -> np.ndarray:
         """neg[g] = position of -g (zero sits at position 0)."""
-        return np.argmax(self.G.add_table() == 0, axis=1)
+        return self.G.neg_table()
 
     @cached_property
     def sub(self) -> np.ndarray:
@@ -128,16 +128,15 @@ class DualityContext:
         """shift_hat[chi, z^] = position of z^ + chi N-perp."""
         return self.dual_quotient.add_table()[self.coset_hat]
 
-    @cached_property
+    @property
     def lift(self) -> np.ndarray:
         """lift[z] = position of sigma(z)."""
-        return np.array([self.G.index(self.sigma(z)) for z in self.quotient.reps()])
+        return self.sigma.lift
 
-    @cached_property
+    @property
     def lift_hat(self) -> np.ndarray:
         """lift_hat[z^] = position of sigma_hat(z^)."""
-        return np.array([self.Gd.index(self.sigma_hat(z))
-                         for z in self.dual_quotient.reps()])
+        return self.sigma_hat.lift
 
     def qz_phases(self, k) -> np.ndarray:
         """exp(2 pi i k/m) for each entry of the integer array k, formed entry by
@@ -455,7 +454,7 @@ def dual_base_cocycle(t: TripleLocalData, c: TotalTwoCocycle) -> TwistCocycle:
         hits = np.flatnonzero(np.all((pair + tab[:, 0]) % m == 0, axis=1))
         if not hits.size:
             raise InvalidTripleError(f"-phi on edge {e} is not a character of N")
-        vals[e] = ctx.Gd.elements()[hits[0]]
+        vals[e] = ctx.Gd.element_at(hits[0])
     return TwistCocycle(t.nerve, ctx.dual_quotient, vals)
 
 
@@ -648,11 +647,9 @@ def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
     """
     q, dq = ctx.quotient, ctx.dual_quotient
     G, sub, P = ctx.G, ctx.sub, ctx.G.pairing_table()
-    sigma2 = make_section(G, ctx.N, "random", seed=seed + 1, quotient=q)
-    sigma_hat2 = make_section(ctx.Gd, ctx.Nperp, "random", seed=seed + 2, quotient=dq)
     lift, lift_hat = ctx.lift, ctx.lift_hat
-    lift2 = np.array([G.index(sigma2(z)) for z in q.reps()])
-    lift_hat2 = np.array([ctx.Gd.index(sigma_hat2(z)) for z in dq.reps()])
+    lift2 = make_section(G, ctx.N, "random", seed=seed + 1, quotient=q).lift
+    lift_hat2 = make_section(ctx.Gd, ctx.Nperp, "random", seed=seed + 2, quotient=dq).lift
 
     # (a) sigma^-independence: <s^(z^) - s^2(z^), s(x - z) - s(x)> constant in x
     step = sub[lift[ctx.shift[ctx.neg[lift]]], lift]                  # [z, x]

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tdual import cech, groupcoh, triples, zmodlin
+from tdual import cech, groupcoh, lca, triples, zmodlin
 from tdual.cli import (
     COMMANDS,
     ScenarioError,
@@ -216,6 +216,16 @@ class TestExitCodes:
         sc = write_scenario(tmp_path, Z64XZ64_OVERCAP)
         load_scenario(sc)       # imports the schema validator outside the peak
         out = str(tmp_path / "r.json")
+        # the group layer works on positions; GroupElements are built only at
+        # the API boundary (scenario values, subgroup generators)
+        built = []
+        init = lca.GroupElement.__init__
+
+        def counting_init(self, *args, **kw):
+            built.append(1)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(lca.GroupElement, "__init__", counting_init)
         tracemalloc.start()
         try:
             rc = main(["run", sc, "-o", out])
@@ -226,6 +236,7 @@ class TestExitCodes:
         assert "exceeds cap 512 (TDUAL_MAX_DIM)" in capsys.readouterr().err
         assert not os.path.exists(out)
         assert peak < 32 * 2 ** 20, peak
+        assert len(built) <= 16, len(built)
 
     def test_commands_that_normalise(self):
         assert {c for c in COMMANDS if normalizes(c)} == {

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdual.lca import (
     QZ,
     FiniteLcaGroup,
+    GroupElement,
     QuotientGroup,
     Subgroup,
     annihilator,
@@ -248,3 +249,71 @@ def test_quotient_reps_are_closed(factors, data):
         for y in q.reps():
             assert q.add(x, y) in q.reps()
             assert q.rep(G.add(x, y)) == q.add(x, y)
+
+
+def _oracle(G, gens):
+    """N, the least representative of each coset and N-perp, by GroupElement
+    arithmetic: a breadth-first closure, sorted cosets and pairing loops."""
+    N, frontier = {G.zero()}, [G.zero()]
+    while frontier:
+        x = frontier.pop(0)
+        for g in gens:
+            y = G.add(x, g)
+            if y not in N:
+                N.add(y)
+                frontier.append(y)
+    N = sorted(N, key=lambda e: e.coords)
+    least = [sorted((G.add(x, n) for n in N), key=lambda e: e.coords)[0]
+             for x in G.elements()]
+    reps = sorted(set(least), key=lambda e: e.coords)
+    nperp = [chi for chi in dual_group(G).elements()
+             if all(pairing(G, chi, n).is_zero() for n in N)]
+    return N, reps, [reps.index(r) for r in least], nperp
+
+
+@st.composite
+def _subgroups(draw):
+    """(factors, generator coordinates): factors need not be invariant factors;
+    generators may repeat, be zero, or (with the unit vectors) span G."""
+    factors = draw(st.lists(st.integers(2, 6), max_size=3).filter(lambda f: np.prod(f) <= 72))
+    coords = st.tuples(*(st.integers(0, f - 1) for f in factors)).map(list)
+    gens = draw(st.lists(coords, max_size=3))
+    if draw(st.booleans()):
+        gens += [[int(i == j) for j in range(len(factors))] for i in range(len(factors))]
+    return factors, gens
+
+
+@given(_subgroups())
+@example(([], []))
+@example(([4, 6], []))
+@example(([6, 4], [[1, 0], [0, 1]]))
+@example(([2, 3, 4], [[0, 0, 0], [1, 2, 3], [1, 2, 3]]))
+@settings(max_examples=60, deadline=None)
+def test_array_layer_matches_element_oracle(case):
+    factors, gens = case
+    G = FiniteLcaGroup(factors)
+    N = Subgroup(G, [G.element(g) for g in gens])
+    n_want, reps_want, coset_want, nperp_want = _oracle(G, N.generators)
+    assert list(N.elements()) == n_want and N.order == len(n_want)
+    q = QuotientGroup(G, N)
+    assert list(q.reps()) == reps_want and q.order == len(reps_want)
+    assert q.coset.tolist() == coset_want
+    assert [G.index(r) for r in q.reps()] == q.lift.tolist()
+    nperp = annihilator(G, N)
+    assert list(nperp.elements()) == nperp_want
+    neg, add, qadd = G.neg_table(), G.add_table(), q.add_table()
+    for i, x in enumerate(G.elements()):
+        assert G.index(x) == i and G.elements()[neg[i]] == G.neg(x)
+        assert [G.elements()[k] for k in add[i]] == [G.add(x, y) for y in G.elements()]
+    assert [[q.index(q.add(a, b)) for b in q.reps()] for a in q.reps()] == qadd.tolist()
+    for policy, seed in (("least", 0), ("random", 3)):
+        s = make_section(G, N, policy, seed=seed, quotient=q)
+        assert s(G.zero()) == G.zero()
+        assert [q.rep(s(r)) for r in q.reps()] == list(q.reps())
+
+
+def test_index_refuses_foreign_elements():
+    G = FiniteLcaGroup([2, 4])
+    for coords in ((2, 0), (0, 4), (1,), (0, 0, 0)):
+        with pytest.raises(KeyError):
+            G.index(GroupElement(coords))

@@ -523,8 +523,7 @@ def _off_coset_section(*args, **kw):
     G, sub = args[0], args[1]
     off = next((g for g in G.elements() if g not in sub), None)
     if off is not None:
-        for r in sec.quotient.reps()[1:]:
-            sec.table[r] = G.add(sec.table[r], off)
+        sec.lift[1:] = G.add_table()[sec.lift[1:], G.index(off)]
     return sec
 
 
