@@ -8,7 +8,7 @@ quotient-valued edge cocycle g:
     (g*phi)_{i0..in} = (-1)^(n-1) (phi_{i0..i(n-1)} - phi_{i0..i(n-1)} . g_{i(n-1) in})
 
 where . is the right translation action on the module.  Cohomology is
-computed exactly over Z/m via Smith normal form.
+computed exactly over Z/m by zmodlin.Complex.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import check_dim
 from .lca import MAX_GROUP_ORDER, GroupElement, QuotientGroup
-from .zmodlin import cohomology_of
+from .zmodlin import Complex
 
 Simplex = tuple[int, ...]
 
@@ -114,7 +114,7 @@ class TwistCocycle:
 
     labels[e] is the position of g_e in quotient.reps(); the constructors
     take group elements, and edge_values gives them back.  The labels never
-    change, so totals keeps groupcoh.Complex.total's memo per modulus.
+    change, so totals keeps groupcoh.total_complex's memo per modulus.
     """
 
     def __init__(self, nerve: Nerve, quotient: QuotientGroup,
@@ -293,20 +293,15 @@ def delta_matrix(nerve: Nerve, module: GModule, g: TwistCocycle, k: int) -> np.n
                         lambda: [(0, delta_terms(nerve, module, g, k))])
 
 
+def cech_complex(nerve: Nerve, module: GModule, g: TwistCocycle) -> Complex:
+    """The twisted Cech complex of nerve with coefficients in module: delta_matrix."""
+    return Complex(module.m, lambda k: delta_matrix(nerve, module, g, k),
+                   lambda k, flat: TwistedCochain.from_flat(nerve, module, k, flat))
+
+
 def cohomology(nerve: Nerve, module: GModule, g: TwistCocycle, k: int):
     """Invariant factors and representative cocycles of H^k(nerve, module, g)."""
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    if not nerve.simplices(k):
-        return [], []
-    A = delta_matrix(nerve, module, g, k)
-    B = delta_matrix(nerve, module, g, k - 1) if k > 0 else None
-    factors, reps = cohomology_of(A, B, module.m)
-    rep_cochains = [
-        TwistedCochain.from_flat(nerve, module, k, reps[:, i])
-        for i in range(reps.shape[1])
-    ]
-    return factors, rep_cochains
+    return cech_complex(nerve, module, g).cohomology(k)
 
 
 def r_sharp(c: TwistedCochain, r: Mapping[int, int]) -> TwistedCochain:

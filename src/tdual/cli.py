@@ -108,7 +108,7 @@ class Workspace:
     fixture -> fixture_cocycle -> normalized -> cocycle -> dual -> dual_cocycle
     -> dual_laws, then double_dual -> double_dual_cocycle, and exterior ->
     exterior_cocycle.  The scenario factors and both class certificates
-    read groupcoh.Complex.total(fixture().g, m), the total complex twisted
+    read groupcoh.total_complex(fixture().g, m), the total complex twisted
     by the fixture's twist g; g keeps its matrices and Smith forms, so
     they share one factorisation of total_matrix(1).
     """
@@ -223,7 +223,7 @@ class Workspace:
                 others["exterior"] = self.exterior_cocycle()
             B = np.stack([(c.to_total_cochain() - base).flatten()
                           for c in others.values()], axis=1)
-            total = groupcoh.Complex.total(self.fixture().g, ctx.m)
+            total = groupcoh.total_complex(self.fixture().g, ctx.m)
             X, ok = total.solve(1, B)
             return {name: total.cochain(1, X[:, j]) if ok[j] else None
                     for j, name in enumerate(others)}
@@ -284,18 +284,14 @@ def check_cech(ws: Workspace) -> list[dict]:
             ok = False
     out.append(_exact("cech.d2_zero", ok))
 
-    triv = cech.GModule.trivial(ctx.m)
-    gtriv = cech.TwistCocycle.trivial(nerve, ctx.quotient)
-    factors = {}
-    for k in range(nerve.dimension + 1):
-        f, _ = cech.cohomology(nerve, triv, gtriv, k)
-        factors[str(k)] = f
+    # one complex per coefficient module: degree k reuses degree k-1's matrix
+    untwisted = cech.cech_complex(nerve, cech.GModule.trivial(ctx.m),
+                                  cech.TwistCocycle.trivial(nerve, ctx.quotient))
+    factors = {str(k): untwisted.cohomology(k)[0] for k in range(nerve.dimension + 1)}
     out.append(_exact("cech.untwisted_factors", True, factors=factors))
 
-    tw_factors = {}
-    for k in range(min(nerve.dimension, 1) + 1):
-        f, _ = cech.cohomology(nerve, mod, ws.twist, k)
-        tw_factors[str(k)] = f
+    twisted = cech.cech_complex(nerve, mod, ws.twist)
+    tw_factors = {str(k): twisted.cohomology(k)[0] for k in range(min(nerve.dimension, 1) + 1)}
     out.append(_exact("cech.twisted_factors", True, factors=tw_factors))
 
     r = {v[0]: int(rng.integers(0, ctx.quotient.order)) for v in nerve.vertices}
@@ -407,7 +403,7 @@ def check_total(ws: Workspace) -> list[dict]:
             # the fixture's twist is the scenario's plus a seeded coboundary dr;
             # r# is an isomorphism of the two total complexes, so the factors
             # agree, and the certificates reuse this twist's factorisations
-            factors[str(p)], _ = groupcoh.Complex.total(ws.fixture().g, ctx.m).cohomology(p)
+            factors[str(p)], _ = groupcoh.total_complex(ws.fixture().g, ctx.m).cohomology(p)
         except ResourceCapError:
             capped = True
     out.append(_exact("total.scenario_factors", True, factors=factors,

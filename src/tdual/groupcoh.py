@@ -15,14 +15,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .cech import (GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_terms,
                    terms_matrix)
 from .lca import FiniteLcaGroup, QuotientGroup
-from .zmodlin import SmithForm, module_quotient, smith_form
+from .zmodlin import Complex
 
 MAX_ARITY = 4          # dense tables G^l -> M exist up to this arity
 MAX_TOTAL_ARITY = 3    # total-complex blocks keep l <= 3
@@ -183,30 +183,23 @@ class TotalCochain:
 
     def __post_init__(self):
         full = {}
-        for k in range(self.degree + 1):
-            l = self.degree - k
-            if l > MAX_TOTAL_ARITY:
-                continue
+        for k, l in _bidegrees(self.degree):
             blk = self.blocks.get((k, l))
             if blk is None:
-                sp = self.space(l)
-                blk = TwistedCochain(self.nerve, sp.as_gmodule(), k)
+                blk = TwistedCochain(self.nerve, self.space(l).as_gmodule(), k)
             full[(k, l)] = blk
         self.blocks = full
 
     def space(self, l: int) -> GroupCochainSpace:
         return _space(self.spaces, self.G, self.quotient, self.m, l)
 
-    def bidegrees(self) -> list[tuple[int, int]]:
-        return sorted(self.blocks.keys(), key=lambda kl: -kl[0])
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.blocks.values())
 
     def flatten(self) -> np.ndarray:
         """Blocks stacked along the first axis; blocks without simplices add nothing."""
-        parts = [self.blocks[kl].flatten() for kl in self.bidegrees()
-                 if self.nerve.simplices(kl[0])]
+        parts = [self.blocks[(k, l)].flatten() for k, l in _bidegrees(self.degree)
+                 if self.nerve.simplices(k)]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def __sub__(self, other: "TotalCochain") -> "TotalCochain":
@@ -219,15 +212,17 @@ class TotalCochain:
         """Inverse of flatten; axes of flat after the first are batch axes."""
         blocks, spaces = {}, {}
         off = 0
-        for k in range(degree, -1, -1):          # bidegrees() order
-            l = degree - k
-            if l > MAX_TOTAL_ARITY:
-                continue
+        for k, l in _bidegrees(degree):
             module = _space(spaces, G, quotient, m, l).as_gmodule()
             n = len(nerve.simplices(k)) * module.size
             blocks[(k, l)] = TwistedCochain.from_flat(nerve, module, k, flat[off:off + n])
             off += n
         return TotalCochain(nerve, G, quotient, m, degree, blocks, spaces)
+
+
+def _bidegrees(p: int) -> list[tuple[int, int]]:
+    """The blocks (k, l) of degree p, in flat order: Cech degree k descending."""
+    return [(k, p - k) for k in range(p, -1, -1) if p - k <= MAX_TOTAL_ARITY]
 
 
 def _space(spaces: dict, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
@@ -240,12 +235,9 @@ def _space(spaces: dict, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
 
 def _block_offsets(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
                   p: int) -> tuple[dict, int]:
-    """Flat offset of each block (k, l) of degree p, in bidegrees() order, and the dimension."""
+    """Flat offset of each block (k, l) of degree p, in _bidegrees order, and the dimension."""
     offsets, dim = {}, 0
-    for k in range(p, -1, -1):
-        l = p - k
-        if l > MAX_TOTAL_ARITY:
-            continue
+    for k, l in _bidegrees(p):
         offsets[(k, l)] = dim
         dim += len(nerve.simplices(k)) * (G.order ** l) * quotient.order
     return offsets, dim
@@ -311,88 +303,30 @@ def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
     return terms_matrix(n_dst, n_src, m, blocks)
 
 
-class Complex:
-    """One cochain complex over Z/m, with its differentials and their Smith forms.
+def total_complex(g: TwistCocycle, m: int) -> Complex:
+    """The total complex on g's nerve and quotient, twisted by g; memo is g.totals[m].
 
-    d(p) builds the matrix of the differential from degree p to p+1, and
-    cochain(p, flat) makes a degree-p cochain of flat coordinates (axes
-    after the first are batch axes).  matrix(p) and smith(p) are made on
-    first use and kept in memo, as p -> [matrix(p), its Smith form or
-    None]: data only, so a memo kept by a twist cocycle holds no reference
-    back to it.  d and smith call the module's total_matrix, d_group_matrix
-    and smith_form by name, so patching those reaches every complex.
+    Its matrices come from total_matrix by name, as group_complex's from d_group_matrix.
     """
-
-    def __init__(self, m: int, d: Callable[[int], np.ndarray],
-                 cochain: Callable[[int, np.ndarray], object], memo: Optional[dict] = None):
-        self.m, self._d, self.cochain = m, d, cochain
-        self._memo = {} if memo is None else memo
-
-    @classmethod
-    def total(cls, g: TwistCocycle, m: int) -> "Complex":
-        """The total complex on g's nerve and quotient, twisted by g; memo is g.totals[m]."""
-        nerve, quotient, G = g.nerve, g.quotient, g.quotient.parent
-        return cls(m, lambda p: total_matrix(nerve, G, quotient, m, g, p),
+    nerve, quotient, G = g.nerve, g.quotient, g.quotient.parent
+    return Complex(m, lambda p: total_matrix(nerve, G, quotient, m, g, p),
                    lambda p, flat: TotalCochain.from_flat(nerve, G, quotient, m, p, flat),
                    g.totals.setdefault(m, {}))
 
-    @classmethod
-    def group(cls, G: FiniteLcaGroup, quotient: Optional[QuotientGroup], m: int) -> "Complex":
-        """The group complex of G with the table module: d_group_matrix, unsigned."""
-        space = functools.partial(_space, {}, G, quotient, m)
-        return cls(m, lambda p: d_group_matrix(space(p)),
+
+def group_complex(G: FiniteLcaGroup, quotient: Optional[QuotientGroup], m: int) -> Complex:
+    """The group complex of G with the table module: d_group_matrix, unsigned."""
+    space = functools.partial(_space, {}, G, quotient, m)
+    return Complex(m, lambda p: d_group_matrix(space(p)),
                    lambda p, flat: GroupCochain.from_flat(space(p), flat))
-
-    def matrix(self, p: int) -> np.ndarray:
-        """The differential from degree p to p+1, built on first use."""
-        if p not in self._memo:
-            self._memo[p] = [self._d(p), None]
-        return self._memo[p][0]
-
-    def smith(self, p: int) -> SmithForm:
-        """Smith form of matrix(p), with V, made on first use."""
-        A = self.matrix(p)
-        entry = self._memo[p]
-        if entry[1] is None:
-            entry[1] = smith_form(A, self.m)
-        return entry[1]
-
-    def cohomology(self, p: int):
-        """Invariant factors and representative cochains of H^p."""
-        if p < 0:
-            raise ValueError("degree must be >= 0")
-        A = self.matrix(p)
-        if A.shape[1] == 0:
-            return [], []
-        B = self.matrix(p - 1) if p > 0 else np.zeros((A.shape[1], 0), dtype=np.int64)
-        factors, reps = module_quotient(self.smith(p).kernel(), B, self.m)
-        return factors, [self.cochain(p, reps[:, i]) for i in range(reps.shape[1])]
-
-    def solve(self, p: int, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(X, ok) with matrix(p) X = B in each column ok marks, each column solved alone."""
-        return self.smith(p).solve(B)
-
-    def solve_coboundary(self, target):
-        """A degree-(p-1) cochain x with d(x) = target, or None.
-
-        x certifies that two cocycles differing by target are cohomologous.
-        At p = 0 the only coboundary is zero, witnessed by the empty degree
-        -1 cochain.
-        """
-        p = target.degree
-        if p == 0:
-            return self.cochain(-1, np.zeros(0, dtype=np.int64)) if target.is_zero() else None
-        b = target.flatten()
-        X, ok = self.solve(p - 1, b if b.ndim == 2 else b[:, None])
-        return self.cochain(p - 1, X if b.ndim == 2 else X[:, 0]) if ok.all() else None
 
 
 def _own(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
          g: TwistCocycle) -> Complex:
-    """Complex.total(g, m), once nerve, quotient and G are g's own objects."""
+    """total_complex(g, m), once nerve, quotient and G are g's own objects."""
     if nerve is not g.nerve or quotient is not g.quotient or G is not quotient.parent:
         raise ValueError("a twist's total complex lies on the twist's own nerve and quotient")
-    return Complex.total(g, m)
+    return total_complex(g, m)
 
 
 def total_cohomology(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
@@ -410,4 +344,4 @@ def solve_total_coboundary(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGr
 def group_cohomology(G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
                      m: int, k: int):
     """Invariant factors and representatives of H^k(G, M) for the table module."""
-    return Complex.group(G, quotient, m).cohomology(k)
+    return group_complex(G, quotient, m).cohomology(k)

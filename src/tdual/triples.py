@@ -15,6 +15,7 @@ identities are checked in complex double precision.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -24,11 +25,11 @@ import numpy as np
 from .cech import Nerve, TwistCocycle
 from .errors import InvalidTripleError
 from .groupcoh import (
-    Complex,
     GroupCochain,
     GroupCochainSpace,
     TotalCochain,
     d_group,
+    group_complex,
     solve_total_coboundary,
     total_differential,
 )
@@ -52,6 +53,7 @@ from .linops import (
     snap_phase,
     unit_phase,
 )
+from .zmodlin import Complex
 
 TAU_S = 1e-6   # scalarness / snapping tolerance
 TAU_U = 1e-9   # operator identity tolerance
@@ -63,7 +65,8 @@ class DualityContext:
     Holds (G, N, G/N) together with the dual side (G^, N-perp, G^/N-perp)
     and the two sections sigma, sigma_hat.  dual() swaps the two sides;
     applying it twice returns to identical data, which is what makes the
-    double-dual comparison exact.
+    double-dual comparison exact.  A dual holds its origin; the origin
+    holds its dual weakly, so neither waits for the cyclic collector.
     """
 
     def __init__(self, G: FiniteLcaGroup, N: Subgroup, m: Optional[int] = None,
@@ -82,7 +85,7 @@ class DualityContext:
         if self.m % G.exponent != 0:
             raise ValueError(
                 f"modulus {self.m} must be a multiple of the exponent {G.exponent}")
-        self._dual: Optional[DualityContext] = None
+        self._dual = lambda: None   # the dual, or None until it is made
 
     # Integer index tables, built on first use.  Positions are those of
     # G.elements(), quotient.reps() and dual_quotient.reps(); characters
@@ -106,7 +109,7 @@ class DualityContext:
     @cached_property
     def group_complex(self) -> Complex:
         """G's complex on Fun(G/N, Z/m); normalising and the point-nerve check share it."""
-        return Complex.group(self.G, self.quotient, self.m)
+        return group_complex(self.G, self.quotient, self.m)
 
     @property
     def coset(self) -> np.ndarray:
@@ -146,7 +149,8 @@ class DualityContext:
                         dtype=complex).reshape(k.shape)
 
     def dual(self) -> "DualityContext":
-        if self._dual is None:
+        d = self._dual()
+        if d is None:
             d = object.__new__(DualityContext)
             d.G = self.Gd
             d.N = self.Nperp
@@ -160,9 +164,9 @@ class DualityContext:
             d.sigma = self.sigma_hat
             d.sigma_hat = self.sigma
             d.m = self.m
-            d._dual = self
-            self._dual = d
-        return self._dual
+            d._dual = lambda: self          # a dual holds its origin,
+            self._dual = weakref.ref(d)     # which holds it weakly
+        return d
 
     def __repr__(self) -> str:
         return f"DualityContext(G={self.G}, |N|={self.N.order}, m={self.m})"

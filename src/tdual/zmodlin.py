@@ -3,13 +3,15 @@
 Matrices are 2-d numpy int64 arrays with entries reduced mod m.  All
 transformations are integer-elementary, hence invertible mod m, so every
 result is exact.  m may be any modulus >= 1 (not necessarily prime).
+Complex is the one place a cochain complex's differentials become its
+cohomology and coboundary solutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -295,15 +297,6 @@ def smith_form(A: np.ndarray, m: int, *, v: bool = True) -> SmithForm:
                      v=None if Vt is None else Vt.T, m=m, **log.pack())
 
 
-def kernel_mod(A: np.ndarray, m: int) -> np.ndarray:
-    """Generators (columns) of {x : A x = 0 mod m} as a subgroup of (Z/m)^cols."""
-    A = np.asarray(A)
-    rows, cols = A.shape
-    if rows == 0 or cols == 0 or m == 1:   # all of (Z/m)^cols; nothing to factor
-        return np.eye(cols, dtype=np.int64)
-    return smith_form(A, m).kernel()
-
-
 def module_quotient(
     gens: np.ndarray, rels: np.ndarray, m: int
 ) -> tuple[list[int], np.ndarray]:
@@ -331,14 +324,68 @@ def module_quotient(
     return [int(x) for x in f[keep]], (gens @ sf.uncarry(np.eye(t, dtype=np.int64)[:, keep])) % m
 
 
-def cohomology_of(
-    d_k: np.ndarray, d_prev: Optional[np.ndarray], m: int
-) -> tuple[list[int], np.ndarray]:
-    """Invariant factors and representatives of ker(d_k) / im(d_prev) over Z/m.
+class Complex:
+    """One cochain complex over Z/m, with its differentials and their Smith forms.
 
-    d_prev is None at degree 0, where the image is zero.  Representatives
-    are columns in the source coordinates of d_k.
+    d(p) builds the matrix of the differential from degree p to p+1, and
+    cochain(p, flat) makes a degree-p cochain of flat coordinates (axes
+    after the first are batch axes).  matrix(p) and smith(p) are made on
+    first use and kept in memo, as p -> [matrix(p), its Smith form or
+    None]: data only, so a memo kept by a twist cocycle holds no reference
+    back to it.  smith calls smith_form by name, so patching it reaches
+    every complex.
     """
-    if d_prev is None:
-        d_prev = np.zeros((d_k.shape[1], 0), dtype=np.int64)
-    return module_quotient(kernel_mod(d_k, m), d_prev, m)
+
+    def __init__(self, m: int, d: Callable[[int], np.ndarray],
+                 cochain: Callable[[int, np.ndarray], object], memo: Optional[dict] = None):
+        self.m, self._d, self.cochain = m, d, cochain
+        self._memo = {} if memo is None else memo
+
+    def matrix(self, p: int) -> np.ndarray:
+        """The differential from degree p to p+1, built on first use."""
+        if p not in self._memo:
+            self._memo[p] = [self._d(p), None]
+        return self._memo[p][0]
+
+    def smith(self, p: int) -> SmithForm:
+        """Smith form of matrix(p), with V, made on first use."""
+        A = self.matrix(p)
+        entry = self._memo[p]
+        if entry[1] is None:
+            entry[1] = smith_form(A, self.m)
+        return entry[1]
+
+    def cohomology(self, p: int):
+        """Invariant factors and representative cochains of H^p.
+
+        A differential without rows, or any at m = 1, has all of its source
+        as kernel, which needs no Smith form.
+        """
+        if p < 0:
+            raise ValueError("degree must be >= 0")
+        A = self.matrix(p)
+        rows, cols = A.shape
+        if cols == 0:
+            return [], []
+        K = np.eye(cols, dtype=np.int64) if rows == 0 or self.m == 1 else self.smith(p).kernel()
+        B = self.matrix(p - 1) if p > 0 else np.zeros((cols, 0), dtype=np.int64)
+        factors, reps = module_quotient(K, B, self.m)
+        return factors, [self.cochain(p, reps[:, i]) for i in range(reps.shape[1])]
+
+    def solve(self, p: int, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(X, ok) with matrix(p) X = B in each column ok marks, each column solved alone."""
+        return self.smith(p).solve(B)
+
+    def solve_coboundary(self, target):
+        """A degree-(p-1) cochain x with d(x) = target, or None.
+
+        x certifies that two cocycles differing by target are cohomologous.
+        At p = 0 the only coboundary is zero, witnessed by the empty degree
+        -1 cochain.
+        """
+        p = target.degree
+        if p == 0:
+            return self.cochain(-1, np.zeros(0, dtype=np.int64)) if target.is_zero() else None
+        b = target.flatten()
+        X, ok = self.solve(p - 1, b if b.ndim == 2 else b[:, None])
+        return self.cochain(p - 1, X if b.ndim == 2 else X[:, 0]) if ok.all() else None

@@ -277,3 +277,60 @@ def test_delta_matrix_matches_unit_vector_loop(case):
             len(nerve.simplices(k)) * module.size)
         A = delta_matrix(nerve, module, g, k)
         assert A.shape == ref.shape and np.array_equal(A, ref), k
+
+
+# ---------------------------------------------------------------------------
+# covering-nerve oracle: Fun(G/N, Z/m) coefficients twisted by g give the
+# Z/m cohomology of the G/N-sheeted cover the twist defines (Hatcher 3.H)
+
+def covering_nerve(g: TwistCocycle) -> Nerve:
+    """The cover of g's nerve: vertex (v, z) is v*q + z, and simplex s at
+    sheet z lifts to (s_0, z) and (s_i, z + g_{s_0 s_i})."""
+    nerve, q = g.nerve, g.quotient.order
+    add = g.quotient.add_table()
+    lifts = [[s[0] * q + z] + [v * q + int(add[z, g.labels[(s[0], v)]]) for v in s[1:]]
+             for k in range(1, nerve.dimension + 1) for s in nerve.simplices(k)
+             for z in range(q)]
+    return Nerve(nerve.vertex_count * q, lifts)
+
+
+COVER_GROUPS = [([4], [[2]]), ([6], [[3]]), ([6], [[2]]), ([2, 2], [[1, 1]]),
+                ([2, 4], [[0, 2]]), ([4], []), ([2, 2], [])]
+# circle, square and wedge of two circles carry free labels; disk and sphere
+# have 2-simplices, whose cocycle law the coboundary twists keep
+COVER_NERVES = {"circle": Nerve.circle(),
+                "square": Nerve(4, [[0, 1], [1, 2], [2, 3], [0, 3]]),
+                "wedge": Nerve(5, [[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]]),
+                "disk": Nerve(4, [[0, 1, 2], [0, 2, 3]]),
+                "sphere": Nerve.sphere()}
+
+
+def test_twisted_cohomology_matches_the_covering_nerve():
+    rng = np.random.default_rng(24)
+    seen_holonomy = 0
+    for factors, gens in COVER_GROUPS:
+        G, _, q = make_ctx(factors, gens)
+        m, reps = G.exponent, q.reps()
+        module = GModule.functions_on_quotient(m, q)
+        for name, nerve in COVER_NERVES.items():
+            twists = [TwistCocycle.trivial(nerve, q)]
+            for _ in range(3):
+                if nerve.dimension == 1:
+                    twists.append(TwistCocycle(nerve, q, {e: reps[int(rng.integers(q.order))]
+                                                          for e in nerve.edges}))
+                else:
+                    twists.append(TwistCocycle.coboundary(
+                        nerve, q, {v[0]: reps[int(rng.integers(q.order))]
+                                   for v in nerve.vertices}))
+            untwisted = None
+            for g in twists:
+                cover = covering_nerve(g)
+                flat = TwistCocycle.trivial(cover, q)
+                got = [cohomology(nerve, module, g, k)[0] for k in range(nerve.dimension + 1)]
+                want = [cohomology(cover, GModule.trivial(m), flat, k)[0]
+                        for k in range(nerve.dimension + 1)]
+                assert got == want, (factors, gens, name, g.labels)
+                untwisted = untwisted or got          # the trivial twist comes first
+                seen_holonomy += got != untwisted
+    # twists whose groups differ from the trivial twist's: the oracle sees the labels
+    assert seen_holonomy > 0

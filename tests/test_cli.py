@@ -418,9 +418,8 @@ class TestStages:
         def counted(*args, **kw):
             calls.append(1)
             return fn(*args, **kw)
-        # groupcoh factors the total matrices itself
-        for mod in (zmodlin, groupcoh):
-            monkeypatch.setattr(mod, "smith_form", counted)
+        # every complex factors through zmodlin.Complex.smith
+        monkeypatch.setattr(zmodlin, "smith_form", counted)
         assert main(["run", "z6_circle", "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
         # 31 when the point-nerve check also factored the group-cohomology side,
         # 25 when each class certificate factored the certificate matrix itself,

@@ -310,6 +310,27 @@ class TestInvolution:
         assert rep["double_dual_base_equals_original"] == 0.0
         assert rep["double_dual_class_certificate"] == 0.0
 
+    def test_contexts_go_without_the_cyclic_collector(self):
+        # the dual holds its origin and the origin holds its dual weakly, so
+        # both go with the last outside reference, group complex memos too
+        import gc
+        import weakref
+        gc.disable()
+        try:
+            ctx = ctx_for([6], [[3]])
+            assert ctx.dual().dual() is ctx
+            d = ctx.dual()
+            assert d.dual() is ctx and ctx.dual() is d
+            d.group_complex.cohomology(1)
+            ctx.group_complex.cohomology(1)
+            refs = [weakref.ref(ctx), weakref.ref(d)]
+            del ctx
+            assert refs[0]() is not None and refs[0]().dual() is d
+            del d
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
 
 class TestPoincare:
     @pytest.mark.parametrize("factors,gens", GROUP_PAIRS)

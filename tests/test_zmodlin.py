@@ -11,9 +11,8 @@ from tdual.cech import Nerve, TwistCocycle
 from tdual.groupcoh import GroupCochainSpace, d_group_matrix, total_matrix
 from tdual.lca import FiniteLcaGroup, QuotientGroup, Subgroup
 from tdual.zmodlin import (
-    cohomology_of,
+    Complex,
     inv_mod,
-    kernel_mod,
     module_quotient,
     smith_form,
     xgcd,
@@ -88,7 +87,7 @@ def test_solve_and_kernel_against_enumeration(m):
         b = (A @ x0) % m
         X, ok = smith_form(A, m).solve(b[:, None])
         assert ok.all() and np.array_equal((A @ X[:, 0]) % m, b)
-        K = kernel_mod(A, m)
+        K = smith_form(A, m).kernel()
         assert span_of(K, m, cols) == brute_kernel(A, m)
 
 
@@ -165,13 +164,19 @@ def test_multi_column_solve_with_no_columns():
         smith_form(A, 6).solve(np.zeros((3, 1), dtype=np.int64))
 
 
+def cohomology_at_1(d_k, d_prev, m):
+    """H^1 of the complex d_prev, d_k over Z/m: factors and representative columns."""
+    factors, reps = Complex(m, {0: d_prev, 1: d_k}.__getitem__, lambda p, flat: flat).cohomology(1)
+    return factors, np.stack(reps, axis=1) if reps else np.zeros((d_k.shape[1], 0), np.int64)
+
+
 def test_cohomology_of_factors_each_matrix_once(monkeypatch):
     # one Smith form for ker(d_k), one for the generators (coordinates of
     # all relations and the syzygies), one for the relation matrix
     rng = np.random.default_rng(11)
     m = 12
     d_k = rng.integers(0, m, size=(6, 9)).astype(np.int64)
-    K = kernel_mod(d_k, m)
+    K = smith_form(d_k, m).kernel()
     d_prev = (K @ rng.integers(0, m, size=(K.shape[1], 12))) % m
     expected = module_quotient(K, d_prev, m)
     calls = []
@@ -182,7 +187,7 @@ def test_cohomology_of_factors_each_matrix_once(monkeypatch):
         return real(A, mod, **kw)
 
     monkeypatch.setattr(zmodlin, "smith_form", counted)
-    factors, reps = cohomology_of(d_k, d_prev, m)
+    factors, reps = cohomology_at_1(d_k, d_prev, m)
     assert len(calls) <= 3, calls
     # the kernel reads only V, the one transform a Smith form tracks
     assert calls[0][0] == d_k.shape and calls[0][1] == {}
@@ -493,9 +498,9 @@ def test_solvers_match_the_u_tracking_reference(kind):
         f_ref, reps_ref = reference_module_quotient(A, rels, m)
         assert f == f_ref and np.array_equal(reps, reps_ref), (A, m)
         K = reference_kernel(smith_form(A, m))
-        assert np.array_equal(kernel_mod(A, m), K)
+        assert np.array_equal(smith_form(A, m).kernel(), K)
         d_prev = (K @ rng.integers(0, m, size=(K.shape[1], 3))) % m
-        f, reps = cohomology_of(A, d_prev, m)
+        f, reps = cohomology_at_1(A, d_prev, m)
         f_ref, reps_ref = reference_module_quotient(K, d_prev, m)
         assert f == f_ref and np.array_equal(reps, reps_ref), (A, m)
     assert solvable == {True, False}
