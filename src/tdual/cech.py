@@ -112,23 +112,32 @@ class GModule:
 class TwistCocycle:
     """Edge labels in G/N with g_ik = g_ij + g_jk on every 2-simplex.
 
-    labels[e] is the position of g_e in quotient.reps(); the constructors
-    take group elements, and edge_values gives them back.  The labels never
-    change, so totals keeps groupcoh.total_complex's memo per modulus.
+    labels[e] is the position of g_e in quotient.reps(), as from_labels takes
+    it; the constructor takes group elements, and edge_values gives them back.
+    The labels never change, so totals keeps total_complex's memo per modulus.
     """
 
     def __init__(self, nerve: Nerve, quotient: QuotientGroup,
                  edge_values: Mapping[Simplex, GroupElement]):
+        self._init(nerve, quotient, {e: quotient.index(x) for e, x in edge_values.items()})
+
+    @classmethod
+    def from_labels(cls, nerve: Nerve, quotient: QuotientGroup,
+                    labels: Mapping[Simplex, int]) -> "TwistCocycle":
+        """The twist with labels[e] on each edge e, checked as the constructor checks."""
+        return cls.__new__(cls)._init(nerve, quotient, labels)
+
+    def _init(self, nerve: Nerve, quotient: QuotientGroup, labels: Mapping[Simplex, int]):
         self.nerve = nerve
         self.quotient = quotient
         self.totals: dict = {}
         for e in nerve.edges:
-            if e not in edge_values:
+            if e not in labels:
                 raise ValueError(f"missing twist value for edge {e}")
-        extra = set(edge_values) - set(nerve.edges)
+        extra = set(labels) - set(nerve.edges)
         if extra:
             raise ValueError(f"twist labels on non-edges: {sorted(extra)}")
-        self.labels = lab = {e: quotient.index(edge_values[e]) for e in nerve.edges}
+        self.labels = lab = {e: int(labels[e]) for e in nerve.edges}
         for (a, b, c) in nerve.simplices(2):
             lhs, rhs = lab[(a, c)], quotient.add_table()[lab[(a, b)], lab[(b, c)]]
             if lhs != rhs:
@@ -137,6 +146,7 @@ class TwistCocycle:
                     f"twist violates the cocycle law on ({a},{b},{c}): "
                     f"g_ac={reps[lhs]}, g_ab+g_bc={reps[rhs]}"
                 )
+        return self
 
     @property
     def edge_values(self) -> dict[Simplex, GroupElement]:
@@ -146,17 +156,15 @@ class TwistCocycle:
 
     @staticmethod
     def trivial(nerve: Nerve, quotient: QuotientGroup) -> "TwistCocycle":
-        z = quotient.zero()
-        return TwistCocycle(nerve, quotient, {e: z for e in nerve.edges})
+        return TwistCocycle.from_labels(nerve, quotient, dict.fromkeys(nerve.edges, 0))
 
     @staticmethod
     def coboundary(nerve: Nerve, quotient: QuotientGroup,
                    vertex_values: Mapping[int, GroupElement]) -> "TwistCocycle":
         """g_ij = r_j - r_i; always a valid twist."""
-        vals = {}
-        for (i, j) in nerve.edges:
-            vals[(i, j)] = quotient.sub_(vertex_values[j], vertex_values[i])
-        return TwistCocycle(nerve, quotient, vals)
+        neg = quotient.neg_table()
+        minus_r = {i: neg[quotient.index(x)] for i, x in vertex_values.items()}
+        return r_conjugate_twist(TwistCocycle.trivial(nerve, quotient), minus_r)
 
 
 @dataclass
@@ -318,9 +326,8 @@ def r_sharp(c: TwistedCochain, r: Mapping[int, int]) -> TwistedCochain:
 
 
 def r_conjugate_twist(g: TwistCocycle, r: Mapping[int, int]) -> TwistCocycle:
-    """The twist g'_ij = r_i + g_ij - r_j matched to r_sharp."""
+    """The twist g'_ij = r_i + g_ij - r_j matched to r_sharp (r_i quotient positions)."""
     q = g.quotient
-    reps, add = q.reps(), q.add_table()
-    vals = {(i, j): q.sub_(reps[add[r[i], x]], reps[r[j]])
-            for (i, j), x in g.labels.items()}
-    return TwistCocycle(g.nerve, q, vals)
+    add, neg = q.add_table(), q.neg_table()
+    return TwistCocycle.from_labels(g.nerve, q, {(i, j): add[add[r[i], x], neg[r[j]]]
+                                                 for (i, j), x in g.labels.items()})

@@ -19,9 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import cech, crossed, groupcoh, triples
-from .errors import ResourceCapError, check_dim, max_matrix_dim
-from .lca import FiniteLcaGroup, Subgroup
+from . import cech, crossed, groupcoh, serialize, triples
+from .errors import InvalidTripleError, ResourceCapError, check_dim, max_matrix_dim
 
 
 class ScenarioError(ValueError):
@@ -69,23 +68,21 @@ def load_scenario(path: str) -> dict:
                 f"generator has {len(gen)} coordinates, group has {len(factors)}",
                 f"$.groups.N[{i}]")
     nverts = data["nerve"]["vertices"]
-    edge_set = set()
+    edges = set()
     for i, s in enumerate(data["nerve"]["simplices"]):
         if any(v >= nverts for v in s):
             raise ScenarioError("vertex index out of range", f"$.nerve.simplices[{i}]")
-        for a, b in itertools.combinations(sorted(set(s)), 2):
-            edge_set.add((a, b))
+        edges.update(itertools.combinations(sorted(set(s)), 2))
     for key, coords in data.get("twist", {}).items():
-        a, b = (int(x) for x in key.split(","))
-        if (min(a, b), max(a, b)) not in edge_set:
-            raise ScenarioError(f"twist references non-edge ({a},{b})",
-                                f"$.twist['{key}']")
+        a, b = sorted(int(x) for x in key.split(","))
+        if key != f"{a},{b}" or (a, b) not in edges:
+            raise ScenarioError("twist key must name an edge of the nerve as 'a,b' "
+                                "with a < b", f"$.twist['{key}']")
         if len(coords) != len(factors):
             raise ScenarioError("twist value has wrong coordinate count",
                                 f"$.twist['{key}']")
     if "modulus" in data:
-        from math import lcm
-        exponent = lcm(*factors)
+        exponent = math.lcm(*factors)
         if data["modulus"] % exponent != 0:
             raise ScenarioError(
                 f"modulus must be a multiple of the group exponent {exponent}",
@@ -119,20 +116,15 @@ class Workspace:
         self.seed = seed if seed is not None else scenario.get("seed", 0)
         self.d = scenario.get("fiber_dim", 1)
         self.trials = scenario.get("trials", 10)
-        G = FiniteLcaGroup(scenario["groups"]["factors"])
-        N = Subgroup(G, [G.element(c) for c in scenario["groups"]["N"]])
-        self.ctx = triples.DualityContext(G, N, m=scenario.get("modulus"))
+        self.ctx = serialize.context_from_json(
+            {**scenario["groups"], "modulus": scenario.get("modulus")})
         self.nerve = cech.Nerve(scenario["nerve"]["vertices"],
                                 scenario["nerve"]["simplices"])
-        tw = scenario.get("twist", {})
-        vals = {}
-        for e in self.nerve.edges:
-            key = f"{e[0]},{e[1]}"
-            coords = tw.get(key)
-            vals[e] = (self.ctx.quotient.rep(G.element(coords))
-                       if coords is not None else self.ctx.quotient.zero())
+        # an edge the scenario does not key carries the zero coset
+        zero = [0] * len(self.ctx.G.factors)
+        tw = {**{f"{a},{b}": zero for a, b in self.nerve.edges}, **scenario.get("twist", {})}
         try:
-            self.twist = cech.TwistCocycle(self.nerve, self.ctx.quotient, vals)
+            self.twist = serialize.twist_from_json(self.nerve, self.ctx.quotient, tw)
         except ValueError as exc:
             raise ScenarioError(str(exc), "$.twist") from exc
         tols = scenario.get("tolerances", {})
@@ -295,6 +287,7 @@ def check_cech(ws: Workspace) -> list[dict]:
     out.append(_exact("cech.twisted_factors", True, factors=tw_factors))
 
     r = {v[0]: int(rng.integers(0, ctx.quotient.order)) for v in nerve.vertices}
+    rneg = dict(zip(r, ctx.quotient.neg_table()[list(r.values())]))
     gp = cech.r_conjugate_twist(ws.twist, r)
     ok = True
     for deg in range(nerve.dimension):
@@ -305,7 +298,6 @@ def check_cech(ws: Workspace) -> list[dict]:
         rhs = cech.r_sharp(cech.delta_g(c, gp), r)
         if not (lhs - rhs).is_zero():
             ok = False
-        rneg = {v: ctx.coset[ctx.neg[ctx.lift[x]]] for v, x in r.items()}
         if not (cech.r_sharp(cech.r_sharp(c, r), rneg) - c).is_zero():
             ok = False
     out.append(_exact("cech.r_sharp_chain_map", ok))
@@ -443,20 +435,18 @@ def check_dualize(ws: Workspace) -> list[dict]:
         out.append(_result("dualize.exterior_family_laws",
                            max(er.values()), ws.tau_u))
         cert = ws.certificates()["exterior"]
-        from .serialize import total_cochain_to_json
         out.append(_exact(
             "dualize.exterior_class_certificate", cert is not None,
-            certificate=total_cochain_to_json(cert) if cert is not None else None))
+            certificate=serialize.total_cochain_to_json(cert) if cert is not None else None))
     return out
 
 
 def check_involution(ws: Workspace) -> list[dict]:
-    from .serialize import total_cochain_to_json
     laws = ws.dual_laws()
     rep = triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual_cocycle(),
                                     ws.double_dual(), ws.double_dual_cocycle(),
                                     ws.certificates()["involution"])
-    cert_json = (total_cochain_to_json(rep["certificate"])
+    cert_json = (serialize.total_cochain_to_json(rep["certificate"])
                  if "certificate" in rep else None)
     out = [
         _result("involution.dual_cech_law", laws["dual_cech_law"], ws.tau_u),
@@ -602,7 +592,6 @@ def run_checks(ws: Workspace, command: str, only: Optional[str] = None) -> list[
     def guarded(f: Callable) -> list[dict]:
         # a law violation inside a check is a falsifying instance: FAIL,
         # not a crash (resource-cap errors still propagate to exit 3)
-        from .errors import InvalidTripleError
         group = f.__name__.removeprefix("check_").replace("_", "-")
         try:
             return f(ws)

@@ -285,6 +285,10 @@ class QuotientGroup:
             self._add_table = self.coset[self.parent.sums(self.parent.coords[self.lift])]
         return self._add_table
 
+    def neg_table(self) -> np.ndarray:
+        """neg[z] = index(-reps()[z])."""
+        return self.coset[self.parent.flat(-self.parent.coords[self.lift])]
+
     def __repr__(self) -> str:
         return f"({self.parent})/{self.sub!r}"
 

@@ -12,7 +12,7 @@ import numpy as np
 from .cech import Nerve, TwistCocycle
 from .crossed import ConvolutionElement, CrossedContext
 from .groupcoh import TotalCochain
-from .lca import FiniteLcaGroup, GroupElement, Subgroup
+from .lca import FiniteLcaGroup, GroupElement, QuotientGroup, Subgroup
 from .triples import DualityContext, TotalTwoCocycle, TripleLocalData
 
 
@@ -44,6 +44,19 @@ def context_from_json(data: dict) -> DualityContext:
     G = FiniteLcaGroup(data["factors"])
     N = Subgroup(G, [G.element(c) for c in data["N"]])
     return DualityContext(G, N, m=data.get("modulus"))
+
+
+def twist_from_json(nerve: Nerve, quotient: QuotientGroup, data: dict) -> TwistCocycle:
+    """The twist data gives as {"a,b": coordinates}, keying each edge exactly once."""
+    G, labels = quotient.parent, {}
+    for key, coords in data.items():
+        e = tuple(int(x) for x in key.split(","))
+        if e in labels:
+            raise ValueError(f"twist key {key!r} repeats the edge {e}")
+        if len(coords) != len(G.factors):
+            raise ValueError(f"twist value {key!r} needs {len(G.factors)} coordinates")
+        labels[e] = quotient.coset[G.flat(coords)]
+    return TwistCocycle.from_labels(nerve, quotient, labels)
 
 
 def triple_to_json(t: TripleLocalData) -> dict:
@@ -95,11 +108,7 @@ def triple_from_json(data: dict) -> TripleLocalData:
     G, q = ctx.G, ctx.quotient
     legs = tuple(data["legs"])
     dim = int(np.prod(legs))
-    twist_vals = {}
-    for key, coords in data["twist"].items():
-        a, b = (int(x) for x in key.split(","))
-        twist_vals[(a, b)] = q.rep(G.element(coords))
-    g = TwistCocycle(nerve, q, twist_vals)
+    g = twist_from_json(nerve, q, data["twist"])
 
     def coset(key: str) -> int:
         return q.index(_elem_from_key(G, key))
@@ -117,20 +126,20 @@ def triple_from_json(data: dict) -> TripleLocalData:
     return TripleLocalData(nerve, ctx, legs, g, zeta, mu)
 
 
+def _frac(k: int, m: int) -> str:
+    f = Fraction(int(k) % m, m)
+    return f"{f.numerator}/{f.denominator}"
+
+
 def cocycle_to_json(c: TotalTwoCocycle) -> dict:
     m = c.ctx.m
-
-    def frac(k: int) -> str:
-        f = Fraction(int(k), m)
-        return f"{f.numerator % f.denominator}/{f.denominator}"
-
     return {
         "modulus": m,
-        "psi": {",".join(map(str, s)): [frac(k) for k in v]
+        "psi": {",".join(map(str, s)): [_frac(k, m) for k in v]
                 for s, v in c.psi.items()},
-        "phi": {f"{e[0]},{e[1]}": [[frac(k) for k in row] for row in v]
+        "phi": {f"{e[0]},{e[1]}": [[_frac(k, m) for k in row] for row in v]
                 for e, v in c.phi.items()},
-        "omega": {str(i): np.vectorize(frac)(v).tolist()
+        "omega": {str(i): np.vectorize(_frac)(v, m).tolist()
                   for i, v in c.omega.items()},
     }
 
@@ -157,11 +166,6 @@ def element_from_json(data: dict) -> ConvolutionElement:
         vals[ctx.G.index(_elem_from_key(ctx.G, gk)),
              ctx.quotient.index(_elem_from_key(ctx.G, zk))] = matrix_from_json(M)
     return ConvolutionElement(cc, vals)
-
-
-def _frac(k: int, m: int) -> str:
-    f = Fraction(int(k) % m, m)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def total_cochain_to_json(t: TotalCochain) -> dict:

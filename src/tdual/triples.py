@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cech import Nerve, TwistCocycle
+from .cech import Nerve, TwistCocycle, r_conjugate_twist
 from .errors import InvalidTripleError
 from .groupcoh import (
     GroupCochain,
@@ -34,7 +34,6 @@ from .groupcoh import (
     total_differential,
 )
 from .lca import (
-    QZ,
     FiniteLcaGroup,
     QuotientGroup,
     Section,
@@ -51,7 +50,6 @@ from .linops import (
     scalar_part,
     scalar_stack,
     snap_phase,
-    unit_phase,
 )
 from .zmodlin import Complex
 
@@ -142,11 +140,12 @@ class DualityContext:
         return self.sigma_hat.lift
 
     def qz_phases(self, k) -> np.ndarray:
-        """exp(2 pi i k/m) for each entry of the integer array k, formed entry by
-        entry as unit_phase forms k/m (a vectorised exp differs in the last bit)."""
-        k = np.asarray(k)
-        return np.array([unit_phase(QZ.of(int(x), self.m)) for x in k.flat],
-                        dtype=complex).reshape(k.shape)
+        """exp(2 pi i k/m) for each entry of the integer array k, formed as
+        linops.unit_phase forms it from the reduced fraction num/den of k/m
+        (from k/m unreduced, or times 1/m, the last bit can differ)."""
+        num = np.asarray(k, dtype=np.int64) % self.m
+        g = np.gcd(num, self.m)
+        return np.exp(1j * (2 * np.pi * (num // g) / (self.m // g)))
 
     def dual(self) -> "DualityContext":
         d = self._dual()
@@ -263,22 +262,18 @@ def build_random_triple(nerve: Nerve, ctx: DualityContext, d: int, seed: int,
     rng = np.random.default_rng(seed)
     G, q, m = ctx.G, ctx.quotient, ctx.m
     n, nq = ctx.shift.shape
-    shift, lift, qadd = ctx.shift, ctx.lift, q.add_table()
-    reps = q.reps()
+    shift, lift, qadd, qneg = ctx.shift, ctx.lift, q.add_table(), q.neg_table()
 
     # twist: supplied class representative plus a random coboundary
-    r_vals = {v[0]: reps[int(rng.integers(0, nq))] for v in nerve.vertices}
-    cob = TwistCocycle.coboundary(nerve, q, r_vals)
-    g = TwistCocycle(nerve, q, {
-        e: reps[qadd[twist.labels[e] if twist is not None else 0, x]]
-        for e, x in cob.labels.items()})
+    minus_r = {v[0]: qneg[int(rng.integers(0, nq))] for v in nerve.vertices}
+    g = r_conjugate_twist(twist or TwistCocycle.trivial(nerve, q), minus_r)
 
     # chart gauges and the exactly multiplicative model cocycle
     gauge = {v[0]: np.array([_random_unitary(rng, d) for _ in range(nq)])
              for v in nerve.vertices}
 
     def rand_char() -> int:
-        return G.index(G.element(tuple(int(rng.integers(0, f)) for f in G.factors)))
+        return int(G.flat([int(rng.integers(0, f)) for f in G.factors]))
 
     chars = [rand_char() for _ in range(d)]
     chi0 = rand_char()
@@ -447,7 +442,7 @@ def dual_base_cocycle(t: TripleLocalData, c: TotalTwoCocycle) -> TwistCocycle:
         raise InvalidTripleError("dual base cocycle needs omega = 0 (normalise first)")
     npos = np.flatnonzero(ctx.coset == ctx.coset[0])                  # N
     pair = G.pairing_table()[:, npos] * (m // G.exponent)              # <chi, n> as k/m
-    vals = {}
+    labels = {}
     for e in t.nerve.edges:
         tab = c.phi[e][npos]
         bad = np.flatnonzero(np.any(tab != tab[:, :1], axis=1))
@@ -458,8 +453,8 @@ def dual_base_cocycle(t: TripleLocalData, c: TotalTwoCocycle) -> TwistCocycle:
         hits = np.flatnonzero(np.all((pair + tab[:, 0]) % m == 0, axis=1))
         if not hits.size:
             raise InvalidTripleError(f"-phi on edge {e} is not a character of N")
-        vals[e] = ctx.Gd.element_at(hits[0])
-    return TwistCocycle(t.nerve, ctx.dual_quotient, vals)
+        labels[e] = ctx.coset_hat[hits[0]]
+    return TwistCocycle.from_labels(t.nerve, ctx.dual_quotient, labels)
 
 
 def dual_transitions(t: TripleLocalData, c: TotalTwoCocycle,
@@ -472,7 +467,7 @@ def dual_transitions(t: TripleLocalData, c: TotalTwoCocycle,
     ctx = t.ctx
     nq, d = ctx.quotient.order, t.fiber_dim
     eye_d = np.eye(d, dtype=complex)
-    neg_x = ctx.coset[ctx.neg[ctx.lift]]
+    neg_x = ctx.quotient.neg_table()
     out = {}
     for e in t.nerve.edges:
         ig = ctx.lift[t.g.labels[e]]                                # in the g_ab coset

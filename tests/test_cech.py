@@ -91,6 +91,31 @@ class TestTwist:
         with pytest.raises(ValueError):
             TwistCocycle(n, q, vals)
 
+    @pytest.mark.parametrize("case", ["missing_edge", "non_edge", "cocycle_law"])
+    def test_from_labels_raises_the_constructors_errors(self, case):
+        G, N, q = make_ctx([4], [[0]])
+        n = Nerve(3, [[0, 1, 2]])
+        labels = dict.fromkeys(n.edges, 0)
+        if case == "missing_edge":
+            del labels[(1, 2)]
+        elif case == "non_edge":
+            labels[(1, 0)] = 0
+        else:
+            labels[(0, 1)] = 1
+        with pytest.raises(ValueError) as want:
+            TwistCocycle(n, q, {e: q.reps()[x] for e, x in labels.items()})
+        with pytest.raises(ValueError) as got:
+            TwistCocycle.from_labels(n, q, labels)
+        assert str(got.value) == str(want.value)
+
+    def test_from_labels_matches_the_constructor(self):
+        G, N, q = make_ctx([6], [[3]])
+        n = Nerve.circle()
+        labels = {(0, 1): 1, (0, 2): 2, (1, 2): 0}
+        g = TwistCocycle.from_labels(n, q, labels)
+        assert g.labels == labels
+        assert TwistCocycle(n, q, g.edge_values).labels == labels
+
     def test_coboundary_valid_on_sphere(self):
         G, N, q = make_ctx([6], [[3]])
         n = Nerve.sphere()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from tdual.cli import (
     load_scenario,
     main,
     normalizes,
+    run_checks,
 )
 
 Z6 = {
@@ -150,6 +152,14 @@ class TestValidation:
         sc = load_scenario(path)   # schema-valid
         with pytest.raises(ScenarioError):
             Workspace(sc)
+
+    @pytest.mark.parametrize("twist", [{"1,0": [1]}, {"0,1": [1], "1,0": [2]}])
+    def test_reversed_twist_key_refused(self, tmp_path, capsys, twist):
+        # keys name an edge as "a,b" with a < b; a reversed key was once
+        # dropped without a word, leaving its edge's label at 0
+        path = write_scenario(tmp_path, dict(Z6, twist=twist, command="cohomology"))
+        assert main(["run", path]) == 2
+        assert "$.twist['1,0']" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -558,6 +568,23 @@ def test_point_nerve_check_catches_an_identity_quotient_action(monkeypatch):
     row = next(r for r in check_total(ws) if r["name"] == POINT_NERVE)
     assert row["factors"]["1"] == [6, 6, 6]
     assert not row["passed"]
+
+
+def test_run_checks_builds_no_qz_and_group_elements_only_in_annihilator(monkeypatch):
+    # below the report a run works on positions: the only elements built are
+    # the N-perp generators the dual context finds with lca.annihilator
+    ws = Workspace(load_scenario("z6_circle"), seed=3)
+    built = []
+    for cls in (lca.GroupElement, lca.QZ):
+        def spy(self, *args, _init=cls.__init__, **kw):
+            in_annihilator = any(f.f_code is lca.annihilator.__code__
+                                 for f, _ in traceback.walk_stack(None))
+            built.append((type(self).__name__, in_annihilator))
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", spy)
+    assert all(r["passed"] for r in run_checks(ws, "all"))
+    assert built, "the spy saw no construction at all"
+    assert [b for b in built if b != ("GroupElement", True)] == []
 
 
 @pytest.mark.parametrize("user_value,want", [(None, "1"), ("2", "2")])

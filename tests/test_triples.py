@@ -9,6 +9,8 @@ from tdual.errors import InvalidTripleError
 from tdual.groupcoh import GroupCochain, GroupCochainSpace, d_group, group_cohomology
 from tdual.lca import (QZ, QZ_ZERO, FiniteLcaGroup, Subgroup, dual_group, make_section,
                        pairing)
+from tdual.linops import unit_phase
+from tdual.serialize import twist_from_json
 from tdual.triples import (
     DualityContext,
     TotalTwoCocycle,
@@ -438,6 +440,34 @@ def test_serialization_roundtrip(z6fix):
         assert np.array_equal(c1.phi[e], c2.phi[e])
     cj = cocycle_to_json(c1)
     assert cj["modulus"] == z6fix.ctx.m
+
+
+def test_twist_from_json_keys_every_edge_exactly_once():
+    ctx, nerve = ctx_for([6], [[3]]), Nerve.circle()
+    q = ctx.quotient
+    good = {"0,1": [1], "0,2": [5], "1,2": [4]}
+    want = TwistCocycle(nerve, q, {(0, 1): q.reps()[1], (0, 2): q.reps()[2],
+                                   (1, 2): q.reps()[1]})
+    assert twist_from_json(nerve, q, good).labels == want.labels
+    for bad, message in [({"0,1": [1], "0,2": [2]}, "missing twist value"),
+                         (dict(good, **{"00,1": [1]}), "repeats the edge"),
+                         (dict(good, **{"1,0": [1]}), "non-edges"),
+                         (dict(good, **{"0,1": [1, 0]}), "coordinates")]:
+        with pytest.raises(ValueError, match=message):
+            twist_from_json(nerve, q, bad)
+
+
+def test_qz_phases_match_unit_phase_bit_for_bit():
+    # unit_phase(QZ.of(k, m)) is the entry-by-entry reference; every k in
+    # [-m, 2m) up to m = 120, and sampled k at large moduli
+    G = FiniteLcaGroup([])
+    for m in [*range(1, 121), 999983, 2 ** 27, 60000000]:
+        ctx = DualityContext(G, Subgroup(G, []), m=m)
+        k = (np.arange(-m, 2 * m) if m <= 120
+             else np.random.default_rng(m).integers(-2 ** 40, 2 ** 40, 500))
+        want = np.array([unit_phase(QZ.of(int(x), m)) for x in k])
+        assert np.array_equal(ctx.qz_phases(k).view(np.int64), want.view(np.int64)), m
+    assert ctx.qz_phases([[1, 2, 3], [4, 5, 6]]).shape == (2, 3)
 
 
 def _sphere_fixture():
