@@ -191,12 +191,6 @@ class TwistedCochain:
                        else np.asarray(v, dtype=np.int64) % m)
         self.values = full
 
-    def copy(self) -> "TwistedCochain":
-        return TwistedCochain(
-            self.nerve, self.module, self.degree,
-            {s: v.copy() for s, v in self.values.items()},
-        )
-
     def is_zero(self) -> bool:
         return all(not v.any() for v in self.values.values())
 
@@ -235,23 +229,13 @@ class TwistedCochain:
 def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
     """Twisted Cech differential; returns a cochain of degree k+1.
 
-    Trailing axes of the values are batch axes and pass through unchanged.
+    Gathers the flat cochain along delta_terms, so the applier and
+    delta_matrix read one encoding.  Trailing axes of the values are batch
+    axes and pass through unchanged.
     """
-    nerve, module, k = c.nerve, c.module, c.degree
-    m = module.m
-    out = {}
-    for s in nerve.simplices(k + 1):
-        acc = 0
-        # plain alternating sum over faces
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1:]
-            acc = (acc + (-1) ** j * c.values[face]) % m
-        # twist term on the leading face, acted by the last edge label
-        lead = s[:-1]
-        shifted = c.values[lead][module.act[g.labels[s[-2:]]]]
-        acc = (acc + (-1) ** k * (c.values[lead] - shifted)) % m
-        out[s] = acc
-    return TwistedCochain(nerve, module, k + 1, out)
+    x = c.flatten()
+    out = sum(sign * x[src] for sign, src in delta_terms(c.nerve, c.module, g, c.degree))
+    return TwistedCochain.from_flat(c.nerve, c.module, c.degree + 1, out)
 
 
 def delta_terms(nerve: Nerve, module: GModule, g: TwistCocycle,

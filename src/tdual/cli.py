@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import cech, crossed, groupcoh, serialize, triples
+from . import cech, crossed, groupcoh, lca, serialize, triples
 from .errors import InvalidTripleError, ResourceCapError, check_dim, max_matrix_dim
 
 
@@ -62,6 +62,9 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(e.message, e.json_path)
 
     factors = data["groups"]["factors"]
+    if math.prod(factors) > lca.MAX_GROUP_ORDER:
+        raise ResourceCapError(f"$.groups.factors: group order {math.prod(factors)} "
+                               f"exceeds cap {lca.MAX_GROUP_ORDER}")
     for i, gen in enumerate(data["groups"]["N"]):
         if len(gen) != len(factors):
             raise ScenarioError(
@@ -310,7 +313,7 @@ def _n_factors(ctx: triples.DualityContext) -> list[int]:
 
     Counting on the add table keeps the oracle off the Smith form it checks."""
     add, e = ctx.G.add_table(), ctx.G.exponent
-    n = np.flatnonzero(ctx.coset == ctx.coset[0])
+    n = ctx.N.positions
     killed, kx = [len(n)], np.zeros_like(n)            # killed[k] = #N[k]
     for _ in range(e):
         kx = add[kx, n]                                # positions of k x, x in N
@@ -649,22 +652,11 @@ def format_text(report: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ws = Workspace(scenario, seed=args.seed, tolerance_scale=args.tolerance_scale)
-        start = time.perf_counter()
-        results = run_checks(ws, scenario["command"], only=args.check)
-        elapsed = time.perf_counter() - start
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return 3
+    scenario = load_scenario(args.scenario)
+    ws = Workspace(scenario, seed=args.seed, tolerance_scale=args.tolerance_scale)
+    start = time.perf_counter()
+    results = run_checks(ws, scenario["command"], only=args.check)
+    elapsed = time.perf_counter() - start
     report = build_report(ws, scenario["command"], results, elapsed)
     if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -678,12 +670,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        ws = Workspace(scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
+    scenario = load_scenario(args.scenario)
+    ws = Workspace(scenario)
     d = ws.derived_summary()
     print(f"command: {scenario['command']}")
     print(f"group: {d['group']} of order {d['group_order']}, exponent "
@@ -721,7 +709,23 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _scale(text: str) -> float:
+    """--tolerance-scale: a finite number > 0."""
+    x = float(text)     # argparse turns a ValueError into exit 2 too
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return x
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """The tdual command; a malformed scenario exits 2 and a resource cap 3."""
     parser = argparse.ArgumentParser(
         prog="tdual",
         description="Verification engine for duality identities of finite "
@@ -731,9 +735,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run = sub.add_parser("run", help="run a scenario and emit a report")
     p_run.add_argument("scenario", help="path to a scenario JSON (or bundled name)")
     p_run.add_argument("-o", "--output", help="write the report to this path")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-    p_run.add_argument("--tolerance-scale", type=float, default=1.0)
+    p_run.add_argument("--seed", type=_seed, default=None,
+                       help="override the scenario seed (an integer >= 0)")
+    p_run.add_argument("--tolerance-scale", type=_scale, default=1.0,
+                       help="multiply every tolerance by this finite number > 0")
     p_run.add_argument("--format", choices=("json", "text"), default="json")
     p_run.add_argument("--check", default=None,
                        help="run only the check with this exact name")
@@ -744,7 +749,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_exp.set_defaults(fn=cmd_explain)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except ResourceCapError as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

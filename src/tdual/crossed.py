@@ -76,8 +76,7 @@ class CrossedContext:
         self.add = ctx.G.add_table()
         self.neg, self.sub, self.coset = ctx.neg, ctx.sub, ctx.coset
         self.shift, self.lift, self.phases = ctx.shift, ctx.lift, ctx.phases
-        # N-perp is the zero coset of the dual quotient
-        self.perp = np.flatnonzero(ctx.coset_hat == ctx.coset_hat[0])
+        self.perp = ctx.Nperp.positions
         self.quot = self.phases[self.sub[np.ix_(self.perp, self.perp)][..., None], self.lift]
         F = self.phases[np.ix_(self.perp, self.lift)]
         self.dft, self.dft_inv = float(self.weights.w_quot) * F, adjoint(F)
@@ -282,7 +281,7 @@ def fourier_roundtrip_residual(ctx: DualityContext, seed: int = 0) -> float:
     res = float(np.max(np.abs(back - f)))
     # Weil: sum over G = quotient-sum of N-sums
     total = float(w.w_G) * f.sum()
-    n_pos = np.flatnonzero(cc.coset == cc.coset[0])
+    n_pos = cc.ctx.N.positions
     weil = float(w.w_quot) * float(w.w_N) * f[cc.add[np.ix_(cc.lift, n_pos)]].sum()
     res = max(res, abs(total - weil))
     # on G/N against N-perp

@@ -8,7 +8,7 @@ DEFAULT_MAX_DIM = 512
 
 
 class ResourceCapError(RuntimeError):
-    """A matrix dimension exceeded the configured cap."""
+    """A matrix dimension or a group order exceeded its cap."""
 
 
 class InvalidTripleError(ValueError):

@@ -101,12 +101,6 @@ class GroupCochain:
     def is_zero(self) -> bool:
         return not self.values.any()
 
-    def __add__(self, o: "GroupCochain") -> "GroupCochain":
-        return GroupCochain(self.space, (self.values + o.values) % self.space.m)
-
-    def __sub__(self, o: "GroupCochain") -> "GroupCochain":
-        return GroupCochain(self.space, (self.values - o.values) % self.space.m)
-
 
 def d_group(f: GroupCochain) -> GroupCochain:
     """Group-cohomology differential, arity l -> l+1.
@@ -210,13 +204,12 @@ class TotalCochain:
     @staticmethod
     def from_flat(nerve, G, quotient, m, degree, flat: np.ndarray) -> "TotalCochain":
         """Inverse of flatten; axes of flat after the first are batch axes."""
+        offsets, dim = _block_offsets(nerve, G, quotient, degree)
+        ends = list(offsets.values())[1:] + [dim]
         blocks, spaces = {}, {}
-        off = 0
-        for k, l in _bidegrees(degree):
+        for ((k, l), off), end in zip(offsets.items(), ends):
             module = _space(spaces, G, quotient, m, l).as_gmodule()
-            n = len(nerve.simplices(k)) * module.size
-            blocks[(k, l)] = TwistedCochain.from_flat(nerve, module, k, flat[off:off + n])
-            off += n
+            blocks[(k, l)] = TwistedCochain.from_flat(nerve, module, k, flat[off:end])
         return TotalCochain(nerve, G, quotient, m, degree, blocks, spaces)
 
 

@@ -440,7 +440,7 @@ def dual_base_cocycle(t: TripleLocalData, c: TotalTwoCocycle) -> TwistCocycle:
     G, m = ctx.G, ctx.m
     if not c.omega_is_zero():
         raise InvalidTripleError("dual base cocycle needs omega = 0 (normalise first)")
-    npos = np.flatnonzero(ctx.coset == ctx.coset[0])                  # N
+    npos = ctx.N.positions
     pair = G.pairing_table()[:, npos] * (m // G.exponent)              # <chi, n> as k/m
     labels = {}
     for e in t.nerve.edges:
@@ -555,7 +555,7 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
     # periodicity of mu^ in chi by N-perp: defect is the diagonal <nperp, -sigma(_)>
     res_periodic = 0.0
     M = Muh[t.nerve.vertices[0][0]]
-    for nperp in np.flatnonzero(ctx.coset_hat == ctx.coset_hat[0]):
+    for nperp in ctx.Nperp.positions:
         want = np.diag(np.repeat(ctx.phases[nperp, ctx.lift].conj(), t.fiber_dim))
         got = M[Gd.add_table()[:, nperp]] @ adjoint(M)
         res_periodic = max(res_periodic, float(np.max(np.abs(got - want))))

@@ -277,6 +277,28 @@ class TestRSharp:
                 cohomology(self.nerve, self.M, gp, k)[0]
 
 
+def _ref_delta_g(c, g):
+    """delta_g simplex by simplex, face by face: the reference for the gather.
+
+    Trailing axes of the values are batch axes and pass through.
+    """
+    nerve, module, k = c.nerve, c.module, c.degree
+    m = module.m
+    out = {}
+    for s in nerve.simplices(k + 1):
+        acc = 0
+        # plain alternating sum over faces
+        for j in range(len(s)):
+            face = s[:j] + s[j + 1:]
+            acc = (acc + (-1) ** j * c.values[face]) % m
+        # twist term on the leading face, acted by the last edge label
+        lead = s[:-1]
+        shifted = c.values[lead][module.act[g.labels[s[-2:]]]]
+        acc = (acc + (-1) ** k * (c.values[lead] - shifted)) % m
+        out[s] = acc
+    return TwistedCochain(nerve, module, k + 1, out)
+
+
 def unit_vector_matrix(apply, n_src):
     """Reference assembly: the single-cochain operator on each e_j alone."""
     return np.stack([apply(e) for e in np.eye(n_src, dtype=np.int64)], axis=1)
@@ -298,7 +320,7 @@ def test_delta_matrix_matches_unit_vector_loop(case):
                                                2: q.reps()[1], 3: q.zero()})
     for k in range(nerve.dimension + 1):
         ref = unit_vector_matrix(
-            lambda e: delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
+            lambda e: _ref_delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
             len(nerve.simplices(k)) * module.size)
         A = delta_matrix(nerve, module, g, k)
         assert A.shape == ref.shape and np.array_equal(A, ref), k

@@ -192,6 +192,25 @@ class TestExitCodes:
         p.write_text("{}")
         assert main(["explain", str(p)]) == 2
 
+    @pytest.mark.parametrize("mode", ["run", "explain"])
+    def test_group_order_over_cap_is_3(self, tmp_path, capsys, mode):
+        # 64 * 128 = 8192 elements, over lca.MAX_GROUP_ORDER: refused by
+        # load_scenario before any group is built
+        sc = dict(Z6, groups={"factors": [64, 128], "N": [[32, 64]]})
+        assert main([mode, write_scenario(tmp_path, sc)]) == 3
+        err = capsys.readouterr().err
+        assert "$.groups.factors: group order 8192 exceeds cap 4096" in err
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--tolerance-scale", "0"),
+                                            ("--tolerance-scale", "-1"),
+                                            ("--tolerance-scale", "nan"),
+                                            ("--tolerance-scale", "inf")])
+    def test_flag_out_of_range_is_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "z6_circle", flag, value])
+        assert ei.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
     def test_overcap_certificate_refused_before_any_check(self, tmp_path, monkeypatch,
                                                           capsys):
         monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)

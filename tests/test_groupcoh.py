@@ -23,6 +23,8 @@ from tdual.groupcoh import (
 )
 from tdual.lca import FiniteLcaGroup, QuotientGroup, Subgroup
 
+from test_cech import _ref_delta_g
+
 
 def make_ctx(factors, gens):
     G = FiniteLcaGroup(factors)
@@ -425,9 +427,28 @@ def test_delta_matrix_matches_unit_vector_loop_sweep(data):
         if max(n_src, n_dst) > SWEEP_CAP:
             break
         ref = unit_vector_matrix(
-            lambda e: delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
+            lambda e: _ref_delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
             n_src)
         assert np.array_equal(delta_matrix(nerve, module, g, k), ref), k
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_delta_g_matches_reference_loop_sweep(data):
+    G, q, m, nerve, g = _sweep_setting(data)
+    module = data.draw(st.sampled_from([
+        GModule.trivial(m), GModule.functions_on_quotient(m, q),
+        GroupCochainSpace(G, q, m, 1).as_gmodule()]))
+    batch = data.draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    for k in range(nerve.dimension + 1):
+        c = TwistedCochain(nerve, module, k,
+                           {s: rng.integers(0, m, size=(module.size,) + batch)
+                            for s in nerve.simplices(k)})
+        got, want = delta_g(c, g), _ref_delta_g(c, g)
+        assert got.degree == want.degree == k + 1 and got.values.keys() == want.values.keys()
+        for s, v in want.values.items():
+            assert got.values[s].shape == v.shape and np.array_equal(got.values[s], v), (k, s)
 
 
 @given(data=st.data())
