@@ -1,7 +1,7 @@
 """Scenario runner: declarative JSON in, verification report out.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 malformed scenario,
-3 resource cap exceeded.
+Exit codes: 0 all checks pass, 1 a check failed, 2 malformed scenario, bad
+TDUAL_MAX_DIM or unusable -o path, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import os
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from importlib import resources
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import cech, crossed, groupcoh, lca, serialize, triples
-from .errors import InvalidTripleError, ResourceCapError, check_dim, max_matrix_dim
+from . import cech, crossed, groupcoh, lca, triples
+from .errors import InvalidTripleError, ResourceCapError, UsageError, check_dim, max_matrix_dim
 
 
 class ScenarioError(ValueError):
@@ -101,6 +102,37 @@ def load_scenario(path: str) -> dict:
     return data
 
 
+def twist_from_json(nerve: cech.Nerve, quotient: lca.QuotientGroup,
+                    data: dict) -> cech.TwistCocycle:
+    """The twist data gives as {"a,b": coordinates}, keying each edge exactly once."""
+    G, labels = quotient.parent, {}
+    for key, coords in data.items():
+        e = tuple(int(x) for x in key.split(","))
+        if e in labels:
+            raise ValueError(f"twist key {key!r} repeats the edge {e}")
+        if len(coords) != len(G.factors):
+            raise ValueError(f"twist value {key!r} needs {len(G.factors)} coordinates")
+        labels[e] = quotient.coset[G.flat(coords)]
+    return cech.TwistCocycle.from_labels(nerve, quotient, labels)
+
+
+def _frac(k: int, m: int) -> str:
+    f = Fraction(int(k) % m, m)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def total_cochain_to_json(t: groupcoh.TotalCochain) -> dict:
+    """Certificate chains: per bidegree, per simplex, fraction strings."""
+    m = t.m
+    out = {"degree": t.degree, "modulus": m, "blocks": {}}
+    for (k, l), blk in sorted(t.blocks.items()):
+        entries = {}
+        for s, v in blk.values.items():
+            entries[",".join(map(str, s))] = [_frac(int(x), m) for x in v]
+        out["blocks"][f"{k},{l}"] = entries
+    return out
+
+
 class Workspace:
     """Derived objects for one scenario, built lazily and shared by checks.
 
@@ -119,15 +151,16 @@ class Workspace:
         self.seed = seed if seed is not None else scenario.get("seed", 0)
         self.d = scenario.get("fiber_dim", 1)
         self.trials = scenario.get("trials", 10)
-        self.ctx = serialize.context_from_json(
-            {**scenario["groups"], "modulus": scenario.get("modulus")})
+        G = lca.FiniteLcaGroup(scenario["groups"]["factors"])
+        N = lca.Subgroup(G, [G.element(c) for c in scenario["groups"]["N"]])
+        self.ctx = triples.DualityContext(G, N, m=scenario.get("modulus"))
         self.nerve = cech.Nerve(scenario["nerve"]["vertices"],
                                 scenario["nerve"]["simplices"])
         # an edge the scenario does not key carries the zero coset
         zero = [0] * len(self.ctx.G.factors)
         tw = {**{f"{a},{b}": zero for a, b in self.nerve.edges}, **scenario.get("twist", {})}
         try:
-            self.twist = serialize.twist_from_json(self.nerve, self.ctx.quotient, tw)
+            self.twist = twist_from_json(self.nerve, self.ctx.quotient, tw)
         except ValueError as exc:
             raise ScenarioError(str(exc), "$.twist") from exc
         tols = scenario.get("tolerances", {})
@@ -440,7 +473,7 @@ def check_dualize(ws: Workspace) -> list[dict]:
         cert = ws.certificates()["exterior"]
         out.append(_exact(
             "dualize.exterior_class_certificate", cert is not None,
-            certificate=serialize.total_cochain_to_json(cert) if cert is not None else None))
+            certificate=total_cochain_to_json(cert) if cert is not None else None))
     return out
 
 
@@ -449,7 +482,7 @@ def check_involution(ws: Workspace) -> list[dict]:
     rep = triples.involution_report(ws.normalized(), ws.cocycle(), ws.dual_cocycle(),
                                     ws.double_dual(), ws.double_dual_cocycle(),
                                     ws.certificates()["involution"])
-    cert_json = (serialize.total_cochain_to_json(rep["certificate"])
+    cert_json = (total_cochain_to_json(rep["certificate"])
                  if "certificate" in rep else None)
     out = [
         _result("involution.dual_cech_law", laws["dual_cech_law"], ws.tau_u),
@@ -652,6 +685,12 @@ def format_text(report: dict) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.output:     # refuse a path that cannot take the report before any check runs
+        directory = os.path.dirname(os.path.abspath(args.output))
+        if os.path.isdir(args.output):
+            raise UsageError(f"{args.output} is a directory")
+        if not os.path.isdir(directory):
+            raise UsageError(f"no directory {directory} for {args.output}")
     scenario = load_scenario(args.scenario)
     ws = Workspace(scenario, seed=args.seed, tolerance_scale=args.tolerance_scale)
     start = time.perf_counter()
@@ -663,7 +702,10 @@ def cmd_run(args) -> int:
     else:
         text = format_text(report)
     if args.output:
-        _atomic_write(args.output, text)
+        try:
+            _atomic_write(args.output, text)
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         sys.stdout.write(text)
     return 0 if report["all_passed"] else 1
@@ -725,7 +767,7 @@ def _scale(text: str) -> float:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """The tdual command; a malformed scenario exits 2 and a resource cap 3."""
+    """The tdual command; bad input (scenario, TDUAL_MAX_DIM, -o) exits 2, a cap 3."""
     parser = argparse.ArgumentParser(
         prog="tdual",
         description="Verification engine for duality identities of finite "
@@ -750,9 +792,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        max_matrix_dim()        # a bad TDUAL_MAX_DIM is refused before any work
         return args.fn(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -11,18 +11,20 @@ class ResourceCapError(RuntimeError):
     """A matrix dimension or a group order exceeded its cap."""
 
 
+class UsageError(ValueError):
+    """An environment setting or output path that a run cannot use."""
+
+
 class InvalidTripleError(ValueError):
     """Input data violates the structural laws of a dynamical triple."""
 
 
 def max_matrix_dim() -> int:
-    raw = os.environ.get("TDUAL_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"TDUAL_MAX_DIM must be an integer, got {raw!r}") from None
+    """The cap from TDUAL_MAX_DIM, an integer >= 1; UsageError for any other value."""
+    raw = os.environ.get("TDUAL_MAX_DIM", str(DEFAULT_MAX_DIM))
+    if not raw.isdecimal() or int(raw) < 1:
+        raise UsageError(f"TDUAL_MAX_DIM must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def check_dim(n: int) -> None:

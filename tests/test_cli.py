@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tdual import cech, groupcoh, lca, triples, zmodlin
+from tdual import cech, cli, groupcoh, lca, triples, zmodlin
 from tdual.cli import (
     COMMANDS,
     ScenarioError,
@@ -210,6 +210,40 @@ class TestExitCodes:
             main(["run", "z6_circle", flag, value])
         assert ei.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["run", "explain"])
+    @pytest.mark.parametrize("value", ["abc", "1e3", "-3", "0"])
+    def test_bad_max_dim_is_2(self, monkeypatch, capsys, mode, value):
+        # TDUAL_MAX_DIM is an integer >= 1; anything else is refused before
+        # the scenario is read, with one line naming the variable
+        monkeypatch.setenv("TDUAL_MAX_DIM", value)
+        assert main([mode, "z6_circle"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "TDUAL_MAX_DIM" in err and repr(value) in err
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unusable_output_is_2_before_any_check(self, tmp_path, monkeypatch, capsys,
+                                                   where):
+        out = {"missing_directory": tmp_path / "no" / "r.json", "directory": tmp_path}[where]
+
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+        monkeypatch.setattr(cli, "run_checks", no_checks)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "z6_circle", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failed_report_write_is_2(self, tmp_path, monkeypatch, capsys):
+        def refuse(path, text):
+            raise PermissionError(13, "Permission denied", path)
+        monkeypatch.setattr(cli, "_atomic_write", refuse)
+        out = str(tmp_path / "r.json")
+        assert main(["run", write_scenario(tmp_path, Z6), "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: [Errno 13] Permission denied: '{out}'\n"
 
     def test_overcap_certificate_refused_before_any_check(self, tmp_path, monkeypatch,
                                                           capsys):

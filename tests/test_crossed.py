@@ -410,17 +410,6 @@ class TestGluing:
         assert all(v < 1e-8 for v in prep.values())
 
 
-def test_element_serialization_roundtrip(z4ctx):
-    import json
-    from tdual.serialize import element_from_json, element_to_json
-    cc = CrossedContext(z4ctx, 2)
-    rng = np.random.default_rng(8)
-    f = ConvolutionElement.random(cc, rng)
-    blob = json.dumps(element_to_json(f))
-    f2 = element_from_json(json.loads(blob))
-    assert (f - f2).norm_inf() < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # the table-based operations against per-element loops on the exact pairing
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from tdual.cech import Nerve, TwistCocycle
+from tdual.cli import twist_from_json
 from tdual.errors import InvalidTripleError
 from tdual.groupcoh import GroupCochain, GroupCochainSpace, d_group, group_cohomology
 from tdual.lca import (QZ, QZ_ZERO, FiniteLcaGroup, Subgroup, dual_group, make_section,
                        pairing)
 from tdual.linops import unit_phase
-from tdual.serialize import twist_from_json
 from tdual.triples import (
     DualityContext,
     TotalTwoCocycle,
@@ -427,21 +427,6 @@ def test_certificate_refuses_distinct_classes():
     assert cocycle_certificate(c1, cob) is not None
 
 
-def test_serialization_roundtrip(z6fix):
-    from tdual.serialize import (cocycle_to_json, triple_from_json, triple_to_json)
-    import json
-    blob = json.dumps(triple_to_json(z6fix))
-    t2 = triple_from_json(json.loads(blob))
-    r = validate_triple(t2)
-    assert max(r.values()) < 1e-9
-    c1 = extract_total_cocycle(z6fix)
-    c2 = extract_total_cocycle(t2)
-    for e in z6fix.nerve.edges:
-        assert np.array_equal(c1.phi[e], c2.phi[e])
-    cj = cocycle_to_json(c1)
-    assert cj["modulus"] == z6fix.ctx.m
-
-
 def test_twist_from_json_keys_every_edge_exactly_once():
     ctx, nerve = ctx_for([6], [[3]]), Nerve.circle()
     q = ctx.quotient
@@ -468,56 +453,6 @@ def test_qz_phases_match_unit_phase_bit_for_bit():
         want = np.array([unit_phase(QZ.of(int(x), m)) for x in k])
         assert np.array_equal(ctx.qz_phases(k).view(np.int64), want.view(np.int64)), m
     assert ctx.qz_phases([[1, 2, 3], [4, 5, 6]]).shape == (2, 3)
-
-
-def _sphere_fixture():
-    return make_dualisable(build_random_triple(
-        Nerve.sphere(), ctx_for([2, 4], [[1, 2]]), d=2, seed=7))
-
-
-@pytest.mark.parametrize("make", [lambda t: t, lambda t: dualize(t),
-                                  lambda t: relift(exterior_perturbation(t, 3), 4)],
-                         ids=["fixture", "dual", "relifted"])
-def test_serialization_roundtrip_is_exact(make):
-    from tdual.serialize import triple_from_json, triple_to_json
-    import json
-    t = make(_sphere_fixture())
-    blob = json.dumps(triple_to_json(t))
-    t2 = triple_from_json(json.loads(blob))
-    assert t2.zeta.keys() == t.zeta.keys() and t2.mu.keys() == t.mu.keys()
-    for e in t.zeta:
-        assert np.array_equal(t2.zeta[e], t.zeta[e])
-    for i in t.mu:
-        assert np.array_equal(t2.mu[i], t.mu[i])
-    assert json.dumps(triple_to_json(t2)) == blob
-
-
-def test_serialization_refuses_incomplete_tables():
-    from tdual.serialize import triple_from_json, triple_to_json
-    import json
-    data = triple_to_json(_sphere_fixture())
-    missing = json.loads(json.dumps(data))
-    missing["mu"]["2"].pop(next(iter(missing["mu"]["2"])))
-    with pytest.raises(ValueError, match="mu at vertex 2"):
-        triple_from_json(missing)
-    small = json.loads(json.dumps(data))
-    key = next(iter(small["zeta"]["0,1"]))
-    small["zeta"]["0,1"][key] = [[[1.0, 0.0]]]
-    with pytest.raises(ValueError, match="zeta on edge 0,1"):
-        triple_from_json(small)
-    # (1, 2) lies in N, so it names the zero coset a second time
-    twice = json.loads(json.dumps(data))
-    twice["zeta"]["0,1"]["1,2"] = twice["zeta"]["0,1"]["0,0"]
-    with pytest.raises(ValueError, match="repeats a position"):
-        triple_from_json(twice)
-
-
-def test_serialization_refuses_extra_key_coordinates():
-    from tdual.serialize import triple_from_json, triple_to_json
-    data = triple_to_json(_sphere_fixture())
-    data["zeta"]["0,1"]["0,0,9"] = data["zeta"]["0,1"].pop("0,0")
-    with pytest.raises(ValueError):
-        triple_from_json(data)
 
 
 # ---------------------------------------------------------------------------
