@@ -120,25 +120,9 @@ class ConvolutionElement:
         return ConvolutionElement(cc, np.zeros((cc.n, cc.q, cc.d, cc.d), complex))
 
     @staticmethod
-    def unit(cc: CrossedContext) -> "ConvolutionElement":
-        """Point mass at g = 0 with matrix I / w_G: the convolution unit."""
-        vals = np.zeros((cc.n, cc.q, cc.d, cc.d), complex)
-        vals[0] = (1.0 / float(cc.weights.w_G)) * np.eye(cc.d)     # position 0 is g = 0
-        return ConvolutionElement(cc, vals)
-
-    @staticmethod
     def random(cc: CrossedContext, rng: np.random.Generator) -> "ConvolutionElement":
         shape = (cc.n, cc.q, cc.d, cc.d)
         return ConvolutionElement(cc, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-
-    def __add__(self, o: "ConvolutionElement") -> "ConvolutionElement":
-        return ConvolutionElement(self.cc, self.values + o.values)
-
-    def __sub__(self, o: "ConvolutionElement") -> "ConvolutionElement":
-        return ConvolutionElement(self.cc, self.values - o.values)
-
-    def scaled(self, a: complex) -> "ConvolutionElement":
-        return ConvolutionElement(self.cc, a * self.values)
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -238,15 +222,10 @@ def t_transform(f: ConvolutionElement, mu: np.ndarray) -> np.ndarray:
     T(z^) = (Lambda(chi) x 1) K(chi) (Lambda(chi)^-1 x 1) at the canonical
     lift chi of z^.  It does not depend on the lift, for any mu table
     (t_periodicity_residual measures it; mu_is_cocycle validates mu itself).
-    The stack is filled one z^ at a time.
     """
     cc = f.cc
     fm = _mu_twisted(f, mu)
-    lifts = cc.ctx.lift_hat
-    out = np.empty((*fm.shape[:-4], len(lifts), cc.q * cc.d, cc.q * cc.d), complex)
-    for izh, chi in enumerate(lifts):
-        out[..., izh, :, :] = conjugated_kernel(cc, fm, chi)
-    return out
+    return conjugated_kernel(cc, fm[..., None, :, :, :, :], cc.ctx.lift_hat)
 
 
 def t_linearized(cc: CrossedContext, mu: np.ndarray) -> np.ndarray:

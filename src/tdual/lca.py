@@ -14,7 +14,6 @@ table exists until add_table() is called.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -54,15 +53,6 @@ class QZ:
 
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def to_index(self, m: int) -> int:
-        """The k with self == k/m; requires den | m."""
-        if m % self.den != 0:
-            raise ValueError(f"{self} has no denominator dividing {m}")
-        return (self.num * (m // self.den)) % m
 
     def __repr__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -275,9 +265,6 @@ class QuotientGroup:
 
     def neg(self, a: GroupElement) -> GroupElement:
         return self.rep(self.parent.neg(a))
-
-    def sub_(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.rep(self.parent.sub(a, b))
 
     def add_table(self) -> np.ndarray:
         """T[i, j] = index(reps()[i] + reps()[j]); built once, from the reps' coordinates."""

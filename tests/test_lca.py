@@ -32,11 +32,6 @@ class TestQZ:
         assert -qz(1, 6) == qz(5, 6)
         assert qz(1, 6).scaled(3) == qz(1, 2)
 
-    def test_to_index(self):
-        assert qz(1, 2).to_index(6) == 3
-        with pytest.raises(ValueError):
-            qz(1, 4).to_index(6)
-
 
 @pytest.mark.parametrize("factors", [[], [4], [2, 6]])
 def test_add_table_matches_add(factors):

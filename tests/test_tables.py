@@ -64,7 +64,7 @@ def test_twist_accepts_exactly_the_group_element_law(factors, gens, data):
     label = st.integers(0, q.order - 1)
     r = data.draw(st.lists(label, min_size=4, max_size=4))
     offsets = data.draw(st.lists(st.one_of(st.just(0), label), min_size=6, max_size=6))
-    vals = {(i, j): q.add(q.sub_(reps[r[j]], reps[r[i]]), reps[k])
+    vals = {(i, j): q.add(q.add(reps[r[j]], q.neg(reps[r[i]])), reps[k])
             for (i, j), k in zip(SPHERE.edges, offsets)}
     law = all(vals[(a, c)] == q.add(vals[(a, b)], vals[(b, c)])
               for a, b, c in SPHERE.simplices(2))

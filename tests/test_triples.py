@@ -92,7 +92,7 @@ class TestFixtures:
         got = t.g
         diff = {}
         for e in nerve.edges:
-            diff[e] = q.sub_(got.edge_values[e], base[e])
+            diff[e] = q.add(got.edge_values[e], q.neg(base[e]))
         # coboundary check: there are vertex values r with diff = delta r
         reps = q.reps()
         found = False
@@ -100,7 +100,7 @@ class TestFixtures:
             for r1 in reps:
                 for r2 in reps:
                     r = {0: r0, 1: r1, 2: r2}
-                    if all(diff[(a, b)] == q.sub_(r[b], r[a])
+                    if all(diff[(a, b)] == q.add(r[b], q.neg(r[a]))
                            for (a, b) in nerve.edges):
                         found = True
         assert found
@@ -115,8 +115,7 @@ class TestExtraction:
         t = trivial_triple(nerve, ctx, 1)
         chi0 = ctx.G.element([1])
         mu = {
-            i: np.array([[np.array([[np.exp(2j * np.pi
-                                            * pairing(ctx.G, chi0, gg).as_fraction())]])
+            i: np.array([[np.array([[unit_phase(pairing(ctx.G, chi0, gg))]])
                           for _ in ctx.quotient.reps()] for gg in ctx.G.elements()])
             for i in t.mu
         }
@@ -475,7 +474,7 @@ def _ref_poincare_ac(ctx, seed, make=make_section):
         for zhat in dq.reps():
             vals = [
                 pairing(G, Gd.sub(sigma_hat(zhat), sigma_hat2(zhat)),
-                        G.sub(sigma(q.sub_(x, z)), sigma(x)))
+                        G.sub(sigma(q.add(x, q.neg(z))), sigma(x)))
                 for x in q.reps()
             ]
             if any(v != vals[0] for v in vals):
@@ -557,7 +556,7 @@ def solve_character(G, N, values):
         v = values.get(n)
         if v is None:
             raise ValueError(f"no value given for generator {n}")
-        b[j] = v.to_index(m)
+        b[j] = v.num * (m // v.den) % m
     X, ok = smith_form(A, m).solve(b[:, None])
     if not ok.all():
         raise ValueError("values do not extend to a character (not a homomorphism?)")
