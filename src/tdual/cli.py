@@ -375,12 +375,10 @@ def check_total(ws: Workspace) -> list[dict]:
     out = []
     ctx, nerve = ws.ctx, ws.nerve
     rng = np.random.default_rng(ws.seed + 202)
-    ok_d2 = True
-    sp = groupcoh.GroupCochainSpace(ctx.G, ctx.quotient, ctx.m, 1)
-    f = groupcoh.GroupCochain(sp, rng.integers(0, ctx.m, size=sp.shape()))
-    if not groupcoh.d_group(groupcoh.d_group(f)).is_zero():
-        ok_d2 = False
-    out.append(_exact("total.group_d2_zero", ok_d2))
+    # d_group as the runs apply it: gathered along each space's terms
+    sp1, sp2 = (groupcoh.GroupCochainSpace(ctx.G, ctx.quotient, ctx.m, l) for l in (1, 2))
+    f = rng.integers(0, ctx.m, size=sp1.shape()).reshape(-1)
+    out.append(_exact("total.group_d2_zero", not sp2.d(sp1.d(f)).any()))
 
     ok_t2 = True
     for p in (0, 1, 2):
@@ -411,12 +409,16 @@ def check_total(ws: Workspace) -> list[dict]:
         A = groupcoh.total_matrix(pt, ctx.G, ctx.quotient, ctx.m, gp, p)
         if not np.array_equal(A, -((-1) ** p) * group.matrix(p) % ctx.m):
             ok_pt = False
-        # the matrices come from index arrays, not from total_differential:
-        # the applier must map a random cochain as A does
+        # A, the group matrix and total_differential all read d_group_terms;
+        # the tuple loop d_group reads the formula, so both A and the applier
+        # must map a random cochain as it does
         x = rng.integers(0, ctx.m, size=A.shape[1])
+        sp = groupcoh.GroupCochainSpace(ctx.G, ctx.quotient, ctx.m, p)
+        loop = groupcoh.d_group(groupcoh.GroupCochain.from_flat(sp, x)).flatten()
+        want = -((-1) ** p) * loop % ctx.m
         image = groupcoh.total_differential(
             groupcoh.TotalCochain.from_flat(pt, ctx.G, ctx.quotient, ctx.m, p, x), gp)
-        if not np.array_equal(image.flatten(), A @ x % ctx.m):
+        if not (np.array_equal(A @ x % ctx.m, want) and np.array_equal(image.flatten(), want)):
             ok_pt = False
         pt_factors[str(p)], _ = group.cohomology(p)
         if pt_factors[str(p)] != shapiro[p]:

@@ -53,6 +53,7 @@ class GroupCochainSpace:
             self.fiber = GModule.functions_on_quotient(self.m, quotient)
             self.coset = quotient.coset
         self._module: Optional[GModule] = None
+        self._terms: Optional[list] = None
 
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.arity + (self.q,)
@@ -67,6 +68,17 @@ class GroupCochainSpace:
             offsets = np.repeat(np.arange(blocks, dtype=np.int64) * self.q, self.q)
             self._module = GModule(self.m, offsets + np.tile(self.fiber.act, blocks))
         return self._module
+
+    def d(self, x: np.ndarray, sign: int = 1) -> np.ndarray:
+        """sign * d_group of the flat tables x, as sum(s * x[src]) over d_group_terms.
+
+        Axes of x after the first are batch axes and pass through; the sum
+        is reduced mod m once.  The terms are built on the first call and
+        kept by the space, as the module is.
+        """
+        if self._terms is None:
+            self._terms = d_group_terms(self)
+        return sum(sign * s * x[src] for s, src in self._terms) % self.m
 
 
 @dataclass
@@ -103,10 +115,12 @@ class GroupCochain:
 
 
 def d_group(f: GroupCochain) -> GroupCochain:
-    """Group-cohomology differential, arity l -> l+1.
+    """Group-cohomology differential, arity l -> l+1, one tuple at a time.
 
-    Axes of f.values after the table's are batch axes and pass through.
-    A zero cochain maps to zero without the tuple loop.
+    The appliers and the matrices read d_group_terms; this loop reads the
+    formula, so the report checks the terms against it.  Axes of f.values
+    after the table's are batch axes and pass through.  A zero cochain maps
+    to zero without the tuple loop.
     """
     sp = f.space
     G, m, l = sp.G, sp.m, sp.arity
@@ -244,7 +258,9 @@ def total_dimension(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
 def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
     """d_tot = delta_g - (-1)^p d*, collected by bidegree in degree p+1.
 
-    Axes of the block values after the first are batch axes and pass through.
+    Both directions gather along their term arrays: delta_g along
+    delta_terms, d* along each space's d_group_terms.  Axes of the block
+    values after the first are batch axes and pass through.
     """
     p = t.degree
     sign = -((-1) ** p)
@@ -256,18 +272,13 @@ def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
     for (k, l), blk in t.blocks.items():
         # Cech direction
         collect((k + 1, l), delta_g(blk, g))
-        # group direction: the block's simplices as one trailing batch axis,
-        # so one d_group call per block; a block without simplices needs none,
-        # and a lone simplex goes unstacked (an axis of length 1 only slows
-        # d_group's tuple loop)
+        # group direction: the block's simplices as one trailing batch axis
+        # of a single gather; a block without simplices needs none
         if l + 1 <= MAX_TOTAL_ARITY:
             vals = {}
             if blk.values:
-                one = len(blk.values) == 1
-                x = (next(iter(blk.values.values())) if one
-                     else np.stack(list(blk.values.values()), axis=-1))
-                dg = sign * d_group(GroupCochain.from_flat(t.space(l), x)).flatten()
-                vals = dict(zip(blk.values, [dg] if one else np.moveaxis(dg, -1, 0)))
+                dg = t.space(l).d(np.stack(list(blk.values.values()), axis=-1), sign)
+                vals = dict(zip(blk.values, np.moveaxis(dg, -1, 0)))
             collect((k, l + 1),
                     TwistedCochain(t.nerve, t.space(l + 1).as_gmodule(), k, vals))
     return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out, t.spaces)

@@ -25,10 +25,8 @@ import numpy as np
 from .cech import Nerve, TwistCocycle, r_conjugate_twist
 from .errors import InvalidTripleError
 from .groupcoh import (
-    GroupCochain,
     GroupCochainSpace,
     TotalCochain,
-    d_group,
     group_complex,
     solve_total_coboundary,
     total_differential,
@@ -398,12 +396,12 @@ def normalize(t: TripleLocalData, nu: dict,
     """
     ctx = t.ctx
     G, q, m = ctx.G, ctx.quotient, ctx.m
-    sp1 = GroupCochainSpace(G, q, m, 1)
     if c is None:
         c = extract_total_cocycle(t)
-    dnu = d_group(GroupCochain(sp1, np.stack([nu[i] for i in c.omega], axis=-1))).values
+    nus = np.stack([nu[i].reshape(-1) for i in c.omega], axis=-1)
+    dnu = GroupCochainSpace(G, q, m, 1).d(nus)
     for j, (i, om) in enumerate(c.omega.items()):
-        if not np.array_equal(dnu[..., j], om % m):
+        if not np.array_equal(dnu[:, j], om.reshape(-1) % m):
             raise InvalidTripleError(f"nu does not solve d(nu) = omega at vertex {i}")
     mu = {i: M * ctx.qz_phases(-nu[i])[:, :, None, None] for i, M in t.mu.items()}
     return t.copy_with_mu(mu)

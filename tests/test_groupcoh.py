@@ -268,7 +268,7 @@ def test_group_cochain_checks_leading_axes():
 
 
 def per_simplex_total_differential(t, g):
-    """d_tot with one d_group call per simplex: the reference for the batched one."""
+    """d_tot with one tuple-loop d_group call per simplex: the reference for the gather."""
     p = t.degree
     sign = -((-1) ** p)
     out: dict = {}
@@ -321,21 +321,54 @@ def test_total_differential_matches_per_simplex_reference(nerve, p, batch):
     assert np.array_equal(got.flatten(), want.flatten())
 
 
-def test_total_differential_calls_d_group_once_per_block(monkeypatch):
+def test_total_differential_gathers_without_the_loop(monkeypatch):
+    # the group direction is a gather over each space's d_group_terms, built
+    # once per space and shared by the cochains made from one family
     import tdual.groupcoh as groupcoh
-    calls = []
-    fn = groupcoh.d_group
+    built = []
+    terms = groupcoh.d_group_terms
 
-    def counted(f):
-        calls.append(f.values.shape)
-        return fn(f)
-    monkeypatch.setattr(groupcoh, "d_group", counted)
+    def counted(space):
+        built.append(space.arity)
+        return terms(space)
+
+    def no_loop(f):
+        raise AssertionError("total_differential called the d_group tuple loop")
+    monkeypatch.setattr(groupcoh, "d_group_terms", counted)
+    monkeypatch.setattr(groupcoh, "d_group", no_loop)
     G, N, q = make_ctx([4], [[2]])
     nerve = Nerve.circle()
+    g = TwistCocycle.trivial(nerve, q)
     t = rand_total(nerve, G, q, 8, 2, np.random.default_rng(1))
-    total_differential(t, TwistCocycle.trivial(nerve, q))
-    # blocks (1, 1) and (0, 2) have simplices; (2, 0) has none, so no call
-    assert sorted(calls) == [(4, 2, 3), (4, 4, 2, 3)]
+    once = total_differential(t, g)
+    # blocks (1, 1) and (0, 2) have simplices; (2, 0) has none, so no terms
+    assert sorted(built) == [1, 2]
+    # degree 3 applies arity 2 again, on the space the family already holds
+    assert total_differential(once, g).is_zero()
+    assert sorted(built) == [1, 2]
+
+
+LOOP_SWEEP_GROUPS = [([4], [[2]]), ([6], [[3]]), ([2, 2], [[1, 1]]), ([2, 4], [[1, 2]])]
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_total_differential_matches_d_group_loop_sweep(data):
+    G, N, q = make_ctx(*data.draw(st.sampled_from(LOOP_SWEEP_GROUPS)))
+    m = G.exponent
+    nerve = data.draw(st.sampled_from([Nerve.point(), Nerve.circle(), Nerve.sphere()]))
+    p = data.draw(st.integers(0, 2))
+    batch = data.draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    g = _twist(nerve, q, rng)
+    flat = rng.integers(0, m, size=(total_dimension(nerve, G, q, m, p),) + batch)
+    t = TotalCochain.from_flat(nerve, G, q, m, p, flat)
+    got, want = total_differential(t, g), per_simplex_total_differential(t, g)
+    for kl, blk in want.blocks.items():
+        for s, v in blk.values.items():
+            assert got.blocks[kl].values[s].shape == v.shape
+            assert np.array_equal(got.blocks[kl].values[s], v), (kl, s)
+    assert np.array_equal(got.flatten(), want.flatten())
 
 
 def _ref_d_group(f):

@@ -203,18 +203,19 @@ class TestDualisable:
             normalize(t, bad)
 
     def test_normalize_checks_every_vertex_in_one_d_group_call(self, z6ctx, monkeypatch):
-        import tdual.triples as triples
+        # d(nu) is one gather over d_group_terms, one batch column per vertex
         t = build_random_triple(Nerve.circle(), z6ctx, d=2, seed=17)
         c = extract_total_cocycle(t)
         nu = is_dualisable(c)
         calls = []
+        d = GroupCochainSpace.d
 
-        def counted(f):
-            calls.append(f.values.shape)
-            return d_group(f)
-        monkeypatch.setattr(triples, "d_group", counted)
+        def counted(space, x, sign=1):
+            calls.append((space.arity, x.shape))
+            return d(space, x, sign)
+        monkeypatch.setattr(GroupCochainSpace, "d", counted)
         normalize(t, nu, c)
-        assert len(calls) == 1
+        assert calls == [(1, (z6ctx.G.order * z6ctx.quotient.order, len(c.omega)))]
         # a wrong nu at the second and third vertices names the second
         bad = dict(nu)
         verts = list(c.omega)
