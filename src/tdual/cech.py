@@ -114,7 +114,8 @@ class TwistCocycle:
 
     labels[e] is the position of g_e in quotient.reps(), as from_labels takes
     it; the constructor takes group elements, and edge_values gives them back.
-    The labels never change, so totals keeps total_complex's memo per modulus.
+    The labels never change, so totals keeps total_complex's memo per modulus
+    and terms the total differential's term blocks per (modulus, degree).
     """
 
     def __init__(self, nerve: Nerve, quotient: QuotientGroup,
@@ -131,6 +132,7 @@ class TwistCocycle:
         self.nerve = nerve
         self.quotient = quotient
         self.totals: dict = {}
+        self.terms: dict = {}
         for e in nerve.edges:
             if e not in labels:
                 raise ValueError(f"missing twist value for edge {e}")
@@ -194,13 +196,6 @@ class TwistedCochain:
     def is_zero(self) -> bool:
         return all(not v.any() for v in self.values.values())
 
-    def __add__(self, other: "TwistedCochain") -> "TwistedCochain":
-        m = self.module.m
-        return TwistedCochain(
-            self.nerve, self.module, self.degree,
-            {s: (v + other.values[s]) % m for s, v in self.values.items()},
-        )
-
     def __sub__(self, other: "TwistedCochain") -> "TwistedCochain":
         m = self.module.m
         return TwistedCochain(
@@ -233,8 +228,9 @@ def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
     delta_matrix read one encoding.  Trailing axes of the values are batch
     axes and pass through unchanged.
     """
-    x = c.flatten()
-    out = sum(sign * x[src] for sign, src in delta_terms(c.nerve, c.module, g, c.degree))
+    n_dst = len(c.nerve.simplices(c.degree + 1)) * c.module.size
+    out = apply_terms(n_dst, c.module.m, [(0, delta_terms(c.nerve, c.module, g, c.degree))],
+                      c.flatten())
     return TwistedCochain.from_flat(c.nerve, c.module, c.degree + 1, out)
 
 
@@ -275,6 +271,19 @@ def terms_matrix(n_dst: int, n_src: int, m: int,
             A[np.arange(row0, row0 + src.size), src] += sign
     A %= m
     return A
+
+
+def apply_terms(n_dst: int, m: int, blocks: Iterable[tuple[int, list]],
+                x: np.ndarray) -> np.ndarray:
+    """terms_matrix(n_dst, len(x), m, lambda: blocks) @ x mod m, as one gather.
+
+    Axes of x after the first are batch axes and pass through.
+    """
+    out = np.zeros((n_dst,) + np.shape(x)[1:], dtype=np.int64)
+    for row0, terms in blocks:
+        for sign, src in terms:
+            out[row0:row0 + src.size] += sign * x[src]
+    return out % m
 
 
 def delta_matrix(nerve: Nerve, module: GModule, g: TwistCocycle, k: int) -> np.ndarray:

@@ -439,9 +439,13 @@ def check_total(ws: Workspace) -> list[dict]:
     out.append(_exact("total.scenario_factors", True, factors=factors,
                       capped_degrees=capped))
 
-    # extraction raises InvalidTripleError unless (psi, phi, omega) is closed
-    ws.cocycle()
-    out.append(_exact("total.triple_cocycle_closure", True))
+    # extraction raises InvalidTripleError unless (psi, phi, omega) is closed;
+    # a failing row keeps the rows above in the report
+    try:
+        ws.cocycle()
+        out.append(_exact("total.triple_cocycle_closure", True))
+    except InvalidTripleError as exc:
+        out.append(_exact("total.triple_cocycle_closure", False, error=str(exc)))
     return out
 
 

@@ -8,18 +8,22 @@ Group cochains of arity l are dense tables G^l -> M.  The differential is
 
 with the translation action of g_1 on M.  The total complex couples this
 to the twisted Cech differential with sign:  d_tot = delta_g - (-1)^p d*.
+
+Each differential is one list of (row0, (sign, source index) terms) blocks,
+which cech.terms_matrix scatters into its matrix and cech.apply_terms gathers
+along; the quotient keeps d_group_terms per arity, the twist total_terms per
+(m, p).  The tuple loop d_group reads the formula, as the terms' reference.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .cech import (GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_terms,
+from .cech import (GModule, Nerve, TwistCocycle, TwistedCochain, apply_terms, delta_terms,
                    terms_matrix)
 from .lca import FiniteLcaGroup, QuotientGroup
 from .zmodlin import Complex
@@ -33,7 +37,8 @@ class GroupCochainSpace:
 
     With quotient None the coefficients are plain Z/m with trivial action.
     fiber is the coefficient module of one table entry; translations act
-    on the G/N slot only, g as fiber.act[coset[g]].
+    on the G/N slot only, g as fiber.act[coset[g]].  The act table and
+    d_group_terms depend on quotient and arity only, so quotient.tables keeps them.
     """
 
     def __init__(self, G: FiniteLcaGroup, quotient: Optional[QuotientGroup],
@@ -52,33 +57,32 @@ class GroupCochainSpace:
         else:
             self.fiber = GModule.functions_on_quotient(self.m, quotient)
             self.coset = quotient.coset
-        self._module: Optional[GModule] = None
-        self._terms: Optional[list] = None
+        self._tables = {} if quotient is None else quotient.tables.setdefault(arity, {})
 
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.arity + (self.q,)
 
     def as_gmodule(self) -> GModule:
-        """The whole table as a Cech coefficient module: fiber.act per entry.
-
-        Built on the first call and kept by the space.
-        """
-        if self._module is None:
+        """The whole table as a Cech coefficient module: fiber.act per entry."""
+        act = self._tables.get("act")
+        if act is None:
             blocks = self.size // self.q
             offsets = np.repeat(np.arange(blocks, dtype=np.int64) * self.q, self.q)
-            self._module = GModule(self.m, offsets + np.tile(self.fiber.act, blocks))
-        return self._module
+            act = self._tables["act"] = offsets + np.tile(self.fiber.act, blocks)
+        return GModule(self.m, act)
 
-    def d(self, x: np.ndarray, sign: int = 1) -> np.ndarray:
-        """sign * d_group of the flat tables x, as sum(s * x[src]) over d_group_terms.
+    def terms(self) -> list[tuple[int, np.ndarray]]:
+        """d_group_terms(self), built on first use."""
+        if "terms" not in self._tables:
+            self._tables["terms"] = d_group_terms(self)
+        return self._tables["terms"]
 
-        Axes of x after the first are batch axes and pass through; the sum
-        is reduced mod m once.  The terms are built on the first call and
-        kept by the space, as the module is.
+    def d(self, x: np.ndarray) -> np.ndarray:
+        """d_group of the flat tables x, gathered along terms() (apply_terms).
+
+        Axes of x after the first are batch axes and pass through.
         """
-        if self._terms is None:
-            self._terms = d_group_terms(self)
-        return sum(sign * s * x[src] for s, src in self._terms) % self.m
+        return apply_terms(self.size * self.n, self.m, [(0, self.terms())], x)
 
 
 @dataclass
@@ -165,9 +169,7 @@ def d_group_terms(space: GroupCochainSpace) -> list[tuple[int, np.ndarray]]:
 
 def d_group_matrix(space: GroupCochainSpace) -> np.ndarray:
     """Matrix of d_group from arity l to l+1 on flattened coordinates."""
-    out_sp = GroupCochainSpace(space.G, space.quotient, space.m, space.arity + 1)
-    return terms_matrix(out_sp.size, space.size, space.m,
-                        lambda: [(0, d_group_terms(space))])
+    return terms_matrix(space.size * space.n, space.size, space.m, lambda: [(0, space.terms())])
 
 
 @dataclass
@@ -177,8 +179,7 @@ class TotalCochain:
     Block (k, l) is a twisted Cech k-cochain valued in arity-l group
     cochains, stored as a TwistedCochain over the matching tensor module.
     Block values may carry trailing batch axes; blocks left out are filled
-    with single (unbatched) zero cochains.  spaces holds one
-    GroupCochainSpace per arity, shared by the cochains made from this one.
+    with single (unbatched) zero cochains.
     """
 
     nerve: Nerve
@@ -187,19 +188,16 @@ class TotalCochain:
     m: int
     degree: int
     blocks: dict = field(default_factory=dict)  # (k, l) -> TwistedCochain
-    spaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         full = {}
         for k, l in _bidegrees(self.degree):
             blk = self.blocks.get((k, l))
             if blk is None:
-                blk = TwistedCochain(self.nerve, self.space(l).as_gmodule(), k)
+                module = GroupCochainSpace(self.G, self.quotient, self.m, l).as_gmodule()
+                blk = TwistedCochain(self.nerve, module, k)
             full[(k, l)] = blk
         self.blocks = full
-
-    def space(self, l: int) -> GroupCochainSpace:
-        return _space(self.spaces, self.G, self.quotient, self.m, l)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.blocks.values())
@@ -212,32 +210,22 @@ class TotalCochain:
 
     def __sub__(self, other: "TotalCochain") -> "TotalCochain":
         blocks = {kl: blk - other.blocks[kl] for kl, blk in self.blocks.items()}
-        return TotalCochain(self.nerve, self.G, self.quotient, self.m, self.degree,
-                            blocks, self.spaces)
+        return TotalCochain(self.nerve, self.G, self.quotient, self.m, self.degree, blocks)
 
     @staticmethod
     def from_flat(nerve, G, quotient, m, degree, flat: np.ndarray) -> "TotalCochain":
         """Inverse of flatten; axes of flat after the first are batch axes."""
         offsets, dim = _block_offsets(nerve, G, quotient, degree)
         ends = list(offsets.values())[1:] + [dim]
-        blocks, spaces = {}, {}
-        for ((k, l), off), end in zip(offsets.items(), ends):
-            module = _space(spaces, G, quotient, m, l).as_gmodule()
-            blocks[(k, l)] = TwistedCochain.from_flat(nerve, module, k, flat[off:end])
-        return TotalCochain(nerve, G, quotient, m, degree, blocks, spaces)
+        blocks = {(k, l): TwistedCochain.from_flat(
+                      nerve, GroupCochainSpace(G, quotient, m, l).as_gmodule(), k, flat[off:end])
+                  for ((k, l), off), end in zip(offsets.items(), ends)}
+        return TotalCochain(nerve, G, quotient, m, degree, blocks)
 
 
 def _bidegrees(p: int) -> list[tuple[int, int]]:
     """The blocks (k, l) of degree p, in flat order: Cech degree k descending."""
     return [(k, p - k) for k in range(p, -1, -1) if p - k <= MAX_TOTAL_ARITY]
-
-
-def _space(spaces: dict, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
-           l: int) -> GroupCochainSpace:
-    """spaces[l], made on first use."""
-    if l not in spaces:
-        spaces[l] = GroupCochainSpace(G, quotient, m, l)
-    return spaces[l]
 
 
 def _block_offsets(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
@@ -255,56 +243,53 @@ def total_dimension(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
     return _block_offsets(nerve, G, quotient, p)[1]
 
 
-def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
-    """d_tot = delta_g - (-1)^p d*, collected by bidegree in degree p+1.
+def total_terms(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
+                m: int, g: TwistCocycle, p: int) -> list[tuple[int, list]]:
+    """d_tot from degree p to p+1 as (row0, terms) blocks on flat coordinates.
 
-    Both directions gather along their term arrays: delta_g along
-    delta_terms, d* along each space's d_group_terms.  Axes of the block
-    values after the first are batch axes and pass through.
+    Source block (k, l) enters block (k+1, l) through delta_g's terms, and
+    block (k, l+1) through -(-1)^p times d_group's, once per k-simplex;
+    blocks without simplices give none.  On g's own nerve, quotient and G
+    they are built once and kept in g.terms[(m, p)].
     """
-    p = t.degree
+    memo = g.terms if _is_own(nerve, G, quotient, g) else {}
+    if (m, p) in memo:
+        return memo[(m, p)]
+    src_off, _ = _block_offsets(nerve, G, quotient, p)
+    dst_off, _ = _block_offsets(nerve, G, quotient, p + 1)
     sign = -((-1) ** p)
-    out: dict = {}
-
-    def collect(kl, c: TwistedCochain) -> None:
-        out[kl] = out[kl] + c if kl in out else c
-
-    for (k, l), blk in t.blocks.items():
-        # Cech direction
-        collect((k + 1, l), delta_g(blk, g))
-        # group direction: the block's simplices as one trailing batch axis
-        # of a single gather; a block without simplices needs none
+    blocks = []
+    for (k, l), off in src_off.items():
+        if not nerve.simplices(k):
+            continue
+        sp = GroupCochainSpace(G, quotient, m, l)
+        if nerve.simplices(k + 1):
+            blocks.append((dst_off[(k + 1, l)], [(s, off + src) for s, src in
+                                                 delta_terms(nerve, sp.as_gmodule(), g, k)]))
         if l + 1 <= MAX_TOTAL_ARITY:
-            vals = {}
-            if blk.values:
-                dg = t.space(l).d(np.stack(list(blk.values.values()), axis=-1), sign)
-                vals = dict(zip(blk.values, np.moveaxis(dg, -1, 0)))
-            collect((k, l + 1),
-                    TwistedCochain(t.nerve, t.space(l + 1).as_gmodule(), k, vals))
-    return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out, t.spaces)
+            starts = off + sp.size * np.arange(len(nerve.simplices(k)))[:, None]
+            blocks.append((dst_off[(k, l + 1)], [(sign * s, (starts + src).ravel())
+                                                 for s, src in sp.terms()]))
+    memo[(m, p)] = blocks
+    return blocks
+
+
+def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
+    """d_tot = delta_g - (-1)^p d*, gathered along total_terms (apply_terms).
+
+    Axes of the block values after the first are batch axes and pass through.
+    """
+    nerve, G, quotient, m, p = t.nerve, t.G, t.quotient, t.m, t.degree
+    flat = apply_terms(total_dimension(nerve, G, quotient, m, p + 1), m,
+                       total_terms(nerve, G, quotient, m, g, p), t.flatten())
+    return TotalCochain.from_flat(nerve, G, quotient, m, p + 1, flat)
 
 
 def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
                  m: int, g: TwistCocycle, p: int) -> np.ndarray:
-    """Matrix of the total differential from degree p to p+1.
-
-    Source block (k, l) enters block (k+1, l) through delta_g's terms, and
-    block (k, l+1) through -(-1)^p times d_group's, once per k-simplex.
-    """
-    src_off, n_src = _block_offsets(nerve, G, quotient, p)
-    dst_off, n_dst = _block_offsets(nerve, G, quotient, p + 1)
-    sign = -((-1) ** p)
-
-    def blocks():
-        for (k, l), off in src_off.items():
-            sp = GroupCochainSpace(G, quotient, m, l)
-            yield dst_off[(k + 1, l)], [(s, off + src) for s, src in
-                                        delta_terms(nerve, sp.as_gmodule(), g, k)]
-            if l + 1 <= MAX_TOTAL_ARITY:
-                starts = off + sp.size * np.arange(len(nerve.simplices(k)))[:, None]
-                yield dst_off[(k, l + 1)], [(sign * s, (starts + src).ravel())
-                                            for s, src in d_group_terms(sp)]
-    return terms_matrix(n_dst, n_src, m, blocks)
+    """Matrix of the total differential from degree p to p+1: total_terms scattered."""
+    n_src, n_dst = (total_dimension(nerve, G, quotient, m, d) for d in (p, p + 1))
+    return terms_matrix(n_dst, n_src, m, lambda: total_terms(nerve, G, quotient, m, g, p))
 
 
 def total_complex(g: TwistCocycle, m: int) -> Complex:
@@ -320,15 +305,20 @@ def total_complex(g: TwistCocycle, m: int) -> Complex:
 
 def group_complex(G: FiniteLcaGroup, quotient: Optional[QuotientGroup], m: int) -> Complex:
     """The group complex of G with the table module: d_group_matrix, unsigned."""
-    space = functools.partial(_space, {}, G, quotient, m)
-    return Complex(m, lambda p: d_group_matrix(space(p)),
-                   lambda p, flat: GroupCochain.from_flat(space(p), flat))
+    return Complex(m, lambda p: d_group_matrix(GroupCochainSpace(G, quotient, m, p)),
+                   lambda p, flat: GroupCochain.from_flat(
+                       GroupCochainSpace(G, quotient, m, p), flat))
+
+
+def _is_own(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, g: TwistCocycle) -> bool:
+    """Whether nerve, quotient and G are g's own objects."""
+    return nerve is g.nerve and quotient is g.quotient and G is quotient.parent
 
 
 def _own(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
          g: TwistCocycle) -> Complex:
     """total_complex(g, m), once nerve, quotient and G are g's own objects."""
-    if nerve is not g.nerve or quotient is not g.quotient or G is not quotient.parent:
+    if not _is_own(nerve, G, quotient, g):
         raise ValueError("a twist's total complex lies on the twist's own nerve and quotient")
     return total_complex(g, m)
 

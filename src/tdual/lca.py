@@ -234,7 +234,8 @@ class Subgroup:
 
 class QuotientGroup:
     """G/N with canonical (least) coset representatives: lift[z] is the position
-    in G of reps()[z], and coset[i] the position in reps() of e_i + N."""
+    in G of reps()[z], and coset[i] the position in reps() of e_i + N.
+    tables keeps groupcoh's group cochain tables per arity: arrays only."""
 
     def __init__(self, parent: FiniteLcaGroup, sub: Subgroup):
         if sub.parent != parent:
@@ -243,6 +244,7 @@ class QuotientGroup:
         self.sub = sub
         self.lift, self.coset = np.unique(sub.least, return_inverse=True)
         self.order = len(self.lift)
+        self.tables: dict = {}
         self._reps: Optional[tuple[GroupElement, ...]] = None
         self._add_table: Optional[np.ndarray] = None
 

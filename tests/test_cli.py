@@ -493,18 +493,25 @@ class TestStages:
 
     def test_run_batches_d_group_and_assembles_each_total_matrix_once(
             self, monkeypatch, tmp_path):
-        d_group_calls, assembled = [], []
+        d_group_calls, assembled, terms_built = [], [], []
         d_group, total_matrix = groupcoh.d_group, groupcoh.total_matrix
+        d_group_terms = groupcoh.d_group_terms
 
         def counted_d_group(f):
             d_group_calls.append(1)
             return d_group(f)
+
+        def counted_terms(space):
+            # the quotient itself, not its id: it stays alive, so no key aliases
+            terms_built.append((space.quotient, space.m, space.arity))
+            return d_group_terms(space)
 
         def counted_total_matrix(nerve, G, quotient, m, g, p):
             assembled.append((nerve.vertex_count, p))
             return total_matrix(nerve, G, quotient, m, g, p)
         monkeypatch.setattr(groupcoh, "d_group", counted_d_group)
         monkeypatch.setattr(groupcoh, "total_matrix", counted_total_matrix)
+        monkeypatch.setattr(groupcoh, "d_group_terms", counted_terms)
         assert main(["run", "z6_circle", "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
         # the tuple loop runs only as the point-nerve check's reference, at
         # p = 0 and 1 (p = 2 is over the cap); 97 with one call per simplex in
@@ -513,6 +520,10 @@ class TestStages:
         # the circle's two degrees once each (scenario factors and both
         # certificates share them), then the point nerve's under the cap
         assert sorted(assembled) == [(1, 0), (1, 1), (3, 0), (3, 1)]
+        # each quotient keeps d_group_terms per arity for every space on it:
+        # 5 builds, against 32 when each cochain family built its own
+        keys = [(id(q), m, arity) for q, m, arity in terms_built]
+        assert len(set(keys)) == len(keys) and len(keys) <= 10
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_shared_certificates_match_solving_each_alone(self, seed):
@@ -623,6 +634,28 @@ def test_point_nerve_check_catches_an_identity_quotient_action(monkeypatch):
     row = next(r for r in check_total(ws) if r["name"] == POINT_NERVE)
     assert row["factors"]["1"] == [6, 6, 6]
     assert not row["passed"]
+
+
+def test_point_nerve_check_reaches_the_report_when_extraction_fails(monkeypatch, tmp_path):
+    # d_group_terms with the action left out of its last term (moved = z):
+    # the point-nerve check, which compares the terms with the tuple loop,
+    # must fail in the report, beside the closure row that extraction fails
+    terms = groupcoh.d_group_terms
+
+    def unmoved(space):
+        out = terms(space)
+        idx = np.indices((space.n,) * (space.arity + 1) + (space.q,))
+        out[-1] = (1, np.ravel_multi_index(list(idx[1:].reshape(space.arity + 1, -1)),
+                                           space.shape()))
+        return out
+    monkeypatch.setattr(groupcoh, "d_group_terms", unmoved)
+    out = tmp_path / "r.json"
+    assert main(["run", "z6_circle", "--seed", "3", "-o", str(out)]) == 1
+    checks = {c["name"]: c for c in json.load(open(out))["checks"]}
+    assert "total.invalid_triple" not in checks
+    assert not checks[POINT_NERVE]["passed"]
+    closure = checks["total.triple_cocycle_closure"]
+    assert not closure["passed"] and "is not a total cocycle" in closure["error"]
 
 
 def test_run_checks_builds_no_qz_and_group_elements_only_in_annihilator(monkeypatch):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdual.cech import GModule, Nerve, TwistCocycle, TwistedCochain, delta_g, delta_matrix
+from tdual.cech import (GModule, Nerve, TwistCocycle, TwistedCochain, apply_terms, delta_g,
+                        delta_matrix, delta_terms, terms_matrix)
 from tdual.errors import ResourceCapError
 from tdual.groupcoh import (
     MAX_TOTAL_ARITY,
@@ -14,12 +15,14 @@ from tdual.groupcoh import (
     TotalCochain,
     d_group,
     d_group_matrix,
+    d_group_terms,
     group_cohomology,
     solve_total_coboundary,
     total_cohomology,
     total_differential,
     total_dimension,
     total_matrix,
+    total_terms,
 )
 from tdual.lca import FiniteLcaGroup, QuotientGroup, Subgroup
 
@@ -268,23 +271,27 @@ def test_group_cochain_checks_leading_axes():
 
 
 def per_simplex_total_differential(t, g):
-    """d_tot with one tuple-loop d_group call per simplex: the reference for the gather."""
-    p = t.degree
+    """d_tot simplex by simplex: the loop delta_g and one tuple-loop d_group
+    call per simplex, summed by bidegree: the reference for the gather."""
+    p, m = t.degree, t.m
     sign = -((-1) ** p)
-    out: dict = {}
+    parts: dict = {}     # (k, l) -> simplex -> the values that enter it
 
-    def collect(kl, c):
-        out[kl] = out[kl] + c if kl in out else c
+    def enter(kl, s, v):
+        parts.setdefault(kl, {}).setdefault(s, []).append(v)
 
     for (k, l), blk in t.blocks.items():
-        collect((k + 1, l), delta_g(blk, g))
+        for s, v in _ref_delta_g(blk, g).values.items():
+            enter((k + 1, l), s, v)
         if l + 1 <= MAX_TOTAL_ARITY:
-            sp = t.space(l)
-            vals = {s: sign * d_group(GroupCochain.from_flat(sp, v)).flatten()
-                    for s, v in blk.values.items()}
-            collect((k, l + 1),
-                    TwistedCochain(t.nerve, t.space(l + 1).as_gmodule(), k, vals))
-    return TotalCochain(t.nerve, t.G, t.quotient, t.m, p + 1, out)
+            sp = GroupCochainSpace(t.G, t.quotient, m, l)
+            for s, v in blk.values.items():
+                enter((k, l + 1), s, sign * d_group(GroupCochain.from_flat(sp, v)).flatten())
+    blocks = {(k, l): TwistedCochain(
+                  t.nerve, GroupCochainSpace(t.G, t.quotient, m, l).as_gmodule(), k,
+                  {s: sum(vs) % m for s, vs in vals.items()})
+              for (k, l), vals in parts.items()}
+    return TotalCochain(t.nerve, t.G, t.quotient, m, p + 1, blocks)
 
 
 FIVE = Nerve(5, [[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 2, 4], [2, 3, 4]])
@@ -322,30 +329,50 @@ def test_total_differential_matches_per_simplex_reference(nerve, p, batch):
 
 
 def test_total_differential_gathers_without_the_loop(monkeypatch):
-    # the group direction is a gather over each space's d_group_terms, built
-    # once per space and shared by the cochains made from one family
+    # d_tot gathers along total_terms: the blocks are built once per (twist,
+    # m, degree) and kept by the twist, and the d_group_terms inside them
+    # once per (quotient, arity) and kept by the quotient
+    import tdual.cech as cech
     import tdual.groupcoh as groupcoh
-    built = []
-    terms = groupcoh.d_group_terms
+    built, deltas = [], []
+    terms, delta = groupcoh.d_group_terms, groupcoh.delta_terms
 
     def counted(space):
         built.append(space.arity)
         return terms(space)
 
+    def counted_delta(nerve, module, g, k):
+        deltas.append(k)
+        return delta(nerve, module, g, k)
+
     def no_loop(f):
         raise AssertionError("total_differential called the d_group tuple loop")
     monkeypatch.setattr(groupcoh, "d_group_terms", counted)
+    # both names: a d_tot routed through cech.delta_g would count here too
+    monkeypatch.setattr(groupcoh, "delta_terms", counted_delta)
+    monkeypatch.setattr(cech, "delta_terms", counted_delta)
     monkeypatch.setattr(groupcoh, "d_group", no_loop)
     G, N, q = make_ctx([4], [[2]])
     nerve = Nerve.circle()
     g = TwistCocycle.trivial(nerve, q)
     t = rand_total(nerve, G, q, 8, 2, np.random.default_rng(1))
     once = total_differential(t, g)
-    # blocks (1, 1) and (0, 2) have simplices; (2, 0) has none, so no terms
-    assert sorted(built) == [1, 2]
-    # degree 3 applies arity 2 again, on the space the family already holds
+    # blocks (1, 1) and (0, 2) have simplices; (2, 0) has none, so no terms,
+    # and only (0, 2) has a Cech target with simplices
+    assert sorted(built) == [1, 2] and deltas == [0]
+    assert list(g.terms) == [(8, 2)]
+    # degree 3 applies arity 2 again, from the quotient's tables
     assert total_differential(once, g).is_zero()
-    assert sorted(built) == [1, 2]
+    assert sorted(built) == [1, 2] and deltas == [0, 0]
+    assert list(g.terms) == [(8, 2), (8, 3)]
+    # another degree-2 cochain reads the twist's blocks as they are
+    blocks = g.terms[(8, 2)]
+    total_differential(rand_total(nerve, G, q, 8, 2, np.random.default_rng(2)), g)
+    assert deltas == [0, 0] and g.terms[(8, 2)] is blocks
+    # another twist on the quotient builds its own blocks, not the terms
+    other = TwistCocycle.from_labels(nerve, q, {(0, 1): 1, (0, 2): 0, (1, 2): 0})
+    total_differential(t, other)
+    assert sorted(built) == [1, 2] and deltas == [0, 0, 0]
 
 
 LOOP_SWEEP_GROUPS = [([4], [[2]]), ([6], [[3]]), ([2, 2], [[1, 1]]), ([2, 4], [[1, 2]])]
@@ -434,6 +461,17 @@ def _sweep_setting(data):
     return G, q, G.exponent, nerve, g
 
 
+def _gather_matches_scatter(data, n_dst, n_src, m, blocks):
+    """apply_terms on blocks against the matrix terms_matrix scatters from
+    the same blocks, times a drawn cochain, batched or not."""
+    batch = data.draw(st.sampled_from([(), (3,)]))
+    x = np.random.default_rng(data.draw(st.integers(0, 2 ** 16))).integers(
+        0, m, size=(n_src,) + batch)
+    want = terms_matrix(n_dst, n_src, m, lambda: blocks) @ x % m
+    got = apply_terms(n_dst, m, blocks, x)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_d_group_matrix_matches_unit_vector_loop_sweep(data):
@@ -446,6 +484,7 @@ def test_d_group_matrix_matches_unit_vector_loop_sweep(data):
     ref = unit_vector_matrix(
         lambda e: d_group(GroupCochain(sp, e.reshape(sp.shape()))).flatten(), sp.size)
     assert np.array_equal(d_group_matrix(sp), ref)
+    _gather_matches_scatter(data, sp.size * G.order, sp.size, m, [(0, d_group_terms(sp))])
 
 
 @given(data=st.data())
@@ -463,6 +502,8 @@ def test_delta_matrix_matches_unit_vector_loop_sweep(data):
             lambda e: _ref_delta_g(TwistedCochain.from_flat(nerve, module, k, e), g).flatten(),
             n_src)
         assert np.array_equal(delta_matrix(nerve, module, g, k), ref), k
+        # k = nerve.dimension has no (k+1)-simplices: an empty target
+        _gather_matches_scatter(data, n_dst, n_src, m, [(0, delta_terms(nerve, module, g, k))])
 
 
 @given(data=st.data())
@@ -496,6 +537,8 @@ def test_total_matrix_matches_unit_vector_loop_sweep(data):
             lambda e: total_differential(
                 TotalCochain.from_flat(nerve, G, q, m, p, e), g).flatten(), n_src)
         assert np.array_equal(total_matrix(nerve, G, q, m, g, p), ref), p
+        # on the point, p = 2 has blocks whose Cech target has no simplices
+        _gather_matches_scatter(data, n_dst, n_src, m, total_terms(nerve, G, q, m, g, p))
 
 
 def test_d_group_matrix_peak_memory_is_its_output(monkeypatch):
@@ -600,8 +643,10 @@ def test_total_rung_factors_its_matrix_once(factors, gens, nerve_name, p, labels
 
 
 def test_factorisations_go_with_their_cocycle():
-    # g keeps matrices and Smith forms only, never a closure back to g, so g
-    # goes with its last reference, without the cyclic collector
+    # g keeps matrices, Smith forms and term blocks, and the quotient its act
+    # tables and d_group_terms: data only, never a closure or an object that
+    # refers back, so each goes with its last reference, without the cyclic
+    # collector
     import gc
     import weakref
     from tdual.zmodlin import SmithForm
@@ -609,15 +654,26 @@ def test_factorisations_go_with_their_cocycle():
     nerve = Nerve.circle()
     g = TwistCocycle.trivial(nerve, q)
     total_cohomology(nerve, G, q, 4, g, 1)
+    total_differential(rand_total(nerve, G, q, 4, 1, np.random.default_rng(0)), g)
     assert sorted(g.totals) == [4] and sorted(g.totals[4]) == [0, 1]
     for A, sf in g.totals[4].values():
         assert type(A) is np.ndarray and (sf is None or type(sf) is SmithForm)
     assert g.totals[4][1][1] is not None
-    ref = weakref.ref(g)
+    assert sorted(g.terms) == [(4, 0), (4, 1)]
+    for blocks in g.terms.values():
+        for row0, terms in blocks:
+            assert type(row0) is int
+            assert all(type(s) is int and type(src) is np.ndarray for s, src in terms)
+    assert sorted(q.tables) == [0, 1, 2]
+    for tables in q.tables.values():
+        assert type(tables["act"]) is np.ndarray
+        assert all(type(s) is int and type(src) is np.ndarray
+                   for s, src in tables.get("terms", []))
+    refs = weakref.ref(g), weakref.ref(q)
     gc.disable()
     try:
-        del g
-        assert ref() is None
+        del g, q
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -659,13 +715,14 @@ def test_total_complex_refuses_another_nerve_or_quotient():
 
 
 def test_cochain_family_builds_each_act_table_once(monkeypatch):
-    # a degree-2 circle cochain, d_tot once and twice: one table per arity
+    # a degree-2 circle cochain, d_tot once and twice, then cochains made
+    # apart on the same quotient: one act table per arity, kept by the quotient
     import tdual.groupcoh as groupcoh
-    built = []
+    acts = {}
 
     class Spy(GModule):
         def __init__(self, m, act):
-            built.append(act.shape[1])
+            acts.setdefault(act.shape[1], set()).add(id(act))
             super().__init__(m, act)
     monkeypatch.setattr(groupcoh, "GModule", Spy)
     G, N, q = make_ctx([4], [[2]])
@@ -673,8 +730,12 @@ def test_cochain_family_builds_each_act_table_once(monkeypatch):
     g = TwistCocycle.trivial(nerve, q)
     flat = np.random.default_rng(5).integers(0, 4, size=total_dimension(nerve, G, q, 4, 2))
     t = TotalCochain.from_flat(nerve, G, q, 4, 2, flat)
-    assert sorted(built) == [2, 8, 32]
+    assert sorted(acts) == [2, 8, 32]
     once = total_differential(t, g)
-    assert sorted(built) == [2, 8, 32, 128]
+    assert sorted(acts) == [2, 8, 32, 128]
     assert total_differential(once, g).is_zero()
-    assert sorted(built) == [2, 8, 32, 128]
+    TotalCochain(nerve, G, q, 4, 2)
+    GroupCochainSpace(G, q, 4, 1).as_gmodule()
+    assert sorted(acts) == [2, 8, 32, 128]
+    assert all(len(ids) == 1 for ids in acts.values()), acts
+    assert sorted(q.tables) == [0, 1, 2, 3]
