@@ -13,8 +13,8 @@ computed exactly over Z/m by zmodlin.Complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -54,10 +54,17 @@ class Nerve:
         self._simplices = {
             k: tuple(sorted(v)) for k, v in by_dim.items() if v
         }
+        self._positions: dict[int, dict[Simplex, int]] = {}
         self.dimension = max(self._simplices)
 
     def simplices(self, k: int) -> tuple[Simplex, ...]:
         return self._simplices.get(k, ())
+
+    def positions(self, k: int) -> dict[Simplex, int]:
+        """The index of each k-simplex in simplices(k), built on first use."""
+        if k not in self._positions:
+            self._positions[k] = {s: i for i, s in enumerate(self.simplices(k))}
+        return self._positions[k]
 
     @property
     def vertices(self) -> tuple[Simplex, ...]:
@@ -169,56 +176,72 @@ class TwistCocycle:
         return r_conjugate_twist(TwistCocycle.trivial(nerve, quotient), minus_r)
 
 
-@dataclass
 class TwistedCochain:
     """Degree-k cochain: one module element per sorted k-simplex.
 
-    Each value has shape (module.size,) or (module.size, *batch): trailing
-    axes hold a batch of cochains that every operation acts on alike.
+    It is one int64 array, simplex by simplex in nerve order, then any batch
+    axes: a batch of cochains that every operation acts on alike.
     """
 
-    nerve: Nerve
-    module: GModule
-    degree: int
-    values: dict = field(default_factory=dict)
+    def __init__(self, nerve: Nerve, module: GModule, degree: int,
+                 values: Optional[Mapping] = None):
+        values = values or {}
+        batch = np.shape(next(iter(values.values()), ()))[1:]
+        n = len(nerve.simplices(degree)) * module.size
+        self._init(nerve, module, degree, np.zeros((n,) + batch, dtype=np.int64))
+        for s, v in values.items():
+            self.values[s] = v
 
-    def __post_init__(self):
-        m = self.module.m
-        given = next(iter(self.values.values()), None)
-        zero_shape = (self.module.size,) + np.shape(given)[1:]
-        full = {}
-        for s in self.nerve.simplices(self.degree):
-            v = self.values.get(s)
-            full[s] = (np.zeros(zero_shape, dtype=np.int64) if v is None
-                       else np.asarray(v, dtype=np.int64) % m)
-        self.values = full
+    def _init(self, nerve: Nerve, module: GModule, degree: int, flat: np.ndarray):
+        self.nerve, self.module, self.degree, self._flat = nerve, module, degree, flat
+        self.values = _SimplexValues(nerve.positions(degree), module.size, module.m, flat)
+        return self
 
     def is_zero(self) -> bool:
-        return all(not v.any() for v in self.values.values())
+        return not self._flat.any()
 
     def __sub__(self, other: "TwistedCochain") -> "TwistedCochain":
-        m = self.module.m
-        return TwistedCochain(
-            self.nerve, self.module, self.degree,
-            {s: (v - other.values[s]) % m for s, v in self.values.items()},
-        )
+        return TwistedCochain.from_flat(self.nerve, self.module, self.degree,
+                                        self._flat - other._flat)
 
     def flatten(self) -> np.ndarray:
-        """Values stacked simplex by simplex along the first axis."""
-        parts = [self.values[s] for s in self.nerve.simplices(self.degree)]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts)
+        """The cochain's array: values stacked simplex by simplex along the first axis."""
+        return self._flat
 
     @staticmethod
     def from_flat(nerve: Nerve, module: GModule, degree: int,
                   flat: np.ndarray) -> "TwistedCochain":
         """Inverse of flatten; axes of flat after the first are batch axes."""
-        sz = module.size
-        vals = {}
-        for i, s in enumerate(nerve.simplices(degree)):
-            vals[s] = np.asarray(flat[i * sz:(i + 1) * sz], dtype=np.int64) % module.m
-        return TwistedCochain(nerve, module, degree, vals)
+        return _wrap(nerve, module, degree, np.asarray(flat, dtype=np.int64) % module.m)
+
+
+def _wrap(nerve: Nerve, module: GModule, degree: int, flat: np.ndarray) -> TwistedCochain:
+    """The cochain whose array is flat itself, its entries already reduced mod m."""
+    return TwistedCochain.__new__(TwistedCochain)._init(nerve, module, degree, flat)
+
+
+class _SimplexValues(Mapping):
+    """A cochain's values by simplex, each a view of its slice of the array.
+
+    Assigning values[s] = v writes v mod m into the slice; a key that is not
+    a simplex of the cochain's degree raises KeyError.
+    """
+
+    def __init__(self, positions: dict, size: int, m: int, flat: np.ndarray):
+        self._pos, self._size, self._m, self._flat = positions, size, m, flat
+
+    def __getitem__(self, s: Simplex) -> np.ndarray:
+        i = self._pos[s]
+        return self._flat[i * self._size:(i + 1) * self._size]
+
+    def __setitem__(self, s: Simplex, v) -> None:
+        self[s][...] = np.asarray(v, dtype=np.int64) % self._m
+
+    def __iter__(self):
+        return iter(self._pos)
+
+    def __len__(self) -> int:
+        return len(self._pos)
 
 
 def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
@@ -231,7 +254,7 @@ def delta_g(c: TwistedCochain, g: TwistCocycle) -> TwistedCochain:
     n_dst = len(c.nerve.simplices(c.degree + 1)) * c.module.size
     out = apply_terms(n_dst, c.module.m, [(0, delta_terms(c.nerve, c.module, g, c.degree))],
                       c.flatten())
-    return TwistedCochain.from_flat(c.nerve, c.module, c.degree + 1, out)
+    return _wrap(c.nerve, c.module, c.degree + 1, out)
 
 
 def delta_terms(nerve: Nerve, module: GModule, g: TwistCocycle,
@@ -245,8 +268,7 @@ def delta_terms(nerve: Nerve, module: GModule, g: TwistCocycle,
     the label of s's last edge.  The twist term's untwisted half cancels
     the alternating sum's last face, which leaves k + 2 terms.
     """
-    sz = module.size
-    pos = {s: i for i, s in enumerate(nerve.simplices(k))}
+    sz, pos = module.size, nerve.positions(k)
     top = nerve.simplices(k + 1)
     faces = np.array([[pos[s[:j] + s[j + 1:]] for j in range(k + 2)] for s in top],
                      dtype=np.int64).reshape(len(top), k + 2) * sz
@@ -311,11 +333,9 @@ def r_sharp(c: TwistedCochain, r: Mapping[int, int]) -> TwistedCochain:
     Intertwines the differentials: delta_g(r# c) = r#(delta_g' c) for
     g'_ij = r_i + g_ij - r_j (see r_conjugate_twist).
     """
-    module = c.module
-    out = TwistedCochain(c.nerve, module, c.degree)
-    for s, v in c.values.items():
-        out.values[s] = v[module.act[r[s[-1]]]]
-    return out
+    sz, simplices = c.module.size, c.nerve.simplices(c.degree)
+    src = np.arange(len(simplices))[:, None] * sz + c.module.act[[r[s[-1]] for s in simplices]]
+    return _wrap(c.nerve, c.module, c.degree, c.flatten()[src.ravel()])
 
 
 def r_conjugate_twist(g: TwistCocycle, r: Mapping[int, int]) -> TwistCocycle:

@@ -305,9 +305,8 @@ def check_cech(ws: Workspace) -> list[dict]:
     mod = cech.GModule.functions_on_quotient(ctx.m, ctx.quotient)
     ok = True
     for deg in range(nerve.dimension + 1):
-        c = cech.TwistedCochain(
-            nerve, mod, deg,
-            {s: rng.integers(0, ctx.m, size=mod.size) for s in nerve.simplices(deg)})
+        c = cech.TwistedCochain.from_flat(
+            nerve, mod, deg, rng.integers(0, ctx.m, size=len(nerve.simplices(deg)) * mod.size))
         if not cech.delta_g(cech.delta_g(c, ws.twist), ws.twist).is_zero():
             ok = False
     out.append(_exact("cech.d2_zero", ok))
@@ -327,9 +326,8 @@ def check_cech(ws: Workspace) -> list[dict]:
     gp = cech.r_conjugate_twist(ws.twist, r)
     ok = True
     for deg in range(nerve.dimension):
-        c = cech.TwistedCochain(
-            nerve, mod, deg,
-            {s: rng.integers(0, ctx.m, size=mod.size) for s in nerve.simplices(deg)})
+        c = cech.TwistedCochain.from_flat(
+            nerve, mod, deg, rng.integers(0, ctx.m, size=len(nerve.simplices(deg)) * mod.size))
         lhs = cech.delta_g(cech.r_sharp(c, r), ws.twist)
         rhs = cech.r_sharp(cech.delta_g(c, gp), r)
         if not (lhs - rhs).is_zero():
@@ -382,10 +380,9 @@ def check_total(ws: Workspace) -> list[dict]:
 
     ok_t2 = True
     for p in (0, 1, 2):
-        t = groupcoh.TotalCochain(nerve, ctx.G, ctx.quotient, ctx.m, p)
-        for kl, blk in t.blocks.items():
-            for s in nerve.simplices(kl[0]):
-                blk.values[s] = rng.integers(0, ctx.m, size=blk.module.size)
+        dim = groupcoh.total_dimension(nerve, ctx.G, ctx.quotient, ctx.m, p)
+        t = groupcoh.TotalCochain.from_flat(nerve, ctx.G, ctx.quotient, ctx.m, p,
+                                            rng.integers(0, ctx.m, size=dim))
         if not groupcoh.total_differential(
                 groupcoh.total_differential(t, ws.twist), ws.twist).is_zero():
             ok_t2 = False

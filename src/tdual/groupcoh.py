@@ -18,13 +18,13 @@ along; the quotient keeps d_group_terms per arity, the twist total_terms per
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .cech import (GModule, Nerve, TwistCocycle, TwistedCochain, apply_terms, delta_terms,
-                   terms_matrix)
+from .cech import GModule, Nerve, TwistCocycle, _wrap, apply_terms, delta_terms, terms_matrix
 from .lca import FiniteLcaGroup, QuotientGroup
 from .zmodlin import Complex
 
@@ -172,55 +172,51 @@ def d_group_matrix(space: GroupCochainSpace) -> np.ndarray:
     return terms_matrix(space.size * space.n, space.size, space.m, lambda: [(0, space.terms())])
 
 
-@dataclass
 class TotalCochain:
     """Degree-p element of the mixed complex: one block per bidegree (k, l).
 
-    Block (k, l) is a twisted Cech k-cochain valued in arity-l group
-    cochains, stored as a TwistedCochain over the matching tensor module.
-    Block values may carry trailing batch axes; blocks left out are filled
-    with single (unbatched) zero cochains.
+    It is one int64 array, block by block in _bidegrees order, then any batch
+    axes.  Block (k, l), a Cech k-cochain of arity-l group cochains, is a
+    TwistedCochain over a view of its slice: writing its values writes t.
+    The constructor copies the blocks it is given; the rest are zero.
     """
 
-    nerve: Nerve
-    G: FiniteLcaGroup
-    quotient: QuotientGroup
-    m: int
-    degree: int
-    blocks: dict = field(default_factory=dict)  # (k, l) -> TwistedCochain
+    def __init__(self, nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
+                 degree: int, blocks: Optional[dict] = None):
+        blocks = blocks or {}
+        batch = next((blk.flatten().shape[1:] for blk in blocks.values()), ())
+        dim = total_dimension(nerve, G, quotient, m, degree)
+        self._init(nerve, G, quotient, m, degree, np.zeros((dim,) + batch, dtype=np.int64))
+        for kl, blk in blocks.items():
+            self.blocks[kl].flatten()[...] = blk.flatten() % m
 
-    def __post_init__(self):
-        full = {}
-        for k, l in _bidegrees(self.degree):
-            blk = self.blocks.get((k, l))
-            if blk is None:
-                module = GroupCochainSpace(self.G, self.quotient, self.m, l).as_gmodule()
-                blk = TwistedCochain(self.nerve, module, k)
-            full[(k, l)] = blk
-        self.blocks = full
+    def _init(self, nerve, G, quotient, m, degree, flat: np.ndarray):
+        self.nerve, self.G, self.quotient, self.m, self.degree = nerve, G, quotient, m, degree
+        self._flat = flat
+        offsets, dim = _block_offsets(nerve, G, quotient, degree)
+        ends = list(offsets.values())[1:] + [dim]
+        self.blocks = MappingProxyType({
+            (k, l): _wrap(nerve, GroupCochainSpace(G, quotient, m, l).as_gmodule(), k,
+                          flat[off:end])
+            for ((k, l), off), end in zip(offsets.items(), ends)})
+        return self
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.blocks.values())
+        return not self._flat.any()
 
     def flatten(self) -> np.ndarray:
-        """Blocks stacked along the first axis; blocks without simplices add nothing."""
-        parts = [self.blocks[(k, l)].flatten() for k, l in _bidegrees(self.degree)
-                 if self.nerve.simplices(k)]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        """The cochain's array: the blocks' arrays stacked along the first axis."""
+        return self._flat
 
     def __sub__(self, other: "TotalCochain") -> "TotalCochain":
-        blocks = {kl: blk - other.blocks[kl] for kl, blk in self.blocks.items()}
-        return TotalCochain(self.nerve, self.G, self.quotient, self.m, self.degree, blocks)
+        return TotalCochain.from_flat(self.nerve, self.G, self.quotient, self.m, self.degree,
+                                      self._flat - other._flat)
 
     @staticmethod
     def from_flat(nerve, G, quotient, m, degree, flat: np.ndarray) -> "TotalCochain":
         """Inverse of flatten; axes of flat after the first are batch axes."""
-        offsets, dim = _block_offsets(nerve, G, quotient, degree)
-        ends = list(offsets.values())[1:] + [dim]
-        blocks = {(k, l): TwistedCochain.from_flat(
-                      nerve, GroupCochainSpace(G, quotient, m, l).as_gmodule(), k, flat[off:end])
-                  for ((k, l), off), end in zip(offsets.items(), ends)}
-        return TotalCochain(nerve, G, quotient, m, degree, blocks)
+        return TotalCochain.__new__(TotalCochain)._init(
+            nerve, G, quotient, m, degree, np.asarray(flat, dtype=np.int64) % m)
 
 
 def _bidegrees(p: int) -> list[tuple[int, int]]:
@@ -282,7 +278,7 @@ def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
     nerve, G, quotient, m, p = t.nerve, t.G, t.quotient, t.m, t.degree
     flat = apply_terms(total_dimension(nerve, G, quotient, m, p + 1), m,
                        total_terms(nerve, G, quotient, m, g, p), t.flatten())
-    return TotalCochain.from_flat(nerve, G, quotient, m, p + 1, flat)
+    return TotalCochain.__new__(TotalCochain)._init(nerve, G, quotient, m, p + 1, flat)
 
 
 def total_matrix(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,

@@ -48,9 +48,6 @@ class QZ:
     def __neg__(self) -> "QZ":
         return QZ.of(-self.num, self.den)
 
-    def scaled(self, k: int) -> "QZ":
-        return QZ.of(self.num * k, self.den)
-
     def is_zero(self) -> bool:
         return self.num == 0
 

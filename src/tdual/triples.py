@@ -218,11 +218,11 @@ class TotalTwoCocycle:
         ctx = self.ctx
         t = TotalCochain(self.nerve, ctx.G, ctx.quotient, ctx.m, 2)
         for s, v in self.psi.items():
-            t.blocks[(2, 0)].values[s] = v.copy()
+            t.blocks[(2, 0)].values[s] = v
         for e, v in self.phi.items():
-            t.blocks[(1, 1)].values[e] = v.reshape(-1).copy()
+            t.blocks[(1, 1)].values[e] = v.reshape(-1)
         for i, v in self.omega.items():
-            t.blocks[(0, 2)].values[(i,)] = v.reshape(-1).copy()
+            t.blocks[(0, 2)].values[(i,)] = v.reshape(-1)
         return t
 
     def omega_is_zero(self) -> bool:

@@ -158,6 +158,40 @@ def test_degree_above_dimension_is_zero_cochain():
     assert up.degree == 2 and up.is_zero() and not up.values
 
 
+def test_a_value_on_a_non_simplex_is_refused():
+    # flatten reads simplices only: such a value would be lost without a word
+    M = GModule.trivial(4)
+    with pytest.raises(KeyError):
+        TwistedCochain(Nerve.circle(), M, 0, {(7,): [1]})
+    c = TwistedCochain(Nerve.circle(), M, 0)
+    for key in ((9,), (0, 1)):
+        with pytest.raises(KeyError):
+            c.values[key] = [1]
+    assert list(c.values) == list(Nerve.circle().vertices) and c.is_zero()
+
+
+def test_assigned_values_are_reduced_mod_m():
+    c = TwistedCochain(Nerve.circle(), GModule.trivial(4), 0, {(2,): [9]})
+    c.values[(0,)] = [4]
+    c.values[(1,)] = [-1]
+    assert c.flatten().tolist() == [0, 3, 1]
+    c.values[(1,)] = [8]
+    c.values[(2,)] = [-4]
+    assert c.is_zero()
+
+
+def test_values_are_views_of_the_flat_array():
+    G, N, q = make_ctx([4], [[2]])
+    M = GModule.functions_on_quotient(4, q)
+    given = {s: np.arange(M.size) + 1 for s in Nerve.circle().vertices}
+    c = TwistedCochain(Nerve.circle(), M, 0, given)
+    for s in c.values:
+        assert np.shares_memory(c.flatten(), c.values[s])
+    given[(0,)][:] = 0          # the constructor copied its input
+    c.values[(1,)][0] = 3       # a view writes the cochain
+    assert c.flatten().tolist() == [1, 2, 3, 2, 1, 2]
+
+
 @pytest.mark.parametrize("factors,gens", [([4], [[2]]), ([6], [[3]]), ([2, 2], [[1, 1]])])
 @pytest.mark.parametrize("nerve", [Nerve.circle(), Nerve.sphere(), Nerve(2, [[0, 1]])])
 def test_d2_zero_randomised(factors, gens, nerve):

@@ -5,6 +5,7 @@ import sys
 import time
 import traceback
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -617,6 +618,30 @@ def test_point_nerve_check_catches_a_negated_total_differential(monkeypatch):
     assert not row["passed"]
     # negation keeps every cohomology group, so comparing factors would accept it
     assert row["factors"] == honest["factors"]
+
+
+def test_certificate_json_round_trips_through_block_values():
+    # the recipe of perfbench's cochain_from_json: each entry of the JSON
+    # certificate assigned into a fresh cochain's block values, which write
+    # through to the cochain's one array
+    G = lca.FiniteLcaGroup([6])
+    q = lca.QuotientGroup(G, lca.Subgroup(G, [G.element([3])]))
+    nerve, m = cech.Nerve.circle(), 6
+    g = cech.TwistCocycle.from_labels(nerve, q, {(0, 1): 1, (0, 2): 2, (1, 2): 1})
+    x0 = np.random.default_rng(0).integers(0, m, size=groupcoh.total_dimension(nerve, G, q, m, 1))
+    target = groupcoh.total_differential(
+        groupcoh.TotalCochain.from_flat(nerve, G, q, m, 1, x0), g)
+    cert = groupcoh.solve_total_coboundary(nerve, G, q, m, g, target)
+    data = json.loads(json.dumps(cli.total_cochain_to_json(cert)))
+    t = groupcoh.TotalCochain(nerve, G, q, data["modulus"], data["degree"])
+    for kl, entries in data["blocks"].items():
+        blk = t.blocks[tuple(int(x) for x in kl.split(","))]
+        for skey, vals in entries.items():
+            s = tuple(int(x) for x in skey.split(","))
+            blk.values[s] = np.array([int(Fraction(v) * m) % m for v in vals], dtype=np.int64)
+    assert not t.is_zero()
+    assert np.array_equal(t.flatten(), cert.flatten())
+    assert np.array_equal(groupcoh.total_differential(t, g).flatten(), target.flatten())
 
 
 def test_point_nerve_check_catches_an_identity_quotient_action(monkeypatch):

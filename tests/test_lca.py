@@ -30,7 +30,6 @@ class TestQZ:
         assert qz(1, 4) + qz(1, 4) == qz(1, 2)
         assert qz(1, 6) - qz(1, 3) == qz(5, 6)
         assert -qz(1, 6) == qz(5, 6)
-        assert qz(1, 6).scaled(3) == qz(1, 2)
 
 
 @pytest.mark.parametrize("factors", [[], [4], [2, 6]])
