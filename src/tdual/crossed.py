@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidTripleError, check_dim
-from .linops import adjoint
+from .linops import adjoint, kron_stack
 from .triples import DualityContext, TripleLocalData
 
 HOLONOMY_TOL = 1e-9   # Gram eigenvalue above which a loop's defect counts
@@ -90,13 +90,6 @@ class CrossedContext:
         """
         diag = self.phases[chi][..., self.lift].conj()
         return (self.dft * diag[..., None, :]) @ self.dft_inv
-
-
-def _fibre(L: np.ndarray, d: int) -> np.ndarray:
-    """L tensor the identity on C^d, as np.kron forms it, over a stack of L."""
-    q = L.shape[-1]
-    return (L[..., :, None, :, None] * np.eye(d)[:, None, :]).reshape(
-        *L.shape[:-2], q * d, q * d)
 
 
 class ConvolutionElement:
@@ -188,7 +181,7 @@ def conjugated_kernel(cc: CrossedContext, fm: np.ndarray, chi) -> np.ndarray:
         *batch, q, q, d * d)
     K = np.moveaxis(K.reshape(*batch, q, q, d, d), -4, -2).reshape(    # (a, i, c, j)
         *batch, q * d, q * d)
-    L = _fibre(cc.lam(chi), d)
+    L = kron_stack(cc.lam(chi), np.eye(d))
     K = L @ K
     return K @ adjoint(L)
 
@@ -313,7 +306,7 @@ def verify_point_theorem(ctx: DualityContext, d: int, mu: np.ndarray,
     # equivariance under the dual action: T(chi f)(z^) = L^-1 T(f)(z^ + chi) L
     fchi = ConvolutionElement(cc, v1 * cc.phases[ks][:, :, None, None, None])
     Tchi = t_transform(fchi, mu)
-    L = _fibre(cc.lam(ks), d)[:, None]
+    L = kron_stack(cc.lam(ks), np.eye(d))[:, None]
     want = adjoint(L) @ T1[np.arange(trials)[:, None], ctx.shift_hat[ks]] @ L
     rep["equivariance"] = float(np.max(np.abs(Tchi - want)))
     # injectivity: numerical rank of the linearised transform
@@ -400,8 +393,8 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
     ctx = t.ctx
     cc = CrossedContext(ctx, t.fiber_dim)
     rng = np.random.default_rng(seed)
-    kron_dft = np.kron(cc.dft, np.eye(cc.d))
-    kron_dft_inv = np.kron(cc.dft_inv, np.eye(cc.d))
+    kron_dft = kron_stack(cc.dft, np.eye(cc.d))
+    kron_dft_inv = kron_stack(cc.dft_inv, np.eye(cc.d))
     fam = section_family(t, cc, np.stack(
         [ConvolutionElement.random(cc, rng).values for _ in range(trials)]))
     # family relation on every edge (also the non-tree ones)

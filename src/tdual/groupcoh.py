@@ -178,17 +178,13 @@ class TotalCochain:
     It is one int64 array, block by block in _bidegrees order, then any batch
     axes.  Block (k, l), a Cech k-cochain of arity-l group cochains, is a
     TwistedCochain over a view of its slice: writing its values writes t.
-    The constructor copies the blocks it is given; the rest are zero.
+    The constructor makes the zero cochain.
     """
 
     def __init__(self, nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
-                 degree: int, blocks: Optional[dict] = None):
-        blocks = blocks or {}
-        batch = next((blk.flatten().shape[1:] for blk in blocks.values()), ())
+                 degree: int):
         dim = total_dimension(nerve, G, quotient, m, degree)
-        self._init(nerve, G, quotient, m, degree, np.zeros((dim,) + batch, dtype=np.int64))
-        for kl, blk in blocks.items():
-            self.blocks[kl].flatten()[...] = blk.flatten() % m
+        self._init(nerve, G, quotient, m, degree, np.zeros(dim, dtype=np.int64))
 
     def _init(self, nerve, G, quotient, m, degree, flat: np.ndarray):
         self.nerve, self.G, self.quotient, self.m, self.degree = nerve, G, quotient, m, degree

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .errors import InvalidTripleError
@@ -19,21 +17,12 @@ def adjoint(U: np.ndarray) -> np.ndarray:
     return np.swapaxes(U.conj(), -1, -2)
 
 
-def perm_matrix(size: int, image: Callable[[int], int]) -> np.ndarray:
-    """Matrix sending basis vector e_j to e_{image(j)}."""
-    P = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        P[image(j), j] = 1.0
-    return P
-
-
-def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    d = blocks[0].shape[0]
-    n = len(blocks)
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for i, b in enumerate(blocks):
-        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = b
-    return out
+def kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron over the last two axes, each entry formed as np.kron forms it;
+    leading axes are stacks and broadcast against each other."""
+    A, B = np.asarray(A), np.asarray(B)
+    out = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], A.shape[-2] * B.shape[-2], A.shape[-1] * B.shape[-1])
 
 
 def scalar_part(A: np.ndarray, tol: float) -> complex:

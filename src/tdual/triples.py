@@ -42,8 +42,7 @@ from .lca import (
 )
 from .linops import (
     adjoint,
-    block_diag,
-    perm_matrix,
+    kron_stack,
     scalar_deviation,
     scalar_part,
     scalar_stack,
@@ -279,9 +278,10 @@ def build_random_triple(nerve: Nerve, ctx: DualityContext, d: int, seed: int,
     # <chi, g> as k/m, and the section defect n(g, z) = g + sigma(z) - sigma(z + gN) in N
     pair = G.pairing_table() * (m // G.exponent)
     defect = ctx.sub[G.add_table()[:, lift], lift[shift]]
-    diags = ctx.qz_phases(pair[chars].T)
+    diags = np.zeros((n, d, d), dtype=complex)
+    diags[:, np.arange(d), np.arange(d)] = ctx.qz_phases(pair[chars].T)
     scalar = ctx.qz_phases(pair[chi0][:, None] + pair[beta0][defect])
-    model = scalar[:, :, None, None] * np.array([np.diag(row) for row in diags])[:, None]
+    model = scalar[:, :, None, None] * diags[:, None]
 
     # scalar perturbations: nu on vertices (g, z), zero at g = 0; s on edges (z)
     mu = {}
@@ -309,8 +309,9 @@ def validate_triple(t: TripleLocalData) -> dict:
         moved = qadd[t.g.labels[(a, b)]]
         decker = max(decker, scalar_deviation(
             adjoint(Ze[shift]) @ Mu[a][:, moved] @ Ze @ adjoint(Mu[b])))
-    cocyc = max(scalar_deviation(M[g][shift] @ M @ adjoint(M[add[g]]))
-                for M in Mu.values() for g in range(len(add)))
+    # all g at once: |G|^2 q d^2 entries, as omega's stack in extract_total_cocycle
+    gs = np.arange(len(add))[:, None, None]
+    cocyc = max(scalar_deviation(M[gs, shift] @ M @ adjoint(M[add])) for M in Mu.values())
     mu0 = max(scalar_deviation(M[0]) for M in Mu.values())    # G.elements()[0] is 0
     return {"unitarity": uni, "edge_law": decker, "vertex_law": cocyc,
             "mu_at_zero_scalar": mu0}
@@ -464,16 +465,18 @@ def dual_transitions(t: TripleLocalData, c: TotalTwoCocycle,
     """
     ctx = t.ctx
     nq, d = ctx.quotient.order, t.fiber_dim
-    eye_d = np.eye(d, dtype=complex)
+    eye_q, eye_d = np.eye(nq, dtype=complex), np.eye(d, dtype=complex)
     neg_x = ctx.quotient.neg_table()
+    pos = np.arange(nq * d).reshape(nq, d)                          # block x's rows
     out = {}
     for e in t.nerve.edges:
         ig = ctx.lift[t.g.labels[e]]                                # in the g_ab coset
-        P = perm_matrix(nq, ctx.shift[ctx.neg[ig]].__getitem__)     # x -> x - g_ab
-        B = block_diag(t.zeta[e][neg_x])
+        P = eye_q[:, ctx.shift[ctx.neg[ig]]]                        # x -> x - g_ab
+        B = np.zeros((nq * d, nq * d), dtype=complex)
+        B[pos[:, :, None], pos[:, None, :]] = t.zeta[e][neg_x]
         # phi_ab(-sigma(x), 0) as m-th roots; column 0 is the zero coset
         d2 = np.exp(2j * np.pi * c.phi[e][ctx.neg[ctx.lift], 0] / ctx.m)
-        right = np.kron(P, eye_d) @ B @ np.kron(np.diag(d2.conj()), eye_d)
+        right = kron_stack(P, eye_d) @ B @ kron_stack(np.diag(d2.conj()), eye_d)
         # d1[z^, x] = <sigma^(g^_ab + z^), sigma(x + g_ab) - sigma(x)>
         arg = ctx.lift_hat[ctx.dual_quotient.add_table()[ghat.labels[e]]]
         step = ctx.sub[ctx.lift[ctx.shift[ig]], ctx.lift]
@@ -550,13 +553,14 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
             res_phi_form = 1.0
         rhs = Muh[b] * ctx.qz_phases(-want)[:, :, None, None]
         res_decker = max(res_decker, float(np.max(np.abs(lhs - rhs))))
-    # periodicity of mu^ in chi by N-perp: defect is the diagonal <nperp, -sigma(_)>
-    res_periodic = 0.0
+    # periodicity of mu^ in chi by N-perp: defect is the diagonal <nperp, -sigma(_)>,
+    # for all nperp at once
     M = Muh[t.nerve.vertices[0][0]]
-    for nperp in ctx.Nperp.positions:
-        want = np.diag(np.repeat(ctx.phases[nperp, ctx.lift].conj(), t.fiber_dim))
-        got = M[Gd.add_table()[:, nperp]] @ adjoint(M)
-        res_periodic = max(res_periodic, float(np.max(np.abs(got - want))))
+    perp = ctx.Nperp.positions
+    want = np.repeat(ctx.phases[perp][:, ctx.lift].conj(), t.fiber_dim, axis=1)
+    got = M[Gd.add_table()[:, perp].T] @ adjoint(M)
+    res_periodic = float(np.max(np.abs(
+        got - want[:, None, None, :, None] * np.eye(want.shape[1]))))
     return {
         "dual_cech_law": res_cech,
         "dual_decker_law": res_decker,
@@ -626,13 +630,6 @@ def kappa_hat_phase(ctx: DualityContext) -> np.ndarray:
     return ctx.phases[step[None], ctx.lift[:, None, None]]
 
 
-def _translation(ctx: DualityContext, iz: int, d: int) -> np.ndarray:
-    """Translation by the z-th coset on L^2(G/N), tensor the identity on C^d."""
-    nq = ctx.quotient.order
-    return np.kron(perm_matrix(nq, ctx.shift[ctx.lift[iz]].__getitem__),
-                   np.eye(d, dtype=complex))
-
-
 def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
     """Three checks on the Poincare phase kappa.
 
@@ -658,17 +655,18 @@ def poincare_check(ctx: DualityContext, seed: int = 0) -> dict:
     kap, kap_hat = kappa_phase(ctx), kappa_hat_phase(ctx)
     mvals = ctx.phases[np.ix_(ctx.lift_hat, ctx.lift)].T
     M = np.diag(mvals.reshape(-1))           # multiplication by <s^(y), s(x)>
+    eye_q, eye_dq = np.eye(nq, dtype=complex), np.eye(nd, dtype=complex)
+    # one |G| x |G| word per pair: this check has no matrix cap, and a stack
+    # over all pairs would hold |G|^3 entries
     res_b = 0.0
     for iz in range(nq):
-        lam = _translation(ctx, iz, nd)
+        lam = kron_stack(eye_q[:, ctx.shift[lift[iz]]], eye_dq)
         for izh in range(nd):
-            lam_hat = np.kron(
-                np.eye(nq, dtype=complex),
-                perm_matrix(nd, ctx.shift_hat[ctx.lift_hat[izh]].__getitem__))
+            lam_hat = kron_stack(eye_q, eye_dq[:, ctx.shift_hat[lift_hat[izh]]])
             W = lam_hat @ lam @ M.conj() @ adjoint(lam_hat) @ M \
                 @ adjoint(lam) @ lam_hat @ M @ adjoint(lam_hat) @ M.conj()
-            target = np.kron(np.diag(kap[iz, izh]), np.eye(nd, dtype=complex)) \
-                @ np.kron(np.eye(nq, dtype=complex), np.diag(kap_hat[iz, izh]))
+            target = kron_stack(np.diag(kap[iz, izh]), eye_dq) \
+                @ kron_stack(eye_q, np.diag(kap_hat[iz, izh]))
             res_b = max(res_b, scalar_deviation(adjoint(target) @ W))
 
     # (c) [Q]+[R] = 0: nu_cd . nu-perp_ab = delta(<s^_a(..), s_c(_)>) exactly,
@@ -700,35 +698,36 @@ def build_kappa_top(t: TripleLocalData, t_hat: TripleLocalData) -> tuple[dict, d
     alpha_ab(z, z^) = <s^(g^_ab + z^) - s^(z^), sigma(z)> . (z^-independent).
     """
     ctx = t.ctx
-    nq, nd, d = ctx.quotient.order, ctx.dual_quotient.order, t.fiber_dim
-    eye_d = np.eye(d, dtype=complex)
+    nq, d = ctx.quotient.order, t.fiber_dim
+    eye_q, eye_d = np.eye(nq, dtype=complex), np.eye(d, dtype=complex)
+    # every (z, z^) at once, each table (q, q^, D, D) as kappa's: translation
+    # by z tensor 1, and kappa-phase(z, z^) tensor 1
+    P = kron_stack(np.moveaxis(eye_q[:, ctx.shift[ctx.lift]], 1, 0), eye_d)[:, None]
     kap = kappa_phase(ctx)
-    P = [_translation(ctx, iz, d) for iz in range(nq)]
-    D = [[np.kron(np.diag(kap[iz, izh]), eye_d) for izh in range(nd)] for iz in range(nq)]
+    diag = np.zeros(kap.shape + (nq,), dtype=complex)
+    diag[..., np.arange(nq), np.arange(nq)] = kap
+    D = kron_stack(diag, eye_d)
+    pos = np.arange(nq * d).reshape(nq, d)                          # block x's rows
     kappa = {}
     for v in t.nerve.vertices:
         M = t.mu[v[0]][ctx.neg[ctx.lift]]                             # mu_i(-sigma(x), z)
-        B = [adjoint(block_diag(M[:, iz])) for iz in range(nq)]
-        kappa[v[0]] = np.array([[D[iz][izh] @ B[iz] @ P[iz] for izh in range(nd)]
-                                for iz in range(nq)])
+        B = np.zeros((nq, nq * d, nq * d), dtype=complex)            # blockdiag_x, per z
+        B[:, pos[:, :, None], pos[:, None, :]] = M.swapaxes(0, 1)
+        kappa[v[0]] = D @ adjoint(B)[:, None] @ P
 
     res_glue = 0.0
     res_alpha = 0.0
-    eye_q = np.eye(nq, dtype=complex)
     for e in t.nerve.edges:
         a, b = e
         ig = ctx.lift[t.g.labels[e]]                                # in the g_ab coset
         igh = ctx.lift_hat[t_hat.g.labels[e]]                       # in the g^_ab coset
-        alphas = np.zeros((nq, nd), dtype=complex)
-        for iz in range(nq):
-            target = np.kron(eye_q, t.zeta[e][iz])
-            for izh in range(nd):
-                lhs = kappa[a][ctx.shift[ig, iz], ctx.shift_hat[igh, izh]] \
-                    @ t_hat.zeta[e][izh] @ adjoint(kappa[b][iz, izh])
-                M = lhs @ adjoint(target)
-                res_glue = max(res_glue, scalar_deviation(M))
-                s = complex(np.trace(M)) / M.shape[0]
-                alphas[iz, izh] = 1.0 / s          # alpha = inverse defect
+        target = kron_stack(eye_q, t.zeta[e])[:, None]
+        lhs = kappa[a][ctx.shift[ig][:, None], ctx.shift_hat[igh]] \
+            @ t_hat.zeta[e] @ adjoint(kappa[b])
+        s, dev = scalar_stack(lhs @ adjoint(target))
+        res_glue = max(res_glue, float(np.max(dev)))
+        # alpha = inverse defect, divided as Python divides complex numbers
+        alphas = (1.0 / s.astype(object)).astype(complex)
         # alpha factorisation against beta(z, z^) = <s^(g^_ab + z^) - s^(z^), sigma(z)>,
         # with the z^-independent part fitted at z^ = 0 (column 0)
         moved = ctx.lift_hat[ctx.shift_hat[igh]]
@@ -771,10 +770,11 @@ def exterior_family_residuals(t: TripleLocalData, t2: TripleLocalData) -> dict:
         moved = qadd[t.g.labels[(a, b)]]
         rhs = Ze @ C[b] @ adjoint(Ze)
         res_e1 = max(res_e1, float(np.max(np.abs(C[a][:, moved] - rhs))))
+    # all g at once: |G|^2 q d^2 entries per vertex, as validate_triple's vertex law
     hs = np.arange(len(add))[:, None]
     res_e2 = max(float(np.max(np.abs(
-        C[i][add[:, g]] - adjoint(M[g]) @ C[i][hs, shift[g]] @ M[g] @ C[i][g])))
-        for i, M in t.mu.items() for g in range(len(add)))
+        C[i][add.T] - adjoint(M)[:, None] @ C[i][hs, shift[:, None]] @ M[:, None]
+        @ C[i][:, None]))) for i, M in t.mu.items())
     return {"exterior_e1": res_e1, "exterior_e2": res_e2}
 
 

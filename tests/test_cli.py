@@ -22,6 +22,11 @@ from tdual.cli import (
     run_checks,
 )
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 Z6 = {
     "groups": {"factors": [6], "N": [[3]]},
     "nerve": {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]},
@@ -313,7 +318,7 @@ class TestExitCodes:
         sc = write_scenario(tmp_path, dict(Z8_OVERCAP, command="total-cohomology"))
         out = str(tmp_path / "r.json")
         assert main(["run", sc, "-o", out]) == 0
-        assert json.load(open(out))["all_passed"] is True
+        assert _read_json(out)["all_passed"] is True
 
 
 class TestReports:
@@ -322,8 +327,8 @@ class TestReports:
         o1, o2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["run", sc, "-o", o1]) == 0
         assert main(["run", sc, "-o", o2]) == 0
-        a = json.load(open(o1))
-        b = json.load(open(o2))
+        a = _read_json(o1)
+        b = _read_json(o2)
         a.pop("timings")
         b.pop("timings")
         assert a == b
@@ -334,7 +339,7 @@ class TestReports:
         monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
         out = str(tmp_path / "r.json")
         assert main(["run", "z6_circle", "-o", out]) == 0
-        report = json.load(open(out))
+        report = _read_json(out)
         report.pop("timings")
         for check in report["checks"]:
             check.pop("residual")
@@ -347,7 +352,7 @@ class TestReports:
         monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
         out = str(tmp_path / "r.json")
         assert main(["run", write_scenario(tmp_path, Z2XZ2_SPHERE), "-o", out]) == 0
-        report = json.load(open(out))
+        report = _read_json(out)
         report.pop("timings")
         for check in report["checks"]:
             check.pop("residual")
@@ -362,7 +367,7 @@ class TestReports:
         monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
         out = str(tmp_path / "r.json")
         assert main(["run", write_scenario(tmp_path, Z6_HOLONOMY), "-o", out]) == 0
-        checks = {c["name"]: c for c in json.load(open(out))["checks"]}
+        checks = {c["name"]: c for c in _read_json(out)["checks"]}
         assert checks["cech.twisted_factors"]["factors"] == {"0": [6], "1": [6]}
         assert checks["total.scenario_factors"]["factors"] == {"0": [6], "1": [2, 6]}
 
@@ -370,7 +375,7 @@ class TestReports:
         sc = write_scenario(tmp_path, dict(Z6, command="dualize", fiber_dim=1))
         o1 = str(tmp_path / "r1.json")
         assert main(["run", sc, "-o", o1, "--seed", "77"]) == 0
-        assert json.load(open(o1))["seed"] == 77
+        assert _read_json(o1)["seed"] == 77
 
     def test_single_check_filter(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, Z6)
@@ -608,11 +613,8 @@ def test_point_nerve_check_catches_a_negated_total_differential(monkeypatch):
 
     def negated(t, g):
         out = fn(t, g)
-        blocks = {kl: cech.TwistedCochain(b.nerve, b.module, b.degree,
-                                          {s: -v for s, v in b.values.items()})
-                  for kl, b in out.blocks.items()}
-        return groupcoh.TotalCochain(out.nerve, out.G, out.quotient, out.m,
-                                     out.degree, blocks)
+        return groupcoh.TotalCochain.from_flat(out.nerve, out.G, out.quotient, out.m,
+                                               out.degree, -out.flatten())
     monkeypatch.setattr(groupcoh, "total_differential", negated)
     row, _ = _point_nerve_row([6], [[3]])
     assert not row["passed"]
@@ -676,7 +678,7 @@ def test_point_nerve_check_reaches_the_report_when_extraction_fails(monkeypatch,
     monkeypatch.setattr(groupcoh, "d_group_terms", unmoved)
     out = tmp_path / "r.json"
     assert main(["run", "z6_circle", "--seed", "3", "-o", str(out)]) == 1
-    checks = {c["name"]: c for c in json.load(open(out))["checks"]}
+    checks = {c["name"]: c for c in _read_json(out)["checks"]}
     assert "total.invalid_triple" not in checks
     assert not checks[POINT_NERVE]["passed"]
     closure = checks["total.triple_cocycle_closure"]

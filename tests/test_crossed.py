@@ -27,7 +27,7 @@ from tdual.crossed import (
 )
 from tdual.errors import InvalidTripleError, ResourceCapError
 from tdual.lca import FiniteLcaGroup, Subgroup, pairing
-from tdual.linops import adjoint, unit_phase
+from tdual.linops import adjoint, kron_stack, unit_phase
 from tdual.triples import (
     DualityContext,
     build_random_triple,
@@ -588,7 +588,7 @@ def _ref_verify_point_theorem(ctx, d, mu, trials=4, seed=0):
         k = int(rng.integers(0, ctx.Gd.order))
         fchi = ConvolutionElement(cc, f1.values * cc.phases[k][:, None, None, None])
         Tchi = t_transform(fchi, mu)
-        L = crossed._fibre(cc.lam(k), d)
+        L = kron_stack(cc.lam(k), np.eye(d))
         want = adjoint(L) @ T1[ctx.shift_hat[k]] @ L
         equiv = max(equiv, float(np.max(np.abs(Tchi - want))))
     rep["homomorphism"] = hom

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tdual.errors import InvalidTripleError
 from tdual.groupcoh import GroupCochain, GroupCochainSpace, d_group, group_cohomology
 from tdual.lca import (QZ, QZ_ZERO, FiniteLcaGroup, Subgroup, dual_group, make_section,
                        pairing)
-from tdual.linops import unit_phase
+from tdual.linops import adjoint, scalar_deviation, unit_phase
 from tdual.triples import (
     DualityContext,
     TotalTwoCocycle,
@@ -20,6 +21,7 @@ from tdual.triples import (
     cocycle_certificate,
     dual_base_cocycle,
     dual_decker,
+    dual_transitions,
     dualize,
     dual_law_report,
     exterior_family_residuals,
@@ -345,6 +347,22 @@ class TestPoincare:
     def test_vacuous_when_n_is_g(self):
         rep = poincare_check(ctx_for([4], [[1]]), seed=2)
         assert all(v == 0.0 for v in rep.values())
+
+    def test_unitary_word_is_built_one_pair_at_a_time(self):
+        # the poincare command has no matrix cap; its words are |G| x |G|,
+        # so a stack over the 64 (z, z^) pairs of Z8 x Z8 / <(1, 1)> would
+        # hold at least 64 * 64^2 * 16 bytes = 4.2 MB
+        ctx = ctx_for([8, 8], [[1, 1]])
+        assert ctx.quotient.order == ctx.dual_quotient.order == 8
+        poincare_check(ctx, seed=3)         # builds the context's tables
+        tracemalloc.start()
+        try:
+            rep = poincare_check(ctx, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["kappa_unitary_word"] < 1e-9
+        assert peak < 2 * 2 ** 20
 
 
 class TestKappaTop:
@@ -829,3 +847,151 @@ def test_extraction_rejects_a_perturbed_omega_entry(z6fix, monkeypatch):
     with pytest.raises(InvalidTripleError, match="not a total cocycle"):
         extract_total_cocycle(z6fix)
     assert perturbed == [(6, 6, 3, 2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the stacked operator products against the per-coset loops they replaced:
+# each stacked form must agree bit for bit
+
+def _ref_perm(size, image):
+    """Matrix sending basis vector e_j to e_{image[j]}."""
+    P = np.zeros((size, size), dtype=complex)
+    for j in range(size):
+        P[image[j], j] = 1.0
+    return P
+
+
+def _ref_block_diag(blocks):
+    d, n = blocks[0].shape[0], len(blocks)
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for i, b in enumerate(blocks):
+        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = b
+    return out
+
+
+def _ref_translation(ctx, iz, d):
+    return np.kron(_ref_perm(ctx.quotient.order, ctx.shift[ctx.lift[iz]]),
+                   np.eye(d, dtype=complex))
+
+
+def _ref_dual_transitions(t, c, ghat):
+    ctx = t.ctx
+    nq, d = ctx.quotient.order, t.fiber_dim
+    eye_d = np.eye(d, dtype=complex)
+    neg_x = ctx.quotient.neg_table()
+    out = {}
+    for e in t.nerve.edges:
+        ig = ctx.lift[t.g.labels[e]]
+        P = _ref_perm(nq, ctx.shift[ctx.neg[ig]])
+        B = _ref_block_diag(t.zeta[e][neg_x])
+        d2 = np.exp(2j * np.pi * c.phi[e][ctx.neg[ctx.lift], 0] / ctx.m)
+        right = np.kron(P, eye_d) @ B @ np.kron(np.diag(d2.conj()), eye_d)
+        arg = ctx.lift_hat[ctx.dual_quotient.add_table()[ghat.labels[e]]]
+        step = ctx.sub[ctx.lift[ctx.shift[ig]], ctx.lift]
+        d1 = np.repeat(ctx.phases[arg[:, None], step], d, axis=1)
+        out[e] = d1[:, :, None] * right
+    return out
+
+
+def _ref_kappa_top(t, t_hat):
+    from tdual.triples import kappa_phase
+    ctx = t.ctx
+    nq, nd, d = ctx.quotient.order, ctx.dual_quotient.order, t.fiber_dim
+    eye_d = np.eye(d, dtype=complex)
+    kap = kappa_phase(ctx)
+    P = [_ref_translation(ctx, iz, d) for iz in range(nq)]
+    D = [[np.kron(np.diag(kap[iz, izh]), eye_d) for izh in range(nd)] for iz in range(nq)]
+    kappa = {}
+    for v in t.nerve.vertices:
+        M = t.mu[v[0]][ctx.neg[ctx.lift]]
+        B = [adjoint(_ref_block_diag(M[:, iz])) for iz in range(nq)]
+        kappa[v[0]] = np.array([[D[iz][izh] @ B[iz] @ P[iz] for izh in range(nd)]
+                                for iz in range(nq)])
+    res_glue = res_alpha = 0.0
+    eye_q = np.eye(nq, dtype=complex)
+    for e in t.nerve.edges:
+        a, b = e
+        ig = ctx.lift[t.g.labels[e]]
+        igh = ctx.lift_hat[t_hat.g.labels[e]]
+        alphas = np.zeros((nq, nd), dtype=complex)
+        for iz in range(nq):
+            target = np.kron(eye_q, t.zeta[e][iz])
+            for izh in range(nd):
+                lhs = kappa[a][ctx.shift[ig, iz], ctx.shift_hat[igh, izh]] \
+                    @ t_hat.zeta[e][izh] @ adjoint(kappa[b][iz, izh])
+                M = lhs @ adjoint(target)
+                res_glue = max(res_glue, scalar_deviation(M))
+                s = complex(np.trace(M)) / M.shape[0]
+                alphas[iz, izh] = 1.0 / s
+        moved = ctx.lift_hat[ctx.shift_hat[igh]]
+        beta = ctx.phases[ctx.sub[moved, ctx.lift_hat]][:, ctx.lift].T
+        const = alphas[:, :1] / beta[:, :1]
+        res_alpha = max(res_alpha, float(np.max(np.abs(alphas - beta * const))))
+    return kappa, {"kappa_top_gluing": res_glue, "alpha_factorisation": res_alpha}
+
+
+def _ref_vertex_law(t):
+    shift, add = t.ctx.shift, t.ctx.G.add_table()
+    return max(scalar_deviation(M[g][shift] @ M @ adjoint(M[add[g]]))
+               for M in t.mu.values() for g in range(len(add)))
+
+
+def _ref_exterior_e2(t, t2):
+    shift, add = t.ctx.shift, t.ctx.G.add_table()
+    C = {i: adjoint(M) @ t2.mu[i] for i, M in t.mu.items()}
+    hs = np.arange(len(add))[:, None]
+    return max(float(np.max(np.abs(
+        C[i][add[:, g]] - adjoint(M[g]) @ C[i][hs, shift[g]] @ M[g] @ C[i][g])))
+        for i, M in t.mu.items() for g in range(len(add)))
+
+
+def _ref_mu_periodicity(t, t_hat):
+    ctx = t.ctx
+    M = t_hat.mu[t.nerve.vertices[0][0]]
+    res = 0.0
+    for nperp in ctx.Nperp.positions:
+        want = np.diag(np.repeat(ctx.phases[nperp, ctx.lift].conj(), t.fiber_dim))
+        got = M[ctx.Gd.add_table()[:, nperp]] @ adjoint(M)
+        res = max(res, float(np.max(np.abs(got - want))))
+    return res
+
+
+# (factors, generators of N, nerve, twist label on edge (0, 1) or None)
+STACK_CASES = {
+    "z6_twisted_circle": ([6], [[3]], "circle", [1]),
+    "z2xz4_circle": ([2, 4], [[1, 2]], "circle", None),
+    "z2xz2_sphere": ([2, 2], [[1, 1]], "sphere", None),
+}
+
+
+# at seeds 4 and 9, dividing alpha = 1/s with numpy's complex division
+# instead of Python's moves alpha_factorisation in its last bit
+@pytest.mark.parametrize("seed", [4, 9])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_operator_products_match_per_coset_loops(case, d, seed):
+    factors, gens, nerve_name, label = STACK_CASES[case]
+    ctx = ctx_for(factors, gens)
+    twist = _circle_twist(ctx, label) if label is not None else None
+    t = build_random_triple(getattr(Nerve, nerve_name)(), ctx, d=d, seed=seed, twist=twist)
+    tn = make_dualisable(t)
+    cn = extract_total_cocycle(tn)
+    ghat = dual_base_cocycle(tn, cn)
+    th = dualize(tn, cn)
+
+    zeta_hat, want = dual_transitions(tn, cn, ghat), _ref_dual_transitions(tn, cn, ghat)
+    assert zeta_hat.keys() == want.keys()
+    for e in want:
+        assert np.array_equal(zeta_hat[e], want[e]), e
+    kappa, krep = build_kappa_top(tn, th)
+    ref_kappa, ref_krep = _ref_kappa_top(tn, th)
+    for i in ref_kappa:
+        assert np.array_equal(kappa[i], ref_kappa[i]), i
+    for key in ("kappa_top_gluing", "alpha_factorisation"):
+        assert np.array_equal(krep[key], ref_krep[key]), key
+    assert np.array_equal(validate_triple(t)["vertex_law"], _ref_vertex_law(t))
+    tp = exterior_perturbation(tn, seed=5)
+    assert np.array_equal(exterior_family_residuals(tn, tp)["exterior_e2"],
+                          _ref_exterior_e2(tn, tp))
+    assert np.array_equal(dual_law_report(tn, th)["dual_mu_periodicity"],
+                          _ref_mu_periodicity(tn, th))
