@@ -139,10 +139,10 @@ class Workspace:
     Each pipeline stage is built once, from the stages before it:
     fixture -> fixture_cocycle -> normalized -> cocycle -> dual -> dual_cocycle
     -> dual_laws, then double_dual -> double_dual_cocycle, and exterior ->
-    exterior_cocycle.  The scenario factors and both class certificates
-    read groupcoh.total_complex(fixture().g, m), the total complex twisted
-    by the fixture's twist g; g keeps its matrices and Smith forms, so
-    they share one factorisation of total_matrix(1).
+    exterior_cocycle; dual_laws adds the phi^ check to the laws dualize kept
+    on the dual.  The scenario factors and both class certificates read
+    groupcoh.total_complex(fixture().g, m), the total complex twisted by the
+    fixture's twist g, and share the one factorisation of total_matrix(1) it keeps.
     """
 
     def __init__(self, scenario: dict, seed: Optional[int] = None,
@@ -212,8 +212,9 @@ class Workspace:
                          lambda: triples.extract_total_cocycle(self.dual()))
 
     def dual_laws(self) -> dict:
-        return self._get("dual_laws", lambda: triples.dual_law_report(
-            self.normalized(), self.dual(), self.dual_cocycle()))
+        return self._get("dual_laws", lambda: {
+            **self.dual().laws, "dual_phi_closed_form": triples.phi_hat_residual(
+                self.normalized(), self.dual(), self.dual_cocycle())})
 
     def double_dual(self) -> triples.TripleLocalData:
         return self._get("double_dual",
@@ -314,11 +315,11 @@ def check_cech(ws: Workspace) -> list[dict]:
     # one complex per coefficient module: degree k reuses degree k-1's matrix
     untwisted = cech.cech_complex(nerve, cech.GModule.trivial(ctx.m),
                                   cech.TwistCocycle.trivial(nerve, ctx.quotient))
-    factors = {str(k): untwisted.cohomology(k)[0] for k in range(nerve.dimension + 1)}
+    factors = {str(k): untwisted.factors(k) for k in range(nerve.dimension + 1)}
     out.append(_exact("cech.untwisted_factors", True, factors=factors))
 
     twisted = cech.cech_complex(nerve, mod, ws.twist)
-    tw_factors = {str(k): twisted.cohomology(k)[0] for k in range(min(nerve.dimension, 1) + 1)}
+    tw_factors = {str(k): twisted.factors(k) for k in range(min(nerve.dimension, 1) + 1)}
     out.append(_exact("cech.twisted_factors", True, factors=tw_factors))
 
     r = {v[0]: int(rng.integers(0, ctx.quotient.order)) for v in nerve.vertices}
@@ -395,7 +396,7 @@ def check_total(ws: Workspace) -> list[dict]:
     skipped = []
     cap = max_matrix_dim()
     shapiro = _shapiro_factors(ctx)
-    group = ctx.group_complex   # cohomology(p) reads matrix(p-1): the cap skips top degrees only
+    group = ctx.group_complex   # factors(p) reads matrix(p-1): the cap skips top degrees only
     for p in (0, 1, 2):
         if (ctx.G.order ** (p + 1)) * ctx.quotient.order > cap:
             skipped.append(p)
@@ -417,7 +418,7 @@ def check_total(ws: Workspace) -> list[dict]:
             groupcoh.TotalCochain.from_flat(pt, ctx.G, ctx.quotient, ctx.m, p, x), gp)
         if not (np.array_equal(A @ x % ctx.m, want) and np.array_equal(image.flatten(), want)):
             ok_pt = False
-        pt_factors[str(p)], _ = group.cohomology(p)
+        pt_factors[str(p)] = group.factors(p)
         if pt_factors[str(p)] != shapiro[p]:
             ok_pt = False
     out.append(_exact("total.point_nerve_matches_group_cohomology", ok_pt,
@@ -430,7 +431,7 @@ def check_total(ws: Workspace) -> list[dict]:
             # the fixture's twist is the scenario's plus a seeded coboundary dr;
             # r# is an isomorphism of the two total complexes, so the factors
             # agree, and the certificates reuse this twist's factorisations
-            factors[str(p)], _ = groupcoh.total_complex(ws.fixture().g, ctx.m).cohomology(p)
+            factors[str(p)] = groupcoh.total_complex(ws.fixture().g, ctx.m).factors(p)
         except ResourceCapError:
             capped = True
     out.append(_exact("total.scenario_factors", True, factors=factors,

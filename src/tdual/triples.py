@@ -177,7 +177,8 @@ class TripleLocalData:
     ctx.G.elements() and ctx.quotient.reps(); position 0 is the zero element.
     legs records the tensor factorisation of the fiber (duals prepend an
     L^2(G/N)-leg).  gauge keeps the (q, dim, dim) chart unitaries of generated
-    fixtures per vertex, used to build exterior perturbations.
+    fixtures per vertex, used to build exterior perturbations.  laws keeps,
+    on a dual, the dual_law_report that dualize measured on it.
     """
 
     nerve: Nerve
@@ -189,6 +190,7 @@ class TripleLocalData:
     tau_s: float = TAU_S
     tau_u: float = TAU_U
     gauge: Optional[dict] = None
+    laws: Optional[dict] = None
 
     @property
     def fiber_dim(self) -> int:
@@ -520,7 +522,7 @@ def dualize(t: TripleLocalData, c: Optional[TotalTwoCocycle] = None) -> TripleLo
     legs = (t.ctx.quotient.order,) + t.legs
     out = TripleLocalData(t.nerve, ctx_d, legs, ghat, zeta_hat, mu_hat,
                           t.tau_s, t.tau_u, gauge=None)
-    rep = dual_law_report(t, out)
+    rep = out.laws = dual_law_report(t, out)
     if rep["dual_cech_law"] > t.tau_u:
         raise InvalidTripleError(
             f"dual transitions violate the twisted cocycle law "
@@ -534,7 +536,7 @@ def dualize(t: TripleLocalData, c: Optional[TotalTwoCocycle] = None) -> TripleLo
 
 def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
                     c_hat: Optional[TotalTwoCocycle] = None) -> dict:
-    """Residuals of the dual-side laws, plus the closed-form check for phi^."""
+    """Residuals of the dual-side laws, plus phi^'s closed-form check given c_hat."""
     ctx = t.ctx
     Gd, shift, dqadd = ctx.Gd, t_hat.ctx.shift, ctx.dual_quotient.add_table()
     Zh, Muh = t_hat.zeta, t_hat.mu
@@ -544,13 +546,10 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
         mats = adjoint(Zh[(a, c)]) @ Zh[(a, b)][moved] @ Zh[(b, c)]
         res_cech = max(res_cech, scalar_deviation(mats))
     res_decker = 0.0
-    res_phi_form = 0.0
     for (a, b), Ze in Zh.items():
         ighat = t_hat.g.labels[(a, b)]
         lhs = adjoint(Ze[shift]) @ Muh[a][:, dqadd[ighat]] @ Ze
         want = dual_phi_closed_form(ctx, t.g.labels[(a, b)], ighat)
-        if c_hat is not None and np.any(c_hat.phi[(a, b)] % ctx.m != want):
-            res_phi_form = 1.0
         rhs = Muh[b] * ctx.qz_phases(-want)[:, :, None, None]
         res_decker = max(res_decker, float(np.max(np.abs(lhs - rhs))))
     # periodicity of mu^ in chi by N-perp: defect is the diagonal <nperp, -sigma(_)>,
@@ -564,9 +563,15 @@ def dual_law_report(t: TripleLocalData, t_hat: TripleLocalData,
     return {
         "dual_cech_law": res_cech,
         "dual_decker_law": res_decker,
-        "dual_phi_closed_form": res_phi_form,
+        "dual_phi_closed_form": 0.0 if c_hat is None else phi_hat_residual(t, t_hat, c_hat),
         "dual_mu_periodicity": res_periodic,
     }
+
+
+def phi_hat_residual(t: TripleLocalData, t_hat: TripleLocalData, c_hat: TotalTwoCocycle) -> float:
+    """1.0 if the phi^ of c_hat, t_hat's cocycle, differs from its closed form, else 0.0."""
+    return float(any(np.any(c_hat.phi[e] % t.ctx.m != dual_phi_closed_form(
+        t.ctx, t.g.labels[e], t_hat.g.labels[e])) for e in t_hat.zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +614,7 @@ def verify_involution(t: TripleLocalData) -> dict:
     c_hat = extract_total_cocycle(t_hat)
     t_dd = dualize(t_hat, c_hat)
     c_dd = extract_total_cocycle(t_dd)
-    return {**dual_law_report(t, t_hat, c_hat),
+    return {**t_hat.laws, "dual_phi_closed_form": phi_hat_residual(t, t_hat, c_hat),
             **involution_report(t, c, c_hat, t_dd, c_dd, cocycle_certificate(c, c_dd))}
 
 

@@ -10,7 +10,8 @@ cohomology and coboundary solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 from typing import Callable, Optional
 
 import numpy as np
@@ -333,7 +334,7 @@ class Complex:
     first use and kept in memo, as p -> [matrix(p), its Smith form or
     None]: data only, so a memo kept by a twist cocycle holds no reference
     back to it.  smith calls smith_form by name, so patching it reaches
-    every complex.
+    every complex; factors, cohomology and solve share one form per matrix.
     """
 
     def __init__(self, m: int, d: Callable[[int], np.ndarray],
@@ -371,6 +372,29 @@ class Complex:
         B = self.matrix(p - 1) if p > 0 else np.zeros((cols, 0), dtype=np.int64)
         factors, reps = module_quotient(K, B, self.m)
         return factors, [self.cochain(p, reps[:, i]) for i in range(reps.shape[1])]
+
+    def factors(self, p: int) -> list[int]:
+        """Invariant factors of H^p from the Smith diagonals of matrix(p-1) and matrix(p).
+
+        Precondition (a ValueError names it if Z/m summands run out): the complex
+        lifts to Z with d^2 = 0 over Z, as each here does, its terms +-1 on permuted
+        indices.  By universal coefficients each column of matrix(p) gives Z/gcd(d_j, m),
+        Z/m past the diagonal; each of matrix(p-1)'s gcd(d_j, m) < m turns a Z/m into it.
+        """
+        def diagonal(q):   # gcd(d_j, m) along matrix(q)'s Smith diagonal, m for a zero
+            return [gcd(int(x), m) for x in self.smith(q).d] if self.matrix(q).size else []
+        m, cols = self.m, self.matrix(p).shape[1]
+        if cols == 0 or m == 1:
+            return []
+        orders = diagonal(p)
+        tops = cols - len(orders) + orders.count(m)   # the Z/m summands
+        turned = [x for x in (diagonal(p - 1) if p > 0 else []) if x < m]
+        if len(turned) > tops:
+            raise ValueError(f"H^{p}: the complex does not lift to Z with d^2 = 0 over Z")
+        small = [x for x in orders + turned if 1 < x < m]
+        for i, j in combinations(range(len(small)), 2):
+            small[i], small[j] = gcd(small[i], small[j]), lcm(small[i], small[j])
+        return [x for x in small if x > 1] + [m] * (tops - len(turned))
 
     def solve(self, p: int, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(X, ok) with matrix(p) X = B in each column ok marks, each column solved alone."""

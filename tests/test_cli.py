@@ -22,6 +22,8 @@ from tdual.cli import (
     run_checks,
 )
 
+from test_groupcoh import _spy_smith_forms
+
 def _read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -468,7 +470,7 @@ class TestExplain:
 
 class TestStages:
     def test_run_extracts_each_triple_once(self, monkeypatch, tmp_path):
-        calls = {"extract_total_cocycle": 0, "dualize": 0}
+        calls = {"extract_total_cocycle": 0, "dualize": 0, "dual_law_report": 0}
         for name in calls:
             fn = getattr(triples, name)
 
@@ -477,8 +479,11 @@ class TestStages:
                 return _fn(*args, **kw)
             monkeypatch.setattr(triples, name, counted)
         assert main(["run", "z6_circle", "-o", str(tmp_path / "r.json")]) == 0
-        # fixture, normalised, dual, double dual and the exterior relift
-        assert calls == {"extract_total_cocycle": 5, "dualize": 2}
+        # fixture, normalised, dual, double dual and the exterior relift; the
+        # dual-law residuals once inside each dualize, which keeps them with
+        # the dual (3 when check_dualize and check_involution measured the
+        # (normalised, dual) pair again)
+        assert calls == {"extract_total_cocycle": 5, "dualize": 2, "dual_law_report": 2}
 
     def test_run_factors_each_point_nerve_degree_once(self, monkeypatch, tmp_path):
         calls = []
@@ -494,8 +499,34 @@ class TestStages:
         # 25 when each class certificate factored the certificate matrix itself,
         # 24 when the scenario factors factored total_matrix(1) apart from them,
         # 23 when normalising factored the arity-1 group matrix apart from the
-        # point-nerve check
-        assert len(calls) == 22
+        # point-nerve check,
+        # 22 when every factor row also ran the kernel and module_quotient
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("scenario", ["z6_circle", Z2XZ2_SPHERE],
+                             ids=["z6_circle", "z2xz2_sphere"])
+    def test_run_factors_each_matrix_once_without_kernel_or_quotient(
+            self, scenario, monkeypatch, tmp_path):
+        seen = _spy_smith_forms(monkeypatch)
+        calls = {"module_quotient": 0, "kernel": 0}
+        quotient, kernel = zmodlin.module_quotient, zmodlin.SmithForm.kernel
+
+        def counted_quotient(*args, **kw):
+            calls["module_quotient"] += 1
+            return quotient(*args, **kw)
+
+        def counted_kernel(sf):
+            calls["kernel"] += 1
+            return kernel(sf)
+        monkeypatch.setattr(zmodlin, "module_quotient", counted_quotient)
+        monkeypatch.setattr(zmodlin.SmithForm, "kernel", counted_kernel)
+        path = scenario if isinstance(scenario, str) else write_scenario(tmp_path, scenario)
+        assert main(["run", path, "--seed", "3", "-o", str(tmp_path / "r.json")]) == 0
+        # the factor rows read Smith diagonals, which solve shares
+        assert calls == {"module_quotient": 0, "kernel": 0}
+        assert seen
+        for i, A in enumerate(seen):
+            assert not any(B.shape == A.shape and np.array_equal(A, B) for B in seen[:i])
 
     def test_run_batches_d_group_and_assembles_each_total_matrix_once(
             self, monkeypatch, tmp_path):
@@ -560,18 +591,6 @@ class TestStages:
             want, _ = groupcoh.total_cohomology(ws.nerve, ctx.G, ctx.quotient, ctx.m,
                                                 ws.twist, p)
             assert got["factors"][str(p)] == want
-
-    def test_all_run_checks_dual_laws_three_times(self, monkeypatch, tmp_path):
-        calls = []
-        fn = triples.dual_law_report
-
-        def counted(*args, **kw):
-            calls.append(1)
-            return fn(*args, **kw)
-        monkeypatch.setattr(triples, "dual_law_report", counted)
-        assert main(["run", "z6_circle", "-o", str(tmp_path / "r.json")]) == 0
-        # inside both dualize calls, and once for check_dualize and check_involution
-        assert len(calls) == 3
 
     def test_verify_involution_matches_workspace_report(self):
         ws = Workspace(load_scenario("z6_circle"))
