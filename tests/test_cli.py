@@ -470,7 +470,7 @@ class TestExplain:
 
 class TestStages:
     def test_run_extracts_each_triple_once(self, monkeypatch, tmp_path):
-        calls = {"extract_total_cocycle": 0, "dualize": 0, "dual_law_report": 0}
+        calls = {"extract_total_cocycle": 0, "dualize": 0}
         for name in calls:
             fn = getattr(triples, name)
 
@@ -479,11 +479,22 @@ class TestStages:
                 return _fn(*args, **kw)
             monkeypatch.setattr(triples, name, counted)
         assert main(["run", "z6_circle", "-o", str(tmp_path / "r.json")]) == 0
-        # fixture, normalised, dual, double dual and the exterior relift; the
-        # dual-law residuals once inside each dualize, which keeps them with
-        # the dual (3 when check_dualize and check_involution measured the
+        # fixture, normalised, dual, double dual and the exterior relift
+        assert calls == {"extract_total_cocycle": 5, "dualize": 2}
+
+    def test_all_run_checks_dual_laws_twice(self, monkeypatch, tmp_path):
+        calls = []
+        fn = triples.dual_law_report
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return fn(*args, **kw)
+        monkeypatch.setattr(triples, "dual_law_report", counted)
+        assert main(["run", "z6_circle", "-o", str(tmp_path / "r.json")]) == 0
+        # once inside each dualize, which keeps the residuals with the dual
+        # (3 when check_dualize and check_involution measured the
         # (normalised, dual) pair again)
-        assert calls == {"extract_total_cocycle": 5, "dualize": 2, "dual_law_report": 2}
+        assert len(calls) == 2
 
     def test_run_factors_each_point_nerve_degree_once(self, monkeypatch, tmp_path):
         calls = []
