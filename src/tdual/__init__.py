@@ -35,6 +35,7 @@ from .groupcoh import (
 )
 from .triples import (
     DualityContext,
+    HaarWeights,
     TotalTwoCocycle,
     TripleLocalData,
     build_kappa_top,
@@ -54,9 +55,6 @@ from .triples import (
     verify_involution,
 )
 from .crossed import (
-    ConvolutionElement,
-    CrossedContext,
-    HaarWeights,
     convolve,
     involute,
     operator_norm,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -54,6 +55,21 @@ TAU_S = 1e-6   # scalarness / snapping tolerance
 TAU_U = 1e-9   # operator identity tolerance
 
 
+@dataclass(frozen=True)
+class HaarWeights:
+    """Per-point weights for the six groups in play (exact rationals)."""
+
+    w_G: Fraction
+    w_quot: Fraction
+    w_N: Fraction
+    w_dual: Fraction
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class DualityContext:
     """Groups, quotients, annihilators and sections shared by one run.
 
@@ -62,6 +78,10 @@ class DualityContext:
     applying it twice returns to identical data, which is what makes the
     double-dual comparison exact.  A dual holds its origin; the origin
     holds its dual weakly, so neither waits for the cyclic collector.
+
+    The crossed product's tables live here too (haar, quot, dft, dft_inv and
+    lam); like the others they are built once, and every crossed call shares
+    them, so those arrays are read-only.
     """
 
     def __init__(self, G: FiniteLcaGroup, N: Subgroup, m: Optional[int] = None,
@@ -136,6 +156,39 @@ class DualityContext:
         """lift_hat[z^] = position of sigma_hat(z^)."""
         return self.sigma_hat.lift
 
+    @cached_property
+    def haar(self) -> HaarWeights:
+        """G/N carries total mass 1, N counting measure, G the product weight;
+        the dual weight follows from Fourier inversion."""
+        q = self.quotient.order
+        return HaarWeights(w_G=Fraction(1, q), w_quot=Fraction(1, q),
+                           w_N=Fraction(1), w_dual=Fraction(1, self.N.order))
+
+    @cached_property
+    def quot(self) -> np.ndarray:
+        """quot[c, a, z] = phases at (c - a, sigma(z)), c and a in N-perp."""
+        perp = self.Nperp.positions
+        return _frozen(self.phases[self.sub[np.ix_(perp, perp)][..., None], self.lift])
+
+    @cached_property
+    def dft(self) -> np.ndarray:
+        """The Fourier transform L^2(G/N) -> L^2(dual of G/N), rows over N-perp."""
+        F = self.phases[np.ix_(self.Nperp.positions, self.lift)]
+        return _frozen(float(self.haar.w_quot) * F)
+
+    @cached_property
+    def dft_inv(self) -> np.ndarray:
+        """The inverse of dft."""
+        return _frozen(adjoint(self.phases[np.ix_(self.Nperp.positions, self.lift)]))
+
+    def lam(self, chi) -> np.ndarray:
+        """Lambda(chi) = DFT . <chi, -sigma(_)> . DFT^-1, unitary on L^2(G/N^).
+
+        chi is a character position, or an array of them (a stack of Lambdas).
+        """
+        diag = self.phases[chi][..., self.lift].conj()
+        return (self.dft * diag[..., None, :]) @ self.dft_inv
+
     def qz_phases(self, k) -> np.ndarray:
         """exp(2 pi i k/m) for each entry of the integer array k, formed as
         linops.unit_phase forms it from the reduced fraction num/den of k/m
@@ -192,12 +245,13 @@ class TripleLocalData:
     gauge: Optional[dict] = None
     laws: Optional[dict] = None
 
+    def __post_init__(self):
+        if self.g.nerve is not self.nerve or self.g.quotient is not self.ctx.quotient:
+            raise ValueError("the twist g must lie on the triple's own nerve and quotient")
+
     @property
     def fiber_dim(self) -> int:
-        n = 1
-        for l in self.legs:
-            n *= l
-        return n
+        return int(np.prod(self.legs))
 
     def copy_with_mu(self, mu: dict) -> "TripleLocalData":
         return TripleLocalData(self.nerve, self.ctx, self.legs, self.g,

@@ -42,7 +42,6 @@ from tdual.triples import (
     verify_involution,
 )
 from tdual.crossed import (
-    CrossedContext,
     trivial_mu,
     verify_gluing,
     verify_point_theorem,
@@ -285,7 +284,7 @@ def test_criterion_5_crossed_point():
     # minimal instance: Z/2, N = 0, trivial cocycle
     G2 = FiniteLcaGroup([2])
     ctx2 = DualityContext(G2, Subgroup(G2, []))
-    rep = verify_point_theorem(ctx2, 1, trivial_mu(CrossedContext(ctx2, 1)),
+    rep = verify_point_theorem(ctx2, 1, trivial_mu(ctx2, 1),
                                trials=4, seed=1)
     if not all(v < 1e-8 for v in rep.values()):
         ok = False

@@ -284,7 +284,9 @@ class TestDualData:
         sigma_hat2 = make_section(z6ctx.Gd, z6ctx.Nperp, "random", seed=6,
                                   quotient=z6ctx.dual_quotient)
         ctx2 = DualityContext(G, N, m=z6ctx.m, sigma=sigma2, sigma_hat=sigma_hat2)
-        t2 = TripleLocalData(t.nerve, ctx2, t.legs, t.g, t.zeta, t.mu)
+        # the same twist labels, on ctx2's own quotient
+        g2 = TwistCocycle.from_labels(t.nerve, ctx2.quotient, t.g.labels)
+        t2 = TripleLocalData(t.nerve, ctx2, t.legs, g2, t.zeta, t.mu)
         c1 = extract_total_cocycle(t)
         c2 = extract_total_cocycle(t2)
         th1 = dualize(t, c1)
@@ -420,6 +422,34 @@ class TestExteriorEquivalence:
                                z6fix.zeta, z6fix.mu)
         with pytest.raises(InvalidTripleError):
             exterior_perturbation(bare, seed=1)
+
+
+class TestTwistOwnership:
+    """A triple refuses a twist built on another nerve or quotient object,
+    even one with the same labels: the twist's total complex and its term
+    memos are keyed to the objects it was built on."""
+
+    def test_same_labels_on_own_objects_are_accepted(self, z6ctx):
+        t = build_random_triple(Nerve.circle(), z6ctx, d=1, seed=3)
+        own = TwistCocycle.from_labels(t.nerve, z6ctx.quotient, t.g.labels)
+        assert TripleLocalData(t.nerve, z6ctx, t.legs, own, t.zeta, t.mu).g is own
+
+    def test_refuses_a_twist_on_another_nerve(self, z6ctx):
+        t = build_random_triple(Nerve.circle(), z6ctx, d=1, seed=3)
+        other = TwistCocycle.from_labels(Nerve.circle(), z6ctx.quotient, t.g.labels)
+        with pytest.raises(ValueError, match="own nerve and quotient"):
+            TripleLocalData(t.nerve, z6ctx, t.legs, other, t.zeta, t.mu)
+        with pytest.raises(ValueError, match="own nerve and quotient"):
+            build_random_triple(Nerve.circle(), z6ctx, d=1, seed=3, twist=other)
+
+    def test_refuses_a_twist_on_another_quotient(self, z6ctx):
+        t = build_random_triple(Nerve.circle(), z6ctx, d=1, seed=3)
+        ctx2 = DualityContext(z6ctx.G, z6ctx.N)
+        assert ctx2.quotient is not z6ctx.quotient
+        with pytest.raises(ValueError, match="own nerve and quotient"):
+            TripleLocalData(t.nerve, ctx2, t.legs, t.g, t.zeta, t.mu)
+        with pytest.raises(ValueError, match="own nerve and quotient"):
+            build_random_triple(t.nerve, ctx2, d=1, seed=3, twist=t.g)
 
 
 def test_certificate_refuses_distinct_classes():
@@ -726,9 +756,9 @@ def reference_extract(t):
     return psi, phi, omega
 
 
-def _circle_twist(ctx, label):
+def _circle_twist(ctx, nerve, label):
+    """Edge (0, 1) labelled by the coset of label, on the triple's own circle."""
     q = ctx.quotient
-    nerve = Nerve.circle()
     vals = {e: q.zero() for e in nerve.edges}
     vals[(0, 1)] = q.rep(ctx.G.element(label))
     return TwistCocycle(nerve, q, vals)
@@ -745,10 +775,9 @@ EXTRACTION_CASES = {
 
 def _extraction_fixture(case, d):
     factors, gens, nerve_name, label = EXTRACTION_CASES[case]
-    ctx = ctx_for(factors, gens)
-    twist = _circle_twist(ctx, label) if label is not None else None
-    return build_random_triple(getattr(Nerve, nerve_name)(), ctx, d=d, seed=17,
-                               twist=twist)
+    ctx, nerve = ctx_for(factors, gens), getattr(Nerve, nerve_name)()
+    twist = _circle_twist(ctx, nerve, label) if label is not None else None
+    return build_random_triple(nerve, ctx, d=d, seed=17, twist=twist)
 
 
 def _assert_same_extraction(t):
@@ -971,9 +1000,9 @@ STACK_CASES = {
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_stacked_operator_products_match_per_coset_loops(case, d, seed):
     factors, gens, nerve_name, label = STACK_CASES[case]
-    ctx = ctx_for(factors, gens)
-    twist = _circle_twist(ctx, label) if label is not None else None
-    t = build_random_triple(getattr(Nerve, nerve_name)(), ctx, d=d, seed=seed, twist=twist)
+    ctx, nerve = ctx_for(factors, gens), getattr(Nerve, nerve_name)()
+    twist = _circle_twist(ctx, nerve, label) if label is not None else None
+    t = build_random_triple(nerve, ctx, d=d, seed=seed, twist=twist)
     tn = make_dualisable(t)
     cn = extract_total_cocycle(tn)
     ghat = dual_base_cocycle(tn, cn)
