@@ -1,12 +1,14 @@
 """Scenario runner: declarative JSON in, verification report out.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed scenario, bad
-TDUAL_MAX_DIM or unusable -o path, 3 resource cap exceeded.
+TDUAL_MAX_DIM or unusable -o path, 3 resource cap exceeded (refused by
+preflight, from counts, before anything is built).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -16,12 +18,14 @@ import tempfile
 import time
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import cech, crossed, groupcoh, lca, triples
-from .errors import InvalidTripleError, ResourceCapError, UsageError, check_dim, max_matrix_dim
+from .errors import (InvalidTripleError, ResourceCapError, UsageError, check_batch,
+                     check_dim, max_matrix_dim, over_cap)
+from .zmodlin import xgcd
 
 
 class ScenarioError(ValueError):
@@ -30,9 +34,12 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-def _schema():
+@functools.cache
+def _validator():
+    """The scenario schema's compiled validator, built on first use and kept."""
+    import jsonschema
     with resources.files("tdual").joinpath("scenario_schema.json").open() as fh:
-        return json.load(fh)
+        return jsonschema.Draft202012Validator(json.load(fh))
 
 
 def load_scenario(path: str) -> dict:
@@ -55,9 +62,7 @@ def load_scenario(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
 
-    import jsonschema
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: e.json_path)
+    errors = sorted(_validator().iter_errors(data), key=lambda e: e.json_path)
     if errors:
         e = errors[0]
         raise ScenarioError(e.message, e.json_path)
@@ -72,14 +77,14 @@ def load_scenario(path: str) -> dict:
                 f"generator has {len(gen)} coordinates, group has {len(factors)}",
                 f"$.groups.N[{i}]")
     nverts = data["nerve"]["vertices"]
-    edges = set()
+    tops = []
     for i, s in enumerate(data["nerve"]["simplices"]):
         if any(v >= nverts for v in s):
             raise ScenarioError("vertex index out of range", f"$.nerve.simplices[{i}]")
-        edges.update(itertools.combinations(sorted(set(s)), 2))
+        tops.append(set(s))
     for key, coords in data.get("twist", {}).items():
         a, b = sorted(int(x) for x in key.split(","))
-        if key != f"{a},{b}" or (a, b) not in edges:
+        if key != f"{a},{b}" or a == b or not any({a, b} <= s for s in tops):
             raise ScenarioError("twist key must name an edge of the nerve as 'a,b' "
                                 "with a < b", f"$.twist['{key}']")
         if len(coords) != len(factors):
@@ -100,6 +105,55 @@ def load_scenario(path: str) -> dict:
                 f"need (modulus-1)^2 * {cap} < 2^63",
                 "$.modulus")
     return data
+
+
+def validate_twist(scenario: dict) -> None:
+    """Refuse a twist that breaks g_ac = g_ab + g_bc in G/N on a 2-simplex
+    with the ScenarioError Workspace raises, without building the nerve, so
+    that cmd_run can ask before preflight and this exit 2 wins over an exit 3.
+
+    Only a 2-simplex through a keyed edge can break it (an edge the twist
+    does not key carries 0); they are tried in sorted order, as the nerve
+    lists them, so the same 2-simplex is named.
+    """
+    twist = {tuple(int(x) for x in key.split(",")): v
+             for key, v in scenario.get("twist", {}).items()}
+    tops = [set(s) for s in scenario["nerve"]["simplices"]]
+    triangles = sorted({tuple(sorted((a, b, c))) for a, b in twist for s in tops
+                        if {a, b} <= s for c in s - {a, b}})
+    if not triangles:
+        return
+    groups = scenario["groups"]
+    G = lca.FiniteLcaGroup(groups["factors"])
+    quotient = lca.QuotientGroup(G, lca.Subgroup(G, [G.element(c) for c in groups["N"]]))
+    zero = [0] * len(G.factors)
+    for a, b, c in triangles:
+        ac, ab, bc = (twist.get(e, zero) for e in ((a, c), (a, b), (b, c)))
+        lhs, rhs = quotient.coset[G.flat([ac, np.add(ab, bc)])]
+        if lhs != rhs:
+            reps = [G.element_at(quotient.lift[x]) for x in (lhs, rhs)]
+            raise ScenarioError(f"twist violates the cocycle law on ({a},{b},{c}): "
+                                f"g_ac={reps[0]}, g_ab+g_bc={reps[1]}", "$.twist")
+
+
+def snap_tolerance(scenario: dict, tolerance_scale: float = 1.0) -> float:
+    """tau_s, the scenario's snap tolerance times tolerance_scale.
+
+    Adjacent m-th roots of unity are 2 sin(pi/m) apart: a snap window that
+    wide can hold two of them and certifies no phase, so a tau_s of sin(pi/m)
+    or more is a ScenarioError.  It needs only m, so cmd_run asks before
+    preflight, and this exit 2 wins over a cap's exit 3.
+    """
+    m = scenario.get("modulus", math.lcm(*scenario["groups"]["factors"]))
+    tau_s = scenario.get("tolerances", {}).get("snap", triples.TAU_S) * tolerance_scale
+    half_chord = math.sin(math.pi / m)
+    if tau_s >= half_chord:
+        raise ScenarioError(
+            f"snap tolerance {tau_s:g} (after --tolerance-scale) must be "
+            f"below sin(pi/m) = {half_chord:.3g}, half the chord between "
+            f"adjacent roots of unity of order m = {m}",
+            "$.tolerances.snap")
+    return tau_s
 
 
 def twist_from_json(nerve: cech.Nerve, quotient: lca.QuotientGroup,
@@ -164,16 +218,7 @@ class Workspace:
         except ValueError as exc:
             raise ScenarioError(str(exc), "$.twist") from exc
         tols = scenario.get("tolerances", {})
-        self.tau_s = tols.get("snap", triples.TAU_S) * tolerance_scale
-        # adjacent m-th roots of unity are 2 sin(pi/m) apart: a snap window
-        # that wide can hold two of them and certifies no phase
-        half_chord = math.sin(math.pi / self.ctx.m)
-        if self.tau_s >= half_chord:
-            raise ScenarioError(
-                f"snap tolerance {self.tau_s:g} (after --tolerance-scale) must be "
-                f"below sin(pi/m) = {half_chord:.3g}, half the chord between "
-                f"adjacent roots of unity of order m = {self.ctx.m}",
-                "$.tolerances.snap")
+        self.tau_s = snap_tolerance(scenario, tolerance_scale)
         self.tau_u = tols.get("operator", triples.TAU_U) * tolerance_scale
         self.tau_pipe = tols.get("pipeline", 1e-8) * tolerance_scale
         self._cache: dict = {}
@@ -609,6 +654,124 @@ def normalizes(command: str) -> bool:
                for f in COMMANDS[command])
 
 
+def runs(command: str, check: str) -> bool:
+    """Whether the command runs the check of that name."""
+    return any(f.__name__ == check for f in COMMANDS[command])
+
+
+def _face_counts(nerve: dict, limit: int) -> tuple[list[int], bool]:
+    """(f, exact): f[k] is the number of k-simplices of the scenario's nerve,
+    closed under faces, for k = 0 up to its dimension.
+
+    A simplex that alone has (k+1)-vertex faces gives f[k] as a binomial.
+    Otherwise the faces are enumerated, and that stops once the count passes
+    limit: f[k] is then a lower bound above limit, and exact is False.
+    """
+    tops = {tuple(sorted(set(s))) for s in nerve["simplices"]}
+    f, exact = [nerve["vertices"]], True
+    for k in range(1, max(map(len, tops), default=1)):
+        have = [s for s in tops if len(s) > k]
+        count = max(math.comb(len(s), k + 1) for s in have)
+        if len(have) > 1:
+            faces: set = set()
+            for s in have if count <= limit else ():
+                faces.update(itertools.combinations(s, k + 1))
+                if len(faces) > limit:
+                    break
+            count = max(count, len(faces))
+            exact = exact and count <= limit
+        f.append(count)
+    return f, exact
+
+
+def _quotient_order(factors: list[int], gens: list[list[int]]) -> int:
+    """|G/N| for N generated by gens in G = Z/f_1 x ... x Z/f_r, from small
+    integer arithmetic alone.
+
+    G/N is Z^r over the lattice that the f_i e_i and the generators span,
+    and its order is the product of the pivots of a triangular basis of it.
+    Column i starts its pivot from f_i e_i and folds each generator into it
+    with an extended gcd, which leaves the generator 0 in column i.  The
+    f_j e_j of the later columns stay in the lattice, so entries there
+    reduce mod f_j and stay small.
+    """
+    rows = [[x % f for x, f in zip(g, factors)] for g in gens]
+    order = 1
+    for i, f in enumerate(factors):
+        pivot = [0] * i + [f] + [0] * (len(factors) - i - 1)
+        for row in rows:
+            if row[i]:
+                g, s, t = xgcd(pivot[i], row[i])
+                a, c = pivot[i] // g, row[i] // g
+                combined = [s * x + t * y for x, y in zip(pivot, row)]     # g in column i
+                row[:] = [(c * x - a * y) % m for x, y, m in zip(pivot, row, factors)]
+                pivot = [v if j <= i else v % m
+                         for j, (v, m) in enumerate(zip(combined, factors))]
+        order *= pivot[i]
+    return order
+
+
+class Bound(NamedTuple):
+    """One size a run checks against a cap, as preflight predicts it."""
+    name: str       # what tdual explain calls it; it says so when size is a lower bound
+    size: int
+    cap: int
+    applies: bool   # the command's run meets it outside a try that catches it
+    error: str      # the run's ResourceCapError message over the cap
+    warning: str    # what tdual explain says then
+
+
+def preflight(scenario: dict, command: str, refuse: bool = True) -> list[Bound]:
+    """Every size a run of command checks against the cap, from counts alone.
+
+    The counts are |G|, q = |G/N| (from N's generators, _quotient_order),
+    the nerve's face counts, fiber_dim d and trials; nothing that grows
+    with them is built.  The bounds come in the order a run meets them.  run_checks meets four
+    up front: the certificate and dualisability matrices, the |G| q d^2 side
+    of the linearised transform check_crossed_point ranks, and the
+    trials |G| q d^2 entries check_crossed_glue draws per vertex, against
+    the square of the cap.  Then check_cech meets its Cech matrices; the
+    bound is the first side over the cap, as the run meets it, else the
+    largest.  With refuse, the first bound that applies and is over its cap
+    raises the ResourceCapError the run would raise, so cmd_run refuses
+    before a nerve or a context is built.
+    """
+    cap = max_matrix_dim()
+    factors = scenario["groups"]["factors"]
+    n, q = math.prod(factors), _quotient_order(factors, scenario["groups"]["N"])
+    side = n * q * scenario.get("fiber_dim", 1) ** 2
+    counts, exact = _face_counts(scenario["nerve"], cap)
+    dim, f = len(counts) - 1, counts + [0, 0, 0]
+    certificate = max(sum(f[k] * n ** (p - k) * q for k in range(p + 1)) for p in (1, 2))
+    cech_sides = ([max(f[k], f[k + 1]) for k in range(dim + 1)]
+                  + [q * max(f[k], f[k + 1]) for k in range(min(dim, 1) + 1)])
+    cech_side = next((x for x in cech_sides if x > cap), max(cech_sides))
+
+    def matrix(name, size, is_exact, applies, warning):
+        what = "matrix dimension" if is_exact else "matrix dimension at least"
+        return Bound(f"{name} {what}", size, cap, applies, over_cap(what, size, cap), warning)
+
+    batch = scenario.get("trials", 10) * side
+    bounds = [
+        matrix("certificate", certificate, exact, certifies(command),
+               "the class certificates exceed the cap"),
+        matrix("dualisability", n * n * q, True, normalizes(command),
+               "normalising the triple exceeds the cap"),
+        matrix("crossed-point", side, True, runs(command, "check_crossed_point"),
+               "the linearised crossed-product transform exceeds the cap"),
+        Bound("crossed-glue trial batch size", batch, cap * cap,
+              runs(command, "check_crossed_glue"),
+              over_cap("trial batch size", batch, cap * cap, "TDUAL_MAX_DIM squared"),
+              "the crossed-glue trial batch exceeds the cap squared"),
+        matrix("Cech", cech_side, exact, runs(command, "check_cech"),
+               "the Cech matrices exceed the cap"),
+    ]
+    over = next((b for b in bounds if b.applies and b.size > b.cap), None)
+    if refuse and over is not None:
+        raise ResourceCapError(over.error)
+    return bounds
+
+
 def certificate_dim(ws: Workspace) -> int:
     """Larger side of the degree-1 -> 2 total matrix the class certificates solve against."""
     return max(groupcoh.total_dimension(ws.nerve, ws.ctx.G, ws.ctx.quotient, ws.ctx.m, p)
@@ -622,12 +785,18 @@ def dualisability_dim(ws: Workspace) -> int:
 
 def run_checks(ws: Workspace, command: str, only: Optional[str] = None) -> list[dict]:
     fns = COMMANDS[command]
-    # refuse an over-cap certificate or dualisability matrix before any check
-    # does work
+    # refuse an over-cap certificate or dualisability matrix, and the crossed
+    # checks' sizes, before any check does work: a check that fails before
+    # its cap would otherwise decide whether the run meets it
     if certifies(command):
         check_dim(certificate_dim(ws))
     if normalizes(command):
         check_dim(dualisability_dim(ws))
+    side = ws.ctx.G.order * ws.ctx.quotient.order * ws.d ** 2
+    if runs(command, "check_crossed_point"):
+        check_dim(side)     # the linearised transform's
+    if runs(command, "check_crossed_glue"):
+        check_batch(ws.trials * side)
 
     def guarded(f: Callable) -> list[dict]:
         # a law violation inside a check is a falsifying instance: FAIL,
@@ -696,6 +865,10 @@ def cmd_run(args) -> int:
         if not os.path.isdir(directory):
             raise UsageError(f"no directory {directory} for {args.output}")
     scenario = load_scenario(args.scenario)
+    # Workspace's exit-2 refusals win over a cap's exit 3, so they come first
+    validate_twist(scenario)
+    snap_tolerance(scenario, args.tolerance_scale)
+    preflight(scenario, scenario["command"])
     ws = Workspace(scenario, seed=args.seed, tolerance_scale=args.tolerance_scale)
     start = time.perf_counter()
     results = run_checks(ws, scenario["command"], only=args.check)
@@ -737,16 +910,10 @@ def cmd_explain(args) -> int:
     print(f"crossed-product representation dimension: {d['crossed_rep_dim']}")
     print(f"matrix dimension cap: {d['matrix_dim_cap']} (env TDUAL_MAX_DIM)")
     cmd = scenario["command"]
-    cap = d["matrix_dim_cap"]
-    # the matrices run_checks refuses up front, in its order
-    for what, n, refused, warning in (
-            ("certificate", certificate_dim(ws), certifies(cmd),
-             "the class certificates exceed the cap"),
-            ("dualisability", dualisability_dim(ws), normalizes(cmd),
-             "normalising the triple exceeds the cap")):
-        print(f"{what} matrix dimension {n} (cap {cap})")
-        if n > cap and refused:
-            print(f"warning: {warning}; run would exit 3 before any check")
+    for b in preflight(scenario, cmd, refuse=False):
+        print(f"{b.name} {b.size} (cap {b.cap})")
+        if b.applies and b.size > b.cap:
+            print(f"warning: {b.warning}; run would exit 3 before any check")
     cmds = [cmd] if cmd != "all" else list(CHECK_DESCRIPTIONS)
     for c in cmds:
         print(f"checks [{c}]:")
@@ -770,8 +937,9 @@ def _scale(text: str) -> float:
     return x
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    """The tdual command; bad input (scenario, TDUAL_MAX_DIM, -o) exits 2, a cap 3."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """tdual's argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="tdual",
         description="Verification engine for duality identities of finite "
@@ -788,16 +956,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--format", choices=("json", "text"), default="json")
     p_run.add_argument("--check", default=None,
                        help="run only the check with this exact name")
-    p_run.set_defaults(fn=cmd_run)
 
     p_exp = sub.add_parser("explain", help="describe a scenario without running it")
     p_exp.add_argument("scenario")
-    p_exp.set_defaults(fn=cmd_explain)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    """The tdual command; bad input (scenario, TDUAL_MAX_DIM, -o) exits 2, a cap 3."""
+    args = _parser().parse_args(argv)
+    # the module's names at call time, so a patched cmd_run is the one called
+    fn = {"run": cmd_run, "explain": cmd_explain}[args.mode]
     try:
         max_matrix_dim()        # a bad TDUAL_MAX_DIM is refused before any work
-        return args.fn(args)
+        return fn(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -19,9 +19,11 @@ context's haar, quot, dft, dft_inv and lam, built once per context.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvalidTripleError, check_dim
+from .errors import InvalidTripleError, check_batch, check_dim
 from .linops import adjoint, kron_stack
 from .triples import DualityContext, TripleLocalData
 
@@ -237,8 +239,9 @@ def section_family(t: TripleLocalData, f0: np.ndarray) -> dict:
     """The compatible family {f_i}, f_b(g,z) = zeta_ab(z)^-1(f_a(g, g_ab+z)), from
     root values f0: a value table at vertex 0, or a batch of them.
 
-    The root value is spread through a spanning tree.  An edge off the tree
-    closes a loop and holds only when the root value is fixed by the loop's
+    The root value is spread through a spanning forest: the first vertex of
+    each connected component takes it, so a family exists on a disconnected
+    nerve too.  An edge off the forest closes a loop and holds only when the root value is fixed by the loop's
     monodromy, so the root value is first projected onto the null space of
     the defect map f_0 -> (f_b - T_ab f_a) over those edges.  The monodromy
     acts on G/N and the fibre with g a spectator, so the map is built once,
@@ -247,24 +250,29 @@ def section_family(t: TripleLocalData, f0: np.ndarray) -> dict:
     as is.
     """
     nerve = t.nerve
-    root = nerve.vertices[0][0]
-    tree = []                      # (edge, known vertex, new vertex), in discovery order
-    seen, todo = {root}, [root]
-    while todo:
-        v = todo.pop()
-        for e in nerve.edges:
-            a, b = e
-            other = b if a == v else (a if b == v else None)
-            if other is None or other in seen:
-                continue
-            tree.append((e, v, other))
-            seen.add(other)
-            todo.append(other)
+    roots, tree = [], []           # tree: (edge, known vertex, new vertex), in discovery order
+    seen: set = set()
+    for (root,) in nerve.vertices:
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        todo = [root]
+        while todo:
+            v = todo.pop()
+            for e in nerve.edges:
+                a, b = e
+                other = b if a == v else (a if b == v else None)
+                if other is None or other in seen:
+                    continue
+                tree.append((e, v, other))
+                seen.add(other)
+                todo.append(other)
     in_tree = {e for e, _, _ in tree}
     loops = [e for e in nerve.edges if e not in in_tree]
 
     def spread(f0: np.ndarray) -> dict:
-        fam = {root: f0}
+        fam = dict.fromkeys(roots, f0)
         for e, v, other in tree:
             fam[other] = _transport(t, e, fam[v], forward=(v == e[0]))
         return fam
@@ -290,13 +298,16 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
 
     For every edge:  T_b f_b(z^) = W^-1 T_a f_a(g^_ab + z^) W  with
     W = (DFT x 1) zeta^_ab(z^) (DFT^-1 x 1).  One random root value is
-    drawn per trial, and all trials' families go through as one batch.
+    drawn per trial, and all trials' families go through as one batch: a
+    batch of trials |G| q d^2 entries per vertex, refused over the square
+    of the matrix cap before any is drawn.
     """
     ctx, d = t.ctx, t.fiber_dim
+    shape = (*ctx.shift.shape, d, d)
+    check_batch(trials * math.prod(shape))
     rng = np.random.default_rng(seed)
     kron_dft = kron_stack(ctx.dft, np.eye(d))
     kron_dft_inv = kron_stack(ctx.dft_inv, np.eye(d))
-    shape = (*ctx.shift.shape, d, d)
     fam = section_family(t, np.stack([_draw(rng, shape) for _ in range(trials)]))
     # family relation on every edge (also the non-tree ones)
     res_family = 0.0

@@ -8,7 +8,7 @@ DEFAULT_MAX_DIM = 512
 
 
 class ResourceCapError(RuntimeError):
-    """A matrix dimension or a group order exceeded its cap."""
+    """A matrix dimension, a trial batch or a group order exceeded its cap."""
 
 
 class UsageError(ValueError):
@@ -27,7 +27,19 @@ def max_matrix_dim() -> int:
     return int(raw)
 
 
+def over_cap(what: str, n: int, cap: int, source: str = "TDUAL_MAX_DIM") -> str:
+    """The message of a ResourceCapError: what of size n is over cap."""
+    return f"{what} {n} exceeds cap {cap} ({source})"
+
+
 def check_dim(n: int) -> None:
     cap = max_matrix_dim()
     if n > cap:
-        raise ResourceCapError(f"matrix dimension {n} exceeds cap {cap} (TDUAL_MAX_DIM)")
+        raise ResourceCapError(over_cap("matrix dimension", n, cap))
+
+
+def check_batch(n: int) -> None:
+    """Refuse a batch of n complex entries over the square of the matrix cap."""
+    cap = max_matrix_dim() ** 2
+    if n > cap:
+        raise ResourceCapError(over_cap("trial batch size", n, cap, "TDUAL_MAX_DIM squared"))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tdual import cech, cli, groupcoh, lca, triples, zmodlin
+from tdual import cech, cli, crossed, groupcoh, lca, triples, zmodlin
+from tdual.errors import ResourceCapError
 from tdual.cli import (
     COMMANDS,
     ScenarioError,
@@ -745,3 +748,183 @@ def test_import_defaults_blas_to_one_thread_unless_set(user_value, want):
         [sys.executable, "-c", "import tdual, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == want
+
+
+def test_import_builds_neither_the_parser_nor_the_schema_validator():
+    # both are built on the first main or load_scenario call and kept, so
+    # importing the engine costs neither
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, tdual.cli as c; print(c._parser.cache_info().currsize,"
+            " c._validator.cache_info().currsize, 'jsonschema' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "0", "False"]
+
+
+class TestCachedParser:
+    def test_second_call_reads_its_own_flags_and_reaches_a_patched_cmd_run(
+            self, tmp_path, monkeypatch, capsys):
+        sc = write_scenario(tmp_path, Z6)
+        assert main(["run", sc, "--check", "poincare.q_plus_r_coboundary",
+                     "--format", "text"]) == 0
+        assert "PASS  poincare.q_plus_r_coboundary" in capsys.readouterr().out
+        parser = cli._parser()
+        # neither --check nor --format carries over to the next call
+        assert main(["run", sc]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"]] == [
+            "poincare.kappa_unitary_word", "poincare.q_plus_r_coboundary",
+            "poincare.sigma_hat_independence"]
+        assert cli._parser() is parser
+        seen = []
+        monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args.scenario) or 7)
+        assert main(["run", sc]) == 7
+        assert seen == [sc]
+
+
+def _spy_builds(monkeypatch):
+    built = []
+    for cls in (cech.Nerve, triples.DualityContext):
+        def spy(self, *args, _init=cls.__init__, **kw):
+            built.append(type(self).__name__)
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", spy)
+    return built
+
+
+class TestPreflight:
+    def test_overcap_run_builds_no_nerve_and_no_context(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        built = _spy_builds(monkeypatch)
+        assert main(["run", write_scenario(tmp_path, Z8_OVERCAP)]) == 3
+        assert capsys.readouterr().err == f"resource cap: {OVERCAP_MESSAGE}\n"
+        assert built == []
+        assert main(["run", write_scenario(tmp_path, dict(Z6, command="all"))]) == 0
+        assert built.count("Nerve") == 2      # the scenario's and check_total's point
+
+    @pytest.mark.parametrize("flaw,args", [
+        ({"tolerances": {"snap": 0.5}}, []),
+        ({}, ["--tolerance-scale", "1e6"]),
+        ({"nerve": {"vertices": 3, "simplices": [[0, 1, 2]]}, "twist": {"0,1": [1]}}, []),
+    ])
+    def test_malformed_scenario_over_the_cap_is_2_as_before(self, tmp_path, monkeypatch,
+                                                            capsys, flaw, args):
+        # Workspace refuses a snap tolerance of sin(pi/m) or more and a twist
+        # that breaks the cocycle law with exit 2; cmd_run asks both before
+        # preflight, so the run does not turn them into a cap's exit 3
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        sc = dict(Z8_OVERCAP, **flaw)
+        assert main(["run", write_scenario(tmp_path, sc)] + args) == 2
+        err = capsys.readouterr().err
+        with pytest.raises(ScenarioError) as ei:
+            Workspace(sc, tolerance_scale=float(args[1]) if args else 1.0)
+        assert err == f"scenario error: {ei.value}\n"
+
+    @pytest.mark.parametrize("scenario", [Z6, Z8_OVERCAP, Z32_OVERCAP, Z2XZ2_SPHERE,
+                                          dict(Z6_HOLONOMY, fiber_dim=3, trials=4)])
+    def test_sizes_match_the_built_workspace(self, scenario, monkeypatch):
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        ws = Workspace(scenario)
+        sizes = {b.name: b.size for b in cli.preflight(scenario, "all", refuse=False)}
+        side = ws.ctx.G.order * ws.ctx.quotient.order * ws.d ** 2
+        faces = [len(ws.nerve.simplices(k)) for k in range(ws.nerve.dimension + 2)]
+        assert sizes == {
+            "certificate matrix dimension": cli.certificate_dim(ws),
+            "dualisability matrix dimension": cli.dualisability_dim(ws),
+            "crossed-point matrix dimension": side,
+            "crossed-glue trial batch size": ws.trials * side,
+            "Cech matrix dimension": max(faces) * ws.ctx.quotient.order,
+        }
+
+    @pytest.mark.parametrize("command,refused", [
+        ("crossed-point", "matrix dimension 3200 exceeds cap 64"),
+        ("crossed-glue", "trial batch size 32000 exceeds cap 4096"),
+        ("all", "matrix dimension 3200 exceeds cap 64"),
+        ("dualize", None)])
+    def test_run_checks_refuses_the_crossed_sizes_before_any_check(
+            self, monkeypatch, command, refused):
+        # the transform side |G| q d^2 and the glue batch trials |G| q d^2
+        # are refused up front, so a check that fails before them cannot
+        # decide whether a run meets them
+        monkeypatch.setenv("TDUAL_MAX_DIM", "64")
+        sc = {"groups": {"factors": [2], "N": [[1]]}, "nerve": Z6["nerve"],
+              "fiber_dim": 40, "command": command}
+        ws = Workspace(sc)
+
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+        monkeypatch.setattr(triples, "build_random_triple", no_checks)
+        monkeypatch.setattr(crossed, "fourier_roundtrip_residual", no_checks)
+        monkeypatch.setattr(cech, "delta_g", no_checks)
+        if refused is None:
+            with pytest.raises(AssertionError, match="a check ran"):
+                run_checks(ws, command)
+            return
+        with pytest.raises(ResourceCapError) as ei:
+            run_checks(ws, command)
+        assert str(ei.value).startswith(refused)
+        with pytest.raises(ResourceCapError) as pe:
+            cli.preflight(sc, command)
+        assert str(pe.value) == str(ei.value)
+
+    def test_face_counts_stop_past_the_limit(self):
+        # two 40-vertex simplices on 41 vertices: C(40, 20) faces each, far
+        # too many to list; the counts stop just past the limit
+        nerve = {"vertices": 41, "simplices": [list(range(40)), list(range(1, 41))]}
+        start = time.perf_counter()
+        counts, exact = cli._face_counts(nerve, 100)
+        assert time.perf_counter() - start < 0.1
+        assert not exact
+        # C(40, 2) edges: a lower bound, as the union has 819
+        assert counts[:2] == [41, 780]
+        # 40 + 40 - 1 faces on 39 vertices and 2 on 40 are listed, and exact
+        assert all(c > 100 for c in counts[2:38]) and counts[38:] == [79, 2]
+        # one simplex: every count is a binomial, and exact
+        counts, exact = cli._face_counts({"vertices": 17, "simplices": [range(17)]}, 100)
+        assert exact and counts == [math.comb(17, k + 1) for k in range(17)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda v: st.tuples(
+        st.just(v), st.lists(st.lists(st.integers(0, v - 1), max_size=5), max_size=4))),
+        st.integers(1, 40))
+    def test_face_counts_match_the_nerve(self, nerve, limit):
+        vertices, simplices = nerve
+        counts, exact = cli._face_counts({"vertices": vertices, "simplices": simplices}, limit)
+        built = cech.Nerve(vertices, simplices)
+        truth = [len(built.simplices(k)) for k in range(built.dimension + 1)]
+        assert len(counts) == len(truth)
+        if exact:
+            assert counts == truth
+        assert all(c == t or limit < c <= t for c, t in zip(counts, truth))
+
+    def test_explain_prints_the_crossed_sizes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        # Z6/<3> at d = 1: |G| q d^2 = 18, and 10 trials of it
+        assert main(["explain", write_scenario(tmp_path, dict(Z6, command="all"))]) == 0
+        out = capsys.readouterr().out
+        assert "crossed-point matrix dimension 18 (cap 512)" in out
+        assert "crossed-glue trial batch size 180 (cap 262144)" in out
+        assert "Cech matrix dimension 9 (cap 512)" in out
+        sc = write_scenario(tmp_path, dict(Z6, command="crossed-point", fiber_dim=6))
+        assert main(["explain", sc]) == 0
+        out = capsys.readouterr().out
+        assert "crossed-point matrix dimension 648 (cap 512)" in out
+        assert out.count("run would exit 3") == 1
+        assert ("warning: the linearised crossed-product transform exceeds the cap; "
+                "run would exit 3") in out
+        assert main(["run", sc]) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 12), min_size=1, max_size=3).filter(
+    lambda f: math.prod(f) <= lca.MAX_GROUP_ORDER).flatmap(lambda f: st.tuples(
+        st.just(f), st.lists(st.lists(st.integers(-30, 30), min_size=len(f),
+                                      max_size=len(f)), max_size=4))))
+def test_quotient_order_matches_the_subgroup(group):
+    # preflight's |G/N| by lattice pivots, against lca.Subgroup's listing
+    factors, gens = group
+    G = lca.FiniteLcaGroup(factors)
+    N = lca.Subgroup(G, [G.element(c) for c in gens])
+    assert cli._quotient_order(factors, gens) == G.order // N.order

@@ -464,6 +464,33 @@ class TestGluing:
         prep = verify_point_theorem(ctx, 2, t.mu[0], trials=2, seed=5)
         assert all(v < 1e-8 for v in prep.values())
 
+    def test_disconnected_nerve_glues_on_every_component(self):
+        # vertex 0 has no edge: each component spreads its own root value
+        # (a spanning tree from vertex 0 alone once left vertices 1 and 2
+        # out of the family, and the closing-edge lookup raised KeyError)
+        ctx = ctx_for([6], [[3]])
+        nerve = Nerve(4, [[1, 2], [2, 3], [1, 3]])
+        t = make_dualisable(build_random_triple(nerve, ctx, d=2, seed=8))
+        th = dualize(t, extract_total_cocycle(t))
+        rep = verify_gluing(t, th, trials=3, seed=2)
+        assert rep["section_family"] < 1e-9
+        assert rep["section_transition"] < 1e-8
+        assert rep["edges"] == 3
+        fam = section_family(t, _random(ctx, 2, np.random.default_rng(0)))
+        assert sorted(fam) == [0, 1, 2, 3]
+
+    def test_trial_batch_over_the_cap_squared_is_refused_before_any_draw(self, monkeypatch):
+        ctx = ctx_for([6], [[3]])
+        t = make_dualisable(build_random_triple(Nerve.circle(), ctx, d=2, seed=42))
+        th = dualize(t, extract_total_cocycle(t))
+        # a batch of trials |G| q d^2 = trials * 72 entries per vertex
+        monkeypatch.setenv("TDUAL_MAX_DIM", "24")
+        verify_gluing(t, th, trials=8, seed=2)                  # 576 = 24^2
+        monkeypatch.setattr(np.random, "default_rng", None)     # no draw may start
+        with pytest.raises(ResourceCapError,
+                           match="trial batch size 648 exceeds cap 576"):
+            verify_gluing(t, th, trials=9, seed=2)
+
 
 # ---------------------------------------------------------------------------
 # the table-based operations against per-element loops on the exact pairing
