@@ -13,6 +13,7 @@ computed exactly over Z/m by zmodlin.Complex.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Optional
 
@@ -32,28 +33,17 @@ class Nerve:
         if vertex_count < 1:
             raise ValueError("a nerve needs at least one vertex")
         self.vertex_count = vertex_count
-        by_dim: dict[int, set[Simplex]] = {0: {(v,) for v in range(vertex_count)}}
-        pending = set()
+        given = set()
         for s in simplices:
             t = tuple(sorted(set(int(v) for v in s)))
-            if not t:
-                continue
-            if t[0] < 0 or t[-1] >= vertex_count:
+            if t and (t[0] < 0 or t[-1] >= vertex_count):
                 raise ValueError(f"simplex {t} references a vertex outside the nerve")
-            pending.add(t)
-        # close under taking faces
-        while pending:
-            t = pending.pop()
-            k = len(t) - 1
-            if t in by_dim.setdefault(k, set()):
-                continue
-            by_dim[k].add(t)
-            if k > 0:
-                for j in range(len(t)):
-                    pending.add(t[:j] + t[j + 1:])
-        self._simplices = {
-            k: tuple(sorted(v)) for k, v in by_dim.items() if v
-        }
+            given.add(t)
+        # the k-simplices are the (k+1)-vertex subsets of the given simplices
+        self._simplices = {0: tuple((v,) for v in range(vertex_count))}
+        for k in range(1, max(map(len, given), default=1)):
+            self._simplices[k] = tuple(sorted(
+                {f for t in given if len(t) > k for f in itertools.combinations(t, k + 1)}))
         self._positions: dict[int, dict[Simplex, int]] = {}
         self.dimension = max(self._simplices)
 

@@ -23,8 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import cech, crossed, groupcoh, lca, triples
-from .errors import (InvalidTripleError, ResourceCapError, UsageError, check_batch,
-                     check_dim, max_matrix_dim, over_cap)
+from .errors import InvalidTripleError, ResourceCapError, UsageError, max_matrix_dim, over_cap
 from .zmodlin import xgcd
 
 
@@ -726,15 +725,14 @@ def preflight(scenario: dict, command: str, refuse: bool = True) -> list[Bound]:
 
     The counts are |G|, q = |G/N| (from N's generators, _quotient_order),
     the nerve's face counts, fiber_dim d and trials; nothing that grows
-    with them is built.  The bounds come in the order a run meets them.  run_checks meets four
-    up front: the certificate and dualisability matrices, the |G| q d^2 side
-    of the linearised transform check_crossed_point ranks, and the
-    trials |G| q d^2 entries check_crossed_glue draws per vertex, against
-    the square of the cap.  Then check_cech meets its Cech matrices; the
-    bound is the first side over the cap, as the run meets it, else the
-    largest.  With refuse, the first bound that applies and is over its cap
-    raises the ResourceCapError the run would raise, so cmd_run refuses
-    before a nerve or a context is built.
+    with them is built.  The bounds are the certificate and dualisability
+    matrices, the |G| q d^2 side of the linearised transform
+    check_crossed_point ranks, the trials |G| q d^2 entries
+    check_crossed_glue draws per vertex, against the square of the cap, and
+    the Cech matrices: the first side over the cap, in the order check_cech
+    meets them, else the largest.  With refuse, the first bound that applies
+    and is over its cap raises its ResourceCapError: cmd_run calls it before
+    a nerve or a context is built, and run_checks before any check runs.
     """
     cap = max_matrix_dim()
     factors = scenario["groups"]["factors"]
@@ -772,31 +770,11 @@ def preflight(scenario: dict, command: str, refuse: bool = True) -> list[Bound]:
     return bounds
 
 
-def certificate_dim(ws: Workspace) -> int:
-    """Larger side of the degree-1 -> 2 total matrix the class certificates solve against."""
-    return max(groupcoh.total_dimension(ws.nerve, ws.ctx.G, ws.ctx.quotient, ws.ctx.m, p)
-               for p in (1, 2))
-
-
-def dualisability_dim(ws: Workspace) -> int:
-    """Rows of the arity-1 -> 2 group differential that normalising solves against."""
-    return ws.ctx.G.order ** 2 * ws.ctx.quotient.order
-
-
 def run_checks(ws: Workspace, command: str, only: Optional[str] = None) -> list[dict]:
     fns = COMMANDS[command]
-    # refuse an over-cap certificate or dualisability matrix, and the crossed
-    # checks' sizes, before any check does work: a check that fails before
-    # its cap would otherwise decide whether the run meets it
-    if certifies(command):
-        check_dim(certificate_dim(ws))
-    if normalizes(command):
-        check_dim(dualisability_dim(ws))
-    side = ws.ctx.G.order * ws.ctx.quotient.order * ws.d ** 2
-    if runs(command, "check_crossed_point"):
-        check_dim(side)     # the linearised transform's
-    if runs(command, "check_crossed_glue"):
-        check_batch(ws.trials * side)
+    # refuse every over-cap size before any check does work: a check that
+    # fails before its cap would otherwise decide whether the run meets it
+    preflight(ws.scenario, command)
 
     def guarded(f: Callable) -> list[dict]:
         # a law violation inside a check is a falsifying instance: FAIL,

@@ -176,10 +176,6 @@ def mu_is_cocycle(ctx: DualityContext, mu: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def trivial_mu(ctx: DualityContext, d: int) -> np.ndarray:
-    return np.tile(np.eye(d, dtype=complex), (*ctx.shift.shape, 1, 1))
-
-
 def verify_point_theorem(ctx: DualityContext, d: int, mu: np.ndarray,
                          trials: int = 4, seed: int = 0) -> dict:
     """Residuals for the crossed-product isomorphism over a single chart.

@@ -287,13 +287,18 @@ class TotalTwoCocycle:
 # ---------------------------------------------------------------------------
 # fixtures
 
+def trivial_mu(ctx: DualityContext, d: int) -> np.ndarray:
+    """The identity vertex map: an (n, q, d, d) table of d x d identities."""
+    return np.tile(np.eye(d, dtype=complex), (*ctx.shift.shape, 1, 1))
+
+
 def trivial_triple(nerve: Nerve, ctx: DualityContext, d: int = 1) -> TripleLocalData:
     """The fully trivial triple: zero twist, identity zeta and mu."""
-    n, nq = ctx.shift.shape
+    nq = ctx.quotient.order
     eye = np.eye(d, dtype=complex)
     g = TwistCocycle.trivial(nerve, ctx.quotient)
     zeta = {e: np.tile(eye, (nq, 1, 1)) for e in nerve.edges}
-    mu = {v[0]: np.tile(eye, (n, nq, 1, 1)) for v in nerve.vertices}
+    mu = {v[0]: trivial_mu(ctx, d) for v in nerve.vertices}
     gauge = {v[0]: np.tile(eye, (nq, 1, 1)) for v in nerve.vertices}
     return TripleLocalData(nerve, ctx, (d,), g, zeta, mu, gauge=gauge)
 

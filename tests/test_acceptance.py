@@ -39,10 +39,10 @@ from tdual.triples import (
     make_dualisable,
     poincare_check,
     relift,
+    trivial_mu,
     verify_involution,
 )
 from tdual.crossed import (
-    trivial_mu,
     verify_gluing,
     verify_point_theorem,
 )

@@ -1,7 +1,10 @@
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdual.cech import (
     GModule,
@@ -62,6 +65,74 @@ class TestNerve:
         assert len(Nerve.circle().edges) == 3
         assert len(Nerve.sphere().simplices(2)) == 4
         assert Nerve.point().dimension == 0
+
+
+def _closure_reference(vertex_count, simplices):
+    """{k: sorted k-simplices} of the nerve the given simplices span, closed
+    under faces one face at a time from a pending set."""
+    by_dim = {0: {(v,) for v in range(vertex_count)}}
+    pending = set()
+    for s in simplices:
+        t = tuple(sorted(set(int(v) for v in s)))
+        if not t:
+            continue
+        if t[0] < 0 or t[-1] >= vertex_count:
+            raise ValueError(f"simplex {t} references a vertex outside the nerve")
+        pending.add(t)
+    while pending:
+        t = pending.pop()
+        k = len(t) - 1
+        if t in by_dim.setdefault(k, set()):
+            continue
+        by_dim[k].add(t)
+        if k > 0:
+            for j in range(len(t)):
+                pending.add(t[:j] + t[j + 1:])
+    return {k: tuple(sorted(v)) for k, v in by_dim.items() if v}
+
+
+def _faces(nerve):
+    assert nerve.simplices(nerve.dimension + 1) == ()
+    return {k: nerve.simplices(k) for k in range(nerve.dimension + 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, n - 1), max_size=7), max_size=5))),
+    st.data())
+def test_nerve_faces_match_the_closure_reference(nerve, data):
+    # inner lists repeat vertices and may be empty; some simplices come again,
+    # reversed, so the given set holds duplicates
+    n, simplices = nerve
+    if simplices:
+        again = data.draw(st.lists(st.sampled_from(simplices), max_size=3))
+        simplices = simplices + [s[::-1] for s in again]
+    assert _faces(Nerve(n, simplices)) == _closure_reference(n, simplices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-2, n + 1), max_size=4), max_size=4))))
+def test_nerve_refuses_the_first_bad_simplex_as_the_reference(nerve):
+    n, simplices = nerve
+    try:
+        expected = _closure_reference(n, simplices)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ei:
+            Nerve(n, simplices)
+        assert str(ei.value) == str(exc)
+    else:
+        assert _faces(Nerve(n, simplices)) == expected
+
+
+REPORTS = pathlib.Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("report", sorted(p.name for p in REPORTS.glob("*_report.json")))
+def test_golden_scenario_nerves_match_the_closure_reference(report):
+    nerve = json.loads((REPORTS / report).read_text(encoding="utf-8"))["scenario"]["nerve"]
+    assert _faces(Nerve(nerve["vertices"], nerve["simplices"])) == _closure_reference(
+        nerve["vertices"], nerve["simplices"])
 
 
 class TestGModule:

@@ -831,8 +831,9 @@ class TestPreflight:
         side = ws.ctx.G.order * ws.ctx.quotient.order * ws.d ** 2
         faces = [len(ws.nerve.simplices(k)) for k in range(ws.nerve.dimension + 2)]
         assert sizes == {
-            "certificate matrix dimension": cli.certificate_dim(ws),
-            "dualisability matrix dimension": cli.dualisability_dim(ws),
+            "certificate matrix dimension": max(groupcoh.total_dimension(
+                ws.nerve, ws.ctx.G, ws.ctx.quotient, ws.ctx.m, p) for p in (1, 2)),
+            "dualisability matrix dimension": ws.ctx.G.order ** 2 * ws.ctx.quotient.order,
             "crossed-point matrix dimension": side,
             "crossed-glue trial batch size": ws.trials * side,
             "Cech matrix dimension": max(faces) * ws.ctx.quotient.order,

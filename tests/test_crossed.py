@@ -17,7 +17,6 @@ from tdual.crossed import (
     t_linearized,
     t_periodicity_residual,
     t_transform,
-    trivial_mu,
     verify_gluing,
     verify_point_theorem,
 )
@@ -31,6 +30,7 @@ from tdual.triples import (
     dualize,
     extract_total_cocycle,
     make_dualisable,
+    trivial_mu,
 )
 
 

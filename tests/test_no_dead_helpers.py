@@ -26,7 +26,6 @@ REFERENCE = {
     "lca.Section.defect",                # test oracle for the section cocycle
     "linops.unit_phase",                 # test oracle for the phase tables
     "triples.trivial_triple",            # the acceptance criteria's trivial data
-    "crossed.trivial_mu",                # the acceptance criteria's trivial twist
 }
 
 

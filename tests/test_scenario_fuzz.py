@@ -6,7 +6,9 @@ cli.main under a small TDUAL_MAX_DIM.  The contract: exit 0 means every
 check passed, 1 that one failed, 2 a malformed scenario and 3 a cap, and
 nothing is raised.  An exit 3 comes from cli.preflight before a Nerve or a
 DualityContext is built, and the run itself, called directly, then meets
-the same cap with the same message.  The ROADMAP's probes, which once took
+the same cap with the same message.  run_checks refuses through preflight
+too, so the sizes preflight predicts from counts are checked against the
+ones read off the built Workspace.  The ROADMAP's probes, which once took
 seconds or died in numpy allocations, are explicit examples at their full
 sizes: preflight reads only counts, so nothing grows with them.
 
@@ -23,7 +25,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from tdual import cech, cli, triples
+from tdual import cech, cli, groupcoh, triples
 from tdual.errors import ResourceCapError
 
 CAPS = (16, 64, 256)
@@ -106,6 +108,28 @@ def _run(scenario, cap, capsys):
     return rc, report, capsys.readouterr().err, dict(built)
 
 
+def _built_sizes(ws, cap):
+    """The sizes preflight names, read off a built Workspace: the total
+    dimensions of its nerve and groups, and the Cech sides from its nerve's
+    faces in the order check_cech builds them (the untwisted differential
+    in every degree, then the twisted one in degrees 0 and 1), the first
+    over cap, else the largest."""
+    ctx, nerve = ws.ctx, ws.nerve
+    n, q = ctx.G.order, ctx.quotient.order
+    side = n * q * ws.d ** 2
+    faces = [len(nerve.simplices(k)) for k in range(nerve.dimension + 2)]
+    sides = ([max(a, b) for a, b in zip(faces, faces[1:])]
+             + [q * max(a, b) for a, b in zip(faces[:2], faces[1:3])])
+    return {
+        "certificate matrix dimension": max(groupcoh.total_dimension(
+            nerve, ctx.G, ctx.quotient, ctx.m, p) for p in (1, 2)),
+        "dualisability matrix dimension": n * n * q,
+        "crossed-point matrix dimension": side,
+        "crossed-glue trial batch size": ws.trials * side,
+        "Cech matrix dimension": next((s for s in sides if s > cap), max(sides)),
+    }
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(scenario=scenarios(), cap=st.sampled_from(CAPS))
@@ -128,8 +152,10 @@ def test_a_run_passes_fails_or_is_refused_from_counts(scenario, cap, capsys):
         ws = cli.Workspace(scenario)
         with pytest.raises(ResourceCapError) as ei:
             cli.run_checks(ws, scenario["command"])
+        bounds = cli.preflight(scenario, scenario["command"], refuse=False)
     if "at least" not in err:
         assert err == f"resource cap: {ei.value}\n"
+        assert {b.name: b.size for b in bounds} == _built_sizes(ws, cap)
 
 
 # The ROADMAP's probes, with the size each refuses at TDUAL_MAX_DIM = 32.
