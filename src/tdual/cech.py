@@ -14,12 +14,13 @@ computed exactly over Z/m by zmodlin.Complex.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Optional
 
 import numpy as np
 
-from .errors import check_dim
+from .errors import check_dim, check_entries, square_cap
 from .lca import MAX_GROUP_ORDER, GroupElement, QuotientGroup
 from .zmodlin import Complex
 
@@ -45,13 +46,23 @@ class Nerve:
 
     def simplices(self, k: int) -> tuple[Simplex, ...]:
         """The sorted k-simplices, listed on first use: every vertex for k = 0,
-        else the (k+1)-vertex subsets of the given simplices."""
+        else the (k+1)-vertex subsets of the given simplices.  A degree k >= 1
+        of more faces than the square of the matrix cap is refused before the
+        list holds twice that many."""
         if k not in self._simplices:
             if not 0 <= k <= self.dimension:
                 return ()
-            self._simplices[k] = tuple((v,) for v in range(self.vertex_count)) if k == 0 \
-                else tuple(sorted({f for t in self._given if len(t) > k
-                                   for f in itertools.combinations(t, k + 1)}))
+            if k == 0:
+                self._simplices[0] = tuple((v,) for v in range(self.vertex_count))
+                return self._simplices[0]
+            limit, count, faces = square_cap()[0], 0, set()
+            for t in self._given:
+                count = max(math.comb(len(t), k + 1), len(faces))
+                if count > limit:
+                    break
+                faces.update(itertools.combinations(t, k + 1))
+            check_entries("face count", max(count, len(faces)))
+            self._simplices[k] = tuple(sorted(faces))
         return self._simplices[k]
 
     def positions(self, k: int) -> dict[Simplex, int]:

@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import cech, crossed, groupcoh, lca, triples
-from .errors import InvalidTripleError, ResourceCapError, UsageError, max_matrix_dim, over_cap
-from .zmodlin import xgcd
+from .errors import (STACK_FACTOR, InvalidTripleError, ResourceCapError, UsageError,
+                     max_matrix_dim, over_cap, square_cap)
 
 
 class ScenarioError(ValueError):
@@ -106,6 +106,12 @@ def load_scenario(path: str) -> dict:
     return data
 
 
+def _groups(scenario: dict) -> tuple[lca.FiniteLcaGroup, lca.Subgroup]:
+    """G and N from the scenario's lists; G.rows reduces any integer exactly."""
+    G = lca.FiniteLcaGroup(scenario["groups"]["factors"])
+    return G, lca.Subgroup(G, scenario["groups"]["N"])
+
+
 def validate_twist(scenario: dict) -> dict[tuple[int, int], int]:
     """The keyed edges' labels, {(a, b): position in G/N's reps()}, once
     g_ac = g_ab + g_bc holds in G/N on every 2-simplex, else the
@@ -120,11 +126,10 @@ def validate_twist(scenario: dict) -> dict[tuple[int, int], int]:
     twist = scenario.get("twist", {})
     if not twist:
         return {}
-    groups = scenario["groups"]
-    G = lca.FiniteLcaGroup(groups["factors"])
-    quotient = lca.QuotientGroup(G, lca.Subgroup(G, [G.element(c) for c in groups["N"]]))
+    G, N = _groups(scenario)
+    quotient = lca.QuotientGroup(G, N)
     labels = dict(zip((tuple(int(x) for x in key.split(",")) for key in twist),
-                      quotient.coset[G.flat(list(twist.values()))].tolist()))
+                      quotient.coset[G.flat(G.rows(twist.values()))].tolist()))
     tops = [set(s) for s in scenario["nerve"]["simplices"]]
     triangles = sorted({tuple(sorted((a, b, c))) for a, b in labels for s in tops
                         if {a, b} <= s for c in s - {a, b}})
@@ -197,9 +202,7 @@ class Workspace:
         self.d = scenario.get("fiber_dim", 1)
         self.trials = scenario.get("trials", 10)
         labels = validate_twist(scenario)
-        G = lca.FiniteLcaGroup(scenario["groups"]["factors"])
-        N = lca.Subgroup(G, [G.element(c) for c in scenario["groups"]["N"]])
-        self.ctx = triples.DualityContext(G, N, m=scenario.get("modulus"))
+        self.ctx = triples.DualityContext(*_groups(scenario), m=scenario.get("modulus"))
         self.nerve = cech.Nerve(scenario["nerve"]["vertices"],
                                 scenario["nerve"]["simplices"])
         # unkeyed edges carry the zero coset; every QuotientGroup of G and N
@@ -296,30 +299,35 @@ class Workspace:
         return self._get("certificates", build)
 
     def derived_summary(self) -> dict:
-        ctx = self.ctx
-        q = ctx.quotient.order
-        return {
-            "group": repr(ctx.G),
-            "group_order": ctx.G.order,
-            "exponent": ctx.G.exponent,
-            "modulus": ctx.m,
-            "N_generators": [list(g.coords) for g in ctx.N.generators],
-            "N_order": ctx.N.order,
-            "quotient_order": q,
-            "annihilator_generators": [list(g.coords) for g in ctx.Nperp.generators],
-            "annihilator_order": ctx.Nperp.order,
-            "dual_quotient_order": ctx.dual_quotient.order,
-            "fiber_dim": self.d,
-            "dual_fiber_dim": q * self.d,
-            "double_dual_fiber_dim": ctx.dual_quotient.order * q * self.d,
-            "crossed_rep_dim": ctx.G.order * q * self.d,
-            "nerve": {
-                "vertices": self.nerve.vertex_count,
-                "edges": len(self.nerve.edges),
-                "two_simplices": len(self.nerve.simplices(2)),
-            },
-            "matrix_dim_cap": max_matrix_dim(),
-        }
+        return derived_summary(self.ctx, self.d, {
+            "vertices": self.nerve.vertex_count,
+            "edges": len(self.nerve.edges),
+            "two_simplices": len(self.nerve.simplices(2)),
+        })
+
+
+def derived_summary(ctx: triples.DualityContext, d: int, nerve: dict) -> dict:
+    """The report's derived field, for fiber_dim d and nerve's face counts
+    (vertices, edges, two_simplices); tdual explain prints the same one."""
+    q = ctx.quotient.order
+    return {
+        "group": repr(ctx.G),
+        "group_order": ctx.G.order,
+        "exponent": ctx.G.exponent,
+        "modulus": ctx.m,
+        "N_generators": ctx.N.gens.tolist(),
+        "N_order": ctx.N.order,
+        "quotient_order": q,
+        "annihilator_generators": ctx.Nperp.gens.tolist(),
+        "annihilator_order": ctx.Nperp.order,
+        "dual_quotient_order": ctx.dual_quotient.order,
+        "fiber_dim": d,
+        "dual_fiber_dim": q * d,
+        "double_dual_fiber_dim": ctx.dual_quotient.order * q * d,
+        "crossed_rep_dim": ctx.G.order * q * d,
+        "nerve": nerve,
+        "matrix_dim_cap": max_matrix_dim(),
+    }
 
 
 def _result(name: str, residual: float, tolerance: float, **extra) -> dict:
@@ -651,9 +659,10 @@ def runs(command: str, check: str) -> bool:
     return any(f.__name__ == check for f in COMMANDS[command])
 
 
-def _face_counts(nerve: dict, limit: int) -> tuple[list[int], bool]:
+def _face_counts(nerve: dict, limit: int,
+                 degrees: Optional[int] = None) -> tuple[list[int], bool]:
     """(f, exact): f[k] is the number of k-simplices of the scenario's nerve,
-    closed under faces, for k = 0 up to its dimension.
+    closed under faces, for k = 0 up to its dimension (and below degrees).
 
     A simplex that alone has (k+1)-vertex faces gives f[k] as a binomial.
     Otherwise the faces are enumerated, and that stops once the count passes
@@ -661,7 +670,8 @@ def _face_counts(nerve: dict, limit: int) -> tuple[list[int], bool]:
     """
     tops = {tuple(sorted(set(s))) for s in nerve["simplices"]}
     f, exact = [nerve["vertices"]], True
-    for k in range(1, max(map(len, tops), default=1)):
+    top = max(map(len, tops), default=1)
+    for k in range(1, top if degrees is None else min(top, degrees)):
         have = [s for s in tops if len(s) > k]
         count = max(math.comb(len(s), k + 1) for s in have)
         if len(have) > 1:
@@ -676,92 +686,95 @@ def _face_counts(nerve: dict, limit: int) -> tuple[list[int], bool]:
     return f, exact
 
 
-def _quotient_order(factors: list[int], gens: list[list[int]]) -> int:
-    """|G/N| for N generated by gens in G = Z/f_1 x ... x Z/f_r, from small
-    integer arithmetic alone.
-
-    G/N is Z^r over the lattice that the f_i e_i and the generators span,
-    and its order is the product of the pivots of a triangular basis of it.
-    Column i starts its pivot from f_i e_i and folds each generator into it
-    with an extended gcd, which leaves the generator 0 in column i.  The
-    f_j e_j of the later columns stay in the lattice, so entries there
-    reduce mod f_j and stay small.
-    """
-    rows = [[x % f for x, f in zip(g, factors)] for g in gens]
-    order = 1
-    for i, f in enumerate(factors):
-        pivot = [0] * i + [f] + [0] * (len(factors) - i - 1)
-        for row in rows:
-            if row[i]:
-                g, s, t = xgcd(pivot[i], row[i])
-                a, c = pivot[i] // g, row[i] // g
-                combined = [s * x + t * y for x, y in zip(pivot, row)]     # g in column i
-                row[:] = [(c * x - a * y) % m for x, y, m in zip(pivot, row, factors)]
-                pivot = [v if j <= i else v % m
-                         for j, (v, m) in enumerate(zip(combined, factors))]
-        order *= pivot[i]
-    return order
-
-
 class Bound(NamedTuple):
     """One size a run checks against a cap, as preflight predicts it."""
     name: str       # what tdual explain calls it; it says so when size is a lower bound
     size: int
-    cap: int
+    cap: int        # TDUAL_MAX_DIM, or for entry counts a multiple of its square
     applies: bool   # the command's run meets it outside a try that catches it
     error: str      # the run's ResourceCapError message over the cap
     warning: str    # what tdual explain says then
 
 
 def preflight(scenario: dict, command: str, refuse: bool = True) -> list[Bound]:
-    """Every size a run of command checks against the cap, from counts alone.
+    """Every size a run of command checks against a cap, from counts alone.
 
-    The counts are |G|, q = |G/N| (from N's generators, _quotient_order),
+    The counts are |G|, q = |G| / |N| (from N's |G| positions, _groups),
     the nerve's face counts, fiber_dim d and trials; nothing that grows
-    with them is built.  The bounds are the certificate and dualisability
-    matrices, the |G| x |G| words of check_poincare, the |G| q d^2 side of
-    the linearised transform check_crossed_point ranks, the trials |G| q d^2
-    entries check_crossed_glue draws per vertex, against the square of the
-    cap, the q d^2 side of its holonomy Gram matrix, and the Cech matrices:
-    the first side over the cap, in the order check_cech meets them, else
-    the largest.  With refuse, the first bound that applies and is over its
-    cap raises its ResourceCapError: cmd_run calls it before a nerve or a
-    context is built, and run_checks before any check runs.
+    with them is built.  Against the cap: the certificate and
+    dualisability matrices, the |G| x |G| words of check_poincare, the
+    |G| q d^2 side of the linearised transform check_crossed_point ranks,
+    the q d^2 side of check_crossed_glue's holonomy Gram matrix, and the
+    Cech matrices: the first side over the cap, in the order check_cech
+    meets them, else the largest.  Against its square: the trials |G| q d^2
+    entries check_crossed_glue draws per vertex, the edges and 2-simplices
+    every run lists (for the twist and the report), and the largest total
+    cochain d_tot forms (degree 3 in each extraction, on the dual's groups
+    too where the command certifies, and degree 4 in check_total).  Against
+    STACK_FACTOR times its square: the largest triple stack, |G|^2 q D^2
+    with D = d, or |G| d on the double dual where the command certifies.
+    With refuse, the first bound that applies and is over its cap raises
+    its ResourceCapError: cmd_run calls it before a nerve or a context is
+    built, and run_checks before any check runs.
     """
-    cap = max_matrix_dim()
-    factors = scenario["groups"]["factors"]
-    n, q = math.prod(factors), _quotient_order(factors, scenario["groups"]["N"])
-    fibre = q * scenario.get("fiber_dim", 1) ** 2
+    cap, squared, stacked = max_matrix_dim(), square_cap(), square_cap(STACK_FACTOR)
+    certs, norm = certifies(command), normalizes(command)
+    G, N = _groups(scenario)
+    n, q = G.order, G.order // N.order
+    d = scenario.get("fiber_dim", 1)
+    fibre = q * d ** 2
     side = n * fibre
     counts, exact = _face_counts(scenario["nerve"], cap)
     dim, f = len(counts) - 1, counts + [0, 0, 0]
     certificate = max(sum(f[k] * n ** (p - k) * q for k in range(p + 1)) for p in (1, 2))
+    # the sizes against the cap squared read degrees 0 to 4 only, counted up to
+    # that limit; the Cech sides read every degree, but only up to the cap
+    low, low_exact = _face_counts(scenario["nerve"], squared[0], 5)
+    low += [0] * 5
+
+    def total(p, order):
+        """The size of a degree-p total cochain over a quotient of that order."""
+        return sum(low[k] * n ** (p - k) * order for k in range(p + 1)
+                   if p - k <= groupcoh.MAX_TOTAL_ARITY)
+
+    applied = max(total(3, q), total(4, q) if runs(command, "check_total") else 0,
+                  total(3, N.order) if certs else 0)
+    stack = n * n * q * (d * (n if certs else 1)) ** 2
     cech_sides = ([max(f[k], f[k + 1]) for k in range(dim + 1)]
                   + [q * max(f[k], f[k + 1]) for k in range(min(dim, 1) + 1)])
     cech_side = next((x for x in cech_sides if x > cap), max(cech_sides))
 
-    def matrix(name, size, is_exact, applies, warning):
-        what = "matrix dimension" if is_exact else "matrix dimension at least"
-        return Bound(f"{name} {what}", size, cap, applies, over_cap(what, size, cap), warning)
+    def bound(name, what, size, is_exact, applies, warning, limit=(cap, "TDUAL_MAX_DIM")):
+        """Against the cap, or against a limit and its name from square_cap."""
+        what = what if is_exact else f"{what} at least"
+        return Bound(f"{name} {what}", size, limit[0], applies,
+                     over_cap(what, size, *limit), warning)
 
-    batch = scenario.get("trials", 10) * side
+    def matrix(name, size, is_exact, applies, warning):
+        return bound(name, "matrix dimension", size, is_exact, applies, warning)
+
     bounds = [
-        matrix("certificate", certificate, exact, certifies(command),
+        matrix("certificate", certificate, exact, certs,
                "the class certificates exceed the cap"),
-        matrix("dualisability", n * n * q, True, normalizes(command),
+        matrix("dualisability", n * n * q, True, norm,
                "normalising the triple exceeds the cap"),
         matrix("Poincare word", n, True, runs(command, "check_poincare"),
                "the Poincare unitary words exceed the cap"),
         matrix("crossed-point", side, True, runs(command, "check_crossed_point"),
                "the linearised crossed-product transform exceeds the cap"),
-        Bound("crossed-glue trial batch size", batch, cap * cap,
+        bound("crossed-glue", "trial batch size", scenario.get("trials", 10) * side, True,
               runs(command, "check_crossed_glue"),
-              over_cap("trial batch size", batch, cap * cap, "TDUAL_MAX_DIM squared"),
-              "the crossed-glue trial batch exceeds the cap squared"),
+              "the crossed-glue trial batch exceeds the cap squared", squared),
         matrix("crossed-glue holonomy", fibre, True, runs(command, "check_crossed_glue"),
                "the crossed-glue holonomy Gram matrix exceeds the cap"),
         matrix("Cech", cech_side, exact, runs(command, "check_cech"),
                "the Cech matrices exceed the cap"),
+        bound("nerve", "face count", max(low[1], low[2]), low_exact, True,
+              "the nerve's edges or 2-simplices exceed the cap squared", squared),
+        bound("largest", "total cochain size", applied, low_exact, norm,
+              "a total cochain d_tot forms exceeds the cap squared", squared),
+        bound("largest", "triple stack size", stack, True, norm,
+              f"the triple stacks exceed {STACK_FACTOR} times the cap squared", stacked),
     ]
     over = next((b for b in bounds if b.applies and b.size > b.cap), None)
     if refuse and over is not None:
@@ -837,8 +850,9 @@ def format_text(report: dict) -> str:
 def cmd_run(args) -> int:
     if args.output:     # refuse a path that cannot take the report before any check runs
         directory = os.path.dirname(os.path.abspath(args.output))
-        if os.path.isdir(args.output):
-            raise UsageError(f"{args.output} is a directory")
+        # _atomic_write replaces the path: a directory, FIFO or device stays as it is
+        if os.path.exists(args.output) and not os.path.isfile(args.output):
+            raise UsageError(f"{args.output} exists and is not a regular file")
         if not os.path.isdir(directory):
             raise UsageError(f"no directory {directory} for {args.output}")
     scenario = load_scenario(args.scenario)
@@ -866,9 +880,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    """What a run of the scenario would build, from the counts preflight reads:
+    it refuses what run refuses with exit 2, and builds only the groups."""
     scenario = load_scenario(args.scenario)
-    ws = Workspace(scenario)
-    d = ws.derived_summary()
+    validate_twist(scenario)
+    snap_tolerance(scenario)
+    limit = max_matrix_dim() ** 2
+    counts, exact = _face_counts(scenario["nerve"], limit, 3)
+    f = counts + [0, 0]
+    ctx = triples.DualityContext(*_groups(scenario), m=scenario.get("modulus"))
+    d = derived_summary(ctx, scenario.get("fiber_dim", 1),
+                        dict(zip(("vertices", "edges", "two_simplices"), f)))
+    # a count past the limit from more than one simplex is a lower bound
+    at_least = ["" if exact or c <= limit else "at least " for c in f]
     print(f"command: {scenario['command']}")
     print(f"group: {d['group']} of order {d['group_order']}, exponent "
           f"{d['exponent']}, modulus {d['modulus']}")
@@ -877,9 +901,9 @@ def cmd_explain(args) -> int:
           f"{d['annihilator_generators']}")
     print(f"quotient G/N: order {d['quotient_order']}; dual quotient: order "
           f"{d['dual_quotient_order']}")
-    print(f"nerve: {d['nerve']['vertices']} vertices, {d['nerve']['edges']} edges, "
-          f"{d['nerve']['two_simplices']} two-simplices")
-    if d["nerve"]["edges"] == 0:
+    print(f"nerve: {f[0]} vertices, {at_least[1]}{f[1]} edges, "
+          f"{at_least[2]}{f[2]} two-simplices")
+    if f[1] == 0:
         print("warning: the nerve has no overlaps; every positive-degree "
               "cohomology group on it is zero")
     print(f"fiber dims: primal {d['fiber_dim']}, dual {d['dual_fiber_dim']}, "
@@ -887,9 +911,12 @@ def cmd_explain(args) -> int:
     print(f"crossed-product representation dimension: {d['crossed_rep_dim']}")
     print(f"matrix dimension cap: {d['matrix_dim_cap']} (env TDUAL_MAX_DIM)")
     cmd = scenario["command"]
-    for b in preflight(scenario, cmd, refuse=False):
+    bounds = preflight(scenario, cmd, refuse=False)
+    # the warning goes under the bound run refuses with, the first one over
+    refused = next((b for b in bounds if b.applies and b.size > b.cap), None)
+    for b in bounds:
         print(f"{b.name} {b.size} (cap {b.cap})")
-        if b.applies and b.size > b.cap:
+        if b is refused:
             print(f"warning: {b.warning}; run would exit 3 before any check")
     cmds = [cmd] if cmd != "all" else list(CHECK_DESCRIPTIONS)
     for c in cmds:

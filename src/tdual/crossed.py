@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidTripleError, check_batch, check_dim
+from .errors import InvalidTripleError, check_dim, check_entries
 from .linops import adjoint, kron_stack
 from .triples import DualityContext, TripleLocalData
 
@@ -301,7 +301,7 @@ def verify_gluing(t: TripleLocalData, t_hat: TripleLocalData,
     """
     ctx, d = t.ctx, t.fiber_dim
     shape = (*ctx.shift.shape, d, d)
-    check_batch(trials * math.prod(shape))
+    check_entries("trial batch size", trials * math.prod(shape))
     rng = np.random.default_rng(seed)
     kron_dft = kron_stack(ctx.dft, np.eye(d))
     kron_dft_inv = kron_stack(ctx.dft_inv, np.eye(d))

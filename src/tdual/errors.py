@@ -8,7 +8,7 @@ DEFAULT_MAX_DIM = 512
 
 
 class ResourceCapError(RuntimeError):
-    """A matrix dimension, a trial batch or a group order exceeded its cap."""
+    """A matrix dimension, an entry count or a group order exceeded its cap."""
 
 
 class UsageError(ValueError):
@@ -38,8 +38,23 @@ def check_dim(n: int) -> None:
         raise ResourceCapError(over_cap("matrix dimension", n, cap))
 
 
-def check_batch(n: int) -> None:
-    """Refuse a batch of n complex entries over the square of the matrix cap."""
-    cap = max_matrix_dim() ** 2
+# The triple stacks (|G|^2 q blocks of D x D complex entries per vertex, in
+# triples) may hold this many times the square of the matrix cap.  A fibre
+# may be wider than the cap (the double dual's D is |G| d): dualize over Z2
+# at d = 40 with a cap of 64, which the tests run, stacks 6.25 times its
+# square.  At the default cap a stack is then at most 32 MiB, and dualize
+# over Z6/<3> at d = 32 (3,981,312 entries) is refused.
+STACK_FACTOR = 8
+
+
+def square_cap(factor: int = 1) -> tuple[int, str]:
+    """factor times the square of the matrix cap, and the name messages give it."""
+    source = "TDUAL_MAX_DIM squared" if factor == 1 else f"{factor} x TDUAL_MAX_DIM squared"
+    return factor * max_matrix_dim() ** 2, source
+
+
+def check_entries(what: str, n: int, factor: int = 1) -> None:
+    """Refuse n entries (trials, faces, cochain values) over square_cap(factor)."""
+    cap, source = square_cap(factor)
     if n > cap:
-        raise ResourceCapError(over_cap("trial batch size", n, cap, "TDUAL_MAX_DIM squared"))
+        raise ResourceCapError(over_cap(what, n, cap, source))

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .cech import GModule, Nerve, TwistCocycle, _wrap, apply_terms, delta_terms, terms_matrix
+from .errors import check_entries
 from .lca import FiniteLcaGroup, QuotientGroup
 from .zmodlin import Complex
 
@@ -266,10 +267,13 @@ def total_differential(t: TotalCochain, g: TwistCocycle) -> TotalCochain:
     """d_tot = delta_g - (-1)^p d*, gathered along total_terms (apply_terms).
 
     Axes of the block values after the first are batch axes and pass through.
+    A degree p+1 of more values per cochain than the square of the matrix
+    cap is refused.
     """
     nerve, G, quotient, m, p = t.nerve, t.G, t.quotient, t.m, t.degree
-    flat = apply_terms(total_dimension(nerve, G, quotient, m, p + 1), m,
-                       total_terms(nerve, G, quotient, m, g, p), t.flatten())
+    dim = total_dimension(nerve, G, quotient, m, p + 1)
+    check_entries("total cochain size", dim)
+    flat = apply_terms(dim, m, total_terms(nerve, G, quotient, m, g, p), t.flatten())
     return TotalCochain.__new__(TotalCochain)._init(nerve, G, quotient, m, p + 1, flat)
 
 

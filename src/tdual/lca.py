@@ -100,11 +100,17 @@ class FiniteLcaGroup:
         return (np.asarray(coords) % np.array(self.factors, dtype=np.int64)
                 @ np.array(self.strides, dtype=np.int64))
 
-    def element(self, coords: Iterable[int]) -> GroupElement:
-        coords = tuple(coords)
-        if len(coords) != len(self.factors):
+    def rows(self, rows: Iterable[Iterable[int]]) -> np.ndarray:
+        """Coordinate rows (scenario lists, GroupElements) as a (k, rank) int64
+        array, reduced mod the factors in Python ints first: any integer is exact."""
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != len(self.factors) for r in rows):
             raise ValueError("wrong coordinate count")
-        return GroupElement(tuple(int(c) % f for c, f in zip(coords, self.factors)))
+        return np.array([[int(c) % f for c, f in zip(r, self.factors)] for r in rows],
+                        dtype=np.int64).reshape(len(rows), len(self.factors))
+
+    def element(self, coords: Iterable[int]) -> GroupElement:
+        return GroupElement(tuple(self.rows([coords])[0].tolist()))
 
     def element_at(self, i: int) -> GroupElement:
         return GroupElement(tuple(self.coords[i].tolist()))
@@ -194,22 +200,27 @@ def pairing(G: FiniteLcaGroup, chi: GroupElement, g: GroupElement) -> QZ:
 
 
 class Subgroup:
-    """Subgroup given by generators; least[i] is the least position in e_i + N,
+    """Subgroup generated by coordinate rows, kept reduced in gens (generators
+    builds them as GroupElements); least[i] is the least position in e_i + N,
     so N sits at the positions where least is 0."""
 
-    def __init__(self, parent: FiniteLcaGroup, generators: Sequence[GroupElement]):
+    def __init__(self, parent: FiniteLcaGroup, generators: Iterable[Iterable[int]]):
         self.parent = parent
-        self.generators = tuple(parent.element(g.coords) for g in generators)
+        self.gens = parent.rows(generators)
         least = np.arange(parent.order)
-        for g in self.generators:
+        for g in self.gens:
             # least over i + <g>: windows of 1, 2, 4, ... multiples of g
-            shift = parent.flat(parent.coords + g.coords)
+            shift = parent.flat(parent.coords + g)
             for _ in range((parent.exponent - 1).bit_length()):
                 least = np.minimum(least, least[shift])
                 shift = shift[shift]
         self.least = least
         self.positions = np.flatnonzero(least == 0)
         self.order = len(self.positions)
+
+    @property
+    def generators(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(tuple(g)) for g in self.gens.tolist())
 
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(map(self.parent.element_at, self.positions))
@@ -325,15 +336,14 @@ def annihilator(G: FiniteLcaGroup, N: Subgroup) -> Subgroup:
     positions of N's generators (rows index characters, as G.elements()).
     """
     Gd = dual_group(G)
-    at_gens = G.pairing_columns([G.index(g) for g in N.generators])
-    members = np.flatnonzero(~at_gens.any(axis=1))
+    members = np.flatnonzero(~G.pairing_columns(G.flat(N.gens)).any(axis=1))
     # thin the member list to a small generating set, in enumeration order
-    gens: list[GroupElement] = []
+    gens: list[np.ndarray] = []
     span = np.arange(Gd.order) == 0
     for chi in members:
         if span[chi]:
             continue
-        gens.append(Gd.element_at(chi))
+        gens.append(Gd.coords[chi])
         span = Subgroup(Gd, gens).least == 0
         if span.sum() == len(members):
             break

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .cech import Nerve, TwistCocycle, r_conjugate_twist
-from .errors import InvalidTripleError, check_dim
+from .errors import STACK_FACTOR, InvalidTripleError, check_dim, check_entries
 from .groupcoh import (
     GroupCochainSpace,
     TotalCochain,
@@ -357,8 +357,16 @@ def build_random_triple(nerve: Nerve, ctx: DualityContext, d: int, seed: int,
     return TripleLocalData(nerve, ctx, (d,), g, zeta, mu, gauge=gauge)
 
 
+def _check_stack(t: TripleLocalData) -> None:
+    """Refuse t's vertex stacks, |G|^2 q blocks of D x D for all (g, h) at once,
+    over STACK_FACTOR times the square of the matrix cap."""
+    n, q = t.ctx.shift.shape
+    check_entries("triple stack size", n * n * q * t.fiber_dim ** 2, STACK_FACTOR)
+
+
 def validate_triple(t: TripleLocalData) -> dict:
     """Largest residuals of the structural laws (unitarity, both cocycle laws)."""
+    _check_stack(t)
     ctx = t.ctx
     shift, add, qadd = ctx.shift, ctx.G.add_table(), ctx.quotient.add_table()
     Z, Mu = t.zeta, t.mu
@@ -401,6 +409,7 @@ def extract_total_cocycle(t: TripleLocalData) -> TotalTwoCocycle:
     """Snap the scalar defects (psi, phi, omega) and check they form a cocycle.
 
     Each defect is a batched product over the context's index tables."""
+    _check_stack(t)
     ctx = t.ctx
     m = ctx.m
     shift, add, qadd = ctx.shift, ctx.G.add_table(), ctx.quotient.add_table()
@@ -421,8 +430,7 @@ def extract_total_cocycle(t: TripleLocalData) -> TotalTwoCocycle:
         moved = qadd[t.g.labels[e]]
         phi[e] = snap(Mu[b] @ adjoint(Z[e]) @ adjoint(Mu[a][:, moved]) @ Z[e][shift])
 
-    # omega at (g, h, z) for all g at once: |G|^2 q d^2 entries, bounded by
-    # cap d^2 where normalising is capped (|G|^2 q <= TDUAL_MAX_DIM, in the CLI)
+    # omega at (g, h, z) for all g at once: |G|^2 q d^2 entries (_check_stack)
     hs = np.arange(len(add))[:, None]
     omega = {i: snap(M[:, None] @ adjoint(M[add]) @ M[hs, shift[:, None, :]])
              for i, M in Mu.items()}
@@ -826,6 +834,7 @@ def exterior_perturbation(t: TripleLocalData, seed: int = 0) -> TripleLocalData:
 
 def exterior_family_residuals(t: TripleLocalData, t2: TripleLocalData) -> dict:
     """Residuals of the compatibility laws for c_i = mu_i^-1 mu'_i."""
+    _check_stack(t)
     ctx = t.ctx
     shift, add, qadd = ctx.shift, ctx.G.add_table(), ctx.quotient.add_table()
     C = {i: adjoint(M) @ t2.mu[i] for i, M in t.mu.items()}

@@ -3,8 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import stat
 import time
-import traceback
 import tracemalloc
 from fractions import Fraction
 
@@ -250,6 +250,21 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_output_that_is_not_a_regular_file_is_2(self, tmp_path, monkeypatch, capsys):
+        # the report replaces its path, so a FIFO (or a device) there is
+        # refused before any check, and stays what it was
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+        monkeypatch.setattr(cli, "run_checks", no_checks)
+        assert main(["run", "z6_circle", "-o", str(fifo)]) == 2
+        assert capsys.readouterr().err == \
+            f"usage error: {fifo} exists and is not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(tmp_path.iterdir()) == [fifo]
+
     def test_failed_report_write_is_2(self, tmp_path, monkeypatch, capsys):
         def refuse(path, text):
             raise PermissionError(13, "Permission denied", path)
@@ -379,6 +394,23 @@ class TestReports:
         assert checks["cech.twisted_factors"]["factors"] == {"0": [6], "1": [6]}
         assert checks["total.scenario_factors"]["factors"] == {"0": [6], "1": [2, 6]}
 
+    @pytest.mark.parametrize("flaw,reduced", [
+        ({"twist": {"0,1": [2 ** 63 + 1]}}, {"twist": {"0,1": [3]}}),
+        ({"twist": {"0,1": [10 ** 30]}}, {"twist": {"0,1": [4]}}),
+        ({"groups": {"factors": [6], "N": [[10 ** 30]]}},
+         {"groups": {"factors": [6], "N": [[4]]}})])
+    def test_coordinates_past_int64_run_as_their_reduced_values(self, tmp_path, capsys,
+                                                                flaw, reduced):
+        # the schema admits any integer; scenario coordinates are reduced in
+        # Python ints before they become int64 (a twist value past int64 once
+        # ended in an IndexError, exit 1)
+        reports = []
+        for sc in (dict(Z6, command="all", **flaw), dict(Z6, command="all", **reduced)):
+            assert main(["run", write_scenario(tmp_path, sc)]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            reports.append((rep["derived"], [(c["name"], c["passed"]) for c in rep["checks"]]))
+        assert reports[0] == reports[1]
+
     def test_seed_flag_overrides(self, tmp_path):
         sc = write_scenario(tmp_path, dict(Z6, command="dualize", fiber_dim=1))
         o1 = str(tmp_path / "r1.json")
@@ -472,6 +504,54 @@ class TestExplain:
         assert main(["explain", write_scenario(tmp_path, dict(Z32_OVERCAP,
                                                               command="poincare"))]) == 0
         assert "exit 3" not in capsys.readouterr().out
+
+
+    def test_explain_builds_no_nerve_and_no_twist(self, tmp_path, monkeypatch, capsys):
+        # one 300-vertex simplex: explain prints its face counts as binomials
+        # and builds only the groups, where a Workspace would list 4455100
+        # 2-simplices; run refuses them from the same counts
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        sc = write_scenario(tmp_path, dict(Z6, nerve={"vertices": 300,
+                                                      "simplices": [list(range(300))]}))
+        built = []
+        for c in (cech.Nerve, cech.TwistCocycle, triples.DualityContext):
+            def spy(self, *args, _init=c.__init__, **kw):
+                built.append(type(self).__name__)
+                _init(self, *args, **kw)
+            monkeypatch.setattr(c, "__init__", spy)
+        start = time.perf_counter()
+        assert main(["explain", sc]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert built == ["DualityContext"]
+        assert "nerve: 300 vertices, 44850 edges, 4455100 two-simplices" in out
+        assert "nerve face count 4455100 (cap 262144)\nwarning: the nerve's edges or " \
+               "2-simplices exceed the cap squared; run would exit 3" in out
+        assert main(["run", sc]) == 3
+        assert capsys.readouterr().err == \
+            "resource cap: face count 4455100 exceeds cap 262144 (TDUAL_MAX_DIM squared)\n"
+        assert built == ["DualityContext"]
+
+    def test_explain_says_at_least_for_a_lower_bound(self, tmp_path, monkeypatch, capsys):
+        # two 40-vertex simplices share 39 vertices: past the limit of 10^2
+        # the faces are not listed, and C(40, 2) edges is a lower bound
+        monkeypatch.setenv("TDUAL_MAX_DIM", "10")
+        sc = write_scenario(tmp_path, dict(Z6, nerve={
+            "vertices": 41, "simplices": [list(range(40)), list(range(1, 41))]}))
+        assert main(["explain", sc]) == 0
+        out = capsys.readouterr().out
+        assert "nerve: 41 vertices, at least 780 edges, at least 9880 two-simplices" in out
+        assert "nerve face count at least 9880 (cap 100)" in out
+
+    def test_explain_refuses_what_run_refuses_with_2(self, tmp_path, capsys):
+        for flaw in ({"tolerances": {"snap": 0.5}},
+                     {"nerve": {"vertices": 3, "simplices": [[0, 1, 2]]},
+                      "twist": {"0,1": [1]}}):
+            sc = write_scenario(tmp_path, dict(Z6, **flaw))
+            assert main(["explain", sc]) == 2
+            err = capsys.readouterr().err
+            assert main(["run", sc]) == 2
+            assert capsys.readouterr().err == err
 
 
 class TestStages:
@@ -721,21 +801,21 @@ def test_point_nerve_check_reaches_the_report_when_extraction_fails(monkeypatch,
     assert not closure["passed"] and "is not a total cocycle" in closure["error"]
 
 
-def test_run_checks_builds_no_qz_and_group_elements_only_in_annihilator(monkeypatch):
-    # below the report a run works on positions: the only elements built are
-    # the N-perp generators the dual context finds with lca.annihilator
-    ws = Workspace(load_scenario("z6_circle"), seed=3)
+def test_run_checks_builds_no_group_element_and_no_qz(monkeypatch):
+    # a run works on positions: building the workspace (validate_twist, the
+    # context's annihilator) and running every check (preflight first) builds
+    # no GroupElement and no QZ; N's generators build them at the boundary
     built = []
     for cls in (lca.GroupElement, lca.QZ):
         def spy(self, *args, _init=cls.__init__, **kw):
-            in_annihilator = any(f.f_code is lca.annihilator.__code__
-                                 for f, _ in traceback.walk_stack(None))
-            built.append((type(self).__name__, in_annihilator))
+            built.append(type(self).__name__)
             _init(self, *args, **kw)
         monkeypatch.setattr(cls, "__init__", spy)
+    ws = Workspace(load_scenario("z6_circle"), seed=3)
     assert all(r["passed"] for r in run_checks(ws, "all"))
-    assert built, "the spy saw no construction at all"
-    assert [b for b in built if b != ("GroupElement", True)] == []
+    assert built == []
+    assert [g.coords for g in ws.ctx.N.generators] == [(3,)]
+    assert built == ["GroupElement"], "the spy saw no construction at the boundary"
 
 
 @pytest.mark.parametrize("user_value,want", [(None, "1"), ("2", "2")])
@@ -842,6 +922,13 @@ class TestPreflight:
             "Poincare word matrix dimension": ws.ctx.G.order,
             "crossed-glue holonomy matrix dimension": ws.ctx.quotient.order * ws.d ** 2,
             "Cech matrix dimension": max(faces) * ws.ctx.quotient.order,
+            "nerve face count": max(faces[1:3]),
+            "largest total cochain size": max(groupcoh.total_dimension(
+                ws.nerve, G, q, ws.ctx.m, p) for G, q, p in (
+                    (ws.ctx.G, ws.ctx.quotient, 3), (ws.ctx.G, ws.ctx.quotient, 4),
+                    (ws.ctx.Gd, ws.ctx.dual_quotient, 3))),
+            "largest triple stack size": ws.ctx.G.order ** 2 * ws.ctx.quotient.order
+            * ws.derived_summary()["double_dual_fiber_dim"] ** 2,
         }
 
     @pytest.mark.parametrize("command,refused", [
@@ -924,6 +1011,32 @@ class TestPreflight:
         with pytest.raises(ResourceCapError, match="matrix dimension 18 exceeds cap 16"):
             crossed.verify_gluing(tn, th, trials=1)
 
+    def test_the_engine_refuses_the_squared_sizes_too(self, monkeypatch):
+        # the nerve lists no degree past the square of the cap, d_tot forms
+        # no cochain past it, and no triple stack passes 8 times it
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        ws = Workspace(dict(Z6, command="all"))
+        t = ws.fixture()
+        c = triples.extract_total_cocycle(t).to_total_cochain()
+        monkeypatch.setenv("TDUAL_MAX_DIM", "16")
+        with pytest.raises(ResourceCapError, match=r"^face count 280840 exceeds cap 256 \("):
+            cech.Nerve(120, [range(120)]).simplices(2)
+        # C(20, 2) edges each, and 190 + 190 - 45 in all
+        nerve = cech.Nerve(30, [range(20), range(10, 30)])
+        with pytest.raises(ResourceCapError, match=r"^face count 335 exceeds cap 256 \("):
+            nerve.simplices(1)
+        # Z6/<3> on the circle: 3 * 6^3 * 3 + 3 * 6^2 * 3 values in degree 3
+        monkeypatch.setenv("TDUAL_MAX_DIM", "40")
+        with pytest.raises(ResourceCapError, match=r"^total cochain size 2268 exceeds cap 1600 "
+                                                   r"\(TDUAL_MAX_DIM squared\)$"):
+            groupcoh.total_differential(c, t.g)
+        # 6^2 * 3 blocks of 1 x 1 per vertex
+        monkeypatch.setenv("TDUAL_MAX_DIM", "3")
+        for stacked in (triples.validate_triple, triples.extract_total_cocycle):
+            with pytest.raises(ResourceCapError, match=r"^triple stack size 108 exceeds cap 72 "
+                                                       r"\(8 x TDUAL_MAX_DIM squared\)$"):
+                stacked(t)
+
     def test_workspace_on_many_vertices_lists_no_vertex(self, monkeypatch):
         # a Workspace lists only the degrees it reads: edges and 2-simplices
         # for the twist, none of the 3,000,000 vertices
@@ -980,16 +1093,3 @@ class TestPreflight:
         assert ("warning: the linearised crossed-product transform exceeds the cap; "
                 "run would exit 3") in out
         assert main(["run", sc]) == 3
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(2, 12), min_size=1, max_size=3).filter(
-    lambda f: math.prod(f) <= lca.MAX_GROUP_ORDER).flatmap(lambda f: st.tuples(
-        st.just(f), st.lists(st.lists(st.integers(-30, 30), min_size=len(f),
-                                      max_size=len(f)), max_size=4))))
-def test_quotient_order_matches_the_subgroup(group):
-    # preflight's |G/N| by lattice pivots, against lca.Subgroup's listing
-    factors, gens = group
-    G = lca.FiniteLcaGroup(factors)
-    N = lca.Subgroup(G, [G.element(c) for c in gens])
-    assert cli._quotient_order(factors, gens) == G.order // N.order

@@ -226,6 +226,30 @@ def test_element_refuses_extra_coordinates():
     assert G.element((3, 9)) == G.element((1, 1))
 
 
+@given(st.lists(st.integers(2, 12), min_size=1, max_size=3).filter(
+    lambda f: np.prod(f) <= 4096).flatmap(lambda f: st.tuples(st.just(f), st.lists(
+        st.lists(st.integers(-3 * 2 ** 63, 3 * 2 ** 63) | st.integers(-30, 30),
+                 min_size=len(f), max_size=len(f)), max_size=4))))
+@settings(max_examples=100, deadline=None)
+@example(([6], [[2 ** 63 + 1], [-(10 ** 30)]]))
+def test_subgroup_from_rows_matches_elements(group):
+    # coordinate lists are reduced in Python ints before they become int64,
+    # so negative, unreduced and past-int64 coordinates read as G.element does
+    factors, rows = group
+    G = FiniteLcaGroup(factors)
+    N, oracle = Subgroup(G, rows), Subgroup(G, [G.element(r) for r in rows])
+    assert np.array_equal(N.positions, oracle.positions)
+    assert N.order == oracle.order
+    assert N.generators == oracle.generators
+    assert N.gens.dtype == np.int64 and N.gens.shape == (len(rows), len(factors))
+
+
+def test_subgroup_refuses_a_row_of_the_wrong_length():
+    G = FiniteLcaGroup([2, 4])
+    with pytest.raises(ValueError, match="wrong coordinate count"):
+        Subgroup(G, [[1, 2], [1]])
+
+
 def test_group_order_cap():
     with pytest.raises(ValueError):
         FiniteLcaGroup([4096, 2])

@@ -114,13 +114,23 @@ def _built_sizes(ws, cap):
     for the crossed-glue holonomy Gram matrix, and the Cech sides from its
     nerve's faces in the order check_cech builds them (the untwisted
     differential in every degree, then the twisted one in degrees 0 and 1),
-    the first over cap, else the largest."""
-    ctx, nerve = ws.ctx, ws.nerve
+    the first over cap, else the largest.  The nerve's edges and
+    2-simplices, and for the command the largest total cochain d_tot forms
+    (degree 3 on the primal and, where it certifies, the dual groups, and
+    degree 4 where it runs check_total) and the largest triple stack
+    |G|^2 q D^2 (where it certifies, the double dual's D is q^ q d)."""
+    ctx, nerve, command = ws.ctx, ws.nerve, ws.scenario["command"]
     n, q = ctx.G.order, ctx.quotient.order
     side = n * q * ws.d ** 2
     faces = [len(nerve.simplices(k)) for k in range(nerve.dimension + 2)]
     sides = ([max(a, b) for a, b in zip(faces, faces[1:])]
              + [q * max(a, b) for a, b in zip(faces[:2], faces[1:3])])
+    certifies = cli.certifies(command)
+    applied = [groupcoh.total_dimension(nerve, ctx.G, ctx.quotient, ctx.m, 3)]
+    if cli.runs(command, "check_total"):
+        applied.append(groupcoh.total_dimension(nerve, ctx.G, ctx.quotient, ctx.m, 4))
+    if certifies:
+        applied.append(groupcoh.total_dimension(nerve, ctx.Gd, ctx.dual_quotient, ctx.m, 3))
     return {
         "certificate matrix dimension": max(groupcoh.total_dimension(
             nerve, ctx.G, ctx.quotient, ctx.m, p) for p in (1, 2)),
@@ -130,6 +140,10 @@ def _built_sizes(ws, cap):
         "Poincare word matrix dimension": n,
         "crossed-glue holonomy matrix dimension": q * ws.d ** 2,
         "Cech matrix dimension": next((s for s in sides if s > cap), max(sides)),
+        "nerve face count": max(len(nerve.edges), len(nerve.simplices(2))),
+        "largest total cochain size": max(applied),
+        "largest triple stack size":
+            n * n * q * (ws.d * (ctx.dual_quotient.order * q if certifies else 1)) ** 2,
     }
 
 
@@ -203,6 +217,30 @@ PROBES = {
     "fiber_dim_40_all": (
         {"groups": Z2, "nerve": CIRCLE, "fiber_dim": 40, "command": "all"},
         "matrix dimension 3200 exceeds cap 32 (TDUAL_MAX_DIM)"),
+    # the nerve a run lists and the cochains and stacks the triples hold: on
+    # one 120-vertex simplex total-cohomology once ended in a MemoryError
+    # (exit 1), and it and poincare on 300 vertices listed millions of faces
+    "120_vertex_simplex_total_cohomology": (
+        {"groups": Z2, "nerve": {"vertices": 120, "simplices": [list(range(120))]},
+         "command": "total-cohomology"},
+        "face count 280840 exceeds cap 1024 (TDUAL_MAX_DIM squared)"),
+    "120_vertex_simplex_crossed_point": (
+        {"groups": Z2, "nerve": {"vertices": 120, "simplices": [list(range(120))]},
+         "command": "crossed-point"},
+        "face count 280840 exceeds cap 1024 (TDUAL_MAX_DIM squared)"),
+    "300_vertex_simplex_poincare": (
+        {"groups": Z2, "nerve": {"vertices": 300, "simplices": [list(range(300))]},
+         "command": "poincare"},
+        "face count 4455100 exceeds cap 1024 (TDUAL_MAX_DIM squared)"),
+    # 2^3 values per vertex in the closure's degree-3 cochain
+    "20000_vertices_total_cohomology": (
+        {"groups": Z2, "nerve": {"vertices": 20000, "simplices": []},
+         "command": "total-cohomology"},
+        "total cochain size 160000 exceeds cap 1024 (TDUAL_MAX_DIM squared)"),
+    # the double dual's stack: 2^2 blocks of (2 * 40)^2 per vertex
+    "fiber_dim_40_dualize": (
+        {"groups": Z2, "nerve": CIRCLE, "fiber_dim": 40, "command": "dualize"},
+        "triple stack size 25600 exceeds cap 8192 (8 x TDUAL_MAX_DIM squared)"),
 }
 
 
