@@ -28,7 +28,11 @@ Simplex = tuple[int, ...]
 
 
 class Nerve:
-    """Finite simplicial set of chart intersections, closed under faces."""
+    """Finite simplicial set of chart intersections, closed under faces.
+
+    layouts keeps groupcoh's total-cochain block offsets per (|G|, |G/N|,
+    degree): they depend on the face counts alone, and are plain data.
+    """
 
     def __init__(self, vertex_count: int, simplices: Iterable[Sequence[int]]):
         if vertex_count < 1:
@@ -43,6 +47,7 @@ class Nerve:
         self.dimension = max([1, *map(len, self._given)]) - 1
         self._simplices: dict[int, tuple[Simplex, ...]] = {}
         self._positions: dict[int, dict[Simplex, int]] = {}
+        self.layouts: dict = {}
 
     def simplices(self, k: int) -> tuple[Simplex, ...]:
         """The sorted k-simplices, listed on first use: every vertex for k = 0,

@@ -783,10 +783,16 @@ def preflight(scenario: dict, command: str, refuse: bool = True) -> list[Bound]:
 
 
 def run_checks(ws: Workspace, command: str, only: Optional[str] = None) -> list[dict]:
-    fns = COMMANDS[command]
+    """The command's check results on ws, sorted by name, or only the one named."""
     # refuse every over-cap size before any check does work: a check that
     # fails before its cap would otherwise decide whether the run meets it
     preflight(ws.scenario, command)
+    return _checks(ws, command, only)
+
+
+def _checks(ws: Workspace, command: str, only: Optional[str]) -> list[dict]:
+    """run_checks once preflight has passed: cmd_run calls it after its own."""
+    fns = COMMANDS[command]
 
     def guarded(f: Callable) -> list[dict]:
         # a law violation inside a check is a falsifying instance: FAIL,
@@ -862,7 +868,7 @@ def cmd_run(args) -> int:
     preflight(scenario, scenario["command"])
     ws = Workspace(scenario, seed=args.seed, tolerance_scale=args.tolerance_scale)
     start = time.perf_counter()
-    results = run_checks(ws, scenario["command"], only=args.check)
+    results = _checks(ws, scenario["command"], args.check)
     elapsed = time.perf_counter() - start
     report = build_report(ws, scenario["command"], results, elapsed)
     if args.format == "json":
@@ -912,10 +918,11 @@ def cmd_explain(args) -> int:
     print(f"matrix dimension cap: {d['matrix_dim_cap']} (env TDUAL_MAX_DIM)")
     cmd = scenario["command"]
     bounds = preflight(scenario, cmd, refuse=False)
-    # the warning goes under the bound run refuses with, the first one over
+    # the warning goes under the bound run refuses with, the first one over;
+    # a bound the command never forms is marked, and never refuses it
     refused = next((b for b in bounds if b.applies and b.size > b.cap), None)
     for b in bounds:
-        print(f"{b.name} {b.size} (cap {b.cap})")
+        print(f"{b.name} {b.size} (cap {b.cap})" + ("" if b.applies else " applies=False"))
         if b is refused:
             print(f"warning: {b.warning}; run would exit 3 before any check")
     cmds = [cmd] if cmd != "all" else list(CHECK_DESCRIPTIONS)

@@ -12,19 +12,22 @@ to the twisted Cech differential with sign:  d_tot = delta_g - (-1)^p d*.
 Each differential is one list of (row0, (sign, source index) terms) blocks,
 which cech.terms_matrix scatters into its matrix and cech.apply_terms gathers
 along; the quotient keeps d_group_terms per arity, the twist total_terms per
-(m, p).  The tuple loop d_group reads the formula, as the terms' reference.
+(m, p), and the nerve each degree's block layout.  The tuple loop d_group
+reads the formula, as the terms' reference.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .cech import GModule, Nerve, TwistCocycle, _wrap, apply_terms, delta_terms, terms_matrix
+from .cech import (GModule, Nerve, TwistCocycle, TwistedCochain, _wrap, apply_terms,
+                   delta_terms, terms_matrix)
 from .errors import check_entries
 from .lca import FiniteLcaGroup, QuotientGroup
 from .zmodlin import Complex
@@ -39,7 +42,8 @@ class GroupCochainSpace:
     Plain Z/m with trivial action is Fun(G/G, Z/m).  fiber is the
     coefficient module of one table entry; translations act on the G/N slot
     only, g as fiber.act[coset[g]].  The act table and d_group_terms depend
-    on quotient and arity only, so quotient.tables keeps them.
+    on quotient and arity only, so quotient.tables keeps them, and the
+    module on the act table per modulus.
     """
 
     def __init__(self, G: FiniteLcaGroup, quotient: QuotientGroup, m: int, arity: int):
@@ -52,21 +56,31 @@ class GroupCochainSpace:
         self.n = G.order
         self.q = quotient.order
         self.size = self.n ** arity * self.q
-        self.fiber = GModule.functions_on_quotient(self.m, quotient)
         self.coset = quotient.coset
         self._tables = quotient.tables.setdefault(arity, {})
+
+    @property
+    def fiber(self) -> GModule:
+        """Fun(G/N, Z/m), the coefficient module of one table entry."""
+        return GModule.functions_on_quotient(self.m, self.quotient)
 
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.arity + (self.q,)
 
     def as_gmodule(self) -> GModule:
-        """The whole table as a Cech coefficient module: fiber.act per entry."""
-        act = self._tables.get("act")
-        if act is None:
-            blocks = self.size // self.q
-            offsets = np.repeat(np.arange(blocks, dtype=np.int64) * self.q, self.q)
-            act = self._tables["act"] = offsets + np.tile(self.fiber.act, blocks)
-        return GModule(self.m, act)
+        """The whole table as a Cech coefficient module: fiber.act per entry.
+
+        One per quotient, arity and modulus, kept in quotient.tables.
+        """
+        modules = self._tables.setdefault("modules", {})
+        if self.m not in modules:
+            act = self._tables.get("act")
+            if act is None:
+                starts = np.arange(0, self.size, self.q, dtype=np.int64)
+                act = self._tables["act"] = (
+                    starts[:, None] + self.fiber.act[:, None, :]).reshape(self.q, self.size)
+            modules[self.m] = GModule(self.m, act)
+        return modules[self.m]
 
     def terms(self) -> list[tuple[int, np.ndarray]]:
         """d_group_terms(self), built on first use."""
@@ -149,18 +163,19 @@ def d_group_terms(space: GroupCochainSpace) -> list[tuple[int, np.ndarray]]:
     (g_1, ..., g_{l+1}, z) in row-major order and names the flat source
     coordinate whose value enters that entry with that sign: the last
     argument dropped, each adjacent pair merged by add_table(), and the
-    first argument dropped with z moved by fiber.act[coset[g_1]].
+    first argument dropped with z moved by fiber.act[coset[g_1]].  Each is
+    one broadcast sum over the output axes.
     """
-    l, shape = space.arity, space.shape()
-    idx = np.indices((space.n,) * (l + 1) + (space.q,)).reshape(l + 2, -1)
-    g, z = list(idx[:-1]), idx[-1]
+    l, n, q = space.arity, space.n, space.q
     add = space.G.add_table()
-    terms = [((-1) ** (l + 1), np.ravel_multi_index(g[:l] + [z], shape))]
+    terms = [((-1) ** (l + 1), np.repeat(np.arange(n ** l * q).reshape(-1, q), n, 0).ravel())]
     for i in range(1, l + 1):
-        merged = g[:i - 1] + [add[g[i - 1], g[i]]] + g[i + 1:]
-        terms.append(((-1) ** i, np.ravel_multi_index(merged + [z], shape)))
-    moved = space.fiber.act[space.coset[g[0]], z]
-    terms.append((1, np.ravel_multi_index(g[1:] + [moved], shape)))
+        # axes (g_1..g_{i-1}), g_i, g_{i+1}, (g_{i+2}..g_{l+1}, z)
+        tail = n ** (l - i) * q
+        before = np.arange(n ** (i - 1))[:, None, None, None] * (n * tail)
+        terms.append(((-1) ** i, (before + add[:, :, None] * tail + np.arange(tail)).ravel()))
+    moved = space.fiber.act[space.coset]
+    terms.append((1, (np.arange(n ** l)[:, None] * q + moved[:, None, :]).ravel()))
     return terms
 
 
@@ -174,8 +189,8 @@ class TotalCochain:
 
     It is one int64 array, block by block in _bidegrees order, then any batch
     axes.  Block (k, l), a Cech k-cochain of arity-l group cochains, is a
-    TwistedCochain over a view of its slice: writing its values writes t.
-    The constructor makes the zero cochain.
+    TwistedCochain over a view of its slice, built when blocks is first read:
+    writing its values writes t.  The constructor makes the zero cochain.
     """
 
     def __init__(self, nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup, m: int,
@@ -186,13 +201,20 @@ class TotalCochain:
     def _init(self, nerve, G, quotient, m, degree, flat: np.ndarray):
         self.nerve, self.G, self.quotient, self.m, self.degree = nerve, G, quotient, m, degree
         self._flat = flat
-        offsets, dim = _block_offsets(nerve, G, quotient, degree)
-        ends = list(offsets.values())[1:] + [dim]
-        self.blocks = MappingProxyType({
-            (k, l): _wrap(nerve, GroupCochainSpace(G, quotient, m, l).as_gmodule(), k,
-                          flat[off:end])
-            for ((k, l), off), end in zip(offsets.items(), ends)})
+        self._blocks = None
         return self
+
+    @property
+    def blocks(self) -> Mapping[tuple[int, int], TwistedCochain]:
+        """The blocks by bidegree, each a write-through view of its slice."""
+        if self._blocks is None:
+            G, quotient, m, flat = self.G, self.quotient, self.m, self._flat
+            offsets, _ = _layout(self.nerve, G, quotient, self.degree)
+            self._blocks = MappingProxyType({
+                (k, l): _wrap(self.nerve, GroupCochainSpace(G, quotient, m, l).as_gmodule(), k,
+                              flat[start:end])
+                for (k, l), (start, end) in offsets.items()})
+        return self._blocks
 
     def is_zero(self) -> bool:
         return not self._flat.any()
@@ -217,19 +239,28 @@ def _bidegrees(p: int) -> list[tuple[int, int]]:
     return [(k, p - k) for k in range(p, -1, -1) if p - k <= MAX_TOTAL_ARITY]
 
 
-def _block_offsets(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
-                  p: int) -> tuple[dict, int]:
-    """Flat offset of each block (k, l) of degree p, in _bidegrees order, and the dimension."""
+def _block_offsets(nerve: Nerve, n: int, q: int, p: int) -> tuple[dict, int]:
+    """The slice (start, end) of each block (k, l) of degree p, in _bidegrees
+    order, and the dimension, for |G| = n and |G/N| = q."""
     offsets, dim = {}, 0
     for k, l in _bidegrees(p):
-        offsets[(k, l)] = dim
-        dim += len(nerve.simplices(k)) * (G.order ** l) * quotient.order
+        start, dim = dim, dim + len(nerve.simplices(k)) * n ** l * q
+        offsets[(k, l)] = (start, dim)
     return offsets, dim
+
+
+def _layout(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
+            p: int) -> tuple[dict, int]:
+    """_block_offsets, computed once per nerve, |G|, |G/N| and p: nerve.layouts keeps it."""
+    key = (G.order, quotient.order, p)
+    if key not in nerve.layouts:
+        nerve.layouts[key] = _block_offsets(nerve, *key)
+    return nerve.layouts[key]
 
 
 def total_dimension(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
                     m: int, p: int) -> int:
-    return _block_offsets(nerve, G, quotient, p)[1]
+    return _layout(nerve, G, quotient, p)[1]
 
 
 def total_terms(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
@@ -244,21 +275,22 @@ def total_terms(nerve: Nerve, G: FiniteLcaGroup, quotient: QuotientGroup,
     memo = g.terms if _is_own(nerve, G, quotient, g) else {}
     if (m, p) in memo:
         return memo[(m, p)]
-    src_off, _ = _block_offsets(nerve, G, quotient, p)
-    dst_off, _ = _block_offsets(nerve, G, quotient, p + 1)
+    src, _ = _layout(nerve, G, quotient, p)
+    dst, _ = _layout(nerve, G, quotient, p + 1)
     sign = -((-1) ** p)
     blocks = []
-    for (k, l), off in src_off.items():
-        if not nerve.simplices(k):
+    for (k, l), (off, end) in src.items():
+        if end == off:
             continue
         sp = GroupCochainSpace(G, quotient, m, l)
-        if nerve.simplices(k + 1):
-            blocks.append((dst_off[(k + 1, l)], [(s, off + src) for s, src in
-                                                 delta_terms(nerve, sp.as_gmodule(), g, k)]))
+        row0, row1 = dst[(k + 1, l)]
+        if row1 > row0:
+            blocks.append((row0, [(s, off + i) for s, i in
+                                  delta_terms(nerve, sp.as_gmodule(), g, k)]))
         if l + 1 <= MAX_TOTAL_ARITY:
-            starts = off + sp.size * np.arange(len(nerve.simplices(k)))[:, None]
-            blocks.append((dst_off[(k, l + 1)], [(sign * s, (starts + src).ravel())
-                                                 for s, src in sp.terms()]))
+            starts = np.arange(off, end, sp.size)[:, None]
+            blocks.append((dst[(k, l + 1)][0], [(sign * s, (starts + i).ravel())
+                                                for s, i in sp.terms()]))
     memo[(m, p)] = blocks
     return blocks
 

@@ -243,7 +243,8 @@ class Subgroup:
 class QuotientGroup:
     """G/N with canonical (least) coset representatives: lift[z] is the position
     in G of reps()[z], and coset[i] the position in reps() of e_i + N.
-    tables keeps groupcoh's group cochain tables per arity: arrays only."""
+    tables keeps groupcoh's group cochain tables per arity: arrays, term lists
+    and modules on them, none referring back."""
 
     def __init__(self, parent: FiniteLcaGroup, sub: Subgroup):
         if sub.parent != parent:

@@ -243,7 +243,7 @@ class TestExitCodes:
 
         def no_checks(*args, **kwargs):
             raise AssertionError("a check ran")
-        monkeypatch.setattr(cli, "run_checks", no_checks)
+        monkeypatch.setattr(cli, "_checks", no_checks)
         before = sorted(tmp_path.rglob("*"))
         assert main(["run", "z6_circle", "-o", str(out)]) == 2
         err = capsys.readouterr().err
@@ -258,7 +258,7 @@ class TestExitCodes:
 
         def no_checks(*args, **kwargs):
             raise AssertionError("a check ran")
-        monkeypatch.setattr(cli, "run_checks", no_checks)
+        monkeypatch.setattr(cli, "_checks", no_checks)
         assert main(["run", "z6_circle", "-o", str(fifo)]) == 2
         assert capsys.readouterr().err == \
             f"usage error: {fifo} exists and is not a regular file\n"
@@ -542,6 +542,28 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "nerve: 41 vertices, at least 780 edges, at least 9880 two-simplices" in out
         assert "nerve face count at least 9880 (cap 100)" in out
+
+    def test_explain_marks_the_bounds_the_command_never_forms(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # poincare on one 300-vertex simplex forms no certificate and no total
+        # cochain: explain marks those sizes, and not the two the run meets
+        monkeypatch.delenv("TDUAL_MAX_DIM", raising=False)
+        sc = write_scenario(tmp_path, {"groups": {"factors": [2], "N": [[1]]},
+                                       "nerve": {"vertices": 300,
+                                                 "simplices": [list(range(300))]},
+                                       "command": "poincare"})
+        assert main(["explain", sc]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "certificate matrix dimension 4546000 (cap 512) applies=False" in lines
+        assert "largest total cochain size 339883175 (cap 262144) applies=False" in lines
+        assert "Poincare word matrix dimension 2 (cap 512)" in lines
+        assert "nerve face count 4455100 (cap 262144)" in lines
+        marked = [ln for ln in lines if ln.endswith(" applies=False")]
+        assert len(marked) == len(cli.preflight(load_scenario(sc), "poincare",
+                                                refuse=False)) - 2
+        # all meets every bound
+        assert main(["explain", write_scenario(tmp_path, dict(Z6, command="all"))]) == 0
+        assert "applies=False" not in capsys.readouterr().out
 
     def test_explain_refuses_what_run_refuses_with_2(self, tmp_path, capsys):
         for flaw in ({"tolerances": {"snap": 0.5}},
@@ -961,6 +983,23 @@ class TestPreflight:
         with pytest.raises(ResourceCapError) as pe:
             cli.preflight(sc, command)
         assert str(pe.value) == str(ei.value)
+
+    def test_run_lists_the_faces_once(self, tmp_path, monkeypatch):
+        # cmd_run refuses from counts before it builds the Workspace, then runs
+        # the checks without a second preflight; run_checks alone still has one
+        calls = []
+        fn = cli._face_counts
+
+        def counted(nerve, limit, degrees=None):
+            calls.append((limit, degrees))
+            return fn(nerve, limit, degrees)
+        monkeypatch.setattr(cli, "_face_counts", counted)
+        assert main(["run", "z6_circle", "-o", str(tmp_path / "r.json")]) == 0
+        # once up to the cap, once up to its square for degrees 0 to 4
+        assert len(calls) == len(set(calls)) == 2
+        del calls[:]
+        run_checks(Workspace(load_scenario("z6_circle")), "cohomology")
+        assert len(calls) == len(set(calls)) == 2
 
     def test_poincare_words_are_refused_before_anything_is_built(
             self, tmp_path, monkeypatch, capsys):

@@ -704,7 +704,7 @@ def test_factorisations_go_with_their_cocycle():
     nerve = Nerve.circle()
     g = TwistCocycle.trivial(nerve, q)
     total_cohomology(nerve, G, q, 4, g, 1)
-    total_differential(rand_total(nerve, G, q, 4, 1, np.random.default_rng(0)), g)
+    once = total_differential(rand_total(nerve, G, q, 4, 1, np.random.default_rng(0)), g)
     assert sorted(g.totals) == [4] and sorted(g.totals[4]) == [0, 1]
     for A, sf in g.totals[4].values():
         assert type(A) is np.ndarray and (sf is None or type(sf) is SmithForm)
@@ -714,15 +714,20 @@ def test_factorisations_go_with_their_cocycle():
         for row0, terms in blocks:
             assert type(row0) is int
             assert all(type(s) is int and type(src) is np.ndarray for s, src in terms)
+    # the degree-2 output's arity-2 block module is built when its blocks are read
+    assert sorted(q.tables) == [0, 1]
+    once.blocks
     assert sorted(q.tables) == [0, 1, 2]
     for tables in q.tables.values():
         assert type(tables["act"]) is np.ndarray
         assert all(type(s) is int and type(src) is np.ndarray
                    for s, src in tables.get("terms", []))
+        assert all(type(mod) is GModule and mod.act is tables["act"]
+                   for mod in tables["modules"].values())
     refs = weakref.ref(g), weakref.ref(q)
     gc.disable()
     try:
-        del g, q
+        del g, q, once
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
@@ -780,8 +785,12 @@ def test_cochain_family_builds_each_act_table_once(monkeypatch):
     g = TwistCocycle.trivial(nerve, q)
     flat = np.random.default_rng(5).integers(0, 4, size=total_dimension(nerve, G, q, 4, 2))
     t = TotalCochain.from_flat(nerve, G, q, 4, 2, flat)
+    assert acts == {}           # the blocks and their modules wait for a read
+    t.blocks
     assert sorted(acts) == [2, 8, 32]
     once = total_differential(t, g)
+    assert sorted(acts) == [2, 8, 32]
+    once.blocks
     assert sorted(acts) == [2, 8, 32, 128]
     assert total_differential(once, g).is_zero()
     TotalCochain(nerve, G, q, 4, 2)
@@ -789,3 +798,60 @@ def test_cochain_family_builds_each_act_table_once(monkeypatch):
     assert sorted(acts) == [2, 8, 32, 128]
     assert all(len(ids) == 1 for ids in acts.values()), acts
     assert sorted(q.tables) == [0, 1, 2, 3]
+
+
+def test_cochain_and_two_differentials_build_no_block(monkeypatch):
+    # from_flat and d_tot twice read and write the array alone: no block
+    # cochain, and once the twist keeps its term blocks and the quotient its
+    # modules, no module either; reading blocks then builds them once
+    built = []
+    for cls, name in ((TwistedCochain, "_init"), (GModule, "__init__")):
+        def spy(self, *args, _fn=getattr(cls, name), **kw):
+            built.append(type(self).__name__)
+            return _fn(self, *args, **kw)
+        monkeypatch.setattr(cls, name, spy)
+    G, N, q = make_ctx([6], [[3]])
+    nerve = Nerve.sphere()
+    g = TwistCocycle.coboundary(nerve, q, {v: q.reps()[v % 2] for v in range(4)})
+    flat = np.random.default_rng(2).integers(0, 6, size=total_dimension(nerve, G, q, 6, 1))
+
+    def twice():
+        t = TotalCochain.from_flat(nerve, G, q, 6, 1, flat)
+        once = total_differential(t, g)
+        return once, total_differential(once, g)
+    once, twice_ = twice()
+    assert "TwistedCochain" not in built and twice_.is_zero()
+    # one table module per arity whose Cech terms the twist keeps
+    assert [len(t.get("modules", ())) for t in q.tables.values()] == [1, 1, 1]
+    del built[:]
+    again, _ = twice()
+    assert built == [] and np.array_equal(again.flatten(), once.flatten())
+    blocks = again.blocks
+    assert again.blocks is blocks and built == ["TwistedCochain"] * len(blocks)
+    # the views write through, and a key that is not a simplex is refused
+    # (1, 1) follows the 4 x 3 entries of (2, 0); edge (0, 1) is its first
+    blocks[(1, 1)].values[(0, 1)] = np.arange(6 * 3) + 6
+    assert again.flatten()[12:30].tolist() == (np.arange(18) % 6).tolist()
+    with pytest.raises(KeyError):
+        blocks[(1, 1)].values[(0, 9)] = 0
+
+
+def test_a_run_lays_out_each_nerve_and_degree_once(monkeypatch, tmp_path):
+    # a degree's block offsets read the face counts alone, so the nerve keeps
+    # them: a whole run computes each (nerve, |G|, q, degree) once
+    import tdual.groupcoh as groupcoh
+    from tdual import cli
+    seen = []
+    fn = groupcoh._block_offsets
+
+    def counted(nerve, n, q, p):
+        seen.append((nerve, n, q, p))      # keeps each nerve, so no id is reused
+        return fn(nerve, n, q, p)
+    monkeypatch.setattr(groupcoh, "_block_offsets", counted)
+    assert cli.main(["run", "z6_circle", "-o", str(tmp_path / "r.json")]) == 0
+    keys = [(id(nerve), n, q, p) for nerve, n, q, p in seen]
+    assert len(keys) > 5 and len(set(keys)) == len(keys)
+    for nerve, n, q, p in seen:
+        assert nerve.layouts[(n, q, p)][1] == sum(
+            len(nerve.simplices(k)) * n ** (p - k) * q for k in range(p + 1)
+            if p - k <= MAX_TOTAL_ARITY)

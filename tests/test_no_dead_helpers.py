@@ -26,6 +26,8 @@ REFERENCE = {
     "lca.Section.defect",                # test oracle for the section cocycle
     "linops.unit_phase",                 # test oracle for the phase tables
     "triples.trivial_triple",            # the acceptance criteria's trivial data
+    "cli.run_checks",                    # the README's checks on a Workspace, refused
+                                         # through preflight (cmd_run preflights first)
 }
 
 
